@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -67,6 +68,16 @@ def _phi_from_args(spec, phi_text):
     if phi_text is None:
         return _default_phi(spec)
     data = json.loads(phi_text)
+    if not isinstance(data, dict):
+        raise ValueError("--phi must be a JSON object with keys a, e, tau, f")
+    for key in ("a", "e", "tau", "f"):
+        value = data.get(key, [])
+        if not isinstance(value, list) or not all(
+            isinstance(c, int) and not isinstance(c, bool) for c in value
+        ):
+            raise ValueError(
+                f"--phi: {key!r} must be a list of integers, got {value!r}"
+            )
     tup = spec.tuple
     hom = HomImage(
         tup.p,
@@ -225,6 +236,9 @@ def _cmd_verify(args):
 def _verify_example2(args):
     p = args.p if args.p is not None else 5
     m = args.m if args.m is not None else 4
+    user_curve = None
+    if args.curve is not None:
+        user_curve = surfaces.CurveData.from_json(json.loads(args.curve))
     checks = []
 
     ok = True
@@ -296,9 +310,8 @@ def _verify_example2(args):
         }
     )
 
-    if args.curve is not None:
-        curve = surfaces.CurveData.from_json(json.loads(args.curve))
-        rep = surfaces.fixed_point_check(curve, tolerance=args.tolerance)
+    if user_curve is not None:
+        rep = surfaces.fixed_point_check(user_curve, tolerance=args.tolerance)
         results["curve_report"] = rep
         checks.append(
             {
@@ -372,6 +385,10 @@ def _report_for_genus(task):
 
 
 def _cmd_report(args):
+    if args.g_min > args.g_max:
+        raise ValueError(
+            f"empty genus window: --g-min {args.g_min} > --g-max {args.g_max}"
+        )
     gs = list(range(args.g_min, args.g_max + 1))
     tasks = [(g, args.p) for g in gs]
     if args.jobs > 1:
@@ -524,11 +541,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # argparse keeps no state between parse_args calls, so one parser
+    # serves every run() in the process
+    return build_parser()
+
+
 def run(argv):
     """Parse and execute; returns (exit_code, envelope_or_None, text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if exc.code is not None else 2), None, ""
 

@@ -97,6 +97,17 @@ class AdmissibleTuple:
                 f"g != p(t+r+s-1)+1-r"
             )
 
+    @classmethod
+    def _from_relation(cls, g, p, t, r, s):
+        """Build without re-validating.
+
+        Only for (t, r, s) solved from the defining relation for a (g, p)
+        that has already passed ``_validate_gp``.
+        """
+        tup = object.__new__(cls)
+        tup.__dict__.update(g=g, p=p, t=t, r=r, s=s)
+        return tup
+
     @property
     def trs(self):
         return (self.t, self.r, self.s)
@@ -143,41 +154,50 @@ class StratumReport:
     components: ComponentBounds
 
 
+def _admissible_totals(g, p):
+    """The totals n = t + s that admit a tuple, as a range.
+
+    r = (g - 1 - p(n - 1)) / (p - 1) is a nonnegative integer exactly when
+    n = g (mod p - 1) and 0 <= n <= floor((g + p - 1) / p).
+    """
+    bound = (g + p - 1) // p
+    return range(g % (p - 1), bound + 1, p - 1)
+
+
 def enumerate_tuples(g, p):
     """All admissible (t, r, s) for the given genus and prime, as tuples.
 
-    Iterates pairs (t, s) with t + s <= floor((g+p-1)/p) and solves
-    r = (g - 1 - p(t+s-1)) / (p-1), keeping the nonnegative exact
-    quotients.  Output is sorted lexicographically by (t, r, s).
+    Each admissible total n = t + s fixes r = (g - 1 - p(n-1)) / (p - 1),
+    and r falls as n grows; so running t upwards and, for each t, n
+    downwards over the admissible totals yields exactly the solutions,
+    already sorted lexicographically by (t, r, s).
     """
     _validate_gp(g, p)
-    bound = (g + p - 1) // p
+    # (n, r) pairs with n descending, hence r ascending
+    totals = [(n, (g - 1 - p * (n - 1)) // (p - 1))
+              for n in reversed(_admissible_totals(g, p))]
+    make = AdmissibleTuple._from_relation
     found = []
-    for t in range(bound + 1):
-        for s in range(bound + 1 - t):
-            if (g - p * (t + s)) % (p - 1) != 0:
-                continue
-            num = g - 1 - p * (t + s - 1)
-            if num < 0 or num % (p - 1) != 0:
-                continue
-            found.append(AdmissibleTuple(g, p, t, num // (p - 1), s))
-    found.sort(key=lambda a: a.trs)
+    for t in range(totals[0][0] + 1 if totals else 0):
+        for n, r in totals:
+            if n < t:
+                break
+            found.append(make(g, p, t, r, n - t))
     return found
 
 
 def count_strata(p, g):
-    """Number of admissible tuples for (g, p).
+    """Number of admissible tuples for (g, p), in O(1) for every prime.
 
-    Same value as ``len(enumerate_tuples(g, p))`` (asserted in the tests)
-    but allocation-free, counting the (t, s) pairs directly.
+    Same value as ``len(enumerate_tuples(g, p))`` (asserted in the tests).
+    Each admissible total n contributes its n + 1 pairs (t, s), and the
+    admissible totals n0, n0 + (p-1), ..., n0 + (k-1)(p-1) form an
+    arithmetic progression, so the count is k(n0 + 1) + (p-1)k(k-1)/2.
     """
     _validate_gp(g, p)
-    bound = (g + p - 1) // p
-    count = 0
-    for total in range(bound + 1):
-        if (g - p * total) % (p - 1) == 0 and g - 1 - p * (total - 1) >= 0:
-            count += total + 1  # pairs (t, s) with t + s = total
-    return count
+    totals = _admissible_totals(g, p)
+    k = len(totals)
+    return k * (totals.start + 1) + (p - 1) * k * (k - 1) // 2
 
 
 def closed_form_count(p, g):

@@ -178,17 +178,28 @@ class CurveData:
 
     @classmethod
     def from_json(cls, data):
+        """Inverse of :meth:`to_json`; raises ValueError on malformed data."""
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"curve data must be a JSON object, got {type(data).__name__}"
+            )
+        missing = [k for k in ("p", "a", "b", "alpha", "beta") if k not in data]
+        if missing:
+            raise ValueError(f"curve data is missing {', '.join(missing)}")
         unpair = lambda block: tuple(
             tuple(complex(re, im) for re, im in pair) for pair in block
         )
         p = data["p"]
-        return cls(
-            p,
-            unpair(data["a"]),
-            unpair(data["b"]),
-            RotationTuple(p, tuple(data["alpha"])),
-            RotationTuple(p, tuple(data["beta"])),
-        )
+        try:
+            return cls(
+                p,
+                unpair(data["a"]),
+                unpair(data["b"]),
+                RotationTuple(p, tuple(data["alpha"])),
+                RotationTuple(p, tuple(data["beta"])),
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed curve data: {exc}") from None
 
 
 def random_curve(p, m, rng, radius=1.2, min_sep=0.05):

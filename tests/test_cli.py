@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import schottky_strata
 from schottky_strata.cli import run
 
 
@@ -57,6 +64,48 @@ class TestExitCodes:
     def test_success(self):
         assert run_json(["verify", "example1"])[0] == 0
         assert run_json(["verify", "example2"])[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "--g", "5", "--p", "5", "--t", "1", "--r", "1", "--s", "0",
+             "--phi", '{"a":["x"],"e":[1]}'],
+            ["kernel", "--g", "5", "--p", "5", "--t", "1", "--r", "1", "--s", "0",
+             "--phi", "[1]"],
+            ["verify", "example2", "--curve", '{"p":5}'],
+            ["report", "--p", "5", "--g-min", "10", "--g-max", "2"],
+        ],
+    )
+    def test_bad_input_is_usage_error(self, argv, capsys):
+        code, env, text = run_json(argv)
+        assert (code, env, text) == (2, None, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _fresh_process_stdout(argv):
+    src = str(Path(schottky_strata.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "schottky_strata.cli", *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return proc.stdout
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (["report", "--csv", "--p", "5", "--g-min", "2", "--g-max", "12"],
+             ["report", "--p", "5", "--g-min", "2", "--g-max", "12"]),
+            (["tuples", "--csv", "--g", "30", "--p", "3"],
+             ["count", "--g", "30", "--p", "3"]),
+        ],
+    )
+    def test_runs_in_one_process_match_fresh_processes(self, first, second):
+        for argv in (first, second):
+            assert run_json(argv)[2] == _fresh_process_stdout(argv)
 
 
 class TestCommands:

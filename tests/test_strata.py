@@ -130,6 +130,36 @@ class TestEnumeration:
             for p in PRIMES_TO_60:
                 assert count_strata(p, g) == len(enumerate_tuples(g, p)), (g, p)
 
+    def test_count_matches_loop_over_totals(self):
+        # the per-total loop count_strata ran before its closed form
+        def loop_count(p, g):
+            count = 0
+            for total in range((g + p - 1) // p + 1):
+                if (g - p * total) % (p - 1) == 0 and g - 1 - p * (total - 1) >= 0:
+                    count += total + 1
+            return count
+
+        for p in PRIMES_TO_60:
+            for g in range(2, 2000):
+                assert count_strata(p, g) == loop_count(p, g), (p, g)
+
+    def test_matches_brute_force_solve(self):
+        # g - 1 = p(t + s - 1) + r(p - 1) with the other entries set to 0
+        # bounds each entry; the loops run in (t, r, s) order, so equality
+        # also checks the sort
+        for p in PRIMES_TO_60:
+            for g in range(2, 60):
+                ts_max = (g - 1) // p + 1
+                r_max = (g - 1 + p) // (p - 1)
+                solved = [
+                    AdmissibleTuple(g, p, t, r, s)
+                    for t in range(ts_max + 1)
+                    for r in range(r_max + 1)
+                    for s in range(ts_max + 1)
+                    if g == p * (t + r + s - 1) + 1 - r
+                ]
+                assert enumerate_tuples(g, p) == solved, (g, p)
+
 
 class TestClosedForm:
     def test_examples(self):

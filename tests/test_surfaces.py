@@ -220,6 +220,12 @@ class TestFixedPointCheck:
         again = CurveData.from_json(c.to_json())
         assert again == c
 
+    @pytest.mark.parametrize("data", [[1], {"p": 5}, {"p": 5, "a": 1, "b": 2,
+                                                    "alpha": 3, "beta": 4}])
+    def test_from_json_rejects_malformed(self, data):
+        with pytest.raises(ValueError):
+            CurveData.from_json(data)
+
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             fixed_point_check(self.curve(), tolerance=0.0)
