@@ -162,6 +162,9 @@ def _cmd_oracle(args):
     results = {"orbit_count": count, "scaled": bool(args.scale)}
     checks = []
     if args.t is not None:
+        # the shape must realise a genus g >= 2, as for the tuple commands
+        g = args.p * (args.t + args.r + args.s - 1) + 1 - args.r
+        AdmissibleTuple(g, args.p, args.t, args.r, args.s)
         bfs = homorbits.bfs_orbit_count(
             args.p, args.t, args.r, args.s, action, budget=args.budget
         )

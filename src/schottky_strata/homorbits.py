@@ -8,27 +8,28 @@ elliptic halves of the rank-two abelian factors; ``f`` units only).
 
 Two independent counters live here:
 
-* ``orbit_count_tuples`` enumerates the unit-vector pairs (u, v) and counts
-  distinct canonical forms under block permutation, entrywise inversion
+* ``canonical_codes`` (behind ``orbit_count_tuples`` and the rotation
+  tuples of :mod:`.surfaces`) enumerates the unit-vector pairs (u, v) and
+  keeps one code per orbit under block permutation, entrywise inversion
   u -> p - u, and optionally a global unit rescale.
-* ``bfs_orbit_count`` explores the full image space under the elementary
-  moves that geometric automorphisms induce (torsion shifts into the
-  loxodromic images, block permutations/inversions, Nielsen moves on the
-  free block when no torsion is present) and counts connected components.
+* ``bfs_orbit_count`` labels every state of the full image space by the
+  orbits of the elementary moves that geometric automorphisms induce
+  (torsion shifts into the loxodromic images, block permutations and
+  inversions, Nielsen moves on the free block when no torsion is present).
 
-Neither counter consults the binomial formula in :mod:`.strata`; the two
-routes are compared in tests.
+Neither counter consults a formula; tests compare them with each other
+and with the binomial and Burnside closed forms.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .strata import is_prime
+from .strata import check_prime
 
 __all__ = [
     "ActionSpec",
@@ -38,6 +39,7 @@ __all__ = [
     "PERM_INV",
     "PERM_INV_SCALE",
     "canonical_form",
+    "canonical_codes",
     "orbit_count_tuples",
     "bfs_orbit_count",
     "kernel_signature",
@@ -53,11 +55,6 @@ class BudgetExceeded(RuntimeError):
         super().__init__(
             f"enumeration requires {required} {what}, exceeding budget {budget}"
         )
-
-
-def _check_prime(p, minimum=2):
-    if p < minimum or not is_prime(p):
-        raise ValueError(f"p must be a prime >= {minimum}, got {p}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ class ImageTuple:
     v: Tuple[int, ...]
 
     def __post_init__(self):
-        _check_prime(self.p)
+        check_prime(self.p)
         for block in (self.u, self.v):
             for c in block:
                 if not 1 <= c <= self.p - 1:
@@ -109,7 +106,7 @@ class HomImage:
     f: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        _check_prime(self.p)
+        check_prime(self.p)
         if len(self.tau) != len(self.f):
             raise ValueError("tau and f must have equal length (one per pair)")
         for c in self.a + self.tau:
@@ -139,17 +136,6 @@ class HomImage:
         )
 
 
-def _reduce_entry(c, p, invert):
-    return min(c, p - c) if invert else c
-
-
-def _block_canon(block, p, lam, action):
-    mapped = [_reduce_entry(lam * c % p, p, action.invert) for c in block]
-    if action.permute:
-        mapped.sort()
-    return tuple(mapped)
-
-
 def canonical_form(x, action=PERM_INV):
     """Canonical representative of the orbit of ``x`` under ``action``.
 
@@ -159,139 +145,184 @@ def canonical_form(x, action=PERM_INV):
     taken.  Idempotent and constant on orbits.
     """
     p = x.p
-    lams = range(1, p) if action.global_scale else (1,)
     best = None
-    for lam in lams:
-        cand = (_block_canon(x.u, p, lam, action), _block_canon(x.v, p, lam, action))
+    for lam in range(1, p) if action.global_scale else (1,):
+        cand = []
+        for block in (x.u, x.v):
+            mapped = [lam * c % p for c in block]
+            if action.invert:
+                mapped = [min(c, p - c) for c in mapped]
+            cand.append(tuple(sorted(mapped) if action.permute else mapped))
         if best is None or cand < best:
             best = cand
     return ImageTuple(p, best[0], best[1])
 
 
-def _product_array(values, k):
-    """Cartesian product values^k as a (len(values)^k, k) uint8 array."""
-    n = len(values)
+def _sorting_network(n):
+    """Comparators (i, j), i < j, that sort any n inputs: Batcher's merge
+    exchange (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M)."""
+    pairs = []
+    p = top = 1 << (n - 1).bit_length() - 1 if n > 1 else 0
+    while p:
+        q, r, d = top, 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return pairs
+
+
+def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
+    """The distinct canonical codes over all of (Z_p^*)^r x (Z_p^*)^s, sorted.
+
+    Exhaustive enumeration (vectorised), no formula involved: one code per
+    orbit.  A code is the big-endian base-p number of the canonical form's
+    entries u then v, so code order is the lexicographic order of the
+    forms.  Raises BudgetExceeded when (p-1)^(r+s) exceeds ``budget``.
+    """
+    check_prime(p, minimum=3)
+    if r < 0 or s < 0:
+        raise ValueError("r and s must be >= 0")
+    k, n = r + s, p - 1
     total = n**k
-    arr = np.empty((total, k), dtype=np.uint8)
-    vals = np.asarray(values, dtype=np.uint8)
-    for i in range(k):
-        inner = n ** (k - 1 - i)
-        arr[:, i] = np.tile(np.repeat(vals, inner), n ** i)
-    return arr
-
-
-def _encode_rows(arr, p):
-    """Big-endian base-p code per row; order-preserving and injective."""
-    k = arr.shape[1]
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     if p**k >= 2**63:
         raise BudgetExceeded(p**k, 2**63, what="distinct codes")
-    powers = (p ** np.arange(k - 1, -1, -1)).astype(np.uint64)
-    return arr.astype(np.uint64) @ powers
+    dtype = np.uint8 if p < 256 else np.uint16
+    columns = [np.empty(total, dtype) for _ in range(k)]
+    spare = np.empty(total, dtype)
+    # -lam gives the entries of lam negated, which invert identifies
+    top = (p + 1) // 2 if action.invert else p
+    scalings = range(1, top) if action.global_scale else (1,)
+    # sort each block by compare-exchange, rebinding columns, not copying
+    networks = [(0, _sorting_network(r)), (r, _sorting_network(s))]
+    best = None
+    for lam in scalings:
+        image = lam * np.arange(1, p) % p
+        if action.invert:
+            image = np.minimum(image, p - image)
+        image = image.astype(dtype)[:, None]
+        for i, column in enumerate(columns):
+            column.reshape(n**i, n, -1)[...] = image
+        for lo, network in networks if action.permute else ():
+            for i, j in network:
+                low, high = columns[lo + i], columns[lo + j]
+                np.minimum(low, high, out=spare)
+                np.maximum(low, high, out=high)
+                columns[lo + i], spare = spare, low
+        codes = np.zeros(total, np.int32 if p**k < 2**31 else np.int64)
+        for column in columns:
+            codes *= p
+            codes += column
+        best = codes if best is None else np.minimum(best, codes, out=best)
+    best.sort()
+    return best[np.concatenate(([True], best[1:] != best[:-1]))]
 
 
 def orbit_count_tuples(p, r, s, action=PERM_INV, budget=10**7):
-    """Count distinct canonical forms over all of (Z_p^*)^r x (Z_p^*)^s.
-
-    Plain exhaustive enumeration (vectorised), no formula involved.
-    Raises BudgetExceeded when (p-1)^(r+s) exceeds ``budget``.
-    """
-    _check_prime(p, minimum=3)
+    """Count distinct canonical forms over all of (Z_p^*)^r x (Z_p^*)^s, by
+    the exhaustive enumeration of :func:`canonical_codes`; no formula."""
+    check_prime(p, minimum=3)
     if p >= 256:
         raise ValueError("residues must fit in a byte")
-    if r < 0 or s < 0:
-        raise ValueError("r and s must be >= 0")
-    total = (p - 1) ** (r + s)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    k = r + s
-    if k == 0:
-        return 1
-    arr = _product_array(range(1, p), k)
-    lams = range(1, p) if action.global_scale else (1,)
-    best = None
-    residues = np.arange(p, dtype=np.int64)
-    for lam in lams:
-        table = (lam * residues) % p
-        if action.invert:
-            table = np.minimum(table, p - table)
-        mapped = table.astype(np.uint8)[arr]
-        if action.permute:
-            mapped[:, :r] = np.sort(mapped[:, :r], axis=1)
-            mapped[:, r:] = np.sort(mapped[:, r:], axis=1)
-        codes = _encode_rows(mapped, p)
-        best = codes if best is None else np.minimum(best, codes)
-    return int(np.unique(best).size)
+    return int(canonical_codes(p, r, s, action, budget).size)
 
 
-def _primitive_root(p):
-    for g in range(2, p):
-        seen, x = set(), 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    return 1  # p == 2
+def _move_targets(index, p, t, r, s, scale, proof_moves, invert_tau_with_f):
+    """Yield, for each elementary move, the index of every state's image.
 
+    The states a | e | tau | f are the big-endian mixed-radix numbers in
+    ``index``: radix p and digit = value for the residues a and tau, radix
+    p - 1 and digit = value - 1 for the units e and f.
+    """
+    radices = [p] * t + [p - 1] * r + [p] * s + [p - 1] * s
+    strides = [math.prod(radices[c + 1 :]) for c in range(len(radices))]
+    values = [
+        np.tile(np.repeat(np.arange(radix, dtype=np.uint16) + (radix < p), stride),
+                index.size // (radix * stride))
+        for radix, stride in zip(radices, strides)
+    ]
+    a, e = range(t), range(t, t + r)
+    tau, f = range(t + r, t + r + s), range(t + r + s, t + r + 2 * s)
 
-def _neighbors(state, p, t, r, s, *, scale_root, proof_moves, invert_tau_with_f):
-    """Images reachable by one elementary move.  State layout: a | e | tau | f."""
-    a = state[:t]
-    e = state[t : t + r]
-    tau = state[t + r : t + r + s]
-    f = state[t + r + s :]
+    def move(changes):
+        """Target index when each coordinate c takes the values changes[c]."""
+        out = index.copy()
+        for c, new in changes.items():
+            delta = np.subtract(new, values[c], dtype=index.dtype)
+            delta *= strides[c]
+            out += delta
+        return out
 
-    def rebuild(a=a, e=e, tau=tau, f=f):
-        return a + e + tau + f
+    def mod(x):
+        """x mod p for uint16 x in [0, 2p): x - p wraps above x when x < p."""
+        return np.minimum(x, x - p, out=x)
 
     if proof_moves:
         # torsion shifts tau_k -> tau_k + f_k
         for k in range(s):
-            tau2 = tau[:k] + ((tau[k] + f[k]) % p,) + tau[k + 1 :]
-            yield rebuild(tau=tau2)
+            yield move({tau[k]: mod(values[tau[k]] + values[f[k]])})
         if r > 0 or s > 0:
             # shift a_j by the first available elliptic image
-            shift = e[0] if r > 0 else f[0]
-            for j in range(t):
-                a2 = a[:j] + ((a[j] + shift) % p,) + a[j + 1 :]
-                yield rebuild(a=a2)
+            shift = values[e[0] if r > 0 else f[0]]
+            for j in a:
+                yield move({j: mod(values[j] + shift)})
         else:
             # Nielsen moves within the free block
-            for j in range(t):
-                for i in range(t):
+            for j in a:
+                for i in a:
                     if i != j:
-                        a2 = a[:j] + ((a[j] + a[i]) % p,) + a[j + 1 :]
-                        yield rebuild(a=a2)
-            for j in range(t):
-                a2 = a[:j] + ((-a[j]) % p,) + a[j + 1 :]
-                yield rebuild(a=a2)
+                        yield move({j: mod(values[j] + values[i])})
+            for j in a:
+                yield move({j: mod(p - values[j])})
             for j in range(t - 1):
-                a2 = list(a)
-                a2[j], a2[j + 1] = a2[j + 1], a2[j]
-                yield rebuild(a=tuple(a2))
+                yield move({a[j]: values[a[j + 1]], a[j + 1]: values[a[j]]})
     # e-block permutations and entrywise inversion
     for j in range(r - 1):
-        e2 = list(e)
-        e2[j], e2[j + 1] = e2[j + 1], e2[j]
-        yield rebuild(e=tuple(e2))
-    for j in range(r):
-        e2 = e[:j] + (p - e[j],) + e[j + 1 :]
-        yield rebuild(e=e2)
+        yield move({e[j]: values[e[j + 1]], e[j + 1]: values[e[j]]})
+    for j in e:
+        yield move({j: p - values[j]})
     # pair permutations and pair inversion
     for k in range(s - 1):
-        tau2, f2 = list(tau), list(f)
-        tau2[k], tau2[k + 1] = tau2[k + 1], tau2[k]
-        f2[k], f2[k + 1] = f2[k + 1], f2[k]
-        yield rebuild(tau=tuple(tau2), f=tuple(f2))
+        yield move({tau[k]: values[tau[k + 1]], tau[k + 1]: values[tau[k]],
+                    f[k]: values[f[k + 1]], f[k + 1]: values[f[k]]})
     for k in range(s):
-        f2 = f[:k] + (p - f[k],) + f[k + 1 :]
+        changes = {f[k]: p - values[f[k]]}
         if invert_tau_with_f:
-            tau2 = tau[:k] + ((-tau[k]) % p,) + tau[k + 1 :]
-        else:
-            tau2 = tau
-        yield rebuild(tau=tau2, f=f2)
-    if scale_root is not None:
-        yield tuple(scale_root * c % p for c in state)
+            changes[tau[k]] = mod(p - values[tau[k]])
+        yield move(changes)
+    if scale:  # by the least generator of the units mod p (1 when p = 2)
+        root = next(g for g in range(1, p)
+                    if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+        table = (root * np.arange(p) % p).astype(np.uint16)
+        yield move({c: table[column] for c, column in enumerate(values)})
+
+
+def _orbit_count(total, moves):
+    """Orbits on range(total) of the group generated by the permutations
+    ``moves(index)`` yields; they are rebuilt each sweep, not kept, so
+    memory stays a few arrays of ``total`` however many moves there are.
+
+    A sweep lowers each label (at first the state's own index) to the
+    label of the state each move sends it to, then pointer jumping
+    (label <- label[label]) runs to a fixed point.  Orbits of a permutation
+    group are strongly connected, so once a sweep changes nothing every
+    orbit is labelled by its least state, the one labelled by itself.
+    """
+    index = np.arange(total, dtype=np.int32 if total < 2**31 else np.int64)
+    label = index.copy()
+    while True:
+        before = label.copy()
+        for target in moves(index):
+            np.minimum(label, label[target], out=label)
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+        if np.array_equal(label, before):
+            return int(np.count_nonzero(label == index))
 
 
 def bfs_orbit_count(
@@ -315,56 +346,23 @@ def bfs_orbit_count(
     rescale iff ``action.global_scale``.  ``proof_moves`` switches the
     normalisation moves (a)-(c) on and off.
 
-    Exhaustive BFS with a byte-encoded visited set; the valid states are
-    those with unit e/f entries and at least one nonzero coordinate.
+    Exhaustive over every state, with one neighbour-index array per move;
+    the valid states are those with unit e/f entries and at least one
+    nonzero coordinate.
     """
-    _check_prime(p)
+    check_prime(p)
     total = p**t * (p - 1) ** r * p**s * (p - 1) ** s
     if total > budget:
         raise BudgetExceeded(total, budget, what="image vectors")
     if p - 1 >= 256:
         raise ValueError("residues must fit in a byte")
-    scale_root = _primitive_root(p) if action.global_scale else None
-
-    residues = tuple(range(p))
-    units = tuple(range(1, p))
-    states = []
-    for a in itertools.product(residues, repeat=t):
-        if r == 0 and s == 0 and not any(a):
-            continue
-        for e in itertools.product(units, repeat=r):
-            for tau in itertools.product(residues, repeat=s):
-                for f in itertools.product(units, repeat=s):
-                    states.append(a + e + tau + f)
-
-    visited = set()
-    count = 0
-    for start in states:
-        key = bytes(start)
-        if key in visited:
-            continue
-        count += 1
-        visited.add(key)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for state in frontier:
-                for nb in _neighbors(
-                    state,
-                    p,
-                    t,
-                    r,
-                    s,
-                    scale_root=scale_root,
-                    proof_moves=proof_moves,
-                    invert_tau_with_f=invert_tau_with_f,
-                ):
-                    k = bytes(nb)
-                    if k not in visited:
-                        visited.add(k)
-                        nxt.append(nb)
-            frontier = nxt
-    return count
+    if min(t, r, s) < 0:
+        raise ValueError("repeat argument cannot be negative")
+    count = _orbit_count(total, lambda index: _move_targets(
+        index, p, t, r, s, action.global_scale, proof_moves, invert_tau_with_f))
+    # when r = s = 0 the all-zero a-block is not surjective; every move
+    # fixes it, so it is an orbit of its own
+    return count - 1 if r == 0 and s == 0 else count
 
 
 def kernel_signature(h):

@@ -48,14 +48,20 @@ def is_prime(n):
     return True
 
 
+def check_prime(p, minimum=2, *, named=False):
+    """Raise ValueError unless p is a prime >= minimum; ``named`` quotes p as p=<p>."""
+    if p < minimum or not is_prime(p):
+        got = f"p={p}" if named else p
+        raise ValueError(f"p must be a prime >= {minimum}, got {got}")
+
+
 def _validate_gp(g, p):
     for name, value in (("g", g), ("p", p)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if g < 2:
         raise ValueError(f"genus must be >= 2, got g={g}")
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 2, got p={p}")
+    check_prime(p, named=True)
 
 
 def _validate_trs(t, r, s):

@@ -15,7 +15,6 @@ fixed-point formulas into the defining equations and reports residuals.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,8 +22,8 @@ from typing import Tuple
 
 import mpmath
 
-from .homorbits import BudgetExceeded
-from .strata import AdmissibleTuple, is_prime
+from .homorbits import ActionSpec, ImageTuple, canonical_codes, canonical_form
+from .strata import AdmissibleTuple, check_prime
 
 __all__ = [
     "RotationTuple",
@@ -45,9 +44,8 @@ class NearSingular(ValueError):
     """Branch points too close together for residuals to mean anything."""
 
 
-def _check_p(p):
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+# rotation tuples are the u-block of ImageTuple up to rescale and permutation
+_ROTATION = ActionSpec(permute=True, invert=False, global_scale=True)
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class RotationTuple:
     entries: Tuple[int, ...]
 
     def __post_init__(self):
-        _check_p(self.p)
+        check_prime(self.p, minimum=5)
         if not self.entries:
             raise ValueError("rotation tuple must have length >= 1")
         for c in self.entries:
@@ -72,10 +70,7 @@ class RotationTuple:
 
 def canonical_rotation(x):
     """Lexicographically least sorted rescale: min over units of sorted(lam*x)."""
-    p = x.p
-    return min(
-        tuple(sorted(lam * c % p for c in x.entries)) for lam in range(1, p)
-    )
+    return canonical_form(ImageTuple(x.p, x.entries, ()), _ROTATION).u
 
 
 def same_orbit(x, y):
@@ -87,22 +82,17 @@ def same_orbit(x, y):
     return canonical_rotation(x) == canonical_rotation(y)
 
 
-def _all_canonical_forms(p, m, budget):
-    _check_p(p)
+def _rotation_codes(p, m, budget):
+    """Sorted canonical codes of the orbits in (Z_p^*)^m, one per orbit."""
+    check_prime(p, minimum=5)
     if m < 1:
         raise ValueError("m must be >= 1")
-    total = (p - 1) ** m
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    forms = set()
-    for entries in itertools.product(range(1, p), repeat=m):
-        forms.add(canonical_rotation(RotationTuple(p, entries)))
-    return forms
+    return canonical_codes(p, m, 0, _ROTATION, budget)
 
 
 def count_orbits(p, m, budget=10**7):
     """Number of orbits in (Z_p^*)^m, by exhaustive canonicalisation."""
-    return len(_all_canonical_forms(p, m, budget))
+    return int(_rotation_codes(p, m, budget).size)
 
 
 def witness_pair(p, m, budget=10**7):
@@ -110,10 +100,13 @@ def witness_pair(p, m, budget=10**7):
 
     Returns None exactly when the action is transitive.
     """
-    forms = sorted(_all_canonical_forms(p, m, budget))
-    if len(forms) < 2:
+    codes = _rotation_codes(p, m, budget)
+    if codes.size < 2:
         return None
-    return (RotationTuple(p, forms[0]), RotationTuple(p, forms[1]))
+    return tuple(
+        RotationTuple(p, tuple(int(code) // p**j % p for j in reversed(range(m))))
+        for code in codes[:2]
+    )
 
 
 def example2_type(p, m):
@@ -123,7 +116,7 @@ def example2_type(p, m):
     The topological conclusions need m >= 4; smaller m still yields a
     well-defined admissible tuple and only triggers a warning.
     """
-    _check_p(p)
+    check_prime(p, minimum=5)
     if m < 1:
         raise ValueError("m must be >= 1")
     if m < 4:
@@ -150,7 +143,7 @@ class CurveData:
     beta: RotationTuple
 
     def __post_init__(self):
-        _check_p(self.p)
+        check_prime(self.p, minimum=5)
         m = len(self.a)
         if len(self.b) != m or self.alpha.m != m or self.beta.m != m:
             raise ValueError("a, b, alpha, beta must share one length m")

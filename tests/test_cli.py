@@ -74,6 +74,8 @@ class TestExitCodes:
              "--phi", "[1]"],
             ["verify", "example2", "--curve", '{"p":5}'],
             ["report", "--p", "5", "--g-min", "10", "--g-max", "2"],
+            ["oracle", "--p", "5", "--r", "0", "--s", "0", "--t", "0"],
+            ["oracle", "--p", "5", "--r", "0", "--s", "0", "--t", "1"],
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):

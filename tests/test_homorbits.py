@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,9 @@ from schottky_strata.homorbits import (
     BudgetExceeded,
     HomImage,
     ImageTuple,
+    _sorting_network,
     bfs_orbit_count,
+    canonical_codes,
     canonical_form,
     kernel_signature,
     orbit_count_tuples,
@@ -21,6 +25,85 @@ from schottky_strata.homorbits import (
 def binomial_count(p, r, s):
     half = (p - 3) // 2
     return math.comb(r + half, half) * math.comb(s + half, half)
+
+
+def burnside_count(h, blocks):
+    """Orbits of one multiset per block (sizes ``blocks``) over h classes
+    under the cyclic group of order h shifting all classes at once:
+    (1/h) sum_{d | h, d | every block} phi(d) prod C(b/d + h/d - 1, b/d)."""
+    total = 0
+    for d in range(1, h + 1):
+        if h % d == 0 and all(b % d == 0 for b in blocks):
+            phi = sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
+            total += phi * math.prod(
+                math.comb(b // d + h // d - 1, b // d) for b in blocks
+            )
+    assert total % h == 0
+    return total // h
+
+
+def expected_orbit_count(p, r, s, scaled):
+    """Orbits of PERM_INV (one multiset of the h = (p-1)/2 classes +-c per
+    block) or, by Burnside's lemma, of PERM_INV_SCALE (the scaling group
+    modulo +-1 is cyclic of order h)."""
+    return burnside_count((p - 1) // 2, (r, s)) if scaled else binomial_count(p, r, s)
+
+
+def reference_bfs(p, t, r, s, scaled, proof_moves, invert_tau_with_f):
+    """Plain depth-first search over the image vectors a | e | tau | f with
+    the move set of ``bfs_orbit_count``, one tuple at a time."""
+    A, E = range(t), range(t, t + r)
+    T, F = range(t + r, t + r + s), range(t + r + s, t + r + 2 * s)
+    root = next(g for g in range(1, p)
+                if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+
+    def moved(x, changes):
+        y = list(x)
+        for i, value in changes:
+            y[i] = value % p
+        return tuple(y)
+
+    def neighbours(x):
+        if proof_moves:
+            for k in range(s):
+                yield moved(x, [(T[k], x[T[k]] + x[F[k]])])
+            if r or s:
+                shift = x[E[0]] if r else x[F[0]]
+                for j in A:
+                    yield moved(x, [(j, x[j] + shift)])
+            else:
+                for j in A:
+                    for i in A:
+                        if i != j:
+                            yield moved(x, [(j, x[j] + x[i])])
+                    yield moved(x, [(j, -x[j])])
+                for j in A[:-1]:
+                    yield moved(x, [(j, x[j + 1]), (j + 1, x[j])])
+        for j in E[:-1]:
+            yield moved(x, [(j, x[j + 1]), (j + 1, x[j])])
+        for j in E:
+            yield moved(x, [(j, -x[j])])
+        for k in range(s - 1):
+            yield moved(x, [(T[k], x[T[k + 1]]), (T[k + 1], x[T[k]]),
+                            (F[k], x[F[k + 1]]), (F[k + 1], x[F[k]])])
+        for k in range(s):
+            tau = [(T[k], -x[T[k]])] if invert_tau_with_f else []
+            yield moved(x, [(F[k], -x[F[k]])] + tau)
+        if scaled:
+            yield tuple(root * c % p for c in x)
+
+    ranges = [range(p)] * t + [range(1, p)] * r + [range(p)] * s + [range(1, p)] * s
+    unseen = {x for x in itertools.product(*ranges) if any(x)}
+    orbits = 0
+    while unseen:
+        orbits += 1
+        stack = [unseen.pop()]
+        while stack:
+            for y in neighbours(stack.pop()):
+                if y in unseen:
+                    unseen.remove(y)
+                    stack.append(y)
+    return orbits
 
 
 class TestCanonicalForm:
@@ -150,6 +233,43 @@ class TestOrbitCountTuples:
             orbit_count_tuples(11, 8, 0, PERM_INV, budget=10**6)
         assert exc.value.required == 10**8
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_matches_burnside_up_to_budget(self, p, scaled):
+        action = PERM_INV_SCALE if scaled else PERM_INV
+        k = 0
+        while (p - 1) ** k <= 10**6:
+            for r in range(k + 1):
+                got = orbit_count_tuples(p, r, k - r, action, budget=10**6)
+                assert got == expected_orbit_count(p, r, k - r, scaled), (p, r, k - r)
+            k += 1
+
+    def test_codes_are_sorted_distinct_and_decode_to_canonical_forms(self):
+        for p, r, s, action in [
+            (5, 2, 1, PERM_INV),
+            (7, 1, 2, PERM_INV_SCALE),
+            (7, 3, 0, ActionSpec(permute=True, invert=False, global_scale=True)),
+        ]:
+            forms = {
+                canonical_form(ImageTuple(p, u, v), action)
+                for u in itertools.product(range(1, p), repeat=r)
+                for v in itertools.product(range(1, p), repeat=s)
+            }
+            digits = [
+                tuple(int(c) // p**j % p for j in reversed(range(r + s)))
+                for c in canonical_codes(p, r, s, action)
+            ]
+            assert digits == sorted(form.u + form.v for form in forms)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_sorting_network_sorts_every_zero_one_input(self, n):
+        # the 0-1 principle: a comparator network sorts all inputs iff it
+        # sorts every vector of zeros and ones
+        rows = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        for i, j in _sorting_network(n):
+            rows[:, [i, j]] = np.sort(rows[:, [i, j]], axis=1)
+        assert (np.diff(rows, axis=1) >= 0).all()
+
 
 class TestBfsOrbitCount:
     def test_loxodromic_plus_elliptic(self):
@@ -173,10 +293,25 @@ class TestBfsOrbitCount:
 
     @pytest.mark.parametrize(
         "p,t,r,s",
-        [(5, 0, 1, 1), (5, 1, 2, 0), (3, 1, 1, 1), (5, 0, 2, 1), (7, 0, 1, 1)],
+        [(5, 0, 1, 1), (5, 1, 2, 0), (3, 1, 1, 1), (5, 0, 2, 1), (7, 0, 1, 1),
+         (7, 0, 0, 3), (5, 0, 0, 4)],
     )
     def test_agrees_with_canonical_count(self, p, t, r, s):
         assert bfs_orbit_count(p, t, r, s) == orbit_count_tuples(p, r, s, PERM_INV)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=3)))
+    def test_agrees_with_reference_bfs(self, p, flags):
+        # every shape with t + r + s <= 4 whose reference search stays small
+        scaled, proof_moves, invert_tau_with_f = flags
+        action = PERM_INV_SCALE if scaled else PERM_INV
+        for t, r, s in itertools.product(range(5), repeat=3):
+            if t + r + s > 4 or p**t * (p - 1) ** r * (p * (p - 1)) ** s > 10**4:
+                continue
+            want = reference_bfs(p, t, r, s, scaled, proof_moves, invert_tau_with_f)
+            got = bfs_orbit_count(p, t, r, s, action, proof_moves=proof_moves,
+                                  invert_tau_with_f=invert_tau_with_f)
+            assert got == want, (t, r, s)
 
     def test_pair_inversion_subflag(self):
         # without simultaneous tau negation the count is unchanged here
@@ -190,6 +325,11 @@ class TestBfsOrbitCount:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             bfs_orbit_count(11, 4, 4, 2, budget=10**5)
+
+    @pytest.mark.parametrize("t,r,s", [(-1, 0, 0), (0, -1, 1), (1, 1, -1)])
+    def test_negative_shape_rejected(self, t, r, s):
+        with pytest.raises(ValueError, match="cannot be negative"):
+            bfs_orbit_count(5, t, r, s)
 
 
 class TestKernelSignature:

@@ -50,6 +50,20 @@ def orbit_count_by_union_find(p, m):
     return len({find(i) for i in range(len(space))})
 
 
+def rotation_burnside(p, m):
+    """Orbits of (Z_p^*)^m under rescaling and permutation: multisets of
+    size m over the p - 1 units up to the cyclic scaling group, so by
+    Burnside's lemma (1/(p-1)) sum_{d | gcd(p-1, m)} phi(d) C(m/d + (p-1)/d - 1, m/d)."""
+    q = p - 1
+    total = 0
+    for d in range(1, q + 1):
+        if q % d == 0 and m % d == 0:
+            phi = sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
+            total += phi * math.comb(m // d + q // d - 1, m // d)
+    assert total % q == 0
+    return total // q
+
+
 class TestOrbits:
     def test_constant_tuples_equivalent(self):
         assert same_orbit(RotationTuple(5, (1, 1, 1, 1)), RotationTuple(5, (2, 2, 2, 2)))
@@ -83,6 +97,13 @@ class TestOrbits:
     @pytest.mark.parametrize("p,m", [(5, 2), (5, 3), (7, 2), (11, 2)])
     def test_union_find_oracle_agreement(self, p, m):
         assert count_orbits(p, m) == orbit_count_by_union_find(p, m)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 23])
+    def test_burnside_agreement_up_to_budget(self, p):
+        m = 1
+        while (p - 1) ** m <= 10**6:
+            assert count_orbits(p, m, budget=10**6) == rotation_burnside(p, m), m
+            m += 1
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -134,6 +155,15 @@ class TestWitness:
         pair = witness_pair(7, 2)
         assert pair is not None
         assert not same_orbit(*pair)
+
+    @pytest.mark.parametrize("p,m", [(5, 2), (5, 5), (7, 3), (11, 3), (13, 2)])
+    def test_two_least_canonical_forms(self, p, m):
+        forms = sorted({
+            canonical_rotation(RotationTuple(p, x))
+            for x in itertools.product(range(1, p), repeat=m)
+        })
+        x, y = witness_pair(p, m)
+        assert (x.entries, y.entries) == (forms[0], forms[1])
 
 
 class TestExample2Type:
