@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 from . import homorbits, moebius, strata, surfaces
@@ -46,7 +45,7 @@ def _tuple_json(tup):
 def _bounds_json(cb):
     return {
         "irreducible_count": cb.irreducible_count,
-        "upper": cb.upper,
+        "upper": cb.irreducible_count,
         "exact": cb.exact,
         "basis": cb.basis.value,
     }
@@ -191,8 +190,8 @@ def _cmd_bounds(args):
     checks = [
         {
             "name": "exact_within_upper",
-            "pass": cb.exact is None or 1 <= cb.exact <= cb.upper,
-            "detail": f"exact={cb.exact} upper={cb.upper}",
+            "pass": cb.exact is None or 1 <= cb.exact <= cb.irreducible_count,
+            "detail": f"exact={cb.exact} upper={cb.irreducible_count}",
         }
     ]
     return results, checks
@@ -382,24 +381,16 @@ def _cmd_loxcheck(args):
     return results, checks
 
 
-def _report_for_genus(task):
-    g, p = task
-    return [_report_row(rep) for rep in strata.stratum_report(g, p)]
-
-
 def _cmd_report(args):
     if args.g_min > args.g_max:
         raise ValueError(
             f"empty genus window: --g-min {args.g_min} > --g-max {args.g_max}"
         )
-    gs = list(range(args.g_min, args.g_max + 1))
-    tasks = [(g, args.p) for g in gs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_report_for_genus, tasks))
-    else:
-        chunks = [_report_for_genus(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [
+        _report_row(rep)
+        for g in range(args.g_min, args.g_max + 1)
+        for rep in strata.stratum_report(g, args.p)
+    ]
     results = {"p": args.p, "g_min": args.g_min, "g_max": args.g_max,
                "reports": rows}
     checks = [
@@ -539,7 +530,6 @@ def build_parser():
     sp.add_argument("--g-min", type=int, required=True, dest="g_min")
     sp.add_argument("--g-max", type=int, required=True, dest="g_max")
     sp.add_argument("--csv", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
 
     return parser
 

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from .freegroup import _reduce_letters
 from .homorbits import BudgetExceeded, HomImage
 from .strata import AdmissibleTuple
 
@@ -327,18 +328,8 @@ def _transversal_pivot(phi):
     raise ValueError("homomorphism is not surjective: no usable pivot")
 
 
-def _free_reduce_ids(word):
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return out
-
-
 def _cyclic_reduce_ids(word):
-    w = _free_reduce_ids(word)
+    w = _reduce_letters(word)
     while len(w) >= 2 and w[0] == -w[-1]:
         w = w[1:-1]
     return w

@@ -19,12 +19,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from .strata import check_prime
+
 __all__ = [
     "INFINITE",
     "FreeWord",
     "AbelianHom",
     "StallingsGraph",
-    "reduce_word",
     "parse_word",
     "word_str",
     "map_letters",
@@ -43,8 +44,6 @@ INFINITE = math.inf
 def _reduce_letters(letters):
     out = []
     for x in letters:
-        if x == 0:
-            raise ValueError("letter 0 is not a generator")
         if out and out[-1] == -x:
             out.pop()
         else:
@@ -87,11 +86,6 @@ class FreeWord:
 
     def __str__(self):
         return word_str(self)
-
-
-def reduce_word(letters, rank):
-    """Freely reduce a raw signed-letter sequence."""
-    return FreeWord(rank, tuple(letters))
 
 
 def parse_word(text, rank):
@@ -139,13 +133,10 @@ class AbelianHom:
     images: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        from .strata import is_prime
-
         if len(self.images) != self.rank:
             raise ValueError("need one image vector per generator")
         for m in self.moduli:
-            if not is_prime(m):
-                raise ValueError(f"modulus {m} is not prime")
+            check_prime(m)
         for img in self.images:
             if len(img) != len(self.moduli):
                 raise ValueError("image dimension does not match moduli")

@@ -59,19 +59,15 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """Which elementary identifications the canonical form quotients by."""
+    """Which identifications the canonical form quotients by, besides the
+    permutations within each block, which it always quotients by."""
 
-    permute: bool = True
     invert: bool = True
     global_scale: bool = False
 
-    def __post_init__(self):
-        if not (self.permute or self.invert or self.global_scale):
-            raise ValueError("at least one action flag must be set")
 
-
-PERM_INV = ActionSpec(permute=True, invert=True, global_scale=False)
-PERM_INV_SCALE = ActionSpec(permute=True, invert=True, global_scale=True)
+PERM_INV = ActionSpec(invert=True, global_scale=False)
+PERM_INV_SCALE = ActionSpec(invert=True, global_scale=True)
 
 
 @dataclass(frozen=True)
@@ -139,8 +135,8 @@ class HomImage:
 def canonical_form(x, action=PERM_INV):
     """Canonical representative of the orbit of ``x`` under ``action``.
 
-    With permute+invert each entry is replaced by min(c, p-c) and each
-    block sorted; with global_scale the lexicographically least result
+    Each block is sorted, after replacing each entry by min(c, p-c) under
+    invert; with global_scale the lexicographically least result
     over all unit multiples (applied to both blocks simultaneously) is
     taken.  Idempotent and constant on orbits.
     """
@@ -152,7 +148,7 @@ def canonical_form(x, action=PERM_INV):
             mapped = [lam * c % p for c in block]
             if action.invert:
                 mapped = [min(c, p - c) for c in mapped]
-            cand.append(tuple(sorted(mapped) if action.permute else mapped))
+            cand.append(tuple(sorted(mapped)))
         if best is None or cand < best:
             best = cand
     return ImageTuple(p, best[0], best[1])
@@ -207,7 +203,7 @@ def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
         image = image.astype(dtype)[:, None]
         for i, column in enumerate(columns):
             column.reshape(n**i, n, -1)[...] = image
-        for lo, network in networks if action.permute else ():
+        for lo, network in networks:
             for i, j in network:
                 low, high = columns[lo + i], columns[lo + j]
                 np.minimum(low, high, out=spare)

@@ -39,7 +39,13 @@ class Tolerances:
     classify: float = 1e-9
     order: float = 1e-8
     commutation: float = 1e-10
-    determinant: float = 1e-12
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"tolerance {name} must be finite and positive, got {value}"
+                )
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -133,14 +139,14 @@ def dist_to_unit(m):
     return min(plus, minus)
 
 
-def classify(m, eps=None, tolerances=DEFAULT_TOLERANCES):
+def classify(m, tolerances=DEFAULT_TOLERANCES):
     """Trace classification, identity and parabolic first.
 
-    IDENTITY within eps of +-I; PARABOLIC when tr^2 is within eps of 4;
-    ELLIPTIC when tr^2 is real within eps and lies in [0, 4-eps];
-    LOXODROMIC otherwise.
+    With eps = tolerances.classify: IDENTITY within eps of +-I; PARABOLIC
+    when tr^2 is within eps of 4; ELLIPTIC when tr^2 is real within eps
+    and lies in [0, 4-eps]; LOXODROMIC otherwise.
     """
-    eps = tolerances.classify if eps is None else eps
+    eps = tolerances.classify
     if dist_to_unit(m) <= eps:
         return MobiusClass.IDENTITY
     tr2 = m.trace() ** 2
@@ -167,13 +173,13 @@ def _multiplier_abs(m, z):
     return 1.0 / abs(m.c * z + m.d) ** 2
 
 
-def fixed_points(m, eps=None, tolerances=DEFAULT_TOLERANCES):
+def fixed_points(m, tolerances=DEFAULT_TOLERANCES):
     """Fixed points on the sphere; loxodromic maps get attract/repel labels.
 
     Solves c z^2 + (d - a) z - b = 0, with infinity fixed exactly when
     c = 0.  Identity input is rejected.
     """
-    cls = classify(m, eps=eps, tolerances=tolerances)
+    cls = classify(m, tolerances)
     if cls is MobiusClass.IDENTITY:
         raise ValueError("identity has no isolated fixed points")
     pts = []
@@ -215,6 +221,8 @@ def order_check(m, p, eps=None, tolerances=DEFAULT_TOLERANCES):
 # the order/commutation checks meaningful at distant centers.
 
 _MACH_EPS = 2.220446049250313e-16
+_OFFSET = 0.1
+_MULTIPLIER = 9.0
 
 
 def _loxodromic_at(center, offset, multiplier):
@@ -265,31 +273,24 @@ class MatrixGroupSpec:
     spec: GroupSpec
     matrices: Dict[Tuple[str, int], MobiusMap]
     centers: Dict[Tuple[str, int], complex]
-    separation: float
-    multiplier: float = 9.0
-    offset: float = 0.1
 
 
-def build_matrix_group(
-    tup,
-    separation=10.0,
-    multiplier=9.0,
-    offset=0.1,
-    tolerances=DEFAULT_TOLERANCES,
-):
+def build_matrix_group(tup, separation=10.0, tolerances=DEFAULT_TOLERANCES):
     """Place the free factors at well-separated centers on the real axis.
 
     Elliptic factors take the centers nearest the origin, then the
     commuting pairs, then the loxodromic factors (the torsion checks have
     the tightest tolerances and their double-precision accuracy decays
     with the center magnitude).  Elliptic generators rotate by 2 pi / p
-    about center -+ offset*i; loxodromic generators have real fixed
-    points center -+ offset; each pair shares one real fixed-point set,
+    about center -+ _OFFSET*i; loxodromic generators have real fixed
+    points center -+ _OFFSET; each pair shares one real fixed-point set,
     so its commutator vanishes to rounding.  The construction certifies
     the algebraic/classification invariants below, not discreteness.
     """
-    if separation <= 0 or offset <= 0 or multiplier <= 1:
-        raise ValueError("separation and offset must be positive, multiplier > 1")
+    if not (math.isfinite(separation) and separation > 0):
+        raise ValueError(
+            f"separation must be finite and positive, got {separation}"
+        )
     spec = build_spec(tup)
     p = tup.p
     matrices = {}
@@ -297,23 +298,23 @@ def build_matrix_group(
     slot = 0
     for j in range(1, tup.r + 1):
         center = slot * separation
-        matrices[("e", j)] = _elliptic_conj_pair(center, offset, p)
+        matrices[("e", j)] = _elliptic_conj_pair(center, _OFFSET, p)
         centers[("e", j)] = complex(center, 0)
         slot += 1
     for k in range(1, tup.s + 1):
         center = slot * separation
-        matrices[("t", k)] = _loxodromic_at(center, offset, multiplier)
-        matrices[("f", k)] = _elliptic_real_pair(center, offset, p)
+        matrices[("t", k)] = _loxodromic_at(center, _OFFSET, _MULTIPLIER)
+        matrices[("f", k)] = _elliptic_real_pair(center, _OFFSET, p)
         centers[("t", k)] = complex(center, 0)
         centers[("f", k)] = complex(center, 0)
         slot += 1
     for j in range(1, tup.t + 1):
         center = slot * separation
-        matrices[("a", j)] = _loxodromic_at(center, offset, multiplier)
+        matrices[("a", j)] = _loxodromic_at(center, _OFFSET, _MULTIPLIER)
         centers[("a", j)] = complex(center, 0)
         slot += 1
 
-    mg = MatrixGroupSpec(spec, matrices, centers, separation, multiplier, offset)
+    mg = MatrixGroupSpec(spec, matrices, centers)
     _validate_matrix_group(mg, tolerances)
     return mg
 
@@ -375,7 +376,6 @@ def purely_loxodromic_sample(
     mg,
     phi,
     max_syllables=4,
-    eps=None,
     budget=10**6,
     tolerances=DEFAULT_TOLERANCES,
 ):
@@ -386,7 +386,6 @@ def purely_loxodromic_sample(
     offending word and its trace; they indicate insufficient separation
     rather than a hard error.
     """
-    eps = tolerances.classify if eps is None else eps
     words = kernel_sample(phi, max_syllables, budget=budget)
     entries = []
     violations = []
@@ -394,7 +393,7 @@ def purely_loxodromic_sample(
     n_identity = 0
     for w in words:
         m = word_matrix(mg, w)
-        cls = classify(m, eps=eps, tolerances=tolerances)
+        cls = classify(m, tolerances)
         tr = m.trace()
         entry = {"word": str(w), "class": cls.value, "trace": [tr.real, tr.imag]}
         entries.append(entry)

@@ -141,15 +141,13 @@ class ComponentBounds:
     """
 
     irreducible_count: int
-    upper: int
     exact: Optional[int]
     basis: Basis
 
     def __post_init__(self):
-        if self.upper != self.irreducible_count:
-            raise ValueError("upper bound must equal the irreducible count")
-        if self.exact is not None and not (1 <= self.exact <= self.upper):
-            raise ValueError(f"exact={self.exact} outside [1, {self.upper}]")
+        m = self.irreducible_count
+        if self.exact is not None and not (1 <= self.exact <= m):
+            raise ValueError(f"exact={self.exact} outside [1, {m}]")
 
 
 @dataclass(frozen=True)
@@ -279,12 +277,12 @@ def component_bounds(tup):
     """
     m = m_count(tup)
     if tup.p in (2, 3) or (tup.p >= 5 and tup.r == 0 and tup.s == 0):
-        return ComponentBounds(m, m, 1, Basis.THEOREM_CASE_1)
+        return ComponentBounds(m, 1, Basis.THEOREM_CASE_1)
     if tup.p >= 5 and (tup.r % tup.p != 0 or tup.s % tup.p != 0):
-        return ComponentBounds(m, m, m, Basis.THEOREM_CASE_3)
+        return ComponentBounds(m, m, Basis.THEOREM_CASE_3)
     if _example2_family_member(tup):
-        return ComponentBounds(m, m, 1, Basis.EXAMPLE2_FAMILY)
-    return ComponentBounds(m, m, None, Basis.UPPER_ONLY)
+        return ComponentBounds(m, 1, Basis.EXAMPLE2_FAMILY)
+    return ComponentBounds(m, None, Basis.UPPER_ONLY)
 
 
 def stratum_report(g, p):

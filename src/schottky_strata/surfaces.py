@@ -45,7 +45,7 @@ class NearSingular(ValueError):
 
 
 # rotation tuples are the u-block of ImageTuple up to rescale and permutation
-_ROTATION = ActionSpec(permute=True, invert=False, global_scale=True)
+_ROTATION = ActionSpec(invert=False, global_scale=True)
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,17 @@ class CurveData:
             raise ValueError(f"malformed curve data: {exc}") from None
 
 
-def random_curve(p, m, rng, radius=1.2, min_sep=0.05):
+_CURVE_HALF_WIDTH = 1.2  # of the square that random_curve draws from
+_CURVE_MIN_SEP = 0.05  # least distance between two drawn points
+
+
+def random_curve(p, m, rng):
     """Deterministic-for-a-seed random CurveData with well-spread points."""
     points = []
+    h = _CURVE_HALF_WIDTH
     while len(points) < 4 * m:
-        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if all(abs(z - w) >= min_sep for w in points):
+        z = complex(rng.uniform(-h, h), rng.uniform(-h, h))
+        if all(abs(z - w) >= _CURVE_MIN_SEP for w in points):
             points.append(z)
     a = tuple((points[2 * j], points[2 * j + 1]) for j in range(m))
     b = tuple((points[2 * m + 2 * j], points[2 * m + 2 * j + 1]) for j in range(m))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,9 @@ import pytest
 
 import schottky_strata
 from schottky_strata.cli import run
+
+
+_G5_TUPLE = ["--g", "5", "--p", "5", "--t", "0", "--r", "1", "--s", "1"]
 
 
 def run_json(argv):
@@ -76,6 +81,16 @@ class TestExitCodes:
             ["report", "--p", "5", "--g-min", "10", "--g-max", "2"],
             ["oracle", "--p", "5", "--r", "0", "--s", "0", "--t", "0"],
             ["oracle", "--p", "5", "--r", "0", "--s", "0", "--t", "1"],
+            *(
+                ["build", *_G5_TUPLE, flag, value]
+                for flag, value in [
+                    ("--separation", "nan"),
+                    ("--separation", "inf"),
+                    ("--tol-classify", "-1"),
+                    ("--tol-classify", "nan"),
+                ]
+            ),
+            ["loxcheck", *_G5_TUPLE, "--tol-order", "nan"],
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -185,13 +200,17 @@ class TestCommands:
         assert lines[0] == "g,p,t,r,s,m_count,dimension,exact,upper,basis"
         assert all(line.endswith("theorem_case_1") for line in lines[1:])
 
-    def test_report_jobs_deterministic(self):
-        _, seq, _ = run_json(["report", "--p", "3", "--g-min", "2", "--g-max", "10"])
-        _, par, _ = run_json(
-            ["report", "--p", "3", "--g-min", "2", "--g-max", "10", "--jobs", "2"]
+    def test_report_upper_is_m_count(self):
+        window = ["report", "--p", "7", "--g-min", "2", "--g-max", "60"]
+        _, env, _ = run_json(window)
+        rows = env["results"]["reports"]
+        assert rows and all(
+            row["components"]["upper"] == row["m_count"] for row in rows
         )
-        assert seq["results"] == par["results"]
-        assert seq["checks"] == par["checks"]
+        _, _, text = run_json([*window, "--csv"])
+        table = list(csv.DictReader(io.StringIO(text)))
+        assert len(table) == len(rows)
+        assert all(row["upper"] == row["m_count"] for row in table)
 
     def test_verify_example2_payload(self):
         code, env, _ = run_json(["verify", "example2"])

@@ -119,10 +119,6 @@ class TestCanonicalForm:
         out = canonical_form(ImageTuple(7, (3, 3, 5), (6,)), PERM_INV)
         assert out == ImageTuple(7, (2, 3, 3), (1,))
 
-    def test_rejects_trivial_action(self):
-        with pytest.raises(ValueError):
-            ActionSpec(permute=False, invert=False, global_scale=False)
-
     @given(
         p=st.sampled_from([3, 5, 7, 11]),
         data=st.data(),
@@ -248,7 +244,7 @@ class TestOrbitCountTuples:
         for p, r, s, action in [
             (5, 2, 1, PERM_INV),
             (7, 1, 2, PERM_INV_SCALE),
-            (7, 3, 0, ActionSpec(permute=True, invert=False, global_scale=True)),
+            (7, 3, 0, ActionSpec(invert=False, global_scale=True)),
         ]:
             forms = {
                 canonical_form(ImageTuple(p, u, v), action)

@@ -12,6 +12,7 @@ from schottky_strata.moebius import (
     INF,
     MobiusClass,
     MobiusMap,
+    Tolerances,
     build_matrix_group,
     classify,
     commutator_defect,
@@ -97,12 +98,20 @@ class TestOrderCheck:
         assert not order_check(MobiusMap(1, 0, 0, 1, normalize=False), 5)
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("name", ["classify", "order", "commutation"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
+    def test_rejects_non_finite_or_non_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"tolerance {name} must be"):
+            Tolerances(**{name: value})
+
+
 class TestNormalization:
     def test_determinant_unit_scale(self):
         rng = random.Random(3)
         for _ in range(500):
             m = random_unimodular(rng)
-            assert abs(m.det() - 1) <= DEFAULT_TOLERANCES.determinant
+            assert abs(m.det() - 1) <= 1e-12
 
     def test_idempotent_and_scale_stable(self):
         rng = random.Random(4)

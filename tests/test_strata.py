@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from schottky_strata.strata import (
     AdmissibleTuple,
     Basis,
+    ComponentBounds,
     closed_form_count,
     component_bounds,
     count_strata,
@@ -246,7 +247,7 @@ class TestComponentBounds:
 
     def test_case3(self):
         cb = component_bounds(AdmissibleTuple(5, 5, 0, 1, 1))
-        assert cb.exact == 4 == cb.upper
+        assert cb.exact == 4 == cb.irreducible_count
         assert cb.basis is Basis.THEOREM_CASE_3
 
     def test_free_case_connected(self):
@@ -256,7 +257,7 @@ class TestComponentBounds:
     def test_fiber_product_family(self):
         cb = component_bounds(AdmissibleTuple(136, 5, 12, 20, 0))
         assert cb.exact == 1 and cb.basis is Basis.EXAMPLE2_FAMILY
-        assert cb.upper == m_count(AdmissibleTuple(136, 5, 12, 20, 0))
+        assert cb.irreducible_count == m_count(AdmissibleTuple(136, 5, 12, 20, 0))
 
     def test_upper_only_reports_no_exact(self):
         # r = p, s = 0, t not of the fiber-product shape
@@ -268,9 +269,18 @@ class TestComponentBounds:
         for g in range(2, 80):
             for tup in all_tuples_for_genus(g):
                 cb = component_bounds(tup)
-                assert cb.upper == m_count(tup)
+                assert cb.irreducible_count == m_count(tup)
                 if cb.exact is not None:
-                    assert 1 <= cb.exact <= cb.upper
+                    assert 1 <= cb.exact <= cb.irreducible_count
+
+    @pytest.mark.parametrize("exact", [0, 5, -1])
+    def test_rejects_exact_outside_one_to_m(self, exact):
+        with pytest.raises(ValueError, match=r"outside \[1, 4\]"):
+            ComponentBounds(4, exact, Basis.THEOREM_CASE_3)
+
+    def test_accepts_exact_within_one_to_m(self):
+        for exact in (None, 1, 4):
+            assert ComponentBounds(4, exact, Basis.UPPER_ONLY).exact == exact
 
 
 class TestInvariants:
