@@ -11,57 +11,4 @@ Submodules:
 * :mod:`.cli` - the ``schottky-strata`` command line front end
 """
 
-from .strata import (
-    AdmissibleTuple,
-    Basis,
-    ComponentBounds,
-    StratumReport,
-    component_bounds,
-    count_strata,
-    closed_form_count,
-    dimension,
-    enumerate_tuples,
-    is_admissible,
-    m_count,
-    stratum_report,
-)
-from .homorbits import (
-    ActionSpec,
-    BudgetExceeded,
-    HomImage,
-    ImageTuple,
-    PERM_INV,
-    PERM_INV_SCALE,
-    bfs_orbit_count,
-    canonical_form,
-    kernel_signature,
-    orbit_count_tuples,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibleTuple",
-    "ActionSpec",
-    "Basis",
-    "BudgetExceeded",
-    "ComponentBounds",
-    "HomImage",
-    "ImageTuple",
-    "PERM_INV",
-    "PERM_INV_SCALE",
-    "StratumReport",
-    "bfs_orbit_count",
-    "canonical_form",
-    "closed_form_count",
-    "component_bounds",
-    "count_strata",
-    "dimension",
-    "enumerate_tuples",
-    "is_admissible",
-    "kernel_signature",
-    "m_count",
-    "orbit_count_tuples",
-    "stratum_report",
-    "__version__",
-]

@@ -27,7 +27,7 @@ from .cyclic_schottky import (
     kernel_presentation,
     normalized_homs,
 )
-from .freegroup import verify_example1
+from .freegroup import check, verify_example1
 from .homorbits import PERM_INV, PERM_INV_SCALE, HomImage
 from .strata import AdmissibleTuple
 
@@ -107,13 +107,11 @@ def _cmd_tuples(args):
         "tuples": [_tuple_json(t) for t in tuples],
     }
     checks = [
-        {
-            "name": "all_admissible",
-            "pass": all(
-                strata.is_admissible(t.g, t.p, t.t, t.r, t.s) for t in tuples
-            ),
-            "detail": f"{len(tuples)} tuples verified against the defining relation",
-        }
+        check(
+            "all_admissible",
+            all(strata.is_admissible(t.g, t.p, t.t, t.r, t.s) for t in tuples),
+            f"{len(tuples)} tuples verified against the defining relation",
+        )
     ]
     return results, checks
 
@@ -123,13 +121,8 @@ def _cmd_count(args):
     checks = []
     if args.p in (2, 3):
         closed = strata.closed_form_count(args.p, args.g)
-        checks.append(
-            {
-                "name": "closed_form_agreement",
-                "pass": closed == n,
-                "detail": f"enumeration {n}, closed form {closed}",
-            }
-        )
+        checks.append(check("closed_form_agreement", closed == n,
+                            f"enumeration {n}, closed form {closed}"))
     return {"count": n}, checks
 
 
@@ -143,13 +136,8 @@ def _cmd_m(args):
             args.p, args.r, args.s, PERM_INV, budget=args.budget
         )
         results["oracle"] = oracle
-        checks.append(
-            {
-                "name": "oracle_matches_formula",
-                "pass": oracle == m,
-                "detail": f"formula {m}, enumeration {oracle}",
-            }
-        )
+        checks.append(check("oracle_matches_formula", oracle == m,
+                            f"formula {m}, enumeration {oracle}"))
     return results, checks
 
 
@@ -168,33 +156,20 @@ def _cmd_oracle(args):
             args.p, args.t, args.r, args.s, action, budget=args.budget
         )
         results["bfs_orbit_count"] = bfs
-        checks.append(
-            {
-                "name": "bfs_matches_canonical",
-                "pass": bfs == count,
-                "detail": f"bfs {bfs}, canonical {count}",
-            }
-        )
+        checks.append(check("bfs_matches_canonical", bfs == count,
+                            f"bfs {bfs}, canonical {count}"))
     return results, checks
 
 
 def _cmd_bounds(args):
     tup = _tuple_from_args(args)
-    cb = strata.component_bounds(tup)
     results = {
         "tuple": _tuple_json(tup),
         "m_count": strata.m_count(tup),
         "dimension": strata.dimension(tup),
-        "components": _bounds_json(cb),
+        "components": _bounds_json(strata.component_bounds(tup)),
     }
-    checks = [
-        {
-            "name": "exact_within_upper",
-            "pass": cb.exact is None or 1 <= cb.exact <= cb.irreducible_count,
-            "detail": f"exact={cb.exact} upper={cb.irreducible_count}",
-        }
-    ]
-    return results, checks
+    return results, []
 
 
 def _cmd_kernel(args):
@@ -214,16 +189,10 @@ def _cmd_kernel(args):
         "generators": [fpword_str(w) for w in words],
     }
     checks = [
-        {
-            "name": "rank_equals_genus",
-            "pass": len(words) == tup.g,
-            "detail": f"{len(words)} generators for genus {tup.g}",
-        },
-        {
-            "name": "all_in_kernel",
-            "pass": all(kernel_membership(phi, w) for w in words),
-            "detail": "every generator has zero image",
-        },
+        check("rank_equals_genus", len(words) == tup.g,
+              f"{len(words)} generators for genus {tup.g}"),
+        check("all_in_kernel", all(kernel_membership(phi, w) for w in words),
+              "every generator has zero image"),
     ]
     return results, checks
 
@@ -238,26 +207,11 @@ def _cmd_verify(args):
 def _verify_example2(args):
     p = args.p if args.p is not None else 5
     m = args.m if args.m is not None else 4
+    moebius.check_finite_positive("tolerance", args.tolerance)
     user_curve = None
     if args.curve is not None:
         user_curve = surfaces.CurveData.from_json(json.loads(args.curve))
     checks = []
-
-    ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for pp in (5, 7, 11, 13):
-            for mm in range(1, 9):
-                tup = surfaces.example2_type(pp, mm)
-                expected_g = (pp - 1) * (2 * mm * pp - pp - 1)
-                ok = ok and tup.g == expected_g
-    checks.append(
-        {
-            "name": "genus_type_identity",
-            "pass": ok,
-            "detail": "p in {5,7,11,13}, m in 1..8",
-        }
-    )
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -265,34 +219,24 @@ def _verify_example2(args):
     results = {"suite": "example2", "type": _tuple_json(tup)}
     if m >= 4:
         cb = strata.component_bounds(tup)
-        checks.append(
-            {
-                "name": "family_is_connected_case",
-                "pass": cb.exact == 1
-                and cb.basis is strata.Basis.EXAMPLE2_FAMILY,
-                "detail": f"basis={cb.basis.value} exact={cb.exact}",
-            }
-        )
+        checks.append(check(
+            "family_is_connected_case",
+            cb.exact == 1 and cb.basis is strata.Basis.EXAMPLE2_FAMILY,
+            f"basis={cb.basis.value} exact={cb.exact}",
+        ))
 
     witness = surfaces.witness_pair(p, m)
     if witness is None:
-        checks.append(
-            {
-                "name": "witness_pair",
-                "pass": False,
-                "detail": f"action on (Z_{p}^*)^{m} is transitive, no witness",
-            }
-        )
+        checks.append(check(
+            "witness_pair", False,
+            f"action on (Z_{p}^*)^{m} is transitive, no witness",
+        ))
     else:
         x, y = witness
         results["witness"] = [list(x.entries), list(y.entries)]
-        checks.append(
-            {
-                "name": "witness_pair_distinct_orbits",
-                "pass": not surfaces.same_orbit(x, y),
-                "detail": f"{list(x.entries)} vs {list(y.entries)}",
-            }
-        )
+        checks.append(check("witness_pair_distinct_orbits",
+                            not surfaces.same_orbit(x, y),
+                            f"{list(x.entries)} vs {list(y.entries)}"))
 
     rng = random.Random(_E2_SEED)
     residuals = []
@@ -304,31 +248,33 @@ def _verify_example2(args):
             residuals.append(rep["max_residual"])
             all_pass = all_pass and rep["passed"]
     results["fixed_point_max_residual"] = max(residuals)
-    checks.append(
-        {
-            "name": "fixed_point_check",
-            "pass": all_pass,
-            "detail": f"10 instances, max residual {max(residuals):.3e}",
-        }
-    )
+    checks.append(check("fixed_point_check", all_pass,
+                        f"10 instances, max residual {max(residuals):.3e}"))
 
     if user_curve is not None:
         rep = surfaces.fixed_point_check(user_curve, tolerance=args.tolerance)
         results["curve_report"] = rep
-        checks.append(
-            {
-                "name": "user_curve_fixed_points",
-                "pass": rep["passed"],
-                "detail": f"max residual {rep['max_residual']:.3e}",
-            }
-        )
+        checks.append(check("user_curve_fixed_points", rep["passed"],
+                            f"max residual {rep['max_residual']:.3e}"))
     return results, checks
 
 
-def _cmd_build(args):
+def _built_group(args):
+    """The command's matrix group, its tolerances and its invariant check."""
     tup = _tuple_from_args(args)
     tol = moebius.Tolerances(classify=args.tol_classify, order=args.tol_order)
-    mg = moebius.build_matrix_group(tup, separation=args.separation, tolerances=tol)
+    mg = moebius.build_matrix_group(tup, separation=args.separation)
+    defects = moebius.matrix_group_defects(mg, tol)
+    invariants = check(
+        "build_invariants", not defects,
+        "; ".join(defects)
+        or "order, classification and commutation checks hold",
+    )
+    return tup, tol, mg, invariants
+
+
+def _cmd_build(args):
+    tup, tol, mg, invariants = _built_group(args)
     matrices = []
     for sym in mg.spec.symbols():
         m = mg.matrices[sym]
@@ -342,22 +288,12 @@ def _cmd_build(args):
         )
     results = {"tuple": _tuple_json(tup), "separation": args.separation,
                "matrices": matrices}
-    checks = [
-        {
-            "name": "build_invariants",
-            "pass": True,
-            "detail": "order, classification and commutation checks hold",
-        }
-    ]
-    return results, checks
+    return results, [invariants]
 
 
 def _cmd_loxcheck(args):
-    tup = _tuple_from_args(args)
-    tol = moebius.Tolerances(classify=args.tol_classify, order=args.tol_order)
-    mg = moebius.build_matrix_group(tup, separation=args.separation, tolerances=tol)
-    spec = mg.spec
-    phi = _phi_from_args(spec, args.phi)
+    tup, tol, mg, invariants = _built_group(args)
+    phi = _phi_from_args(mg.spec, args.phi)
     report = moebius.purely_loxodromic_sample(
         mg,
         phi,
@@ -371,12 +307,13 @@ def _cmd_loxcheck(args):
         "report": report,
     }
     checks = [
-        {
-            "name": "purely_loxodromic",
-            "pass": report["passed"],
-            "detail": f"{report['n_loxodromic']}/{report['n_words']} loxodromic, "
+        check(
+            "purely_loxodromic",
+            report["passed"],
+            f"{report['n_loxodromic']}/{report['n_words']} loxodromic, "
             f"{len(report['violations'])} violations",
-        }
+        ),
+        invariants,
     ]
     return results, checks
 
@@ -393,19 +330,7 @@ def _cmd_report(args):
     ]
     results = {"p": args.p, "g_min": args.g_min, "g_max": args.g_max,
                "reports": rows}
-    checks = [
-        {
-            "name": "dimension_integrality",
-            "pass": all(
-                row["dimension"]
-                == 3 * (row["tuple"]["t"] + row["tuple"]["s"] - 1)
-                + 2 * row["tuple"]["r"]
-                for row in rows
-            ),
-            "detail": f"{len(rows)} strata",
-        }
-    ]
-    return results, checks
+    return results, []
 
 
 def _csv_output(command, results):

@@ -35,6 +35,7 @@ __all__ = [
     "index_and_rank",
     "schreier_kernel",
     "verify_example1",
+    "check",
     "example1_data",
 ]
 
@@ -209,8 +210,10 @@ def fold(generators):
     """Folded core graph of the subgroup generated by the given words.
 
     Builds a bouquet of loops at the basepoint, folds (merges targets of
-    equal-labelled edges) to a deterministic automaton, prunes any
-    non-basepoint valence-one vertices, and relabels breadth-first.
+    equal-labelled edges) to a deterministic automaton and relabels
+    breadth-first.  The bouquet of reduced words is already a core graph:
+    each inner vertex of a loop has two distinct edge labels, since a
+    reduced word never has x followed by -x, and folding keeps them.
     Deterministic; input order does not change the result because of the
     final canonical relabelling.
     """
@@ -263,19 +266,7 @@ def fold(generators):
         # merging may already be pending; flush before next word
         _flush_folds(parent, adj, pending, find)
     _flush_folds(parent, adj, pending, find)
-
-    # compact to live vertices; the basepoint's class must stay vertex 0
-    live = {find(v) for v in range(len(parent))}
-    base_root = find(0)
-    ordered = [base_root] + sorted(live - {base_root})
-    remap = {v: i for i, v in enumerate(ordered)}
-    compact = [dict() for _ in ordered]
-    for v in ordered:
-        for x, w_ in adj[v].items():
-            compact[remap[v]][x] = remap[find(w_)]
-
-    _prune_to_core(compact)
-    return _canonical_relabel(rank, compact)
+    return _canonical_relabel(rank, adj, find)
 
 
 def _flush_folds(parent, adj, pending, find):
@@ -304,43 +295,26 @@ def _flush_folds(parent, adj, pending, find):
                 pending.append((find(old), w))
 
 
-def _prune_to_core(adj):
-    # iteratively drop non-basepoint vertices of valence <= 1
-    changed = True
-    while changed:
-        changed = False
-        for v in range(1, len(adj)):
-            if adj[v] is not None and len(adj[v]) <= 1:
-                for x, w in list(adj[v].items()):
-                    adj[w].pop(-x, None)
-                adj[v] = None
-                changed = True
-    if any(d is None for d in adj):
-        live = [v for v in range(len(adj)) if adj[v] is not None]
-        remap = {v: i for i, v in enumerate(live)}
-        new = [
-            {x: remap[w] for x, w in adj[v].items()} for v in live
-        ]
-        adj[:] = new
-
-
-def _canonical_relabel(rank, adj):
+def _canonical_relabel(rank, adj, find):
+    # breadth-first from the basepoint's class; every edge target is read
+    # through find, so vertices merged away by folding are never labelled
     order = _letter_order(rank)
-    label = {0: 0}
-    queue = deque([0])
+    root = find(0)
+    label = {root: 0}
+    queue = deque([root])
     while queue:
         v = queue.popleft()
         for x in order:
             w = adj[v].get(x)
-            if w is not None and w not in label:
-                label[w] = len(label)
-                queue.append(w)
-    if len(label) != len(adj):
-        raise AssertionError("folded graph is not connected")
-    new = [dict() for _ in adj]
-    for v, d in enumerate(adj):
-        for x, w in d.items():
-            new[label[v]][x] = label[w]
+            if w is not None:
+                w = find(w)
+                if w not in label:
+                    label[w] = len(label)
+                    queue.append(w)
+    new = [dict() for _ in label]
+    for v, i in label.items():
+        for x, w in adj[v].items():
+            new[i][x] = label[find(w)]
     return StallingsGraph(rank, new)
 
 
@@ -441,8 +415,9 @@ def example1_data():
     }
 
 
-def _check(checks, name, passed, detail=""):
-    checks.append({"name": name, "pass": bool(passed), "detail": detail})
+def check(name, passed, detail):
+    """One named check record {name, pass, detail}, as the CLI prints it."""
+    return {"name": name, "pass": bool(passed), "detail": detail}
 
 
 def verify_example1():
@@ -459,13 +434,12 @@ def verify_example1():
     theta = data["theta"]
     rank = theta.rank
     swap = [parse_word("b", rank), parse_word("a", rank)]
-    checks = []
 
     gamma_gens = schreier_kernel(theta)
     gamma_graph = fold(gamma_gens)
     idx, rk = index_and_rank(gamma_graph)
-    _check(checks, "gamma_index_rank", (idx, rk) == (25, 26),
-           f"index={idx} rank={rk}")
+    checks = [check("gamma_index_rank", (idx, rk) == (25, 26),
+                    f"index={idx} rank={rk}")]
 
     for label, hom, words in (
         ("k1", data["k1_hom"], data["c_words"]),
@@ -473,30 +447,32 @@ def verify_example1():
     ):
         listed_graph = fold(words)
         idx, rk = index_and_rank(listed_graph)
-        _check(checks, f"{label}_index_rank", (idx, rk) == (5, 6),
-               f"index={idx} rank={rk}")
         kernel_graph = fold(schreier_kernel(hom))
-        _check(checks, f"{label}_generates", listed_graph == kernel_graph,
-               "listed words fold to the subgroup graph")
-        _check(checks, f"{label}_members",
-               all(membership(kernel_graph, w) for w in words),
-               "all listed words are members")
+        checks += [
+            check(f"{label}_index_rank", (idx, rk) == (5, 6),
+                  f"index={idx} rank={rk}"),
+            check(f"{label}_generates", listed_graph == kernel_graph,
+                  "listed words fold to the subgroup graph"),
+            check(f"{label}_members",
+                  all(membership(kernel_graph, w) for w in words),
+                  "all listed words are members"),
+        ]
 
     zero = (0, 0)
     psi_gens = [map_letters(w, swap) for w in gamma_gens]
-    _check(checks, "psi_preserves_gamma",
-           all(hom_image(theta, w) == zero for w in psi_gens),
-           "swap image of every Schreier generator lies in the kernel")
-
     swapped = [map_letters(w, swap) for w in data["c_words"]]
-    _check(checks, "psi_c_equals_d",
-           all(u == v for u, v in zip(swapped, data["d_words"])),
-           "swap carries each C-word to the matching D-word")
-
     members = data["gamma_members"]
-    _check(checks, "gamma_listed_members",
-           all(hom_image(theta, w) == zero and membership(gamma_graph, w)
-               for w in members),
-           "five listed members verified by image and by graph")
+    checks += [
+        check("psi_preserves_gamma",
+              all(hom_image(theta, w) == zero for w in psi_gens),
+              "swap image of every Schreier generator lies in the kernel"),
+        check("psi_c_equals_d",
+              all(u == v for u, v in zip(swapped, data["d_words"])),
+              "swap carries each C-word to the matching D-word"),
+        check("gamma_listed_members",
+              all(hom_image(theta, w) == zero and membership(gamma_graph, w)
+                  for w in members),
+              "five listed members verified by image and by graph"),
+    ]
 
     return {"passed": all(c["pass"] for c in checks), "checks": checks}

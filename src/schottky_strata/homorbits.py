@@ -42,7 +42,6 @@ __all__ = [
     "canonical_codes",
     "orbit_count_tuples",
     "bfs_orbit_count",
-    "kernel_signature",
 ]
 
 
@@ -119,17 +118,6 @@ class HomImage:
 
     def flat(self):
         return self.a + self.e + self.tau + self.f
-
-    def scaled(self, lam):
-        """Post-compose with multiplication by the unit ``lam``."""
-        p = self.p
-        return HomImage(
-            p,
-            tuple(lam * c % p for c in self.a),
-            tuple(lam * c % p for c in self.e),
-            tuple(lam * c % p for c in self.tau),
-            tuple(lam * c % p for c in self.f),
-        )
 
 
 def canonical_form(x, action=PERM_INV):
@@ -359,17 +347,3 @@ def bfs_orbit_count(
     # when r = s = 0 the all-zero a-block is not surjective; every move
     # fixes it, so it is an orbit of its own
     return count - 1 if r == 0 and s == 0 else count
-
-
-def kernel_signature(h):
-    """Scale-invariant of the kernel: the image vector normalised so that
-    its first nonzero coordinate is 1.
-
-    Two image vectors have the same kernel iff they agree after this
-    rescale, since a homomorphism onto Z_p is determined by its kernel up
-    to post-composition with a unit.
-    """
-    for c in h.flat():
-        if c:
-            return h.scaled(pow(c, -1, h.p))
-    raise ValueError("zero image vector has no signature")

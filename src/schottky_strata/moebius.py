@@ -21,6 +21,7 @@ __all__ = [
     "MobiusClass",
     "MobiusMap",
     "Tolerances",
+    "check_finite_positive",
     "DEFAULT_TOLERANCES",
     "FixedPoints",
     "MatrixGroupSpec",
@@ -28,10 +29,17 @@ __all__ = [
     "fixed_points",
     "order_check",
     "build_matrix_group",
+    "matrix_group_defects",
     "purely_loxodromic_sample",
 ]
 
 INF = math.inf  # the point at infinity on the Riemann sphere
+
+
+def check_finite_positive(what, value):
+    """Raise ValueError unless ``value`` is a finite positive number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,10 +50,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"tolerance {name} must be finite and positive, got {value}"
-                )
+            check_finite_positive(f"tolerance {name}", value)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -275,7 +280,7 @@ class MatrixGroupSpec:
     centers: Dict[Tuple[str, int], complex]
 
 
-def build_matrix_group(tup, separation=10.0, tolerances=DEFAULT_TOLERANCES):
+def build_matrix_group(tup, separation=10.0):
     """Place the free factors at well-separated centers on the real axis.
 
     Elliptic factors take the centers nearest the origin, then the
@@ -284,13 +289,11 @@ def build_matrix_group(tup, separation=10.0, tolerances=DEFAULT_TOLERANCES):
     with the center magnitude).  Elliptic generators rotate by 2 pi / p
     about center -+ _OFFSET*i; loxodromic generators have real fixed
     points center -+ _OFFSET; each pair shares one real fixed-point set,
-    so its commutator vanishes to rounding.  The construction certifies
-    the algebraic/classification invariants below, not discreteness.
+    so its commutator vanishes to rounding.  ``matrix_group_defects``
+    checks the algebraic and classification invariants; nothing here
+    certifies discreteness.
     """
-    if not (math.isfinite(separation) and separation > 0):
-        raise ValueError(
-            f"separation must be finite and positive, got {separation}"
-        )
+    check_finite_positive("separation", separation)
     spec = build_spec(tup)
     p = tup.p
     matrices = {}
@@ -314,36 +317,37 @@ def build_matrix_group(tup, separation=10.0, tolerances=DEFAULT_TOLERANCES):
         centers[("a", j)] = complex(center, 0)
         slot += 1
 
-    mg = MatrixGroupSpec(spec, matrices, centers)
-    _validate_matrix_group(mg, tolerances)
-    return mg
+    return MatrixGroupSpec(spec, matrices, centers)
 
 
 def _frobenius_m(m):
     return _frobenius(m.entries())
 
 
-def _validate_matrix_group(mg, tolerances):
-    """Internal bug guard for freshly built groups.
+def matrix_group_defects(mg, tolerances=DEFAULT_TOLERANCES):
+    """Messages naming each built matrix that breaks its invariant; empty
+    when every loxodromic factor classifies as loxodromic, every elliptic
+    factor is elliptic of order p and every pair commutes.
 
     Far centers make the torsion checks intrinsically ill-conditioned in
     doubles (errors grow like ||M||^3 for orders, ||T||*||F|| for
-    commutators), so the guard widens the configured tolerances by those
-    condition factors.  Tests assert the plain tolerances on the
+    commutators), so the order and commutation tolerances are widened by
+    those condition factors.  Tests assert the plain tolerances on the
     well-conditioned instances.
     """
     p = mg.spec.p
+    defects = []
     for sym, m in mg.matrices.items():
-        kind = sym[0]
-        if kind in ("a", "t"):
-            if classify(m, tolerances=tolerances) is not MobiusClass.LOXODROMIC:
-                raise AssertionError(f"{sym} is not loxodromic")
-        else:
-            eff = max(tolerances.order, 64 * _MACH_EPS * _frobenius_m(m) ** 3)
-            if not order_check(m, p, eps=eff, tolerances=tolerances):
-                raise AssertionError(f"{sym} does not have order {p}")
-            if classify(m, tolerances=tolerances) is not MobiusClass.ELLIPTIC:
-                raise AssertionError(f"{sym} is not elliptic")
+        cls = classify(m, tolerances=tolerances)
+        if sym[0] in ("a", "t"):
+            if cls is not MobiusClass.LOXODROMIC:
+                defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not loxodromic")
+            continue
+        eff = max(tolerances.order, 64 * _MACH_EPS * _frobenius_m(m) ** 3)
+        if not order_check(m, p, eps=eff, tolerances=tolerances):
+            defects.append(f"{sym[0]}{sym[1]} does not have order {p}")
+        if cls is not MobiusClass.ELLIPTIC:
+            defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not elliptic")
     for k in range(1, mg.spec.tuple.s + 1):
         t_m, f_m = mg.matrices[("t", k)], mg.matrices[("f", k)]
         delta = commutator_defect(t_m, f_m)
@@ -352,7 +356,8 @@ def _validate_matrix_group(mg, tolerances):
             64 * _MACH_EPS * _frobenius_m(t_m) * _frobenius_m(f_m),
         )
         if delta > eff:
-            raise AssertionError(f"pair {k} fails to commute: {delta}")
+            defects.append(f"pair {k} fails to commute: defect {delta:.3e}")
+    return defects
 
 
 def commutator_defect(m1, m2):

@@ -36,7 +36,6 @@ __all__ = [
     "example2_type",
     "random_curve",
     "fixed_point_check",
-    "quotient_orbifold_check",
 ]
 
 
@@ -316,14 +315,3 @@ def _fixed_point_residuals(curve, tolerance, be):
         "tolerance": tolerance,
         "points": entries,
     }
-
-
-def quotient_orbifold_check(tup):
-    """Euler-characteristic bookkeeping for the degree-p quotient:
-    2g - 2 = p(2(t+s) - 2) + 2r(p-1).
-
-    An algebraic consequence of admissibility; kept as a tautology guard.
-    """
-    left = 2 * tup.g - 2
-    right = tup.p * (2 * (tup.t + tup.s) - 2) + 2 * tup.r * (tup.p - 1)
-    return left == right

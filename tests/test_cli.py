@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import schottky_strata
+from schottky_strata import cli, strata
 from schottky_strata.cli import run
+from schottky_strata.cyclic_schottky import normal_form
 
 
 _G5_TUPLE = ["--g", "5", "--p", "5", "--t", "0", "--r", "1", "--s", "1"]
@@ -91,6 +93,8 @@ class TestExitCodes:
                 ]
             ),
             ["loxcheck", *_G5_TUPLE, "--tol-order", "nan"],
+            *(["verify", "example2", "--tolerance", value]
+              for value in ("nan", "inf", "-1")),
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -98,6 +102,49 @@ class TestExitCodes:
         assert (code, env, text) == (2, None, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _failed_check(argv, name, capsys):
+    code, env, _ = run_json(argv)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    (failed,) = [c for c in env["checks"] if c["name"] == name]
+    assert failed["pass"] is False
+    return failed
+
+
+class TestChecksCanFail:
+    """Each check that no library guard pre-empts can read false."""
+
+    @pytest.mark.parametrize("command", ["build", "loxcheck"])
+    def test_build_invariants(self, command, capsys):
+        failed = _failed_check(
+            [command, *_G5_TUPLE, "--tol-classify", "10"], "build_invariants",
+            capsys,
+        )
+        assert "e1 does not have order 5" in failed["detail"]
+
+    _KERNEL = ["kernel", "--g", "26", "--p", "5", "--t", "6", "--r", "0",
+               "--s", "0"]
+
+    def test_rank_equals_genus(self, monkeypatch, capsys):
+        real = cli.kernel_presentation
+        monkeypatch.setattr(cli, "kernel_presentation",
+                            lambda phi: real(phi)[:-1])
+        _failed_check(self._KERNEL, "rank_equals_genus", capsys)
+
+    def test_all_in_kernel(self, monkeypatch, capsys):
+        real = cli.kernel_presentation
+        monkeypatch.setattr(
+            cli, "kernel_presentation",
+            lambda phi: real(phi) + [normal_form(phi.spec, [(("a", 1), 1)])],
+        )
+        _failed_check(self._KERNEL, "all_in_kernel", capsys)
+
+    def test_family_is_connected_case(self, monkeypatch, capsys):
+        monkeypatch.setattr(strata, "_example2_family_member", lambda tup: False)
+        _failed_check(["verify", "example2"], "family_is_connected_case",
+                      capsys)
 
 
 def _fresh_process_stdout(argv):
@@ -217,7 +264,7 @@ class TestCommands:
         assert code == 0
         assert env["results"]["witness"] == [[1, 1, 1, 1], [1, 1, 1, 2]]
         names = {c["name"] for c in env["checks"]}
-        assert "genus_type_identity" in names
+        assert "family_is_connected_case" in names
         assert "fixed_point_check" in names
 
     def test_verify_example2_user_curve(self):

@@ -141,6 +141,25 @@ class TestFold:
             rng.shuffle(shuffled)
             assert fold(shuffled) == graph
 
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda rank: st.lists(
+                st.lists(st.sampled_from(
+                    [x for g in range(1, rank + 1) for x in (g, -g)]
+                ), max_size=10).map(
+                    lambda letters, rank=rank: FreeWord(rank, tuple(letters))
+                ),
+                min_size=1, max_size=5,
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_folded_graph_is_a_core(self, gens):
+        # a reduced word never has x followed by -x, so every inner vertex
+        # of its loop has two distinct labels and folding keeps them
+        graph = fold(gens)
+        assert all(len(edges) >= 2 for edges in graph.adj[1:])
+
     def test_confluence_under_shuffles(self):
         data = example1_data()
         base = fold(data["c_words"])

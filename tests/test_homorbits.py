@@ -17,7 +17,6 @@ from schottky_strata.homorbits import (
     bfs_orbit_count,
     canonical_codes,
     canonical_form,
-    kernel_signature,
     orbit_count_tuples,
 )
 
@@ -326,26 +325,6 @@ class TestBfsOrbitCount:
     def test_negative_shape_rejected(self, t, r, s):
         with pytest.raises(ValueError, match="cannot be negative"):
             bfs_orbit_count(5, t, r, s)
-
-
-class TestKernelSignature:
-    def test_scales_first_unit(self):
-        h = kernel_signature(HomImage(5, a=(0,), e=(2,)))
-        assert h == HomImage(5, a=(0,), e=(1,))
-
-    def test_fixed_point(self):
-        h = HomImage(5, a=(1,), e=(1,))
-        assert kernel_signature(h) == h
-
-    def test_leading_zero_block(self):
-        h = kernel_signature(HomImage(7, a=(0, 3), e=(6,)))
-        assert h == HomImage(7, a=(0, 1), e=(2,))
-
-    def test_scale_invariance(self):
-        h = HomImage(7, a=(2, 0), e=(3, 5), tau=(1,), f=(4,))
-        sig = kernel_signature(h)
-        for lam in range(1, 7):
-            assert kernel_signature(h.scaled(lam)) == sig
 
 
 class TestHomImageValidation:

@@ -10,6 +10,7 @@ from schottky_strata.cyclic_schottky import KHom
 from schottky_strata.moebius import (
     DEFAULT_TOLERANCES,
     INF,
+    MatrixGroupSpec,
     MobiusClass,
     MobiusMap,
     Tolerances,
@@ -17,6 +18,7 @@ from schottky_strata.moebius import (
     classify,
     commutator_defect,
     fixed_points,
+    matrix_group_defects,
     order_check,
     purely_loxodromic_sample,
     word_matrix,
@@ -175,11 +177,32 @@ class TestBuildMatrixGroup:
     def test_order_check_implies_elliptic_classification(self):
         for args in [(2, 2, 0, 3, 0), (5, 5, 1, 1, 0), (2, 2, 0, 1, 1)]:
             mg = build_matrix_group(AdmissibleTuple(*args))
+            assert matrix_group_defects(mg) == []
             p = mg.spec.p
             for sym, m in mg.matrices.items():
                 if sym[0] in ("e", "f"):
                     assert order_check(m, p)
                     assert classify(m) is MobiusClass.ELLIPTIC
+
+
+    def test_defects_name_each_broken_invariant(self):
+        # a classify tolerance of 10 calls every factor the identity or
+        # parabolic, and order_check refuses a map it calls the identity
+        mg = build_matrix_group(AdmissibleTuple(5, 5, 0, 1, 1))
+        assert matrix_group_defects(mg, Tolerances(classify=10)) == [
+            "e1 does not have order 5",
+            "e1 is identity, not elliptic",
+            "t1 is parabolic, not loxodromic",
+            "f1 is parabolic, not elliptic",
+        ]
+        # e1 rotates about a point 10 away from t1's axis: order 5, but
+        # it does not commute with t1
+        swapped = MatrixGroupSpec(
+            mg.spec, {**mg.matrices, ("f", 1): mg.matrices[("e", 1)]},
+            mg.centers,
+        )
+        (defect,) = matrix_group_defects(swapped)
+        assert defect.startswith("pair 1 fails to commute")
 
 
 class TestPurelyLoxodromic:
