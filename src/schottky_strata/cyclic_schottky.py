@@ -7,9 +7,10 @@ form: freely reduced, elliptic exponents in 1..p-1, and within a commuting
 pair the T-syllable written before the F-syllable.
 
 Kernels of homomorphisms onto Z_p are handled three ways: a membership
-test (image sum), a bounded enumeration of short kernel words, and a
-Reidemeister-Schreier rewrite over the transversal xi^0..xi^{p-1} followed
-by Tietze elimination down to a relator-free generating set of size g.
+test (image sum), a bounded enumeration of short kernel words, and a free
+basis of size g: the Schreier generators over the transversal
+xi^0..xi^{p-1} that the rewritten relators leave, written down in closed
+form.
 
 Text syntax for words: whitespace-separated syllables ``a1``, ``e2^3``,
 ``t1^-1`` (kind letter + index, optional ^exponent).
@@ -20,9 +21,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
-from .freegroup import _reduce_letters
 from .homorbits import BudgetExceeded, HomImage
 from .strata import AdmissibleTuple
 
@@ -30,7 +30,6 @@ __all__ = [
     "GroupSpec",
     "FPWord",
     "KHom",
-    "SimplificationStalled",
     "build_spec",
     "normal_form",
     "parse_fpword",
@@ -44,16 +43,9 @@ __all__ = [
 # roster symbols are (kind, index) with kind in "aetf", index 1-based
 Symbol = Tuple[str, int]
 
-_KIND_ORDER = {"a": 0, "e": 1, "t": 2, "f": 3}
-
-
-class SimplificationStalled(RuntimeError):
-    """Tietze elimination could not reach a relator-free presentation."""
-
-
 @dataclass(frozen=True)
 class GroupSpec:
-    """Generator roster and relators for one admissible tuple."""
+    """Generator roster for one admissible tuple."""
 
     tuple: AdmissibleTuple
 
@@ -73,19 +65,6 @@ class GroupSpec:
 
     def is_elliptic(self, sym):
         return sym[0] in ("e", "f")
-
-    def relators(self):
-        """E_j^p, F_k^p and [T_k, F_k] as raw letter sequences."""
-        p = self.p
-        rel = []
-        for j in range(1, self.tuple.r + 1):
-            rel.append(((("e", j), 1),) * p)
-        for k in range(1, self.tuple.s + 1):
-            rel.append(((("f", k), 1),) * p)
-            rel.append(
-                ((("t", k), 1), (("f", k), 1), (("t", k), -1), (("f", k), -1))
-            )
-        return rel
 
 
 def build_spec(tup):
@@ -315,113 +294,42 @@ def _transversal_pivot(phi):
     raise ValueError("homomorphism is not surjective: no usable pivot")
 
 
-def _cyclic_reduce_ids(word):
-    w = _reduce_letters(word)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
-
-
-def _substitute(word, gen, repl):
-    """Replace occurrences of +-gen by repl / reversed-negated repl."""
-    inv = [-x for x in reversed(repl)]
-    out = []
-    for x in word:
-        if x == gen:
-            out.extend(repl)
-        elif x == -gen:
-            out.extend(inv)
-        else:
-            out.append(x)
-    return _cyclic_reduce_ids(out)
-
-
 def kernel_presentation(phi):
-    """Free generating set of the kernel, of size g.
+    """Free basis of the kernel, of size g, in closed form.
 
-    Rewrites the relators over the Schreier generators for the transversal
-    xi^0..xi^{p-1}, then eliminates generators occurring exactly once in
-    some relator (shortest relators first, ties by generator index) until
-    no relators remain.  The size and the zero image of every word are not
-    asserted here; the ``kernel`` command checks both.
+    Reidemeister-Schreier over the transversal xi^0..xi^{p-1} (xi the
+    pivot, images c rescaled so that c(xi) = 1) gives the generators
+    x_{i,s} = xi^i s xi^-((i + c(s)) mod p).  The relators rewritten over
+    them remove all but these, listed in roster order, cosets ascending:
+
+    - a non-pivot A_j: x_{i,A_j} for every i (no relator involves A_j);
+    - a non-pivot E_j or F_k: x_{i,s} for i = 1..p-1 (the rewrite of s^p
+      passes through every coset once and removes x_{0,s});
+    - T_k: x_{0,T_k} when F_k is the pivot, else x_{p-1,T_k} (the p
+      rewrites of [T_k, F_k] remove the other p-1);
+    - a loxodromic pivot: x_{p-1,xi} = xi^p.  An elliptic pivot keeps
+      nothing: its relator xi^p rewrites to x_{p-1,xi} alone.
+
+    The x_{i,xi} with i < p-1 are transversal edges and trivial.  The
+    size and the zero image of every word are not asserted here; the
+    ``kernel`` command checks both.
     """
     spec = phi.spec
     p = spec.p
     xi = _transversal_pivot(phi)
     lam = pow(phi.image(xi), -1, p)
-    img = {sym: lam * phi.image(sym) % p for sym in spec.symbols()}
-
-    # Schreier generators x_{i, sym} = xi^i sym xi^-(i + img[sym]); the
-    # pivot column contributes only x_{p-1, xi} (= xi^p), the rest are tree
-    # edges.  Ids are allocated symbol-major, cosets ascending.
-    gen_id: Dict[Tuple[int, Symbol], int] = {}
-    gen_key: List[Tuple[int, Symbol]] = [None]  # 1-based
-    for sym in spec.symbols():
-        for i in range(p):
-            if sym == xi and i != p - 1:
-                continue
-            gen_id[(i, sym)] = len(gen_key)
-            gen_key.append((i, sym))
-
-    def rewrite(relator, start):
-        cur = start
-        out = []
-        for sym, sgn in relator:
-            v = img[sym]
-            if sgn > 0:
-                key = (cur, sym)
-                cur = (cur + v) % p
-                if key in gen_id:
-                    out.append(gen_id[key])
-            else:
-                cur = (cur - v) % p
-                key = (cur, sym)
-                if key in gen_id:
-                    out.append(-gen_id[key])
-        if cur != start:
-            raise AssertionError("relator rewrite did not close up")
-        return _cyclic_reduce_ids(out)
-
-    relators = []
-    seen = set()
-    for rel in spec.relators():
-        for i in range(p):
-            w = rewrite(rel, i)
-            if w and tuple(w) not in seen:
-                seen.add(tuple(w))
-                relators.append(w)
-
-    eliminated = set()
-    while relators:
-        relators.sort(key=lambda w: (len(w), w))
-        chosen = None
-        for rel in relators:
-            once = [x for x in {abs(y) for y in rel}
-                    if sum(1 for y in rel if abs(y) == x) == 1]
-            if once:
-                chosen = (rel, min(once))
-                break
-        if chosen is None:
-            raise SimplificationStalled(
-                f"no once-occurring generator among {len(relators)} relators"
-            )
-        rel, gen = chosen
-        pos = next(i for i, y in enumerate(rel) if abs(y) == gen)
-        rotated = rel[pos:] + rel[:pos]
-        if rotated[0] < 0:
-            rotated = [-x for x in reversed(rotated)]
-            rotated = rotated[-1:] + rotated[:-1]
-        # rotated = [gen, w1, ..., wm]  =>  gen = (w1..wm)^-1
-        repl = [-x for x in reversed(rotated[1:])]
-        eliminated.add(gen)
-        relators.remove(rel)
-        relators = [w for w in (_substitute(v, gen, repl) for v in relators) if w]
-
-    survivors = [i for i in range(1, len(gen_key)) if i not in eliminated]
     words = []
-    for gid in survivors:
-        i, sym = gen_key[gid]
-        j = (i + img[sym]) % p
-        raw = [(xi, i), (sym, 1), (xi, -j)]
-        words.append(normal_form(spec, raw))
+    for sym in spec.symbols():
+        if sym == xi:
+            cosets = [p - 1] if xi[0] == "a" else []
+        elif sym[0] == "a":
+            cosets = range(p)
+        elif sym[0] == "t":
+            cosets = [0 if ("f", sym[1]) == xi else p - 1]
+        else:
+            cosets = range(1, p)
+        c = lam * phi.image(sym)
+        for i in cosets:
+            raw = [(xi, i), (sym, 1), (xi, -((i + c) % p))]
+            words.append(normal_form(spec, raw))
     return words

@@ -120,15 +120,6 @@ class MobiusMap:
             n >>= 1
         return result
 
-    def apply(self, z):
-        if z == INF:
-            return INF if self.c == 0 else self.a / self.c
-        num = self.a * z + self.b
-        den = self.c * z + self.d
-        if den == 0:
-            return INF
-        return num / den
-
     def __repr__(self):
         return f"MobiusMap({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 

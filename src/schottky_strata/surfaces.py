@@ -23,6 +23,7 @@ from typing import Tuple
 import mpmath
 
 from .homorbits import ActionSpec, ImageTuple, canonical_codes, canonical_form
+from .moebius import check_finite_positive
 from .strata import AdmissibleTuple, check_prime
 
 __all__ = [
@@ -245,8 +246,7 @@ def fixed_point_check(curve, tolerance=1e-9, dps=None):
     ``dps`` switches the evaluation to mpmath at that many decimal digits
     (used to confirm residuals shrink with added precision).
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    check_finite_positive("tolerance", tolerance)
     pts = curve.branch_points()
     for i, z in enumerate(pts):
         for w in pts[i + 1 :]:

