@@ -17,6 +17,8 @@ import random
 import sys
 import warnings
 from datetime import datetime, timezone
+from itertools import repeat
+from operator import itemgetter
 
 from . import homorbits, moebius, strata, surfaces
 from .cyclic_schottky import (
@@ -323,14 +325,20 @@ def _cmd_report(args):
         raise ValueError(
             f"empty genus window: --g-min {args.g_min} > --g-max {args.g_max}"
         )
+    window = range(args.g_min, args.g_max + 1)
     rows = [
         _report_row(rep)
-        for g in range(args.g_min, args.g_max + 1)
+        for g in window
         for rep in strata.stratum_report(g, args.p)
     ]
+    expected = sum(strata.count_strata(args.p, g) for g in window)
     results = {"p": args.p, "g_min": args.g_min, "g_max": args.g_max,
                "reports": rows}
-    return results, []
+    checks = [
+        check("row_count", len(rows) == expected,
+              f"{len(rows)} rows, count_strata sums to {expected}"),
+    ]
+    return results, checks
 
 
 def _csv_output(command, results):
@@ -357,6 +365,74 @@ def _csv_output(command, results):
     else:
         raise ValueError(f"--csv not supported for {command}")
     return out.getvalue()
+
+
+# --------------------------------------------------------------------------
+# envelope encoding: the text of json.dumps(value, indent=2, allow_nan=False),
+# byte for byte.  That call runs json's pure-Python encoder, because any
+# indent disables the C one.  An encoded JSON string never holds a raw
+# newline, so the C encoder with "\n" as item separator turns a sequence
+# of scalars into one text that splits back into their texts.  Dicts that
+# share their keys (the table rows) are encoded a column at a time.
+
+_SCALARS = json.JSONEncoder(separators=("\n", ": "), allow_nan=False)
+_CONTAINERS = (dict, list, tuple)
+
+
+def _key_text(key):
+    # json.dumps writes true, null, 1 or 1.5 as the key's string
+    if not isinstance(key, (str, int, float, type(None))):
+        raise TypeError("keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _SCALARS.encode(key if isinstance(key, str)
+                           else _SCALARS.encode(key))
+
+
+def _indented(value, depth=0):
+    """The text of ``value`` at nesting depth ``depth``."""
+    if not isinstance(value, _CONTAINERS):
+        return _SCALARS.encode(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        keys = [_key_text(k) for k in value]
+        items = map("{}: {}".format, keys,
+                    _indented_items(list(value.values()), depth + 1))
+    else:
+        items = _indented_items(value, depth + 1)
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}{inner[:-2]}{brackets[1]}"
+
+
+def _indented_items(values, depth):
+    """The texts of a non-empty sequence of values at ``depth``, in order."""
+    kinds = set(map(type, values))
+    if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        return _SCALARS.encode(values)[1:-1].split("\n")
+    if kinds == {dict}:
+        keys = tuple(values[0])
+        # equal keys of other types can print differently (True, 1, 1.0)
+        if (keys and all(type(k) is str for k in keys)
+                and all(map(keys.__eq__, map(tuple, values)))):
+            return _indented_rows(keys, values, depth)
+    return [_indented(v, depth) for v in values]
+
+
+def _indented_rows(keys, rows, depth):
+    # dicts with the same str keys in the same order.  itemgetter makes no
+    # object per row: a view per row would set off the cyclic garbage
+    # collector over the whole envelope.
+    inner = "\n" + "  " * (depth + 1)
+    parts = []
+    for key in keys:
+        lead = "," if parts else "{"
+        column = list(map(itemgetter(key), rows))
+        parts += [repeat(f"{lead}{inner}{_key_text(key)}: "),
+                  _indented_items(column, depth + 1)]
+    parts.append(repeat(inner[:-2] + "}"))
+    return list(map("".join, zip(*parts)))
 
 
 _HANDLERS = {
@@ -497,7 +573,7 @@ def run(argv):
     if getattr(args, "csv", False):
         text = _csv_output(args.command, results)
     else:
-        text = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
+        text = _indented(envelope) + "\n"
     code = 0 if all(c["pass"] for c in checks) else 1
     return code, envelope, text
 

@@ -287,7 +287,9 @@ def component_bounds(tup):
 
 def stratum_report(g, p):
     """One StratumReport per admissible tuple of (g, p), in (t, r, s) order."""
-    return [
-        StratumReport(tup, m_count(tup), dimension(tup), component_bounds(tup))
-        for tup in enumerate_tuples(g, p)
-    ]
+    reports = []
+    for tup in enumerate_tuples(g, p):
+        bounds = component_bounds(tup)
+        reports.append(StratumReport(tup, bounds.irreducible_count,
+                                     dimension(tup), bounds))
+    return reports

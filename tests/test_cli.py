@@ -1,17 +1,21 @@
 import csv
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import schottky_strata
 from schottky_strata import cli, strata
 from schottky_strata.cli import run
 from schottky_strata.cyclic_schottky import normal_form
+from schottky_strata.surfaces import random_curve
 
 
 _G5_TUPLE = ["--g", "5", "--p", "5", "--t", "0", "--r", "1", "--s", "1"]
@@ -145,6 +149,16 @@ class TestChecksCanFail:
         monkeypatch.setattr(strata, "_example2_family_member", lambda tup: False)
         _failed_check(["verify", "example2"], "family_is_connected_case",
                       capsys)
+
+    def test_row_count(self, monkeypatch, capsys):
+        real = strata.enumerate_tuples
+        monkeypatch.setattr(strata, "enumerate_tuples",
+                            lambda g, p: real(g, p)[1:])
+        failed = _failed_check(
+            ["report", "--p", "5", "--g-min", "2", "--g-max", "8"],
+            "row_count", capsys,
+        )
+        assert failed["detail"] == "3 rows, count_strata sums to 7"
 
 
 def _fresh_process_stdout(argv):
@@ -284,3 +298,131 @@ class TestCommands:
         _, _, first = run_json(["verify", "example2"])
         _, _, second = run_json(["verify", "example2"])
         assert first == second
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+# every character json escapes, JSON syntax, and text beyond ASCII
+_TEXT = st.text(
+    st.sampled_from('"\\[]{},:% \n\t\x00\x1f\x7f\xe9\u2028\ud800\U0001f600')
+    | st.characters(),
+    max_size=6,
+)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+# True, 1 and 1.0 are one dict key but three texts; False, 0, 0.0 and -0.0
+# are one key and four texts
+_KEYS = (st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, None])
+         | st.integers() | _FLOATS | _TEXT)
+# rows whose keys compare equal, or are the same keys in another order
+_EQUAL_KEYED_ROWS = st.lists(st.sampled_from(
+    [{True: 1}, {1: 2}, {1.0: 3}, {0: 4}, {-0.0: 5}, {None: 6},
+     {"a": 1, "b": 2}, {"b": 3, "a": 4}, {}]
+), max_size=4)
+
+
+def _records(keys, children):
+    """Lists of dicts that share one key list, like the table rows."""
+    return st.tuples(
+        st.lists(keys, max_size=3, unique=True),
+        st.lists(st.lists(children, min_size=3, max_size=3), max_size=4),
+    ).map(lambda spec: [dict(zip(spec[0], row)) for row in spec[1]])
+
+
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=4)
+        | _records(_TEXT, children)
+        | _records(_KEYS, children)
+        | _EQUAL_KEYED_ROWS
+    ),
+    max_leaves=12,
+)
+
+_G5_CURVE = json.dumps(random_curve(5, 1, random.Random(5)).to_json())
+
+
+class TestEncoder:
+    """The envelope text is json.dumps(envelope, indent=2), byte for byte."""
+
+    @given(_VALUES)
+    @example([{True: 1}, {1: 2}, {1.0: 3}])
+    @example([{0: [1]}, {-0.0: [2]}, {False: [3]}])
+    @example([{"a": 1, "b": 2}, {"b": 3, "a": 4}])
+    @example({True: [], None: {}, 1.5: (), -0.0: [{}], 7: "\u2028"})
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_json_dumps(self, value):
+        assert cli._indented(value) == _dumps(value)
+
+    @pytest.mark.parametrize("value,error", [
+        *((value, ValueError) for value in (
+            math.nan, math.inf, -math.inf, [1.0, math.nan], {"x": [math.inf]},
+            {math.nan: 1}, [{"a": 1}, {"a": -math.inf}],
+        )),
+        ({(1, 2): 0}, TypeError),
+        ([{"a": 1}, {"a": {1, 2}}], TypeError),
+    ])
+    def test_rejects_what_json_dumps_rejects(self, value, error):
+        with pytest.raises(error):
+            _dumps(value)
+        with pytest.raises(error):
+            cli._indented(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["tuples", "--g", "10", "--p", "5"],
+        ["count", "--g", "21", "--p", "3"],
+        ["m", *_G5_TUPLE, "--oracle"],
+        ["oracle", "--p", "5", "--r", "1", "--s", "0", "--t", "1"],
+        ["bounds", "--g", "136", "--p", "5", "--t", "12", "--r", "20",
+         "--s", "0"],
+        ["kernel", "--g", "26", "--p", "5", "--t", "6", "--r", "0",
+         "--s", "0"],
+        ["verify", "example1"],
+        ["verify", "example2", "--curve", _G5_CURVE],
+        ["build", *_G5_TUPLE],
+        ["loxcheck", "--g", "4", "--p", "5", "--t", "0", "--r", "2",
+         "--s", "0", "--separation", "0.1", "--max-syllables", "3"],
+        ["report", "--p", "7", "--g-min", "2", "--g-max", "30"],
+        ["--meta", "report", "--p", "2", "--g-min", "2", "--g-max", "5"],
+    ])
+    def test_every_command(self, argv):
+        _code, env, text = run_json(argv)
+        assert text == _dumps(env) + "\n"
+
+
+_SMALL_INTS = st.integers(-3, 40)
+
+
+@st.composite
+def _table_argv(draw):
+    command = draw(st.sampled_from(["tuples", "count", "report", "bounds"]))
+    p = draw(_SMALL_INTS)
+    if command == "report":
+        window = draw(st.tuples(_SMALL_INTS, _SMALL_INTS))
+        return ["report", "--p", str(p), "--g-min", str(window[0]),
+                "--g-max", str(window[1])]
+    g = draw(_SMALL_INTS)
+    if command != "bounds":
+        return [command, "--g", str(g), "--p", str(p)]
+    t, r, s = draw(st.tuples(_SMALL_INTS, _SMALL_INTS, _SMALL_INTS))
+    if draw(st.booleans()):
+        g = p * (t + r + s - 1) + 1 - r  # the relation, so some exit 0
+    return ["bounds", "--g", str(g), "--p", str(p), "--t", str(t),
+            "--r", str(r), "--s", str(s)]
+
+
+class TestArgvFuzz:
+    @given(_table_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_contract(self, argv):
+        code, env, text = run_json(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert not all(c["pass"] for c in env["checks"])
+        if code == 0:
+            assert json.loads(text) == env
