@@ -90,12 +90,13 @@ def _phi_from_args(spec, phi_text):
     return KHom(spec, hom)
 
 
-def _report_row(rep):
+def _stratum_row(tup):
+    cb = strata.component_bounds(tup)
     return {
-        "tuple": _tuple_json(rep.tuple),
-        "m_count": rep.m_count,
-        "dimension": rep.dimension,
-        "components": _bounds_json(rep.components),
+        "tuple": _tuple_json(tup),
+        "m_count": cb.irreducible_count,
+        "dimension": strata.dimension(tup),
+        "components": _bounds_json(cb),
     }
 
 
@@ -111,7 +112,8 @@ def _cmd_tuples(args):
     checks = [
         check(
             "all_admissible",
-            all(strata.is_admissible(t.g, t.p, t.t, t.r, t.s) for t in tuples),
+            all(t.g == args.g and t.p == args.p and min(t.t, t.r, t.s) >= 0
+                and t.g == strata.genus(t.p, t.t, t.r, t.s) for t in tuples),
             f"{len(tuples)} tuples verified against the defining relation",
         )
     ]
@@ -152,7 +154,7 @@ def _cmd_oracle(args):
     checks = []
     if args.t is not None:
         # the shape must realise a genus g >= 2, as for the tuple commands
-        g = args.p * (args.t + args.r + args.s - 1) + 1 - args.r
+        g = strata.genus(args.p, args.t, args.r, args.s)
         AdmissibleTuple(g, args.p, args.t, args.r, args.s)
         bfs = homorbits.bfs_orbit_count(
             args.p, args.t, args.r, args.s, action, budget=args.budget
@@ -164,14 +166,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_bounds(args):
-    tup = _tuple_from_args(args)
-    results = {
-        "tuple": _tuple_json(tup),
-        "m_count": strata.m_count(tup),
-        "dimension": strata.dimension(tup),
-        "components": _bounds_json(strata.component_bounds(tup)),
-    }
-    return results, []
+    return _stratum_row(_tuple_from_args(args)), []
 
 
 def _cmd_kernel(args):
@@ -327,9 +322,9 @@ def _cmd_report(args):
         )
     window = range(args.g_min, args.g_max + 1)
     rows = [
-        _report_row(rep)
+        _stratum_row(tup)
         for g in window
-        for rep in strata.stratum_report(g, args.p)
+        for tup in strata.enumerate_tuples(g, args.p)
     ]
     expected = sum(strata.count_strata(args.p, g) for g in window)
     results = {"p": args.p, "g_min": args.g_min, "g_max": args.g_max,

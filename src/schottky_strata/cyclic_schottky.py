@@ -225,8 +225,8 @@ def kernel_sample(phi, max_syllables, budget=10**6):
     roster/exponent order.  Raises BudgetExceeded when the enumeration
     grows past ``budget`` words.
     """
-    if max_syllables < 0:
-        raise ValueError("max_syllables must be >= 0")
+    if max_syllables < 1:
+        raise ValueError("max_syllables must be >= 1")
     spec = phi.spec
     p = spec.p
     alphabet = _syllable_alphabet(spec)

@@ -13,7 +13,6 @@ membership, index and rank.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -141,9 +140,6 @@ class AbelianHom:
         for img in self.images:
             if len(img) != len(self.moduli):
                 raise ValueError("image dimension does not match moduli")
-
-    def codomain(self):
-        return tuple(itertools.product(*(range(m) for m in self.moduli)))
 
     def apply_letter(self, coset, x):
         img = self.images[abs(x) - 1]

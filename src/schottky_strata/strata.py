@@ -19,7 +19,6 @@ __all__ = [
     "AdmissibleTuple",
     "Basis",
     "ComponentBounds",
-    "StratumReport",
     "is_prime",
     "is_admissible",
     "enumerate_tuples",
@@ -28,7 +27,6 @@ __all__ = [
     "m_count",
     "dimension",
     "component_bounds",
-    "stratum_report",
 ]
 
 
@@ -72,6 +70,11 @@ def _validate_trs(t, r, s):
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def genus(p, t, r, s):
+    """The genus p(t+r+s-1) + 1 - r of the type (t, r, s) for the prime p."""
+    return p * (t + r + s - 1) + 1 - r
+
+
 def is_admissible(g, p, t, r, s):
     """True iff g = p(t+r+s-1) + 1 - r.
 
@@ -80,7 +83,7 @@ def is_admissible(g, p, t, r, s):
     """
     _validate_gp(g, p)
     _validate_trs(t, r, s)
-    return g == p * (t + r + s - 1) + 1 - r
+    return g == genus(p, t, r, s)
 
 
 @dataclass(frozen=True)
@@ -148,14 +151,6 @@ class ComponentBounds:
         m = self.irreducible_count
         if self.exact is not None and not (1 <= self.exact <= m):
             raise ValueError(f"exact={self.exact} outside [1, {m}]")
-
-
-@dataclass(frozen=True)
-class StratumReport:
-    tuple: AdmissibleTuple
-    m_count: int
-    dimension: int
-    components: ComponentBounds
 
 
 def _admissible_totals(g, p):
@@ -283,13 +278,3 @@ def component_bounds(tup):
     if _example2_family_member(tup):
         return ComponentBounds(m, 1, Basis.EXAMPLE2_FAMILY)
     return ComponentBounds(m, None, Basis.UPPER_ONLY)
-
-
-def stratum_report(g, p):
-    """One StratumReport per admissible tuple of (g, p), in (t, r, s) order."""
-    reports = []
-    for tup in enumerate_tuples(g, p):
-        bounds = component_bounds(tup)
-        reports.append(StratumReport(tup, bounds.irreducible_count,
-                                     dimension(tup), bounds))
-    return reports

@@ -256,7 +256,12 @@ def fixed_point_check(curve, tolerance=1e-9, dps=None):
                 )
 
     if dps is None:
-        return _fixed_point_residuals(curve, tolerance, _backend(None))
+        try:
+            return _fixed_point_residuals(curve, tolerance, _backend(None))
+        except OverflowError as exc:
+            raise ValueError(
+                f"curve coordinates overflow double precision ({exc})"
+            ) from exc
     with mpmath.workdps(dps):
         return _fixed_point_residuals(curve, tolerance, _backend(dps))
 

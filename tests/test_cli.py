@@ -19,6 +19,9 @@ from schottky_strata.surfaces import random_curve
 
 
 _G5_TUPLE = ["--g", "5", "--p", "5", "--t", "0", "--r", "1", "--s", "1"]
+# finite coordinates whose p-th powers overflow a double
+HUGE_CURVE = ('{"p": 5, "a": [[[1e300, 0], [2, 0]]], '
+              '"b": [[[3, 0], [-1e300, 0]]], "alpha": [2], "beta": [1]}')
 
 
 def run_json(argv):
@@ -99,6 +102,8 @@ class TestExitCodes:
             ["loxcheck", *_G5_TUPLE, "--tol-order", "nan"],
             *(["verify", "example2", "--tolerance", value]
               for value in ("nan", "inf", "-1")),
+            ["loxcheck", *_G5_TUPLE, "--max-syllables", "0"],
+            ["verify", "example2", "--curve", HUGE_CURVE],
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -159,6 +164,20 @@ class TestChecksCanFail:
             "row_count", capsys,
         )
         assert failed["detail"] == "3 rows, count_strata sums to 7"
+
+    def test_all_admissible(self, monkeypatch, capsys):
+        real = strata.enumerate_tuples
+
+        def one_row_off(g, p):
+            tuples = real(g, p)
+            t = tuples[0]
+            off = strata.AdmissibleTuple._from_relation(g, p, t.t, t.r + 1, t.s)
+            return [off, *tuples[1:]]
+
+        monkeypatch.setattr(strata, "enumerate_tuples", one_row_off)
+        failed = _failed_check(["tuples", "--g", "10", "--p", "5"],
+                               "all_admissible", capsys)
+        assert failed["detail"] == "3 tuples verified against the defining relation"
 
 
 def _fresh_process_stdout(argv):
@@ -260,6 +279,17 @@ class TestCommands:
         lines = text.splitlines()
         assert lines[0] == "g,p,t,r,s,m_count,dimension,exact,upper,basis"
         assert all(line.endswith("theorem_case_1") for line in lines[1:])
+
+    def test_bounds_is_the_report_row(self):
+        _, env, _ = run_json(["report", "--p", "5", "--g-min", "2",
+                              "--g-max", "40"])
+        rows = env["results"]["reports"]
+        assert len(rows) == sum(strata.count_strata(5, g) for g in range(2, 41))
+        for row in rows:
+            t = row["tuple"]
+            argv = ["bounds", *(f"--{k}={v}" for k, v in t.items())]
+            code, bounds, _ = run_json(argv)
+            assert code == 0 and bounds["results"] == row
 
     def test_report_upper_is_m_count(self):
         window = ["report", "--p", "7", "--g-min", "2", "--g-max", "60"]

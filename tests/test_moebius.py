@@ -239,12 +239,13 @@ class TestPurelyLoxodromic:
         if not rep["passed"]:
             assert rep["violations"]
 
-    def test_empty_sample_vacuous_pass(self):
+    def test_empty_sample_rejected(self):
+        # a sample of no words would pass vacuously
         tup = AdmissibleTuple(2, 2, 0, 3, 0)
         mg = build_matrix_group(tup)
         phi = KHom(mg.spec, HomImage(2, e=(1, 1, 1)))
-        rep = purely_loxodromic_sample(mg, phi, max_syllables=0)
-        assert rep["passed"] and rep["n_words"] == 0
+        with pytest.raises(ValueError, match="max_syllables must be >= 1"):
+            purely_loxodromic_sample(mg, phi, max_syllables=0)
 
     def test_word_matrix_matches_powers(self):
         tup = AdmissibleTuple(5, 5, 1, 1, 0)

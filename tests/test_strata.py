@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from schottky_strata.cli import run
 from schottky_strata.strata import (
     AdmissibleTuple,
     Basis,
@@ -12,10 +13,10 @@ from schottky_strata.strata import (
     count_strata,
     dimension,
     enumerate_tuples,
+    genus,
     is_admissible,
     is_prime,
     m_count,
-    stratum_report,
 )
 
 PRIMES_TO_60 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
@@ -68,6 +69,7 @@ class TestAdmissibility:
     )
     def test_relation_round_trip(self, p, t, r, s):
         g = p * (t + r + s - 1) + 1 - r
+        assert genus(p, t, r, s) == g
         if g >= 2:
             assert is_admissible(g, p, t, r, s)
 
@@ -302,23 +304,38 @@ class TestInvariants:
                 assert is_admissible(tup.g, tup.p, tup.s, tup.r, tup.t)
 
 
+def report_rows(g, p):
+    """The ``report`` rows of the one-genus window g..g."""
+    code, env, _ = run(["report", "--p", str(p), "--g-min", str(g),
+                        "--g-max", str(g)])
+    assert code == 0
+    return env["results"]["reports"]
+
+
 class TestStratumReport:
     def test_g5_p5(self):
-        reports = stratum_report(5, 5)
-        assert [r.m_count for r in reports] == [4, 2]
+        rows = report_rows(5, 5)
+        assert [row["m_count"] for row in rows] == [4, 2]
 
     def test_g10_p11(self):
-        reports = stratum_report(10, 11)
-        assert len(reports) == 1
-        assert reports[0].m_count == math.comb(6, 4) * math.comb(4, 4) == 15
+        rows = report_rows(10, 11)
+        assert len(rows) == 1
+        assert rows[0]["m_count"] == math.comb(6, 4) * math.comb(4, 4) == 15
 
     def test_g2_p2(self):
-        reports = stratum_report(2, 2)
-        assert len(reports) == 3
-        assert all(r.m_count == 1 for r in reports)
+        rows = report_rows(2, 2)
+        assert len(rows) == 3
+        assert all(row["m_count"] == 1 for row in rows)
 
     def test_fields_consistent(self):
-        for rep in stratum_report(20, 3):
-            assert rep.m_count == m_count(rep.tuple)
-            assert rep.dimension == dimension(rep.tuple)
-            assert rep.components == component_bounds(rep.tuple)
+        for row in report_rows(20, 3):
+            tup = AdmissibleTuple(**row["tuple"])
+            cb = component_bounds(tup)
+            assert row["m_count"] == m_count(tup)
+            assert row["dimension"] == dimension(tup)
+            assert row["components"] == {
+                "irreducible_count": cb.irreducible_count,
+                "upper": cb.irreducible_count,
+                "exact": cb.exact,
+                "basis": cb.basis.value,
+            }

@@ -260,6 +260,14 @@ class TestFixedPointCheck:
         with pytest.raises(ValueError, match="finite and positive"):
             fixed_point_check(self.curve(), tolerance=tolerance)
 
+    def test_overflow_is_value_error(self):
+        # finite coordinates whose p-th powers overflow a double
+        huge = CurveData.from_json({"p": 5, "a": [[[1e300, 0], [2, 0]]],
+                                    "b": [[[3, 0], [-1e300, 0]]],
+                                    "alpha": [2], "beta": [1]})
+        with pytest.raises(ValueError, match="overflow double precision"):
+            fixed_point_check(huge)
+
 
 def riemann_hurwitz_holds(tup):
     # Euler characteristic of the degree-p quotient orbifold:
