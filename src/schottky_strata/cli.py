@@ -151,7 +151,10 @@ def _cmd_oracle(args):
         args.p, args.r, args.s, action, budget=args.budget
     )
     results = {"orbit_count": count, "scaled": bool(args.scale)}
-    checks = []
+    closed = homorbits.closed_form_orbit_count(args.p, args.r, args.s,
+                                               args.scale)
+    checks = [check("closed_form_agreement", closed == count,
+                    f"enumeration {count}, closed form {closed}")]
     if args.t is not None:
         # the shape must realise a genus g >= 2, as for the tuple commands
         g = strata.genus(args.p, args.t, args.r, args.s)
@@ -552,7 +555,9 @@ def run(argv):
     try:
         results, checks = _HANDLERS[args.command](args)
     except (ValueError, homorbits.BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        flag = isinstance(exc, homorbits.BudgetExceeded) and "budget" in inputs
+        print(f"error: {exc}{'; raise it with --budget' if flag else ''}",
+              file=sys.stderr)
         return 2, None, ""
 
     envelope = {

@@ -229,21 +229,22 @@ def kernel_sample(phi, max_syllables, budget=10**6):
         raise ValueError("max_syllables must be >= 1")
     spec = phi.spec
     p = spec.p
-    alphabet = _syllable_alphabet(spec)
+    alphabet = [(sym, exp, exp * phi.image(sym))
+                for sym, exp in _syllable_alphabet(spec)]
     out = []
     seen = 0
     level = [((), None, 0)]  # (syllables, last symbol, image sum)
     for _ in range(max_syllables):
         nxt = []
         for syls, prev, total in level:
-            for sym, exp in alphabet:
+            for sym, exp, step in alphabet:
                 if not _may_follow(prev, sym):
                     continue
                 seen += 1
                 if seen > budget:
                     raise BudgetExceeded(seen, budget, what="sampled words")
                 word = syls + ((sym, exp),)
-                img = (total + exp * phi.image(sym)) % p
+                img = (total + step) % p
                 nxt.append((word, sym, img))
                 if img == 0:
                     out.append(FPWord(word))

@@ -205,13 +205,12 @@ def _letter_order(rank):
 def fold(generators):
     """Folded core graph of the subgroup generated by the given words.
 
-    Builds a bouquet of loops at the basepoint, folds (merges targets of
-    equal-labelled edges) to a deterministic automaton and relabels
-    breadth-first.  The bouquet of reduced words is already a core graph:
-    each inner vertex of a loop has two distinct edge labels, since a
-    reduced word never has x followed by -x, and folding keeps them.
-    Deterministic; input order does not change the result because of the
-    final canonical relabelling.
+    Each word is read along the graph built so far, forward from the
+    basepoint and then backward (inverse letters); only the unread middle
+    becomes new vertices, and reads that meet merge their endpoints
+    (Kapovich-Myasnikov 2002).  Folding is confluent, so this is the folded
+    bouquet of loops: a core graph, as a reduced word never has x then -x.
+    The breadth-first relabelling makes the result independent of order.
     """
     if not generators:
         raise ValueError("need at least one generator word")
@@ -228,44 +227,46 @@ def fold(generators):
             v = parent[v]
         return v
 
-    def new_vertex():
-        parent.append(len(parent))
-        adj.append(dict())
-        return len(parent) - 1
-
-    pending = deque()
-
-    def add_edge(u, x, v):
-        u, v = find(u), find(v)
-        old = adj[u].get(x)
-        if old is not None:
-            if find(old) != v:
-                pending.append((find(old), v))
-            return
-        adj[u][x] = v
-        old = adj[v].get(-x)
-        if old is not None:
-            if find(old) != u:
-                pending.append((find(old), u))
-            return
-        adj[v][-x] = u
-
     for w in generators:
-        if not w.letters:
+        letters = w.letters
+        root = find(0)
+        head, i = root, 0
+        for x in letters:
+            nxt = adj[head].get(x)
+            if nxt is None:
+                break
+            head, i = find(nxt), i + 1
+        tail, j = root, len(letters)
+        while j > i:
+            nxt = adj[tail].get(-letters[j - 1])
+            if nxt is None:
+                break
+            tail, j = find(nxt), j - 1
+        if i == j:
+            if head != tail:
+                _flush_folds(parent, adj, find, head, tail)
             continue
-        cur = 0
-        for x in w.letters[:-1]:
-            nxt = new_vertex()
-            add_edge(cur, x, nxt)
-            cur = nxt
-        add_edge(cur, w.letters[-1], 0)
-        # merging may already be pending; flush before next word
-        _flush_folds(parent, adj, pending, find)
-    _flush_folds(parent, adj, pending, find)
+        for x in letters[i:j - 1]:
+            nxt = len(adj)
+            parent.append(nxt)
+            adj.append({-x: head})
+            adj[head][x] = nxt
+            head = nxt
+        # the new path needs folding only if its first edge took the slot of
+        # its last one (a middle x ... x^-1 at one vertex)
+        x = letters[j - 1]
+        taken = adj[tail].get(-x)
+        if taken is None:
+            adj[head][x] = tail
+            adj[tail][-x] = head
+        else:
+            _flush_folds(parent, adj, find, taken, head)
     return _canonical_relabel(rank, adj, find)
 
 
-def _flush_folds(parent, adj, pending, find):
+def _flush_folds(parent, adj, find, u, v):
+    # merge u and v, then every pair of targets the merge makes equal-labelled
+    pending = deque([(u, v)])
     while pending:
         u, v = pending.popleft()
         u, v = find(u), find(v)
@@ -281,9 +282,9 @@ def _flush_folds(parent, adj, pending, find):
             old = adj[u].get(x)
             if old is None:
                 adj[u][x] = w
-                # the reverse entry at w may point at v; fix it
+                # a reverse entry at w that named v leads to u through find
                 back = adj[w].get(-x)
-                if back is None or find(back) == v:
+                if back is None:
                     adj[w][-x] = u
                 elif find(back) != u:
                     pending.append((find(back), u))
@@ -352,32 +353,35 @@ def schreier_kernel(phi):
     k = phi.rank
     zero = (0,) * len(phi.moduli)
     reps = {zero: ()}
-    order = []  # cosets in shortlex discovery order
-    queue = deque([zero])
+    order = []  # (coset, targets under a, b, ...) in shortlex discovery order
+    queue = deque([(zero, None)])
     while queue:
-        c = queue.popleft()
-        order.append(c)
+        c, back = queue.popleft()
         u = reps[c]
+        targets = []
         for x in _letter_order(k):
             if u and u[-1] == -x:
-                continue  # unreduced extension never shortlex-least
-            d = phi.apply_letter(c, x)
-            if d not in reps:
-                reps[d] = u + (x,)
-                queue.append(d)
+                d = back  # cancels u's last letter; never shortlex-least
+            else:
+                d = phi.apply_letter(c, x)
+                if d not in reps:
+                    reps[d] = u + (x,)
+                    queue.append((d, c))
+            if x > 0:
+                targets.append(d)
+        order.append((c, targets))
     n = 1
     for m in phi.moduli:
         n *= m
     if len(reps) != n:
         raise ValueError("homomorphism is not surjective onto its codomain")
 
+    inverse_reps = {c: tuple(-y for y in reversed(u)) for c, u in reps.items()}
     out = []
-    for c in order:
+    for c, targets in order:
         u = reps[c]
-        for x in range(1, k + 1):
-            d = phi.apply_letter(c, x)
-            letters = u + (x,) + tuple(-y for y in reversed(reps[d]))
-            w = FreeWord(k, letters)
+        for x, d in enumerate(targets, 1):
+            w = FreeWord(k, u + (x,) + inverse_reps[d])
             if w.letters:
                 out.append(w)
     return out

@@ -17,8 +17,9 @@ Two independent counters live here:
   (torsion shifts into the loxodromic images, block permutations and
   inversions, Nielsen moves on the free block when no torsion is present).
 
-Neither counter consults a formula; tests compare them with each other
-and with the binomial and Burnside closed forms.
+Neither counter consults a formula; the ``oracle`` command and the tests
+compare them with each other and with ``closed_form_orbit_count``, the
+binomial and Burnside closed forms.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "canonical_form",
     "canonical_codes",
     "orbit_count_tuples",
+    "closed_form_orbit_count",
     "bfs_orbit_count",
 ]
 
@@ -213,6 +215,23 @@ def orbit_count_tuples(p, r, s, action=PERM_INV, budget=10**7):
     if p >= 256:
         raise ValueError("residues must fit in a byte")
     return int(canonical_codes(p, r, s, action, budget).size)
+
+
+def closed_form_orbit_count(p, r, s, scaled=False):
+    """``orbit_count_tuples`` by formula.  Under PERM_INV an orbit is one
+    multiset of the h = (p-1)/2 classes +-c per block; PERM_INV_SCALE adds a
+    cyclic group of order h, and Burnside's lemma gives (phi Euler's totient)
+    (1/h) sum_{d | gcd(h,r,s)} phi(d) C(r/d+h/d-1, r/d) C(s/d+h/d-1, s/d)."""
+    check_prime(p, minimum=3)
+    h = (p - 1) // 2
+    common = math.gcd(h, r, s) if scaled else 1  # d = 1 is the plain count
+    total = 0
+    for d in range(1, common + 1):
+        if common % d == 0:
+            totient = sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
+            total += (totient * math.comb(r // d + h // d - 1, r // d)
+                      * math.comb(s // d + h // d - 1, s // d))
+    return total // h if scaled else total
 
 
 def _move_targets(index, p, t, r, s, scale, proof_moves, invert_tau_with_f):

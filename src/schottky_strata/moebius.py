@@ -130,8 +130,10 @@ def _frobenius(entries):
 
 def dist_to_unit(m):
     """min(||M - I||, ||M + I||) in the Frobenius norm (PSL sign folded)."""
-    plus = _frobenius((m.a - 1, m.b, m.c, m.d - 1))
-    minus = _frobenius((m.a + 1, m.b, m.c, m.d + 1))
+    # the squares are added left to right, in the order _frobenius adds them
+    b2, c2 = abs(m.b) ** 2, abs(m.c) ** 2
+    plus = math.sqrt(abs(m.a - 1) ** 2 + b2 + c2 + abs(m.d - 1) ** 2)
+    minus = math.sqrt(abs(m.a + 1) ** 2 + b2 + c2 + abs(m.d + 1) ** 2)
     return min(plus, minus)
 
 
@@ -308,6 +310,10 @@ def build_matrix_group(tup, separation=10.0):
         centers[("a", j)] = complex(center, 0)
         slot += 1
 
+    for sym, m in matrices.items():
+        if not all(map(cmath.isfinite, (centers[sym], *m.entries()))):
+            raise ValueError(f"separation {separation} places {sym[0]}"
+                             f"{sym[1]} beyond double precision")
     return MatrixGroupSpec(spec, matrices, centers)
 
 
@@ -360,14 +366,6 @@ def commutator_defect(m1, m2):
     )
 
 
-def word_matrix(mg, word):
-    """Evaluate an FPWord as a product of the roster matrices."""
-    result = MobiusMap(1, 0, 0, 1, normalize=False)
-    for sym, exp in word.syllables:
-        result = result * (mg.matrices[sym] ** exp)
-    return result
-
-
 def purely_loxodromic_sample(
     mg,
     phi,
@@ -381,14 +379,33 @@ def purely_loxodromic_sample(
     Violations (elliptic/parabolic evaluations) are reported with the
     offending word and its trace; they indicate insufficient separation
     rather than a hard error.
+
+    A word's matrix is the left-to-right product of its syllable powers
+    from the identity.  Words come in level, then lexicographic order, so
+    ``products`` keeps the prefix products of the previous word and only
+    the syllables after the shared prefix are multiplied.
     """
     words = kernel_sample(phi, max_syllables, budget=budget)
+    powers = {}
+    previous = ()
+    products = [MobiusMap(1, 0, 0, 1, normalize=False)]
     entries = []
     violations = []
     n_lox = 0
     n_identity = 0
     for w in words:
-        m = word_matrix(mg, w)
+        shared = 0
+        for old, new in zip(previous, w.syllables):
+            if old != new:
+                break
+            shared += 1
+        del products[shared + 1:]
+        for sym, exp in w.syllables[shared:]:
+            if (sym, exp) not in powers:
+                powers[sym, exp] = mg.matrices[sym] ** exp
+            products.append(products[-1] * powers[sym, exp])
+        previous = w.syllables
+        m = products[-1]
         cls = classify(m, tolerances)
         tr = m.trace()
         entry = {"word": str(w), "class": cls.value, "trace": [tr.real, tr.imag]}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import schottky_strata
-from schottky_strata import cli, strata
+from schottky_strata import cli, homorbits, strata
 from schottky_strata.cli import run
 from schottky_strata.cyclic_schottky import normal_form
 from schottky_strata.surfaces import random_curve
@@ -104,6 +104,9 @@ class TestExitCodes:
               for value in ("nan", "inf", "-1")),
             ["loxcheck", *_G5_TUPLE, "--max-syllables", "0"],
             ["verify", "example2", "--curve", HUGE_CURVE],
+            # centers and matrices overflow a double
+            ["build", *_G5_TUPLE, "--separation", "1e308"],
+            ["loxcheck", *_G5_TUPLE, "--separation", "1e308"],
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -111,6 +114,15 @@ class TestExitCodes:
         assert (code, env, text) == (2, None, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_budget_error_names_its_flag(self, capsys):
+        code, env, _ = run_json(
+            ["loxcheck", "--g", "26", "--p", "5", "--t", "6", "--r", "0",
+             "--s", "0", "--max-syllables", "5", "--budget", "100"])
+        assert (code, env) == (2, None)
+        err = capsys.readouterr().err
+        assert err == ("error: enumeration requires 101 sampled words, "
+                       "exceeding budget 100; raise it with --budget\n")
 
 
 def _failed_check(argv, name, capsys):
@@ -154,6 +166,19 @@ class TestChecksCanFail:
         monkeypatch.setattr(strata, "_example2_family_member", lambda tup: False)
         _failed_check(["verify", "example2"], "family_is_connected_case",
                       capsys)
+
+    @pytest.mark.parametrize("scale", [[], ["--scale"]])
+    def test_oracle_closed_form_agreement(self, scale, monkeypatch, capsys):
+        argv = ["oracle", "--p", "7", "--r", "3", "--s", "0", *scale]
+        code, env, _ = run_json(argv)
+        assert code == 0 and env["checks"] == [cli.check(
+            "closed_form_agreement", True,
+            "enumeration 4, closed form 4" if scale
+            else "enumeration 10, closed form 10")]
+        real = homorbits.canonical_codes
+        monkeypatch.setattr(homorbits, "canonical_codes",
+                            lambda *a: real(*a)[1:])
+        _failed_check(argv, "closed_form_agreement", capsys)
 
     def test_row_count(self, monkeypatch, capsys):
         real = strata.enumerate_tuples

@@ -199,6 +199,15 @@ class TestKernelSample:
         with pytest.raises(BudgetExceeded):
             kernel_sample(phi, 4, budget=100)
 
+    def test_budget_counts_every_candidate(self):
+        # six free generators: 12 first syllables, then 10 after each one
+        # (not the same symbol again), 12 + 120 + 1200 candidates up to 3
+        phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))
+        assert kernel_sample(phi, 3, budget=1332)
+        with pytest.raises(BudgetExceeded) as exc:
+            kernel_sample(phi, 3, budget=1331)
+        assert (exc.value.required, exc.value.budget) == (1332, 1331)
+
     def test_all_members_nonidentity(self):
         phi = KHom(SPEC_MIXED, HomImage(5, a=(2,), e=(3,)))
         words = kernel_sample(phi, 3)

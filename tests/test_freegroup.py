@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schottky_strata.freegroup import (
     INFINITE,
@@ -22,6 +22,72 @@ from schottky_strata.freegroup import (
 
 def W(text, rank=2):
     return parse_word(text, rank)
+
+
+def naive_fold_key(rank, words):
+    """``StallingsGraph.key()`` of the subgroup, folded the plain way: the
+    whole bouquet of loops at vertex 0 is built first, then the targets of
+    two equal-labelled edges at one vertex are merged until no two are
+    left, then the vertices are numbered breadth-first from the basepoint
+    (letters a, A, b, B, ...)."""
+    edges = set()  # (u, x, v) for an x-edge u -> v, x > 0
+    n = 1
+    for w in words:
+        if not w.letters:
+            continue
+        path = [0, *range(n, n + len(w.letters) - 1), 0]
+        n += len(w.letters) - 1
+        for u, x, v in zip(path, w.letters, path[1:]):
+            edges.add((u, x, v) if x > 0 else (v, -x, u))
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    merged = True
+    while merged:
+        merged = False
+        seen = {}
+        for u, x, v in edges:
+            for slot, target in (((find(u), x), find(v)),
+                                 ((find(v), -x), find(u))):
+                other = find(seen.setdefault(slot, target))
+                if other != find(target):
+                    parent[find(target)] = other
+                    merged = True
+    adj = {}
+    for u, x, v in edges:
+        adj.setdefault(find(u), {})[x] = find(v)
+        adj.setdefault(find(v), {})[-x] = find(u)
+    label = {find(0): 0}
+    queue = [find(0)]
+    for v in queue:
+        for g in range(1, rank + 1):
+            for x in (g, -g):
+                w = adj.get(v, {}).get(x)
+                if w is not None and w not in label:
+                    label[w] = len(label)
+                    queue.append(w)
+    relabelled = [None] * len(label)
+    for v, i in label.items():
+        relabelled[i] = tuple(sorted((x, label[w])
+                                     for x, w in adj.get(v, {}).items()))
+    return (rank, tuple(relabelled))
+
+
+@st.composite
+def _generator_lists(draw):
+    # unreduced letter lists (FreeWord reduces them), empty words and
+    # repeated generators
+    rank = draw(st.integers(1, 4))
+    letter = st.integers(1, rank).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = draw(st.lists(st.lists(letter, max_size=10), min_size=1,
+                          max_size=6))
+    words += [words[i] for i in draw(
+        st.lists(st.integers(0, len(words) - 1), max_size=3))]
+    return rank, [FreeWord(rank, tuple(w)) for w in words]
 
 
 class TestReduce:
@@ -83,6 +149,14 @@ class TestHomImage:
 
 
 class TestFold:
+    @settings(max_examples=300, deadline=None)
+    @given(_generator_lists())
+    # a word that is not cyclically reduced, read from an empty graph
+    @example((3, [FreeWord(3, ()), FreeWord(3, (3, 1, -3))]))
+    def test_matches_naive_bouquet_fold(self, case):
+        rank, words = case
+        assert fold(words).key() == naive_fold_key(rank, words)
+
     def test_whole_group(self):
         g = fold([W("a"), W("b")])
         assert g.n_vertices == 1

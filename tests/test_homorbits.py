@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import numpy as np
@@ -17,35 +16,9 @@ from schottky_strata.homorbits import (
     bfs_orbit_count,
     canonical_codes,
     canonical_form,
+    closed_form_orbit_count,
     orbit_count_tuples,
 )
-
-
-def binomial_count(p, r, s):
-    half = (p - 3) // 2
-    return math.comb(r + half, half) * math.comb(s + half, half)
-
-
-def burnside_count(h, blocks):
-    """Orbits of one multiset per block (sizes ``blocks``) over h classes
-    under the cyclic group of order h shifting all classes at once:
-    (1/h) sum_{d | h, d | every block} phi(d) prod C(b/d + h/d - 1, b/d)."""
-    total = 0
-    for d in range(1, h + 1):
-        if h % d == 0 and all(b % d == 0 for b in blocks):
-            phi = sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
-            total += phi * math.prod(
-                math.comb(b // d + h // d - 1, b // d) for b in blocks
-            )
-    assert total % h == 0
-    return total // h
-
-
-def expected_orbit_count(p, r, s, scaled):
-    """Orbits of PERM_INV (one multiset of the h = (p-1)/2 classes +-c per
-    block) or, by Burnside's lemma, of PERM_INV_SCALE (the scaling group
-    modulo +-1 is cyclic of order h)."""
-    return burnside_count((p - 1) // 2, (r, s)) if scaled else binomial_count(p, r, s)
 
 
 def reference_bfs(p, t, r, s, scaled, proof_moves, invert_tau_with_f):
@@ -193,9 +166,9 @@ class TestOrbitCountTuples:
             for s in range(3):
                 if (p - 1) ** (r + s) > 10**4:
                     continue
-                assert orbit_count_tuples(p, r, s, PERM_INV) == binomial_count(
-                    p, r, s
-                ), (p, r, s)
+                assert orbit_count_tuples(
+                    p, r, s, PERM_INV
+                ) == closed_form_orbit_count(p, r, s), (p, r, s)
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_scale_monotone(self, p):
@@ -236,7 +209,8 @@ class TestOrbitCountTuples:
         while (p - 1) ** k <= 10**6:
             for r in range(k + 1):
                 got = orbit_count_tuples(p, r, k - r, action, budget=10**6)
-                assert got == expected_orbit_count(p, r, k - r, scaled), (p, r, k - r)
+                want = closed_form_orbit_count(p, r, k - r, scaled)
+                assert got == want, (p, r, k - r)
             k += 1
 
     def test_codes_are_sorted_distinct_and_decode_to_canonical_forms(self):

@@ -6,7 +6,7 @@ import pytest
 
 from schottky_strata.homorbits import HomImage
 from schottky_strata.strata import AdmissibleTuple
-from schottky_strata.cyclic_schottky import KHom
+from schottky_strata.cyclic_schottky import KHom, kernel_sample
 from schottky_strata.moebius import (
     DEFAULT_TOLERANCES,
     INF,
@@ -21,7 +21,6 @@ from schottky_strata.moebius import (
     matrix_group_defects,
     order_check,
     purely_loxodromic_sample,
-    word_matrix,
 )
 
 
@@ -247,15 +246,48 @@ class TestPurelyLoxodromic:
         with pytest.raises(ValueError, match="max_syllables must be >= 1"):
             purely_loxodromic_sample(mg, phi, max_syllables=0)
 
-    def test_word_matrix_matches_powers(self):
-        tup = AdmissibleTuple(5, 5, 1, 1, 0)
-        mg = build_matrix_group(tup)
-        from schottky_strata.cyclic_schottky import parse_fpword
+    def test_traces_match_left_to_right_powers(self):
+        # each trace is, float for float, the product of the syllable powers
+        # taken left to right from the identity, whatever prefix it shares
+        # with the word before it
+        rng = random.Random(11)
+        for g, p, t, r, s in [(5, 5, 1, 1, 0), (5, 5, 0, 1, 1), (6, 5, 1, 0, 1),
+                              (8, 7, 1, 0, 1), (6, 5, 2, 0, 0)]:
+            tup = AdmissibleTuple(g, p, t, r, s)
+            mg = build_matrix_group(tup)
+            for _ in range(2):
+                a = tuple(rng.randrange(p) for _ in range(t))
+                if r == s == 0 and not any(a):
+                    a = (1,) + a[1:]
+                hom = HomImage(
+                    p, a=a, e=tuple(rng.randrange(1, p) for _ in range(r)),
+                    tau=tuple(rng.randrange(p) for _ in range(s)),
+                    f=tuple(rng.randrange(1, p) for _ in range(s)))
+                phi = KHom(mg.spec, hom)
+                for length in range(1, 5):
+                    rep = purely_loxodromic_sample(mg, phi,
+                                                   max_syllables=length)
+                    words = kernel_sample(phi, length)
+                    assert ([e["word"] for e in rep["words"]]
+                            == [str(w) for w in words])
+                    for entry, w in zip(rep["words"], words):
+                        m = MobiusMap(1, 0, 0, 1, normalize=False)
+                        for sym, exp in w.syllables:
+                            m = m * (mg.matrices[sym] ** exp)
+                        want = [m.trace().real.hex(), m.trace().imag.hex()]
+                        assert [x.hex() for x in entry["trace"]] == want, entry
+                        assert entry["class"] == classify(m).value
 
-        w = parse_fpword(mg.spec, "e1^2 a1 e1^3")
-        m = word_matrix(mg, w)
-        e, a = mg.matrices[("e", 1)], mg.matrices[("a", 1)]
-        expected = e * e * a * e * e * e
-        assert all(
-            abs(x - y) < 1e-9 for x, y in zip(m.entries(), expected.entries())
-        )
+    def test_powers_match_repeated_products(self):
+        mg = build_matrix_group(AdmissibleTuple(5, 5, 1, 1, 0))
+        for sym in (("e", 1), ("a", 1)):
+            m = mg.matrices[sym]
+            product = MobiusMap(1, 0, 0, 1, normalize=False)
+            for exp in range(1, 6):
+                product = product * m
+                scale = max(map(abs, product.entries()))
+                assert all(abs(x - y) < 1e-9 * scale for x, y in
+                           zip((m ** exp).entries(), product.entries()))
+                inverse = m ** -exp * product
+                assert all(abs(x - y) < 1e-9 * scale**2 for x, y in
+                           zip(inverse.entries(), (1, 0, 0, 1)))
