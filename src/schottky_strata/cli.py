@@ -44,15 +44,6 @@ def _tuple_json(tup):
     return {"g": tup.g, "p": tup.p, "t": tup.t, "r": tup.r, "s": tup.s}
 
 
-def _bounds_json(cb):
-    return {
-        "irreducible_count": cb.irreducible_count,
-        "upper": cb.irreducible_count,
-        "exact": cb.exact,
-        "basis": cb.basis.value,
-    }
-
-
 def _complex_json(z):
     return [z.real, z.imag]
 
@@ -96,7 +87,8 @@ def _stratum_row(tup):
         "tuple": _tuple_json(tup),
         "m_count": cb.irreducible_count,
         "dimension": strata.dimension(tup),
-        "components": _bounds_json(cb),
+        "components": {"upper": cb.irreducible_count, "exact": cb.exact,
+                       "basis": cb.basis.value},
     }
 
 
@@ -128,21 +120,6 @@ def _cmd_count(args):
         checks.append(check("closed_form_agreement", closed == n,
                             f"enumeration {n}, closed form {closed}"))
     return {"count": n}, checks
-
-
-def _cmd_m(args):
-    tup = _tuple_from_args(args)
-    m = strata.m_count(tup)
-    results = {"m": m}
-    checks = []
-    if args.oracle:
-        oracle = homorbits.orbit_count_tuples(
-            args.p, args.r, args.s, PERM_INV, budget=args.budget
-        )
-        results["oracle"] = oracle
-        checks.append(check("oracle_matches_formula", oracle == m,
-                            f"formula {m}, enumeration {oracle}"))
-    return results, checks
 
 
 def _cmd_oracle(args):
@@ -436,7 +413,6 @@ def _indented_rows(keys, rows, depth):
 _HANDLERS = {
     "tuples": _cmd_tuples,
     "count": _cmd_count,
-    "m": _cmd_m,
     "oracle": _cmd_oracle,
     "bounds": _cmd_bounds,
     "kernel": _cmd_kernel,
@@ -478,12 +454,6 @@ def build_parser():
     sp = sub.add_parser("count", help="number of admissible tuples")
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
-
-    sp = sub.add_parser("m", help="irreducible-component count of one stratum")
-    _add_tuple_flags(sp)
-    sp.add_argument("--oracle", action="store_true",
-                    help="cross-check against the brute-force orbit count")
-    sp.add_argument("--budget", type=int, default=10**7)
 
     sp = sub.add_parser("oracle", help="brute-force orbit counts")
     sp.add_argument("--p", type=int, required=True)

@@ -234,8 +234,9 @@ def kernel_sample(phi, max_syllables, budget=10**6):
     out = []
     seen = 0
     level = [((), None, 0)]  # (syllables, last symbol, image sum)
-    for _ in range(max_syllables):
-        nxt = []
+    for length in range(1, max_syllables + 1):
+        # the last level is only counted and filtered, never extended
+        nxt = [] if length < max_syllables else None
         for syls, prev, total in level:
             for sym, exp, step in alphabet:
                 if not _may_follow(prev, sym):
@@ -243,11 +244,11 @@ def kernel_sample(phi, max_syllables, budget=10**6):
                 seen += 1
                 if seen > budget:
                     raise BudgetExceeded(seen, budget, what="sampled words")
-                word = syls + ((sym, exp),)
                 img = (total + step) % p
-                nxt.append((word, sym, img))
                 if img == 0:
-                    out.append(FPWord(word))
+                    out.append(FPWord(syls + ((sym, exp),)))
+                if nxt is not None:
+                    nxt.append((syls + ((sym, exp),), sym, img))
         level = nxt
     return out
 

@@ -18,8 +18,10 @@ Two independent counters live here:
   inversions, Nielsen moves on the free block when no torsion is present).
 
 Neither counter consults a formula; the ``oracle`` command and the tests
-compare them with each other and with ``closed_form_orbit_count``, the
-binomial and Burnside closed forms.
+compare them with each other and with ``closed_form_orbit_count``.  Its
+plain count is the multiset count M of ``strata.m_count``, from the same
+product, and its scaled count is a Burnside average of such products; so
+``oracle`` is also the enumeration check of M.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .strata import check_prime
+from .strata import _multisets, check_prime
 
 __all__ = [
     "ActionSpec",
@@ -229,8 +231,7 @@ def closed_form_orbit_count(p, r, s, scaled=False):
     for d in range(1, common + 1):
         if common % d == 0:
             totient = sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
-            total += (totient * math.comb(r // d + h // d - 1, r // d)
-                      * math.comb(s // d + h // d - 1, s // d))
+            total += totient * _multisets(h // d, r // d, s // d)
     return total // h if scaled else total
 
 

@@ -222,22 +222,28 @@ def closed_form_count(p, g):
     raise ValueError(f"closed form only available for p in {{2, 3}}, got p={p}")
 
 
+def _multisets(h, r, s):
+    """C(r+h-1, r) * C(s+h-1, s): the ways to pick a multiset of size r and
+    one of size s from h classes."""
+    return math.comb(r + h - 1, r) * math.comb(s + h - 1, s)
+
+
 def m_count(tup):
     """Number of irreducible components of the stratum of ``tup``.
 
     This is the count of index-p normal Schottky subgroups of a
     cyclic-Schottky group of that type, up to geometric automorphisms:
-    1 for p = 2, and the product of two binomial coefficients
+    1 for p = 2, and for odd p the multisets of sizes r and s drawn from
+    the h = (p-1)/2 classes +-c of Z_p^*,
 
-        C(r + (p-3)/2, (p-3)/2) * C(s + (p-3)/2, (p-3)/2)
+        C(r + h - 1, r) * C(s + h - 1, s).
 
-    for odd p.  For p = 3 both factors collapse to C(r,0) = C(s,0) = 1.
+    For p = 3 both factors collapse to C(r, r) = C(s, s) = 1.
     Exact integers throughout; independent of t.
     """
     if tup.p == 2:
         return 1
-    half = (tup.p - 3) // 2
-    return math.comb(tup.r + half, half) * math.comb(tup.s + half, half)
+    return _multisets((tup.p - 1) // 2, tup.r, tup.s)
 
 
 def dimension(tup):

@@ -255,15 +255,15 @@ def fixed_point_check(curve, tolerance=1e-9, dps=None):
                     f"branch points {z} and {w} are closer than 1e-12"
                 )
 
-    if dps is None:
-        try:
+    try:
+        if dps is None:
             return _fixed_point_residuals(curve, tolerance, _backend(None))
-        except OverflowError as exc:
-            raise ValueError(
-                f"curve coordinates overflow double precision ({exc})"
-            ) from exc
-    with mpmath.workdps(dps):
-        return _fixed_point_residuals(curve, tolerance, _backend(dps))
+        with mpmath.workdps(dps):
+            return _fixed_point_residuals(curve, tolerance, _backend(dps))
+    except OverflowError as exc:
+        raise ValueError(
+            f"curve coordinates overflow double precision ({exc})"
+        ) from exc
 
 
 def _fixed_point_residuals(curve, tolerance, be):
@@ -286,31 +286,28 @@ def _fixed_point_residuals(curve, tolerance, be):
     entries = []
     max_res = 0.0
     max_mag = 0.0
-    for family, pairs, exps in (("u", a, alpha), ("v", b, beta)):
-        # fixed points of the first action sit over the a-points and get
-        # their y2 from the beta product, and vice versa
-        other_pairs = b if family == "u" else a
-        other_exps = beta if family == "u" else alpha
+    # fixed points of the first action sit over the a-points and get their
+    # y2 from the beta product, and vice versa
+    for family, pairs, other_pairs, other_exps in (("u", a, b, beta),
+                                                   ("v", b, a, alpha)):
         for j in range(m):
             for delta in (0, 1):
                 x = pairs[j][delta]
                 base = poly(x, other_pairs, other_exps)
                 root = principal_root(base)
-                zero_side = poly(x, pairs, exps)  # contains the factor (x - x)
                 for k in range(p):
+                    point = f"{family}[{j + 1},{delta + 1},{k}]"
                     y_other = omega**k * root
-                    res_zero = be["abs"](zero_side)  # y_vanishing^p == 0
-                    res_other = be["abs"](y_other**p - base)
-                    res = max(res_zero, res_other)
+                    # the vanishing coordinate's equation holds exactly: its
+                    # product has the factor (x - x)
+                    res = be["abs"](y_other**p - base)
+                    if not math.isfinite(res):
+                        # also raised for every base that is not finite
+                        raise OverflowError(f"residual {res} at {point}")
                     mag = max(be["abs"](x), be["abs"](y_other))
                     max_res = max(max_res, res)
                     max_mag = max(max_mag, mag)
-                    entries.append(
-                        {
-                            "point": f"{family}[{j + 1},{delta + 1},{k}]",
-                            "residual": res,
-                        }
-                    )
+                    entries.append({"point": point, "residual": res})
     scale = 1.0 + max_mag
     return {
         "passed": max_res <= tolerance * scale,

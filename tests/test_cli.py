@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,15 @@ _G5_TUPLE = ["--g", "5", "--p", "5", "--t", "0", "--r", "1", "--s", "1"]
 # finite coordinates whose p-th powers overflow a double
 HUGE_CURVE = ('{"p": 5, "a": [[[1e300, 0], [2, 0]]], '
               '"b": [[[3, 0], [-1e300, 0]]], "alpha": [2], "beta": [1]}')
+
+
+def _scaled_curve(factor):
+    """A seeded curve with every branch point multiplied by ``factor``."""
+    data = random_curve(5, 2, random.Random(3)).to_json()
+    for key in ("a", "b"):
+        data[key] = [[[factor * re, factor * im] for re, im in pair]
+                     for pair in data[key]]
+    return json.dumps(data)
 
 
 def run_json(argv):
@@ -60,8 +70,10 @@ class TestExitCodes:
         assert code == 2 and env is None
 
     def test_unknown_command(self):
-        code, _, _ = run_json(["frobnicate"])
-        assert code == 2
+        # m is gone: bounds prints M and oracle checks it
+        for argv in (["frobnicate"], ["m", *_G5_TUPLE],
+                     ["m", *_G5_TUPLE, "--oracle"]):
+            assert run_json(argv)[:2] == (2, None)
 
     def test_domain_error(self):
         code, _, _ = run_json(["tuples", "--g", "5", "--p", "4"])
@@ -107,6 +119,10 @@ class TestExitCodes:
             # centers and matrices overflow a double
             ["build", *_G5_TUPLE, "--separation", "1e308"],
             ["loxcheck", *_G5_TUPLE, "--separation", "1e308"],
+            # bases that are not finite: NaN residuals at 1e40, NaN in the
+            # output at 1e80
+            ["verify", "example2", "--curve", _scaled_curve(1e40)],
+            ["verify", "example2", "--curve", _scaled_curve(1e80)],
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -237,13 +253,11 @@ class TestCommands:
             _, env_t, _ = run_json(["tuples", "--g", str(g), "--p", str(p)])
             assert env_c["results"]["count"] == env_t["results"]["count"]
 
-    def test_m_with_oracle(self):
-        code, env, _ = run_json(
-            ["m", "--g", "5", "--p", "5", "--t", "0", "--r", "1", "--s", "1",
-             "--oracle"]
-        )
-        assert code == 0
-        assert env["results"] == {"m": 4, "oracle": 4}
+    def test_m_from_oracle_and_bounds(self):
+        code, env, _ = run_json(["oracle", "--p", "5", "--r", "1", "--s", "1"])
+        assert code == 0 and env["results"]["orbit_count"] == 4
+        code, env, _ = run_json(["bounds", *_G5_TUPLE])
+        assert code == 0 and env["results"]["m_count"] == 4
 
     def test_oracle_with_bfs_and_scale(self):
         code, env, _ = run_json(
@@ -315,6 +329,7 @@ class TestCommands:
             argv = ["bounds", *(f"--{k}={v}" for k, v in t.items())]
             code, bounds, _ = run_json(argv)
             assert code == 0 and bounds["results"] == row
+            assert list(row["components"]) == ["upper", "exact", "basis"]
 
     def test_report_upper_is_m_count(self):
         window = ["report", "--p", "7", "--g-min", "2", "--g-max", "60"]
@@ -431,7 +446,7 @@ class TestEncoder:
     @pytest.mark.parametrize("argv", [
         ["tuples", "--g", "10", "--p", "5"],
         ["count", "--g", "21", "--p", "3"],
-        ["m", *_G5_TUPLE, "--oracle"],
+        ["oracle", "--p", "5", "--r", "1", "--s", "1", "--scale"],
         ["oracle", "--p", "5", "--r", "1", "--s", "0", "--t", "1"],
         ["bounds", "--g", "136", "--p", "5", "--t", "12", "--r", "20",
          "--s", "0"],
@@ -481,3 +496,31 @@ class TestArgvFuzz:
             assert not all(c["pass"] for c in env["checks"])
         if code == 0:
             assert json.loads(text) == env
+
+
+def _without_brackets(line):
+    """``line`` with its bracketed optional parts, nested ones included, cut."""
+    kept, depth = [], 0
+    for char in line:
+        depth += (char == "[") - (char == "]")
+        if depth == 0 and char != "]":
+            kept.append(char)
+    return "".join(kept)
+
+
+def _readme_examples():
+    """The argv of each ``schottky-strata`` line in the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+    return [shlex.split(_without_brackets(line), comments=True)[1:]
+            for line in block.splitlines()
+            if line.startswith("schottky-strata ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+    def test_cli_example_passes(self, argv):
+        assert run_json(argv)[0] == 0
+
+    def test_every_command_has_an_example(self):
+        assert {argv[0] for argv in _readme_examples()} == set(cli._HANDLERS)

@@ -334,7 +334,6 @@ class TestStratumReport:
             assert row["m_count"] == m_count(tup)
             assert row["dimension"] == dimension(tup)
             assert row["components"] == {
-                "irreducible_count": cb.irreducible_count,
                 "upper": cb.irreducible_count,
                 "exact": cb.exact,
                 "basis": cb.basis.value,
