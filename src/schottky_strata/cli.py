@@ -473,7 +473,9 @@ def build_parser():
                     help='images as JSON, e.g. {"a":[0],"e":[1]}')
 
     sp = sub.add_parser("verify", help="worked-example suites")
-    sp.add_argument("example", choices=["example1", "example2"])
+    examples = sp.add_subparsers(dest="example", required=True)
+    examples.add_parser("example1", help="rank-26 kernel suite")
+    sp = examples.add_parser("example2", help="fiber-product family suite")
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--curve", type=str, default=None,

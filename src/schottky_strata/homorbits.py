@@ -235,7 +235,7 @@ def closed_form_orbit_count(p, r, s, scaled=False):
     return total // h if scaled else total
 
 
-def _move_targets(index, p, t, r, s, scale, proof_moves, invert_tau_with_f):
+def _move_targets(index, p, t, r, s, scale):
     """Yield, for each elementary move, the index of every state's image.
 
     The states a | e | tau | f are the big-endian mixed-radix numbers in
@@ -265,25 +265,24 @@ def _move_targets(index, p, t, r, s, scale, proof_moves, invert_tau_with_f):
         """x mod p for uint16 x in [0, 2p): x - p wraps above x when x < p."""
         return np.minimum(x, x - p, out=x)
 
-    if proof_moves:
-        # torsion shifts tau_k -> tau_k + f_k
-        for k in range(s):
-            yield move({tau[k]: mod(values[tau[k]] + values[f[k]])})
-        if r > 0 or s > 0:
-            # shift a_j by the first available elliptic image
-            shift = values[e[0] if r > 0 else f[0]]
-            for j in a:
-                yield move({j: mod(values[j] + shift)})
-        else:
-            # Nielsen moves within the free block
-            for j in a:
-                for i in a:
-                    if i != j:
-                        yield move({j: mod(values[j] + values[i])})
-            for j in a:
-                yield move({j: mod(p - values[j])})
-            for j in range(t - 1):
-                yield move({a[j]: values[a[j + 1]], a[j + 1]: values[a[j]]})
+    # torsion shifts tau_k -> tau_k + f_k
+    for k in range(s):
+        yield move({tau[k]: mod(values[tau[k]] + values[f[k]])})
+    if r > 0 or s > 0:
+        # shift a_j by the first available elliptic image
+        shift = values[e[0] if r > 0 else f[0]]
+        for j in a:
+            yield move({j: mod(values[j] + shift)})
+    else:
+        # Nielsen moves within the free block
+        for j in a:
+            for i in a:
+                if i != j:
+                    yield move({j: mod(values[j] + values[i])})
+        for j in a:
+            yield move({j: mod(p - values[j])})
+        for j in range(t - 1):
+            yield move({a[j]: values[a[j + 1]], a[j + 1]: values[a[j]]})
     # e-block permutations and entrywise inversion
     for j in range(r - 1):
         yield move({e[j]: values[e[j + 1]], e[j + 1]: values[e[j]]})
@@ -294,10 +293,7 @@ def _move_targets(index, p, t, r, s, scale, proof_moves, invert_tau_with_f):
         yield move({tau[k]: values[tau[k + 1]], tau[k + 1]: values[tau[k]],
                     f[k]: values[f[k + 1]], f[k + 1]: values[f[k]]})
     for k in range(s):
-        changes = {f[k]: p - values[f[k]]}
-        if invert_tau_with_f:
-            changes[tau[k]] = mod(p - values[tau[k]])
-        yield move(changes)
+        yield move({f[k]: p - values[f[k]], tau[k]: mod(p - values[tau[k]])})
     if scale:  # by the least generator of the units mod p (1 when p = 2)
         root = next(g for g in range(1, p)
                     if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
@@ -329,26 +325,14 @@ def _orbit_count(total, moves):
             return int(np.count_nonzero(label == index))
 
 
-def bfs_orbit_count(
-    p,
-    t,
-    r,
-    s,
-    action=PERM_INV,
-    *,
-    proof_moves=True,
-    invert_tau_with_f=True,
-    budget=10**7,
-):
+def bfs_orbit_count(p, t, r, s, action=PERM_INV, *, budget=10**7):
     """Count orbits of valid image vectors under the elementary move set.
 
     The move set is exactly: (a) tau_k -> tau_k + f_k; (b) a_j shifted by
     e_1 (or f_1 when r = 0 < s); (c) Nielsen moves on the a-block when
     r = s = 0; (d) permutation/inversion of the e-block; (e) permutation
     of (tau, f) pairs and pair inversion (simultaneous negation of tau_k
-    with f_k unless ``invert_tau_with_f`` is cleared); (f) a global unit
-    rescale iff ``action.global_scale``.  ``proof_moves`` switches the
-    normalisation moves (a)-(c) on and off.
+    with f_k); (f) a global unit rescale iff ``action.global_scale``.
 
     Exhaustive over every state, with one neighbour-index array per move;
     the valid states are those with unit e/f entries and at least one
@@ -363,7 +347,7 @@ def bfs_orbit_count(
     if min(t, r, s) < 0:
         raise ValueError("repeat argument cannot be negative")
     count = _orbit_count(total, lambda index: _move_targets(
-        index, p, t, r, s, action.global_scale, proof_moves, invert_tau_with_f))
+        index, p, t, r, s, action.global_scale))
     # when r = s = 0 the all-zero a-block is not surjective; every move
     # fixes it, so it is an orbit of its own
     return count - 1 if r == 0 and s == 0 else count

@@ -2,8 +2,9 @@
 cyclic-Schottky structural data.
 
 Maps are unit-determinant 2x2 complex matrices up to sign; every test
-against the identity compares with both +I and -I.  Tolerances live in a
-single configuration object rather than as scattered literals.
+against the identity compares with both +I and -I.  The classification
+and order tolerances, which the CLI sets, live in one configuration
+object; the commutation tolerance is the constant ``_COMMUTATION_TOL``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ def check_finite_positive(what, value):
 class Tolerances:
     classify: float = 1e-9
     order: float = 1e-8
-    commutation: float = 1e-10
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -219,6 +219,7 @@ def order_check(m, p, eps=None, tolerances=DEFAULT_TOLERANCES):
 # the order/commutation checks meaningful at distant centers.
 
 _MACH_EPS = 2.220446049250313e-16
+_COMMUTATION_TOL = 1e-10  # commutator defect allowed before widening
 _OFFSET = 0.1
 _MULTIPLIER = 9.0
 
@@ -349,7 +350,7 @@ def matrix_group_defects(mg, tolerances=DEFAULT_TOLERANCES):
         t_m, f_m = mg.matrices[("t", k)], mg.matrices[("f", k)]
         delta = commutator_defect(t_m, f_m)
         eff = max(
-            tolerances.commutation,
+            _COMMUTATION_TOL,
             64 * _MACH_EPS * _frobenius_m(t_m) * _frobenius_m(f_m),
         )
         if delta > eff:

@@ -46,17 +46,22 @@ def is_prime(n):
     return True
 
 
+def check_int(name, value):
+    """Raise ValueError unless ``value`` is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_prime(p, minimum=2, *, named=False):
     """Raise ValueError unless p is a prime >= minimum; ``named`` quotes p as p=<p>."""
+    check_int("p", p)
     if p < minimum or not is_prime(p):
         got = f"p={p}" if named else p
         raise ValueError(f"p must be a prime >= {minimum}, got {got}")
 
 
 def _validate_gp(g, p):
-    for name, value in (("g", g), ("p", p)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_int("g", g)
     if g < 2:
         raise ValueError(f"genus must be >= 2, got g={g}")
     check_prime(p, named=True)
@@ -64,8 +69,7 @@ def _validate_gp(g, p):
 
 def _validate_trs(t, r, s):
     for name, value in (("t", t), ("r", r), ("s", s)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_int(name, value)
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
 

@@ -20,11 +20,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
-import mpmath
-
 from .homorbits import ActionSpec, ImageTuple, canonical_codes, canonical_form
 from .moebius import check_finite_positive
-from .strata import AdmissibleTuple, check_prime
+from .strata import AdmissibleTuple, check_int, check_prime
 
 __all__ = [
     "RotationTuple",
@@ -60,6 +58,7 @@ class RotationTuple:
         if not self.entries:
             raise ValueError("rotation tuple must have length >= 1")
         for c in self.entries:
+            check_int("rotation entry", c)
             if not 1 <= c <= self.p - 1:
                 raise ValueError(f"entry {c} is not a unit mod {self.p}")
 
@@ -82,25 +81,25 @@ def same_orbit(x, y):
     return canonical_rotation(x) == canonical_rotation(y)
 
 
-def _rotation_codes(p, m, budget):
+def _rotation_codes(p, m):
     """Sorted canonical codes of the orbits in (Z_p^*)^m, one per orbit."""
     check_prime(p, minimum=5)
     if m < 1:
         raise ValueError("m must be >= 1")
-    return canonical_codes(p, m, 0, _ROTATION, budget)
+    return canonical_codes(p, m, 0, _ROTATION)
 
 
-def count_orbits(p, m, budget=10**7):
+def count_orbits(p, m):
     """Number of orbits in (Z_p^*)^m, by exhaustive canonicalisation."""
-    return int(_rotation_codes(p, m, budget).size)
+    return int(_rotation_codes(p, m).size)
 
 
-def witness_pair(p, m, budget=10**7):
+def witness_pair(p, m):
     """Two tuples in distinct orbits (lex-least canonical forms), or None.
 
     Returns None exactly when the action is transitive.
     """
-    codes = _rotation_codes(p, m, budget)
+    codes = _rotation_codes(p, m)
     if codes.size < 2:
         return None
     return tuple(
@@ -214,25 +213,7 @@ def random_curve(p, m, rng):
     return CurveData(p, a, b, alpha, beta)
 
 
-def _backend(dps):
-    if dps is None:
-        return {
-            "to_c": complex,
-            "exp": cmath.exp,
-            "log": cmath.log,
-            "pi": math.pi,
-            "abs": abs,
-        }
-    return {
-        "to_c": lambda z: mpmath.mpc(z.real, z.imag),
-        "exp": mpmath.exp,
-        "log": mpmath.log,
-        "pi": mpmath.pi,
-        "abs": lambda z: float(abs(z)),
-    }
-
-
-def fixed_point_check(curve, tolerance=1e-9, dps=None):
+def fixed_point_check(curve, tolerance=1e-9):
     """Substitute the closed-form fixed points into both curve equations.
 
     For every branch point of the first projection the points
@@ -243,8 +224,8 @@ def fixed_point_check(curve, tolerance=1e-9, dps=None):
     then sweeps all root branches.  Passes iff the max residual is at most
     tolerance * (1 + max coordinate magnitude).
 
-    ``dps`` switches the evaluation to mpmath at that many decimal digits
-    (used to confirm residuals shrink with added precision).
+    The evaluation is in double precision (``cmath``); a residual that is
+    not finite raises ValueError.
     """
     check_finite_positive("tolerance", tolerance)
     pts = curve.branch_points()
@@ -256,32 +237,25 @@ def fixed_point_check(curve, tolerance=1e-9, dps=None):
                 )
 
     try:
-        if dps is None:
-            return _fixed_point_residuals(curve, tolerance, _backend(None))
-        with mpmath.workdps(dps):
-            return _fixed_point_residuals(curve, tolerance, _backend(dps))
+        return _fixed_point_residuals(curve, tolerance)
     except OverflowError as exc:
         raise ValueError(
             f"curve coordinates overflow double precision ({exc})"
         ) from exc
 
 
-def _fixed_point_residuals(curve, tolerance, be):
+def _fixed_point_residuals(curve, tolerance):
     p, m = curve.p, curve.m
-    to_c = be["to_c"]
-    omega = be["exp"](2j * be["pi"] / p)
-    a = [[to_c(z) for z in pair] for pair in curve.a]
-    b = [[to_c(z) for z in pair] for pair in curve.b]
+    omega = cmath.exp(2j * math.pi / p)
+    a = [[complex(z) for z in pair] for pair in curve.a]
+    b = [[complex(z) for z in pair] for pair in curve.b]
     alpha, beta = curve.alpha.entries, curve.beta.entries
 
     def poly(x, pairs, exps):
-        acc = to_c(complex(1))
+        acc = complex(1)
         for (z1, z2), q in zip(pairs, exps):
             acc *= (x - z1) ** q * (x - z2) ** (p - q)
         return acc
-
-    def principal_root(z):
-        return be["exp"](be["log"](z) / p)
 
     entries = []
     max_res = 0.0
@@ -294,17 +268,17 @@ def _fixed_point_residuals(curve, tolerance, be):
             for delta in (0, 1):
                 x = pairs[j][delta]
                 base = poly(x, other_pairs, other_exps)
-                root = principal_root(base)
+                root = cmath.exp(cmath.log(base) / p)
                 for k in range(p):
                     point = f"{family}[{j + 1},{delta + 1},{k}]"
                     y_other = omega**k * root
                     # the vanishing coordinate's equation holds exactly: its
                     # product has the factor (x - x)
-                    res = be["abs"](y_other**p - base)
+                    res = abs(y_other**p - base)
                     if not math.isfinite(res):
                         # also raised for every base that is not finite
                         raise OverflowError(f"residual {res} at {point}")
-                    mag = max(be["abs"](x), be["abs"](y_other))
+                    mag = max(abs(x), abs(y_other))
                     max_res = max(max_res, res)
                     max_mag = max(max_mag, mag)
                     entries.append({"point": point, "residual": res})

@@ -220,7 +220,7 @@ def test_criterion_8_structural_numeric_invariants():
                 defect = mo.commutator_defect(
                     mg.matrices[("t", k)], mg.matrices[("f", k)]
                 )
-                assert defect <= mo.DEFAULT_TOLERANCES.commutation
+                assert defect <= mo._COMMUTATION_TOL
             phi = KHom(mg.spec, himg)
             rep = mo.purely_loxodromic_sample(mg, phi, max_syllables=4)
             assert rep["passed"], (tup, rep["violations"][:3])

@@ -25,6 +25,13 @@ HUGE_CURVE = ('{"p": 5, "a": [[[1e300, 0], [2, 0]]], '
               '"b": [[[3, 0], [-1e300, 0]]], "alpha": [2], "beta": [1]}')
 
 
+# a float p and a bool rotation entry, each in an otherwise valid curve
+FLOAT_P_CURVE = ('{"p": 5.0, "a": [[[1, 0], [2, 0]]], "b": [[[3, 0], [-1, 0]]], '
+                 '"alpha": [1], "beta": [1]}')
+BOOL_ENTRY_CURVE = ('{"p": 5, "a": [[[1, 0], [2, 0]]], "b": [[[3, 0], [-1, 0]]], '
+                    '"alpha": [true], "beta": [1]}')
+
+
 def _scaled_curve(factor):
     """A seeded curve with every branch point multiplied by ``factor``."""
     data = random_curve(5, 2, random.Random(3)).to_json()
@@ -70,9 +77,12 @@ class TestExitCodes:
         assert code == 2 and env is None
 
     def test_unknown_command(self):
-        # m is gone: bounds prints M and oracle checks it
+        # m is gone: bounds prints M and oracle checks it; example1 takes
+        # none of example2's flags
         for argv in (["frobnicate"], ["m", *_G5_TUPLE],
-                     ["m", *_G5_TUPLE, "--oracle"]):
+                     ["m", *_G5_TUPLE, "--oracle"],
+                     ["verify", "example1", "--tolerance", "nan"],
+                     ["verify", "example1", "--p", "4", "--curve", "garbage"]):
             assert run_json(argv)[:2] == (2, None)
 
     def test_domain_error(self):
@@ -123,6 +133,8 @@ class TestExitCodes:
             # output at 1e80
             ["verify", "example2", "--curve", _scaled_curve(1e40)],
             ["verify", "example2", "--curve", _scaled_curve(1e80)],
+            ["verify", "example2", "--curve", FLOAT_P_CURVE],
+            ["verify", "example2", "--curve", BOOL_ENTRY_CURVE],
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -221,14 +233,17 @@ class TestChecksCanFail:
         assert failed["detail"] == "3 tuples verified against the defining relation"
 
 
-def _fresh_process_stdout(argv):
+def _fresh_python(*args):
+    """stdout of a new interpreter with the package's source on its path."""
     src = str(Path(schottky_strata.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "schottky_strata.cli", *argv],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _fresh_process_stdout(argv):
+    return _fresh_python("-m", "schottky_strata.cli", *argv)
 
 
 class TestParserReuse:
@@ -486,9 +501,100 @@ def _table_argv(draw):
             "--r", str(r), "--s", str(s)]
 
 
+_SHAPE = st.integers(-1, 4)
+_FLOAT_TEXTS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1", "0",
+                                "1e-12", "1e-9", "0.1", "10"])
+# a small JSON grammar for --phi and --curve
+_JSON_LEAVES = st.integers(-2, 13) | st.sampled_from([5.0, True, False, None,
+                                                      "x"])
+_JSON = st.recursive(_JSON_LEAVES, lambda kids: st.lists(kids, max_size=3),
+                     max_leaves=6)
+_CURVE_VALUES = (
+    st.sampled_from([5, 7, 5.0, True, "5", 4])
+    | st.lists(st.sampled_from([1, 2, 4, 0, 2.0, True, "1"]), min_size=1,
+               max_size=2)
+    | st.sampled_from([1e300, math.nan, math.inf, 0.5]).map(
+        lambda x: [[[x, 0], [2, 0]]])
+    | _JSON
+)
+
+
+def _integral(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@st.composite
+def _json_text(draw, base, values):
+    """``base`` with one key kept, dropped or given a value from ``values``;
+    now and then a bare grammar value instead."""
+    how = draw(st.sampled_from(["keep", "drop", "replace", "replace", "bare"]))
+    if how == "bare" or not base:
+        return json.dumps(draw(_JSON))
+    data = dict(base)
+    key = draw(st.sampled_from(sorted(data)))
+    if how == "drop":
+        del data[key]
+    elif how == "replace":
+        data[key] = draw(values)
+    return json.dumps(data)
+
+
+def _optional(draw, argv, flag, values):
+    """Add ``flag`` one time in three, so most runs keep most defaults; as
+    ``--flag=value``, so argparse takes a value such as -inf as a value."""
+    if draw(st.integers(0, 2)) == 0:
+        argv.append(f"{flag}={draw(values)}")
+
+
+@st.composite
+def _command_argv(draw):
+    """argv lists for the commands that take a shape, a --phi or a --curve."""
+    command = draw(st.sampled_from(["oracle", "kernel", "verify", "build",
+                                    "loxcheck"]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]) | st.integers(-1, 13))
+    t, r, s = draw(st.tuples(_SHAPE, _SHAPE, _SHAPE))
+    if command == "oracle":
+        argv = ["oracle", "--p", str(p), "--r", str(r), "--s", str(s),
+                "--budget", str(draw(st.integers(-1, 10**5)))]
+        _optional(draw, argv, "--t", st.just(t))
+        return argv + (["--scale"] if draw(st.booleans()) else [])
+    if command == "verify":
+        argv = ["verify", draw(st.sampled_from(["example1", "example2"]))]
+        _optional(draw, argv, "--p", st.integers(-1, 13))
+        _optional(draw, argv, "--m", st.integers(-1, 4))
+        _optional(draw, argv, "--tolerance", _FLOAT_TEXTS)
+        base = random_curve(draw(st.sampled_from([5, 7])),
+                            draw(st.integers(1, 2)),
+                            random.Random(draw(st.integers(0, 3)))).to_json()
+        _optional(draw, argv, "--curve", _json_text(base, _CURVE_VALUES))
+        return argv
+    if draw(st.integers(0, 2)):
+        g = p * (t + r + s - 1) + 1 - r  # the relation, so some exit 0
+    else:
+        g = draw(st.integers(-1, 200))
+    argv = [command, "--g", str(g), "--p", str(p), "--t", str(t),
+            "--r", str(r), "--s", str(s)]
+    if command in ("kernel", "loxcheck"):
+        t, r, s = max(t, 0), max(r, 0), max(s, 0)
+        phi = {"a": [0] * t, "e": [1] * r, "tau": [0] * s, "f": [1] * s}
+        _optional(draw, argv, "--phi",
+                  _json_text(phi, st.lists(_JSON_LEAVES, max_size=4) | _JSON))
+    if command in ("build", "loxcheck"):
+        for flag in ("--separation", "--tol-classify", "--tol-order"):
+            _optional(draw, argv, flag, _FLOAT_TEXTS)
+    if command == "loxcheck":
+        # a budget, as the default of 10^6 sampled words takes seconds
+        argv += ["--max-syllables", str(draw(st.integers(-1, 3))),
+                 "--budget", str(draw(st.integers(-1, 5000)))]
+    return argv
+
+
 class TestArgvFuzz:
-    @given(_table_argv())
-    @settings(max_examples=150, deadline=None)
+    @given(_table_argv() | _command_argv())
+    @example(["verify", "example2", f"--curve={FLOAT_P_CURVE}"])
+    @example(["verify", "example2", f"--curve={BOOL_ENTRY_CURVE}"])
+    @example(["verify", "example1", "--tolerance", "nan"])
+    @settings(max_examples=300, deadline=None)
     def test_exit_code_contract(self, argv):
         code, env, text = run_json(argv)
         assert code in (0, 1, 2)
@@ -496,6 +602,13 @@ class TestArgvFuzz:
             assert not all(c["pass"] for c in env["checks"])
         if code == 0:
             assert json.loads(text) == env
+        curves = [arg[len("--curve="):] for arg in argv
+                  if arg.startswith("--curve=")]
+        if code != 2 and curves:
+            # a curve's p and rotation entries are integers, never bools
+            curve = json.loads(curves[0])
+            assert all(map(_integral,
+                           [curve["p"], *curve["alpha"], *curve["beta"]]))
 
 
 def _without_brackets(line):
@@ -524,3 +637,16 @@ class TestReadme:
 
     def test_every_command_has_an_example(self):
         assert {argv[0] for argv in _readme_examples()} == set(cli._HANDLERS)
+
+
+class TestRuntimeImports:
+    def test_cli_examples_never_load_mpmath(self):
+        # mpmath is a test dependency only; a fresh interpreter runs every
+        # README example and must not have imported it
+        _fresh_python("-c", (
+            "import sys\n"
+            "from schottky_strata.cli import run\n"
+            f"for argv in {_readme_examples()!r}:\n"
+            "    assert run(argv)[0] == 0, argv\n"
+            "assert 'mpmath' not in sys.modules\n"
+        ))

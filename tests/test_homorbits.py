@@ -21,7 +21,7 @@ from schottky_strata.homorbits import (
 )
 
 
-def reference_bfs(p, t, r, s, scaled, proof_moves, invert_tau_with_f):
+def reference_bfs(p, t, r, s, scaled):
     """Plain depth-first search over the image vectors a | e | tau | f with
     the move set of ``bfs_orbit_count``, one tuple at a time."""
     A, E = range(t), range(t, t + r)
@@ -36,21 +36,20 @@ def reference_bfs(p, t, r, s, scaled, proof_moves, invert_tau_with_f):
         return tuple(y)
 
     def neighbours(x):
-        if proof_moves:
-            for k in range(s):
-                yield moved(x, [(T[k], x[T[k]] + x[F[k]])])
-            if r or s:
-                shift = x[E[0]] if r else x[F[0]]
-                for j in A:
-                    yield moved(x, [(j, x[j] + shift)])
-            else:
-                for j in A:
-                    for i in A:
-                        if i != j:
-                            yield moved(x, [(j, x[j] + x[i])])
-                    yield moved(x, [(j, -x[j])])
-                for j in A[:-1]:
-                    yield moved(x, [(j, x[j + 1]), (j + 1, x[j])])
+        for k in range(s):
+            yield moved(x, [(T[k], x[T[k]] + x[F[k]])])
+        if r or s:
+            shift = x[E[0]] if r else x[F[0]]
+            for j in A:
+                yield moved(x, [(j, x[j] + shift)])
+        else:
+            for j in A:
+                for i in A:
+                    if i != j:
+                        yield moved(x, [(j, x[j] + x[i])])
+                yield moved(x, [(j, -x[j])])
+            for j in A[:-1]:
+                yield moved(x, [(j, x[j + 1]), (j + 1, x[j])])
         for j in E[:-1]:
             yield moved(x, [(j, x[j + 1]), (j + 1, x[j])])
         for j in E:
@@ -59,8 +58,7 @@ def reference_bfs(p, t, r, s, scaled, proof_moves, invert_tau_with_f):
             yield moved(x, [(T[k], x[T[k + 1]]), (T[k + 1], x[T[k]]),
                             (F[k], x[F[k + 1]]), (F[k + 1], x[F[k]])])
         for k in range(s):
-            tau = [(T[k], -x[T[k]])] if invert_tau_with_f else []
-            yield moved(x, [(F[k], -x[F[k]])] + tau)
+            yield moved(x, [(F[k], -x[F[k]]), (T[k], -x[T[k]])])
         if scaled:
             yield tuple(root * c % p for c in x)
 
@@ -269,27 +267,15 @@ class TestBfsOrbitCount:
         assert bfs_orbit_count(p, t, r, s) == orbit_count_tuples(p, r, s, PERM_INV)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    @pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=3)))
-    def test_agrees_with_reference_bfs(self, p, flags):
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_agrees_with_reference_bfs(self, p, scaled):
         # every shape with t + r + s <= 4 whose reference search stays small
-        scaled, proof_moves, invert_tau_with_f = flags
         action = PERM_INV_SCALE if scaled else PERM_INV
         for t, r, s in itertools.product(range(5), repeat=3):
             if t + r + s > 4 or p**t * (p - 1) ** r * (p * (p - 1)) ** s > 10**4:
                 continue
-            want = reference_bfs(p, t, r, s, scaled, proof_moves, invert_tau_with_f)
-            got = bfs_orbit_count(p, t, r, s, action, proof_moves=proof_moves,
-                                  invert_tau_with_f=invert_tau_with_f)
-            assert got == want, (t, r, s)
-
-    def test_pair_inversion_subflag(self):
-        # without simultaneous tau negation the count is unchanged here
-        # (tau is normalised away by the torsion shifts)
-        assert bfs_orbit_count(5, 0, 0, 1, invert_tau_with_f=False) == 2
-
-    def test_step4_moves_only(self):
-        # with the normalisation moves off, the loxodromic image separates orbits
-        assert bfs_orbit_count(5, 1, 1, 0, proof_moves=False) == 5 * 2
+            want = reference_bfs(p, t, r, s, scaled)
+            assert bfs_orbit_count(p, t, r, s, action) == want, (t, r, s)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

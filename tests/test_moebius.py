@@ -8,12 +8,12 @@ from schottky_strata.homorbits import HomImage
 from schottky_strata.strata import AdmissibleTuple
 from schottky_strata.cyclic_schottky import KHom, kernel_sample
 from schottky_strata.moebius import (
-    DEFAULT_TOLERANCES,
     INF,
     MatrixGroupSpec,
     MobiusClass,
     MobiusMap,
     Tolerances,
+    _COMMUTATION_TOL,
     build_matrix_group,
     classify,
     commutator_defect,
@@ -100,7 +100,7 @@ class TestOrderCheck:
 
 
 class TestTolerances:
-    @pytest.mark.parametrize("name", ["classify", "order", "commutation"])
+    @pytest.mark.parametrize("name", ["classify", "order"])
     @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
     def test_rejects_non_finite_or_non_positive(self, name, value):
         with pytest.raises(ValueError, match=f"tolerance {name} must be"):
@@ -159,7 +159,7 @@ class TestBuildMatrixGroup:
         mg = build_matrix_group(tup)
         for k in range(1, tup.s + 1):
             t_m, f_m = mg.matrices[("t", k)], mg.matrices[("f", k)]
-            assert commutator_defect(t_m, f_m) <= DEFAULT_TOLERANCES.commutation
+            assert commutator_defect(t_m, f_m) <= _COMMUTATION_TOL
             assert order_check(f_m, tup.p)
             assert classify(t_m) is MobiusClass.LOXODROMIC
             t_pts = sorted(fixed_points(t_m).points, key=lambda z: z.real)
