@@ -96,6 +96,9 @@ def _stratum_row(tup):
 # command handlers: each returns (results, checks)
 
 def _cmd_tuples(args):
+    n = strata.count_strata(args.p, args.g)
+    if n > args.budget:
+        raise homorbits.BudgetExceeded(n, args.budget, what="rows")
     tuples = strata.enumerate_tuples(args.g, args.p)
     results = {
         "count": len(tuples),
@@ -301,12 +304,14 @@ def _cmd_report(args):
             f"empty genus window: --g-min {args.g_min} > --g-max {args.g_max}"
         )
     window = range(args.g_min, args.g_max + 1)
+    expected = sum(strata.count_strata(args.p, g) for g in window)
+    if expected > args.budget:
+        raise homorbits.BudgetExceeded(expected, args.budget, what="rows")
     rows = [
         _stratum_row(tup)
         for g in window
         for tup in strata.enumerate_tuples(g, args.p)
     ]
-    expected = sum(strata.count_strata(args.p, g) for g in window)
     results = {"p": args.p, "g_min": args.g_min, "g_max": args.g_max,
                "reports": rows}
     checks = [
@@ -450,6 +455,7 @@ def build_parser():
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--csv", action="store_true")
+    sp.add_argument("--budget", type=int, default=10**7)
 
     sp = sub.add_parser("count", help="number of admissible tuples")
     sp.add_argument("--g", type=int, required=True)
@@ -501,6 +507,7 @@ def build_parser():
     sp.add_argument("--g-min", type=int, required=True, dest="g_min")
     sp.add_argument("--g-max", type=int, required=True, dest="g_max")
     sp.add_argument("--csv", action="store_true")
+    sp.add_argument("--budget", type=int, default=10**7)
 
     return parser
 
@@ -531,6 +538,11 @@ def run(argv):
         print(f"error: {exc}{'; raise it with --budget' if flag else ''}",
               file=sys.stderr)
         return 2, None, ""
+    except Exception as exc:
+        # a broken library invariant fails a check instead of escaping
+        results = {}
+        checks = [check("internal_invariant", False,
+                        f"{type(exc).__name__}: {exc}")]
 
     envelope = {
         "command": args.command,
@@ -542,7 +554,7 @@ def run(argv):
         envelope["meta"] = {
             "timestamp": datetime.now(timezone.utc).isoformat()
         }
-    if getattr(args, "csv", False):
+    if getattr(args, "csv", False) and results:  # else the envelope says why
         text = _csv_output(args.command, results)
     else:
         text = _indented(envelope) + "\n"

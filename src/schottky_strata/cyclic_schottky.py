@@ -229,8 +229,11 @@ def kernel_sample(phi, max_syllables, budget=10**6):
         raise ValueError("max_syllables must be >= 1")
     spec = phi.spec
     p = spec.p
-    alphabet = [(sym, exp, exp * phi.image(sym))
+    alphabet = [((sym, exp), sym, exp * phi.image(sym))
                 for sym, exp in _syllable_alphabet(spec)]
+    # the alphabet entries that may follow each last symbol
+    follow = {prev: [e for e in alphabet if _may_follow(prev, e[1])]
+              for prev in [None, *spec.symbols()]}
     out = []
     seen = 0
     level = [((), None, 0)]  # (syllables, last symbol, image sum)
@@ -238,17 +241,18 @@ def kernel_sample(phi, max_syllables, budget=10**6):
         # the last level is only counted and filtered, never extended
         nxt = [] if length < max_syllables else None
         for syls, prev, total in level:
-            for sym, exp, step in alphabet:
-                if not _may_follow(prev, sym):
-                    continue
-                seen += 1
-                if seen > budget:
-                    raise BudgetExceeded(seen, budget, what="sampled words")
+            entries = follow[prev]
+            seen += len(entries)
+            if seen > budget:
+                # name the first candidate past the budget
+                raise BudgetExceeded(max(budget, 0) + 1, budget,
+                                     what="sampled words")
+            for syl, sym, step in entries:
                 img = (total + step) % p
                 if img == 0:
-                    out.append(FPWord(syls + ((sym, exp),)))
+                    out.append(FPWord(syls + (syl,)))
                 if nxt is not None:
-                    nxt.append((syls + ((sym, exp),), sym, img))
+                    nxt.append((syls + (syl,), sym, img))
         level = nxt
     return out
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import add, mod
 from typing import Dict, List, Tuple
 
 from .strata import check_prime
@@ -67,6 +68,15 @@ class FreeWord:
         reduced = _reduce_letters(self.letters)
         if reduced != self.letters:
             object.__setattr__(self, "letters", reduced)
+
+    @classmethod
+    def _reduced(cls, rank, letters):
+        """Build without re-validating: only for letters already freely
+        reduced and within ``rank``."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "rank", rank)  # kept inline, as __init__ does
+        object.__setattr__(word, "letters", letters)
+        return word
 
     def __mul__(self, other):
         if self.rank != other.rank:
@@ -348,10 +358,13 @@ def schreier_kernel(phi):
     shortlex-least transversal (generator order a < b < ..., positive
     letters before negative).  For each representative u and positive
     generator x the word u x (rep of u.x)^-1 is emitted unless it reduces
-    to the identity, giving 1 + n(k-1) words for index n and rank k.
+    to the identity, giving 1 + n(k-1) words for index n and rank k.  The
+    transversal is prefix-closed, so a word is trivial exactly when one of
+    its joins cancels, and reduced otherwise (Lyndon-Schupp I.3).
     """
     k = phi.rank
     zero = (0,) * len(phi.moduli)
+    steps = [(x, phi.apply_letter(zero, x)) for x in _letter_order(k)]
     reps = {zero: ()}
     order = []  # (coset, targets under a, b, ...) in shortlex discovery order
     queue = deque([(zero, None)])
@@ -359,11 +372,11 @@ def schreier_kernel(phi):
         c, back = queue.popleft()
         u = reps[c]
         targets = []
-        for x in _letter_order(k):
+        for x, step in steps:
             if u and u[-1] == -x:
                 d = back  # cancels u's last letter; never shortlex-least
             else:
-                d = phi.apply_letter(c, x)
+                d = tuple(map(mod, map(add, c, step), phi.moduli))
                 if d not in reps:
                     reps[d] = u + (x,)
                     queue.append((d, c))
@@ -381,9 +394,9 @@ def schreier_kernel(phi):
     for c, targets in order:
         u = reps[c]
         for x, d in enumerate(targets, 1):
-            w = FreeWord(k, u + (x,) + inverse_reps[d])
-            if w.letters:
-                out.append(w)
+            v = inverse_reps[d]
+            if -x not in u[-1:] + v[:1]:  # no join cancels
+                out.append(FreeWord._reduced(k, u + (x,) + v))
     return out
 
 

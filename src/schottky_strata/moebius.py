@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .cyclic_schottky import GroupSpec, build_spec, kernel_sample
+from .cyclic_schottky import (FPWord, GroupSpec, build_spec, fpword_str,
+                              kernel_sample)
 
 __all__ = [
     "INF",
@@ -96,13 +97,12 @@ class MobiusMap:
         return self.a * self.d - self.b * self.c
 
     def __mul__(self, other):
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            normalize=False,
-        )
+        m = object.__new__(MobiusMap)  # complex entries: nothing to convert
+        m.a = self.a * other.a + self.b * other.c
+        m.b = self.a * other.b + self.b * other.d
+        m.c = self.c * other.a + self.d * other.c
+        m.d = self.c * other.b + self.d * other.d
+        return m
 
     def inverse(self):
         # determinant is 1, so the adjugate is the inverse
@@ -388,6 +388,7 @@ def purely_loxodromic_sample(
     """
     words = kernel_sample(phi, max_syllables, budget=budget)
     powers = {}
+    texts = {}
     previous = ()
     products = [MobiusMap(1, 0, 0, 1, normalize=False)]
     entries = []
@@ -401,15 +402,17 @@ def purely_loxodromic_sample(
                 break
             shared += 1
         del products[shared + 1:]
-        for sym, exp in w.syllables[shared:]:
-            if (sym, exp) not in powers:
-                powers[sym, exp] = mg.matrices[sym] ** exp
-            products.append(products[-1] * powers[sym, exp])
+        for syl in w.syllables[shared:]:
+            if syl not in powers:
+                powers[syl] = mg.matrices[syl[0]] ** syl[1]
+                texts[syl] = fpword_str(FPWord((syl,)))
+            products.append(products[-1] * powers[syl])
         previous = w.syllables
         m = products[-1]
         cls = classify(m, tolerances)
         tr = m.trace()
-        entry = {"word": str(w), "class": cls.value, "trace": [tr.real, tr.imag]}
+        text = " ".join([texts[syl] for syl in w.syllables])
+        entry = {"word": text, "class": cls.value, "trace": [tr.real, tr.imag]}
         entries.append(entry)
         if cls is MobiusClass.LOXODROMIC:
             n_lox += 1

@@ -283,11 +283,14 @@ def _fixed_point_residuals(curve, tolerance):
                     max_mag = max(max_mag, mag)
                     entries.append({"point": point, "residual": res})
     scale = 1.0 + max_mag
+    threshold = tolerance * scale
+    if math.isinf(threshold):
+        raise ValueError(f"tolerance {tolerance} overflows at scale {scale}")
     return {
-        "passed": max_res <= tolerance * scale,
+        "passed": max_res <= threshold,
         "max_residual": max_res,
         "scale": scale,
-        "threshold": tolerance * scale,
+        "threshold": threshold,
         "tolerance": tolerance,
         "points": entries,
     }

@@ -135,6 +135,9 @@ class TestExitCodes:
             ["verify", "example2", "--curve", _scaled_curve(1e80)],
             ["verify", "example2", "--curve", FLOAT_P_CURVE],
             ["verify", "example2", "--curve", BOOL_ENTRY_CURVE],
+            # a finite tolerance whose threshold overflows a double
+            ["verify", "example2", "--tolerance", "1e308",
+             "--curve", _scaled_curve(1)],
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -151,6 +154,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == ("error: enumeration requires 101 sampled words, "
                        "exceeding budget 100; raise it with --budget\n")
+
+    @pytest.mark.parametrize("argv,rows", [
+        (["tuples", "--g", "100", "--p", "5", "--budget", "65"], 66),
+        (["report", "--csv", "--p", "5", "--g-min", "2", "--g-max", "40",
+          "--budget", "221"], 222),
+    ])
+    def test_row_budget(self, argv, rows, capsys):
+        assert run_json(argv) == (2, None, "")
+        assert capsys.readouterr().err == (
+            f"error: enumeration requires {rows} rows, exceeding budget "
+            f"{argv[-1]}; raise it with --budget\n")
+        assert run_json(argv[:-1] + [str(rows)])[0] == 0
 
 
 def _failed_check(argv, name, capsys):
@@ -231,6 +246,25 @@ class TestChecksCanFail:
         failed = _failed_check(["tuples", "--g", "10", "--p", "5"],
                                "all_admissible", capsys)
         assert failed["detail"] == "3 tuples verified against the defining relation"
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--g", "136", "--p", "5", "--t", "12", "--r", "20",
+         "--s", "0"],
+        ["report", "--csv", "--p", "5", "--g-min", "2", "--g-max", "8"],
+    ])
+    def test_internal_invariant(self, argv, monkeypatch, capsys):
+        def broken(tup):
+            raise AssertionError("dimension is not integral")
+
+        monkeypatch.setattr(strata, "dimension", broken)
+        code, env, text = run_json(argv)
+        assert (code, env["results"]) == (1, {})
+        assert env["checks"] == [{
+            "name": "internal_invariant", "pass": False,
+            "detail": "AssertionError: dimension is not integral",
+        }]
+        assert json.loads(text) == env
+        assert capsys.readouterr().err == ""
 
 
 def _fresh_python(*args):
@@ -487,13 +521,19 @@ _SMALL_INTS = st.integers(-3, 40)
 def _table_argv(draw):
     command = draw(st.sampled_from(["tuples", "count", "report", "bounds"]))
     p = draw(_SMALL_INTS)
+    budget = st.integers(-1, 200)
     if command == "report":
         window = draw(st.tuples(_SMALL_INTS, _SMALL_INTS))
-        return ["report", "--p", str(p), "--g-min", str(window[0]),
+        argv = ["report", "--p", str(p), "--g-min", str(window[0]),
                 "--g-max", str(window[1])]
+        _optional(draw, argv, "--budget", budget)
+        return argv
     g = draw(_SMALL_INTS)
     if command != "bounds":
-        return [command, "--g", str(g), "--p", str(p)]
+        argv = [command, "--g", str(g), "--p", str(p)]
+        if command == "tuples":
+            _optional(draw, argv, "--budget", budget)
+        return argv
     t, r, s = draw(st.tuples(_SMALL_INTS, _SMALL_INTS, _SMALL_INTS))
     if draw(st.booleans()):
         g = p * (t + r + s - 1) + 1 - r  # the relation, so some exit 0

@@ -207,6 +207,8 @@ class TestKernelSample:
         with pytest.raises(BudgetExceeded) as exc:
             kernel_sample(phi, 3, budget=1331)
         assert (exc.value.required, exc.value.budget) == (1332, 1331)
+        assert str(exc.value) == ("enumeration requires 1332 sampled words, "
+                                  "exceeding budget 1331")
 
     def test_all_members_nonidentity(self):
         phi = KHom(SPEC_MIXED, HomImage(5, a=(2,), e=(3,)))

@@ -321,6 +321,48 @@ class TestSchreier:
             assert all(membership(graph, w) for w in gens)
 
 
+def reference_schreier_letters(phi):
+    """Letters of the Schreier words by the plain formula: every
+    u x (rep of u.x)^-1 over the shortlex-least transversal, validated and
+    reduced by ``FreeWord``, the empty ones dropped."""
+    k = phi.rank
+    zero = (0,) * len(phi.moduli)
+    reps, queue = {zero: ()}, [zero]
+    for c in queue:  # breadth-first, letters a, A, b, B, ...
+        for x in (y for g in range(1, k + 1) for y in (g, -g)):
+            d = phi.apply_letter(c, x)
+            if d not in reps:
+                reps[d] = reps[c] + (x,)
+                queue.append(d)
+    out = []
+    for c in queue:
+        for x in range(1, k + 1):
+            v = reps[phi.apply_letter(c, x)]
+            w = FreeWord(k, reps[c] + (x,) + tuple(-y for y in reversed(v)))
+            if w.letters:
+                out.append(w.letters)
+    return out
+
+
+class TestTrustedSchreierWords:
+    @pytest.mark.parametrize("moduli", [(2,), (7,), (2, 3), (5, 5)])
+    def test_reduced_by_construction(self, moduli):
+        rng = random.Random(f"schreier:{moduli}")
+        for k in range(1, 7):
+            for _ in range(4):
+                images = tuple(tuple(rng.randrange(m) for m in moduli)
+                               for _ in range(k))
+                phi = AbelianHom(k, moduli, images)
+                try:
+                    words = schreier_kernel(phi)
+                except ValueError:  # not surjective
+                    continue
+                assert all(w.letters for w in words)
+                assert all(FreeWord(k, w.letters) == w for w in words)
+                assert [w.letters for w in words] == \
+                    reference_schreier_letters(phi)
+
+
 class TestExample1:
     def test_suite_passes(self):
         report = verify_example1()
