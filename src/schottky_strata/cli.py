@@ -442,6 +442,11 @@ def _add_tol_flags(sub):
     sub.add_argument("--tol-order", type=float, default=1e-8, dest="tol_order")
 
 
+# rows that tuples and report build by default: a report row peaks at
+# about 1.7 KB of memory as JSON, so a default run stays under 2 GB
+_ROW_BUDGET = 10**6
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="schottky-strata",
@@ -455,7 +460,7 @@ def build_parser():
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--csv", action="store_true")
-    sp.add_argument("--budget", type=int, default=10**7)
+    sp.add_argument("--budget", type=int, default=_ROW_BUDGET)
 
     sp = sub.add_parser("count", help="number of admissible tuples")
     sp.add_argument("--g", type=int, required=True)
@@ -507,7 +512,7 @@ def build_parser():
     sp.add_argument("--g-min", type=int, required=True, dest="g_min")
     sp.add_argument("--g-max", type=int, required=True, dest="g_max")
     sp.add_argument("--csv", action="store_true")
-    sp.add_argument("--budget", type=int, default=10**7)
+    sp.add_argument("--budget", type=int, default=_ROW_BUDGET)
 
     return parser
 

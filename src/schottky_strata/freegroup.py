@@ -150,13 +150,12 @@ class AbelianHom:
         for img in self.images:
             if len(img) != len(self.moduli):
                 raise ValueError("image dimension does not match moduli")
+        object.__setattr__(self, "_steps", {  # signed image of each letter
+            sign * x: tuple(sign * v for v in img)
+            for x, img in enumerate(self.images, 1) for sign in (1, -1)})
 
     def apply_letter(self, coset, x):
-        img = self.images[abs(x) - 1]
-        sign = 1 if x > 0 else -1
-        return tuple(
-            (c + sign * v) % m for c, v, m in zip(coset, img, self.moduli)
-        )
+        return tuple(map(mod, map(add, coset, self._steps[x]), self.moduli))
 
 
 def hom_image(phi, w):
@@ -364,7 +363,7 @@ def schreier_kernel(phi):
     """
     k = phi.rank
     zero = (0,) * len(phi.moduli)
-    steps = [(x, phi.apply_letter(zero, x)) for x in _letter_order(k)]
+    letters = _letter_order(k)
     reps = {zero: ()}
     order = []  # (coset, targets under a, b, ...) in shortlex discovery order
     queue = deque([(zero, None)])
@@ -372,11 +371,11 @@ def schreier_kernel(phi):
         c, back = queue.popleft()
         u = reps[c]
         targets = []
-        for x, step in steps:
+        for x in letters:
             if u and u[-1] == -x:
                 d = back  # cancels u's last letter; never shortlex-least
             else:
-                d = tuple(map(mod, map(add, c, step), phi.moduli))
+                d = phi.apply_letter(c, x)
                 if d not in reps:
                     reps[d] = u + (x,)
                     queue.append((d, c))

@@ -411,6 +411,7 @@ def purely_loxodromic_sample(
         m = products[-1]
         cls = classify(m, tolerances)
         tr = m.trace()
+        # str(w) from syllable texts written once (a test pins the equality)
         text = " ".join([texts[syl] for syl in w.syllables])
         entry = {"word": text, "class": cls.value, "trace": [tr.real, tr.imag]}
         entries.append(entry)

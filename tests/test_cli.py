@@ -167,6 +167,17 @@ class TestExitCodes:
             f"{argv[-1]}; raise it with --budget\n")
         assert run_json(argv[:-1] + [str(rows)])[0] == 0
 
+    @pytest.mark.parametrize("argv,rows", [
+        (["tuples", "--g", "3000", "--p", "2"], 1127251),
+        (["report", "--p", "5", "--g-min", "2", "--g-max", "832"], 1000212),
+    ])
+    def test_default_row_budget(self, argv, rows, capsys):
+        # refused from the count alone, before a gigabyte of rows is built
+        assert run_json(argv) == (2, None, "")
+        assert capsys.readouterr().err == (
+            f"error: enumeration requires {rows} rows, exceeding budget "
+            "1000000; raise it with --budget\n")
+
 
 def _failed_check(argv, name, capsys):
     code, env, _ = run_json(argv)
@@ -629,17 +640,26 @@ def _command_argv(draw):
     return argv
 
 
+_KERNEL_ARGV = ["kernel", "--g", "5", "--p", "5", "--t", "1", "--r", "1",
+                "--s", "0"]
+
+
 class TestArgvFuzz:
     @given(_table_argv() | _command_argv())
     @example(["verify", "example2", f"--curve={FLOAT_P_CURVE}"])
     @example(["verify", "example2", f"--curve={BOOL_ENTRY_CURVE}"])
     @example(["verify", "example1", "--tolerance", "nan"])
+    @example(_KERNEL_ARGV + ["--phi", '{"a":["x"],"e":[1]}'])
+    @example(_KERNEL_ARGV + ["--phi", "[1]"])
+    @example(["verify", "example2", '--curve={"p":5}'])
     @settings(max_examples=300, deadline=None)
     def test_exit_code_contract(self, argv):
         code, env, text = run_json(argv)
         assert code in (0, 1, 2)
         if code == 1:
             assert not all(c["pass"] for c in env["checks"])
+            # malformed input exits 2; a crash in a handler is a bug
+            assert "internal_invariant" not in {c["name"] for c in env["checks"]}
         if code == 0:
             assert json.loads(text) == env
         curves = [arg[len("--curve="):] for arg in argv

@@ -324,20 +324,28 @@ class TestSchreier:
 def reference_schreier_letters(phi):
     """Letters of the Schreier words by the plain formula: every
     u x (rep of u.x)^-1 over the shortlex-least transversal, validated and
-    reduced by ``FreeWord``, the empty ones dropped."""
+    reduced by ``FreeWord``, the empty ones dropped.  Cosets step by the
+    signed generator images, without ``AbelianHom.apply_letter``."""
     k = phi.rank
     zero = (0,) * len(phi.moduli)
+
+    def step(c, x):
+        img = phi.images[abs(x) - 1]
+        sign = 1 if x > 0 else -1
+        return tuple((ci + sign * v) % m
+                     for ci, v, m in zip(c, img, phi.moduli))
+
     reps, queue = {zero: ()}, [zero]
     for c in queue:  # breadth-first, letters a, A, b, B, ...
         for x in (y for g in range(1, k + 1) for y in (g, -g)):
-            d = phi.apply_letter(c, x)
+            d = step(c, x)
             if d not in reps:
                 reps[d] = reps[c] + (x,)
                 queue.append(d)
     out = []
     for c in queue:
         for x in range(1, k + 1):
-            v = reps[phi.apply_letter(c, x)]
+            v = reps[step(c, x)]
             w = FreeWord(k, reps[c] + (x,) + tuple(-y for y in reversed(v)))
             if w.letters:
                 out.append(w.letters)
