@@ -40,10 +40,6 @@ def _tuple_from_args(args):
     return AdmissibleTuple(args.g, args.p, args.t, args.r, args.s)
 
 
-def _tuple_json(tup):
-    return {"g": tup.g, "p": tup.p, "t": tup.t, "r": tup.r, "s": tup.s}
-
-
 def _complex_json(z):
     return [z.real, z.imag]
 
@@ -82,13 +78,13 @@ def _phi_from_args(spec, phi_text):
 
 
 def _stratum_row(tup):
-    cb = strata.component_bounds(tup)
+    g, p, t, r, s = tup
+    m, exact, basis = strata._bounds(p, t, r, s)
     return {
-        "tuple": _tuple_json(tup),
-        "m_count": cb.irreducible_count,
-        "dimension": strata.dimension(tup),
-        "components": {"upper": cb.irreducible_count, "exact": cb.exact,
-                       "basis": cb.basis.value},
+        "tuple": {"g": g, "p": p, "t": t, "r": r, "s": s},
+        "m_count": m,
+        "dimension": strata._dimension(g, p, t, r, s),
+        "components": {"upper": m, "exact": exact, "basis": basis},
     }
 
 
@@ -102,13 +98,14 @@ def _cmd_tuples(args):
     tuples = strata.enumerate_tuples(args.g, args.p)
     results = {
         "count": len(tuples),
-        "tuples": [_tuple_json(t) for t in tuples],
+        "tuples": [{"g": g, "p": p, "t": t, "r": r, "s": s}
+                   for g, p, t, r, s in tuples],
     }
     checks = [
         check(
             "all_admissible",
-            all(t.g == args.g and t.p == args.p and min(t.t, t.r, t.s) >= 0
-                and t.g == strata.genus(t.p, t.t, t.r, t.s) for t in tuples),
+            all(g == args.g and p == args.p and min(t, r, s) >= 0
+                and g == strata.genus(p, t, r, s) for g, p, t, r, s in tuples),
             f"{len(tuples)} tuples verified against the defining relation",
         )
     ]
@@ -158,7 +155,7 @@ def _cmd_kernel(args):
     phi = _phi_from_args(spec, args.phi)
     words = kernel_presentation(phi)
     results = {
-        "tuple": _tuple_json(tup),
+        "tuple": tup._asdict(),
         "phi": {
             "a": list(phi.hom.a),
             "e": list(phi.hom.e),
@@ -196,7 +193,7 @@ def _verify_example2(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tup = surfaces.example2_type(p, m)
-    results = {"suite": "example2", "type": _tuple_json(tup)}
+    results = {"suite": "example2", "type": tup._asdict()}
     if m >= 4:
         cb = strata.component_bounds(tup)
         checks.append(check(
@@ -266,7 +263,7 @@ def _cmd_build(args):
                 "class": moebius.classify(m, tolerances=tol).value,
             }
         )
-    results = {"tuple": _tuple_json(tup), "separation": args.separation,
+    results = {"tuple": tup._asdict(), "separation": args.separation,
                "matrices": matrices}
     return results, [invariants]
 
@@ -282,7 +279,7 @@ def _cmd_loxcheck(args):
         tolerances=tol,
     )
     results = {
-        "tuple": _tuple_json(tup),
+        "tuple": tup._asdict(),
         "separation": args.separation,
         "report": report,
     }
@@ -322,26 +319,23 @@ def _cmd_report(args):
 
 
 def _csv_output(command, results):
+    # csv writes None, an unsettled exact count, as an empty field
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if command == "tuples":
         writer.writerow(["g", "p", "t", "r", "s"])
-        for t in results["tuples"]:
-            writer.writerow([t["g"], t["p"], t["t"], t["r"], t["s"]])
+        writer.writerows(map(dict.values, results["tuples"]))
     elif command == "report":
         writer.writerow(
             ["g", "p", "t", "r", "s", "m_count", "dimension", "exact", "upper",
              "basis"]
         )
-        for row in results["reports"]:
-            t = row["tuple"]
-            c = row["components"]
-            writer.writerow(
-                [t["g"], t["p"], t["t"], t["r"], t["s"], row["m_count"],
-                 row["dimension"],
-                 "" if c["exact"] is None else c["exact"], c["upper"],
-                 c["basis"]]
-            )
+        components = itemgetter("exact", "upper", "basis")
+        writer.writerows(
+            (*row["tuple"].values(), row["m_count"], row["dimension"],
+             *components(row["components"]))
+            for row in results["reports"]
+        )
     else:
         raise ValueError(f"--csv not supported for {command}")
     return out.getvalue()

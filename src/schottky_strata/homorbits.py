@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from .strata import _multisets, check_prime
 
 __all__ = [
@@ -179,6 +177,8 @@ def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
         raise BudgetExceeded(total, budget)
     if p**k >= 2**63:
         raise BudgetExceeded(p**k, 2**63, what="distinct codes")
+    import numpy as np  # deferred: commands that never call it start faster
+
     dtype = np.uint8 if p < 256 else np.uint16
     columns = [np.empty(total, dtype) for _ in range(k)]
     spare = np.empty(total, dtype)
@@ -242,6 +242,8 @@ def _move_targets(index, p, t, r, s, scale):
     ``index``: radix p and digit = value for the residues a and tau, radix
     p - 1 and digit = value - 1 for the units e and f.
     """
+    import numpy as np
+
     radices = [p] * t + [p - 1] * r + [p] * s + [p - 1] * s
     strides = [math.prod(radices[c + 1 :]) for c in range(len(radices))]
     values = [
@@ -312,6 +314,8 @@ def _orbit_count(total, moves):
     group are strongly connected, so once a sweep changes nothing every
     orbit is labelled by its least state, the one labelled by itself.
     """
+    import numpy as np
+
     index = np.arange(total, dtype=np.int32 if total < 2**31 else np.int64)
     label = index.copy()
     while True:

@@ -292,29 +292,29 @@ def build_matrix_group(tup, separation=10.0):
     p = tup.p
     matrices = {}
     centers = {}
-    slot = 0
-    for j in range(1, tup.r + 1):
-        center = slot * separation
-        matrices[("e", j)] = _elliptic_conj_pair(center, _OFFSET, p)
-        centers[("e", j)] = complex(center, 0)
-        slot += 1
-    for k in range(1, tup.s + 1):
-        center = slot * separation
-        matrices[("t", k)] = _loxodromic_at(center, _OFFSET, _MULTIPLIER)
-        matrices[("f", k)] = _elliptic_real_pair(center, _OFFSET, p)
-        centers[("t", k)] = complex(center, 0)
-        centers[("f", k)] = complex(center, 0)
-        slot += 1
-    for j in range(1, tup.t + 1):
-        center = slot * separation
-        matrices[("a", j)] = _loxodromic_at(center, _OFFSET, _MULTIPLIER)
-        centers[("a", j)] = complex(center, 0)
-        slot += 1
 
-    for sym, m in matrices.items():
-        if not all(map(cmath.isfinite, (centers[sym], *m.entries()))):
+    def place(sym, center, factor, *args):
+        try:
+            m = factor(center, _OFFSET, *args)
+        except ValueError:  # the normalising determinant cancelled to 0
+            m = None
+        if m is None or not all(map(cmath.isfinite, (center, *m.entries()))):
             raise ValueError(f"separation {separation} places {sym[0]}"
                              f"{sym[1]} beyond double precision")
+        matrices[sym] = m
+        centers[sym] = complex(center, 0)
+
+    slot = 0
+    for j in range(1, tup.r + 1):
+        place(("e", j), slot * separation, _elliptic_conj_pair, p)
+        slot += 1
+    for k in range(1, tup.s + 1):
+        place(("t", k), slot * separation, _loxodromic_at, _MULTIPLIER)
+        place(("f", k), slot * separation, _elliptic_real_pair, p)
+        slot += 1
+    for j in range(1, tup.t + 1):
+        place(("a", j), slot * separation, _loxodromic_at, _MULTIPLIER)
+        slot += 1
     return MatrixGroupSpec(spec, matrices, centers)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,36 +91,30 @@ def is_admissible(g, p, t, r, s):
     return g == genus(p, t, r, s)
 
 
-@dataclass(frozen=True)
-class AdmissibleTuple:
+class AdmissibleTuple(namedtuple("AdmissibleTuple", "g p t r s")):
     """A tuple (g, p; t, r, s) satisfying the defining relation.
 
+    An immutable tuple (g, p, t, r, s) with those field names.
     Construction validates, so instances are admissible by fiat.
     """
 
-    g: int
-    p: int
-    t: int
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_admissible(self.g, self.p, self.t, self.r, self.s):
+    def __new__(cls, g, p, t, r, s):
+        if not is_admissible(g, p, t, r, s):
             raise ValueError(
-                f"({self.g},{self.p};{self.t},{self.r},{self.s}) is not admissible: "
-                f"g != p(t+r+s-1)+1-r"
+                f"({g},{p};{t},{r},{s}) is not admissible: g != p(t+r+s-1)+1-r"
             )
+        return tuple.__new__(cls, (g, p, t, r, s))
 
     @classmethod
-    def _from_relation(cls, g, p, t, r, s):
-        """Build without re-validating.
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
-        Only for (t, r, s) solved from the defining relation for a (g, p)
-        that has already passed ``_validate_gp``.
-        """
-        tup = object.__new__(cls)
-        tup.__dict__.update(g=g, p=p, t=t, r=r, s=s)
-        return tup
+    # _from_relation((g, p, t, r, s)) skips validation: only for (t, r, s)
+    # solved from the relation for a (g, p) that passed _validate_gp
+    _from_relation = classmethod(tuple.__new__)
 
     @property
     def trs(self):
@@ -185,7 +180,7 @@ def enumerate_tuples(g, p):
         for n, r in totals:
             if n < t:
                 break
-            found.append(make(g, p, t, r, n - t))
+            found.append(make((g, p, t, r, n - t)))
     return found
 
 
@@ -232,6 +227,19 @@ def _multisets(h, r, s):
     return math.comb(r + h - 1, r) * math.comb(s + h - 1, s)
 
 
+def _bounds(p, t, r, s):
+    """(M, exact, basis value) for the type (t, r, s) and the prime p: the
+    case analysis behind ``m_count`` and ``component_bounds``."""
+    m = 1 if p == 2 else _multisets((p - 1) // 2, r, s)
+    if p < 5 or r == s == 0:
+        return m, 1, "theorem_case_1"
+    if r % p or s % p:
+        return m, m, "theorem_case_3"
+    if _example2_family_member(p, t, r, s):
+        return m, 1, "example2_family"
+    return m, None, "upper_only"
+
+
 def m_count(tup):
     """Number of irreducible components of the stratum of ``tup``.
 
@@ -245,9 +253,18 @@ def m_count(tup):
     For p = 3 both factors collapse to C(r, r) = C(s, s) = 1.
     Exact integers throughout; independent of t.
     """
-    if tup.p == 2:
-        return 1
-    return _multisets((tup.p - 1) // 2, tup.r, tup.s)
+    return _bounds(tup.p, tup.t, tup.r, tup.s)[0]
+
+
+def _dimension(g, p, t, r, s):
+    num = 3 * g - 3 - r * (p - 3)
+    if num % p != 0:
+        raise AssertionError(
+            f"dimension of ({g},{p};{t},{r},{s}) is not an integer: {num}/{p}"
+        )
+    dim = num // p
+    assert dim == 3 * (t + s - 1) + 2 * r
+    return dim
 
 
 def dimension(tup):
@@ -256,20 +273,15 @@ def dimension(tup):
     The quotient is an exact integer for admissible tuples and equals
     3(t + s - 1) + 2r; both forms are computed and cross-asserted.
     """
-    num = 3 * tup.g - 3 - tup.r * (tup.p - 3)
-    if num % tup.p != 0:
-        raise AssertionError(f"dimension of {tup} is not an integer: {num}/{tup.p}")
-    dim = num // tup.p
-    assert dim == 3 * (tup.t + tup.s - 1) + 2 * tup.r
-    return dim
+    return _dimension(*tup)
 
 
-def _example2_family_member(tup):
+def _example2_family_member(p, t, r, s):
     # (t, r, s) = ((p-1)(m-1), mp, 0) for some m >= 4, p >= 5
-    if tup.p < 5 or tup.s != 0 or tup.r == 0 or tup.r % tup.p != 0:
+    if p < 5 or s != 0 or r == 0 or r % p != 0:
         return False
-    m = tup.r // tup.p
-    return m >= 4 and tup.t == (tup.p - 1) * (m - 1)
+    m = r // p
+    return m >= 4 and t == (p - 1) * (m - 1)
 
 
 def component_bounds(tup):
@@ -280,11 +292,5 @@ def component_bounds(tup):
     family (t, r, s) = ((p-1)(m-1), mp, 0), m >= 4; otherwise only the
     upper bound M is reported.
     """
-    m = m_count(tup)
-    if tup.p in (2, 3) or (tup.p >= 5 and tup.r == 0 and tup.s == 0):
-        return ComponentBounds(m, 1, Basis.THEOREM_CASE_1)
-    if tup.p >= 5 and (tup.r % tup.p != 0 or tup.s % tup.p != 0):
-        return ComponentBounds(m, m, Basis.THEOREM_CASE_3)
-    if _example2_family_member(tup):
-        return ComponentBounds(m, 1, Basis.EXAMPLE2_FAMILY)
-    return ComponentBounds(m, None, Basis.UPPER_ONLY)
+    m, exact, basis = _bounds(tup.p, tup.t, tup.r, tup.s)
+    return ComponentBounds(m, exact, Basis(basis))

@@ -146,6 +146,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    _G4_TUPLE = ["--g", "4", "--p", "5", "--t", "0", "--r", "2", "--s", "0"]
+
+    @pytest.mark.parametrize("command", ["build", "loxcheck"])
+    @pytest.mark.parametrize("separation", ["1e60", "1e100"])
+    def test_separation_that_cancels_a_determinant(self, command, separation,
+                                                   capsys):
+        # the second elliptic factor's determinant cancels to 0 in doubles;
+        # the message names the separation, not the matrix
+        extra = ["--max-syllables", "3"] if command == "loxcheck" else []
+        argv = [command, *self._G4_TUPLE, "--separation", separation, *extra]
+        assert run_json(argv) == (2, None, "")
+        assert capsys.readouterr().err == (
+            f"error: separation {float(separation)} places e2 beyond double "
+            "precision\n")
+
+    def test_separation_between_them_builds(self, capsys):
+        # 1e80 builds its matrices, and the loxodromy check fails
+        code, env, _ = run_json(["loxcheck", *self._G4_TUPLE, "--separation",
+                                 "1e80", "--max-syllables", "3"])
+        assert code == 1 and capsys.readouterr().err == ""
+        assert not all(c["pass"] for c in env["checks"])
+
     def test_budget_error_names_its_flag(self, capsys):
         code, env, _ = run_json(
             ["loxcheck", "--g", "26", "--p", "5", "--t", "6", "--r", "0",
@@ -217,7 +239,8 @@ class TestChecksCanFail:
         _failed_check(self._KERNEL, "all_in_kernel", capsys)
 
     def test_family_is_connected_case(self, monkeypatch, capsys):
-        monkeypatch.setattr(strata, "_example2_family_member", lambda tup: False)
+        monkeypatch.setattr(strata, "_example2_family_member",
+                            lambda p, t, r, s: False)
         _failed_check(["verify", "example2"], "family_is_connected_case",
                       capsys)
 
@@ -250,7 +273,7 @@ class TestChecksCanFail:
         def one_row_off(g, p):
             tuples = real(g, p)
             t = tuples[0]
-            off = strata.AdmissibleTuple._from_relation(g, p, t.t, t.r + 1, t.s)
+            off = strata.AdmissibleTuple._from_relation((g, p, t.t, t.r + 1, t.s))
             return [off, *tuples[1:]]
 
         monkeypatch.setattr(strata, "enumerate_tuples", one_row_off)
@@ -264,10 +287,10 @@ class TestChecksCanFail:
         ["report", "--csv", "--p", "5", "--g-min", "2", "--g-max", "8"],
     ])
     def test_internal_invariant(self, argv, monkeypatch, capsys):
-        def broken(tup):
+        def broken(g, p, t, r, s):
             raise AssertionError("dimension is not integral")
 
-        monkeypatch.setattr(strata, "dimension", broken)
+        monkeypatch.setattr(strata, "_dimension", broken)
         code, env, text = run_json(argv)
         assert (code, env["results"]) == (1, {})
         assert env["checks"] == [{
@@ -428,6 +451,106 @@ class TestCommands:
         _, _, first = run_json(["verify", "example2"])
         _, _, second = run_json(["verify", "example2"])
         assert first == second
+
+
+def _reference_row(tup):
+    """A ``report`` row assembled from the public per-tuple functions."""
+    cb = strata.component_bounds(tup)
+    return {
+        "tuple": {"g": tup.g, "p": tup.p, "t": tup.t, "r": tup.r, "s": tup.s},
+        "m_count": strata.m_count(tup),
+        "dimension": strata.dimension(tup),
+        "components": {"upper": cb.irreducible_count, "exact": cb.exact,
+                       "basis": cb.basis.value},
+    }
+
+
+def _reference_csv(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if value is None else value for value in row])
+    return out.getvalue()
+
+
+def _reference_report(p, g_min, g_max, as_csv):
+    rows = [_reference_row(tup) for g in range(g_min, g_max + 1)
+            for tup in strata.enumerate_tuples(g, p)]
+    if as_csv:
+        return _reference_csv(
+            ["g", "p", "t", "r", "s", "m_count", "dimension", "exact", "upper",
+             "basis"],
+            [[*row["tuple"].values(), row["m_count"], row["dimension"],
+              row["components"]["exact"], row["components"]["upper"],
+              row["components"]["basis"]] for row in rows])
+    envelope = {
+        "command": "report",
+        "inputs": {"budget": 10**6, "csv": False, "g_max": g_max,
+                   "g_min": g_min, "p": p},
+        "results": {"p": p, "g_min": g_min, "g_max": g_max, "reports": rows},
+        "checks": [{"name": "row_count", "pass": True,
+                    "detail": f"{len(rows)} rows, count_strata sums to "
+                              f"{len(rows)}"}],
+    }
+    return json.dumps(envelope, indent=2) + "\n"
+
+
+def _reference_tuples(g, p, as_csv):
+    tuples = [{"g": tup.g, "p": tup.p, "t": tup.t, "r": tup.r, "s": tup.s}
+              for tup in strata.enumerate_tuples(g, p)]
+    if as_csv:
+        return _reference_csv(["g", "p", "t", "r", "s"],
+                              [row.values() for row in tuples])
+    envelope = {
+        "command": "tuples",
+        "inputs": {"budget": 10**6, "csv": False, "g": g, "p": p},
+        "results": {"count": len(tuples), "tuples": tuples},
+        "checks": [{"name": "all_admissible", "pass": True,
+                    "detail": f"{len(tuples)} tuples verified against the "
+                              "defining relation"}],
+    }
+    return json.dumps(envelope, indent=2) + "\n"
+
+
+# (p, g_min, g_max): windows that between them meet all four bases,
+# including the Example 2 members (136,5;12,20,0) and (288,7;18,28,0)
+_TABLE_WINDOWS = [(2, 2, 30), (3, 2, 40), (5, 2, 60), (5, 130, 140),
+                  (7, 280, 290), (31, 2, 400)]
+
+
+class TestTableOutput:
+    """``report`` and ``tuples`` print, byte for byte, the tables that
+    json.dumps and the csv module make from the public per-tuple
+    functions."""
+
+    @pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+    @pytest.mark.parametrize("p,g_min,g_max", _TABLE_WINDOWS)
+    def test_report(self, p, g_min, g_max, as_csv):
+        argv = ["report", "--p", str(p), "--g-min", str(g_min),
+                "--g-max", str(g_max)] + ["--csv"] * as_csv
+        code, _env, text = run_json(argv)
+        assert code == 0
+        assert text == _reference_report(p, g_min, g_max, as_csv)
+
+    @pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+    @pytest.mark.parametrize("g,p", [(30, 2), (40, 3), (136, 5), (288, 7),
+                                     (311, 31)])
+    def test_tuples(self, g, p, as_csv):
+        argv = ["tuples", "--g", str(g), "--p", str(p)] + ["--csv"] * as_csv
+        code, _env, text = run_json(argv)
+        assert code == 0
+        assert text == _reference_tuples(g, p, as_csv)
+
+    def test_windows_meet_every_basis(self):
+        rows = [_reference_row(tup) for p, g_min, g_max in _TABLE_WINDOWS
+                for g in range(g_min, g_max + 1)
+                for tup in strata.enumerate_tuples(g, p)]
+        assert ({row["components"]["basis"] for row in rows}
+                == {basis.value for basis in strata.Basis})
+        family = [tuple(row["tuple"].values()) for row in rows
+                  if row["components"]["basis"] == "example2_family"]
+        assert family == [(136, 5, 12, 20, 0), (288, 7, 18, 28, 0)]
 
 
 def _dumps(value):
@@ -700,6 +823,21 @@ class TestReadme:
 
 
 class TestRuntimeImports:
+    def test_only_the_orbit_engines_load_numpy(self):
+        # numpy is imported inside the homorbits functions that use it, so
+        # every command but oracle and verify example2 starts without it
+        examples = [argv for argv in _readme_examples()
+                    if argv[0] != "oracle" and argv[:2] != ["verify", "example2"]]
+        assert {argv[0] for argv in examples} == set(cli._HANDLERS) - {"oracle"}
+        _fresh_python("-c", (
+            "import sys\n"
+            "from schottky_strata.cli import run\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"for argv in {[['count', '--g', '100', '--p', '11'], *examples]!r}:\n"
+            "    assert run(argv)[0] == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+        ))
+
     def test_cli_examples_never_load_mpmath(self):
         # mpmath is a test dependency only; a fresh interpreter runs every
         # README example and must not have imported it

@@ -61,6 +61,41 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             AdmissibleTuple(5, 5, 1, 0, 1)
 
+    @pytest.mark.parametrize("args", [
+        (5, 5, 1, True, 0),  # bool entry
+        (True, 2, 0, 1, 1),  # bool genus
+        (5.0, 5, 1, 1, 0),  # float genus
+        (5, 5, 1, 1.0, 0),  # float entry
+        (5, 5.0, 1, 1, 0),  # float prime
+    ])
+    def test_tuple_constructor_rejects_non_integers(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            AdmissibleTuple(*args)
+
+    def test_tuple_is_an_immutable_tuple(self):
+        tup = AdmissibleTuple(g=5, p=5, t=1, r=1, s=0)
+        assert tup == (5, 5, 1, 1, 0) and isinstance(tup, tuple)
+        assert (tup.g, tup.p, tup.t, tup.r, tup.s) == tuple(tup)
+        assert tup.trs == (1, 1, 0) and str(tup) == "(5,5;1,1,0)"
+        with pytest.raises(AttributeError):
+            tup.g = 6
+        with pytest.raises(AttributeError):
+            tup.extra = 1
+        assert tup._replace(t=0, s=1) == AdmissibleTuple(5, 5, 0, 1, 1)
+        with pytest.raises(ValueError, match="not admissible"):
+            tup._replace(r=2)
+        with pytest.raises(ValueError, match="not admissible"):
+            AdmissibleTuple._make((5, 5, 1, 0, 1))
+
+    def test_trusted_rows_equal_validated_rows(self):
+        # enumerate_tuples builds through _from_relation, skipping validation
+        for p in PRIMES_TO_60[:8]:
+            for g in range(2, 80):
+                for tup in enumerate_tuples(g, p):
+                    public = AdmissibleTuple(*tup)
+                    assert type(tup) is type(public) is AdmissibleTuple
+                    assert tup == public and hash(tup) == hash(public)
+
     @given(
         p=st.sampled_from([2, 3, 5, 7, 11]),
         t=st.integers(0, 6),
