@@ -19,9 +19,9 @@ Two independent counters live here:
 
 Neither counter consults a formula; the ``oracle`` command and the tests
 compare them with each other and with ``closed_form_orbit_count``.  Its
-plain count is the multiset count M of ``strata.m_count``, from the same
-product, and its scaled count is a Burnside average of such products; so
-``oracle`` is also the enumeration check of M.
+plain count is the multiset count M of ``strata.component_bounds``, from
+the same product, and its scaled count is a Burnside average of such
+products; so ``oracle`` is also the enumeration check of M.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
         raise BudgetExceeded(p**k, 2**63, what="distinct codes")
     import numpy as np  # deferred: commands that never call it start faster
 
-    dtype = np.uint8 if p < 256 else np.uint16
+    dtype = np.min_scalar_type(p - 1)
     columns = [np.empty(total, dtype) for _ in range(k)]
     spare = np.empty(total, dtype)
     # -lam gives the entries of lam negated, which invert identifies
@@ -213,9 +213,6 @@ def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
 def orbit_count_tuples(p, r, s, action=PERM_INV, budget=10**7):
     """Count distinct canonical forms over all of (Z_p^*)^r x (Z_p^*)^s, by
     the exhaustive enumeration of :func:`canonical_codes`; no formula."""
-    check_prime(p, minimum=3)
-    if p >= 256:
-        raise ValueError("residues must fit in a byte")
     return int(canonical_codes(p, r, s, action, budget).size)
 
 
@@ -244,10 +241,12 @@ def _move_targets(index, p, t, r, s, scale):
     """
     import numpy as np
 
+    # unsigned, and wide enough for a sum of two residues (see mod)
+    dtype = np.min_scalar_type(2 * p)
     radices = [p] * t + [p - 1] * r + [p] * s + [p - 1] * s
     strides = [math.prod(radices[c + 1 :]) for c in range(len(radices))]
     values = [
-        np.tile(np.repeat(np.arange(radix, dtype=np.uint16) + (radix < p), stride),
+        np.tile(np.repeat(np.arange(radix, dtype=dtype) + (radix < p), stride),
                 index.size // (radix * stride))
         for radix, stride in zip(radices, strides)
     ]
@@ -264,7 +263,7 @@ def _move_targets(index, p, t, r, s, scale):
         return out
 
     def mod(x):
-        """x mod p for uint16 x in [0, 2p): x - p wraps above x when x < p."""
+        """x mod p for unsigned x in [0, 2p): x - p wraps above x when x < p."""
         return np.minimum(x, x - p, out=x)
 
     # torsion shifts tau_k -> tau_k + f_k
@@ -299,7 +298,7 @@ def _move_targets(index, p, t, r, s, scale):
     if scale:  # by the least generator of the units mod p (1 when p = 2)
         root = next(g for g in range(1, p)
                     if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
-        table = (root * np.arange(p) % p).astype(np.uint16)
+        table = (root * np.arange(p) % p).astype(dtype)
         yield move({c: table[column] for c, column in enumerate(values)})
 
 
@@ -346,8 +345,6 @@ def bfs_orbit_count(p, t, r, s, action=PERM_INV, *, budget=10**7):
     total = p**t * (p - 1) ** r * p**s * (p - 1) ** s
     if total > budget:
         raise BudgetExceeded(total, budget, what="image vectors")
-    if p - 1 >= 256:
-        raise ValueError("residues must fit in a byte")
     if min(t, r, s) < 0:
         raise ValueError("repeat argument cannot be negative")
     count = _orbit_count(total, lambda index: _move_targets(

@@ -13,29 +13,24 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .cyclic_schottky import (FPWord, GroupSpec, build_spec, fpword_str,
                               kernel_sample)
 
 __all__ = [
-    "INF",
     "MobiusClass",
     "MobiusMap",
     "Tolerances",
     "check_finite_positive",
     "DEFAULT_TOLERANCES",
-    "FixedPoints",
     "MatrixGroupSpec",
     "classify",
-    "fixed_points",
     "order_check",
     "build_matrix_group",
     "matrix_group_defects",
     "purely_loxodromic_sample",
 ]
-
-INF = math.inf  # the point at infinity on the Riemann sphere
 
 
 def check_finite_positive(what, value):
@@ -93,9 +88,6 @@ class MobiusMap:
     def trace(self):
         return self.a + self.d
 
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
     def __mul__(self, other):
         m = object.__new__(MobiusMap)  # complex entries: nothing to convert
         m.a = self.a * other.a + self.b * other.c
@@ -128,6 +120,10 @@ def _frobenius(entries):
     return math.sqrt(sum(abs(x) ** 2 for x in entries))
 
 
+def _frobenius_m(m):
+    return _frobenius(m.entries())
+
+
 def dist_to_unit(m):
     """min(||M - I||, ||M + I||) in the Frobenius norm (PSL sign folded)."""
     # the squares are added left to right, in the order _frobenius adds them
@@ -155,58 +151,20 @@ def classify(m, tolerances=DEFAULT_TOLERANCES):
     return MobiusClass.LOXODROMIC
 
 
-@dataclass(frozen=True)
-class FixedPoints:
-    points: Tuple[object, ...]  # complex values or INF
-    attracting: Optional[object] = None
-    repelling: Optional[object] = None
+_MACH_EPS = 2.220446049250313e-16
 
 
-def _multiplier_abs(m, z):
-    """|derivative| at a fixed point (computed in the 1/z chart at infinity)."""
-    if z == INF:
-        if m.c != 0:
-            raise ValueError("infinity is not fixed")
-        return abs(m.d / m.a)
-    return 1.0 / abs(m.c * z + m.d) ** 2
+def order_check(m, p, tolerances=DEFAULT_TOLERANCES):
+    """True iff M^p is +-I within the order tolerance and M itself is not
+    the identity.
 
-
-def fixed_points(m, tolerances=DEFAULT_TOLERANCES):
-    """Fixed points on the sphere; loxodromic maps get attract/repel labels.
-
-    Solves c z^2 + (d - a) z - b = 0, with infinity fixed exactly when
-    c = 0.  Identity input is rejected.
+    M^p of a far-centred matrix is ill-conditioned in doubles (its error
+    grows like ||M||^3), so the tolerance is widened to 64 eps ||M||^3
+    when that is larger.
     """
-    cls = classify(m, tolerances)
-    if cls is MobiusClass.IDENTITY:
-        raise ValueError("identity has no isolated fixed points")
-    pts = []
-    if m.c == 0:
-        pts.append(INF)
-        if m.a != m.d:
-            pts.append(m.b / (m.d - m.a))
-    elif cls is MobiusClass.PARABOLIC:
-        pts = [(m.a - m.d) / (2 * m.c)]
-    else:
-        disc = cmath.sqrt((m.d - m.a) ** 2 + 4 * m.b * m.c)
-        z1 = ((m.a - m.d) + disc) / (2 * m.c)
-        z2 = ((m.a - m.d) - disc) / (2 * m.c)
-        pts = [z1] if z1 == z2 else [z1, z2]
-    if cls is not MobiusClass.LOXODROMIC or len(pts) != 2:
-        return FixedPoints(tuple(pts))
-    mults = [_multiplier_abs(m, z) for z in pts]
-    if mults[0] < 1 <= mults[1]:
-        att, rep = pts[0], pts[1]
-    else:
-        att, rep = pts[1], pts[0]
-    return FixedPoints(tuple(pts), attracting=att, repelling=rep)
-
-
-def order_check(m, p, eps=None, tolerances=DEFAULT_TOLERANCES):
-    """True iff M^p is +-I within eps and M itself is not the identity."""
-    eps = tolerances.order if eps is None else eps
     if dist_to_unit(m) <= tolerances.classify:
         return False
+    eps = max(tolerances.order, 64 * _MACH_EPS * _frobenius_m(m) ** 3)
     return dist_to_unit(m**p) <= eps
 
 
@@ -218,7 +176,6 @@ def order_check(m, p, eps=None, tolerances=DEFAULT_TOLERANCES):
 # products; this keeps each entry within a couple of ulps and is what makes
 # the order/commutation checks meaningful at distant centers.
 
-_MACH_EPS = 2.220446049250313e-16
 _COMMUTATION_TOL = 1e-10  # commutator defect allowed before widening
 _OFFSET = 0.1
 _MULTIPLIER = 9.0
@@ -318,20 +275,15 @@ def build_matrix_group(tup, separation=10.0):
     return MatrixGroupSpec(spec, matrices, centers)
 
 
-def _frobenius_m(m):
-    return _frobenius(m.entries())
-
-
 def matrix_group_defects(mg, tolerances=DEFAULT_TOLERANCES):
     """Messages naming each built matrix that breaks its invariant; empty
     when every loxodromic factor classifies as loxodromic, every elliptic
     factor is elliptic of order p and every pair commutes.
 
     Far centers make the torsion checks intrinsically ill-conditioned in
-    doubles (errors grow like ||M||^3 for orders, ||T||*||F|| for
-    commutators), so the order and commutation tolerances are widened by
-    those condition factors.  Tests assert the plain tolerances on the
-    well-conditioned instances.
+    doubles: ``order_check`` widens the order tolerance by ||M||^3, and
+    the commutation tolerance is widened by ||T||*||F|| here.  Tests
+    assert the plain tolerances on the well-conditioned instances.
     """
     p = mg.spec.p
     defects = []
@@ -341,8 +293,7 @@ def matrix_group_defects(mg, tolerances=DEFAULT_TOLERANCES):
             if cls is not MobiusClass.LOXODROMIC:
                 defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not loxodromic")
             continue
-        eff = max(tolerances.order, 64 * _MACH_EPS * _frobenius_m(m) ** 3)
-        if not order_check(m, p, eps=eff, tolerances=tolerances):
+        if not order_check(m, p, tolerances=tolerances):
             defects.append(f"{sym[0]}{sym[1]} does not have order {p}")
         if cls is not MobiusClass.ELLIPTIC:
             defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not elliptic")

@@ -10,22 +10,16 @@ integer arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Optional
 
 __all__ = [
     "AdmissibleTuple",
-    "Basis",
-    "ComponentBounds",
     "is_prime",
     "is_admissible",
     "enumerate_tuples",
     "count_strata",
     "closed_form_count",
-    "m_count",
     "dimension",
     "component_bounds",
 ]
@@ -124,34 +118,6 @@ class AdmissibleTuple(namedtuple("AdmissibleTuple", "g p t r s")):
         return f"({self.g},{self.p};{self.t},{self.r},{self.s})"
 
 
-class Basis(enum.Enum):
-    """Which statement pins down the connected-component count."""
-
-    THEOREM_CASE_1 = "theorem_case_1"
-    THEOREM_CASE_3 = "theorem_case_3"
-    UPPER_ONLY = "upper_only"
-    EXAMPLE2_FAMILY = "example2_family"
-
-
-@dataclass(frozen=True)
-class ComponentBounds:
-    """Connected-component data for one stratum.
-
-    ``irreducible_count`` (= the upper bound) is always known exactly;
-    ``exact`` is the connected-component count when a theorem settles it,
-    None otherwise.
-    """
-
-    irreducible_count: int
-    exact: Optional[int]
-    basis: Basis
-
-    def __post_init__(self):
-        m = self.irreducible_count
-        if self.exact is not None and not (1 <= self.exact <= m):
-            raise ValueError(f"exact={self.exact} outside [1, {m}]")
-
-
 def _admissible_totals(g, p):
     """The totals n = t + s that admit a tuple, as a range.
 
@@ -227,9 +193,21 @@ def _multisets(h, r, s):
     return math.comb(r + h - 1, r) * math.comb(s + h - 1, s)
 
 
-def _bounds(p, t, r, s):
-    """(M, exact, basis value) for the type (t, r, s) and the prime p: the
-    case analysis behind ``m_count`` and ``component_bounds``."""
+def component_bounds(g, p, t, r, s):
+    """(M, exact, basis) for the stratum of the tuple (g, p; t, r, s).
+
+    M counts the irreducible components: the index-p normal Schottky
+    subgroups of a cyclic-Schottky group of that type, up to geometric
+    automorphisms.  M = 1 for p = 2; for odd p it is the number of
+    multisets of sizes r and s drawn from the h = (p-1)/2 classes +-c of
+    Z_p^*, C(r + h - 1, r) * C(s + h - 1, s), which is 1 for p = 3.
+
+    ``exact`` is the connected-component count where a theorem settles it,
+    None otherwise, and ``basis`` names that statement: "theorem_case_1"
+    (exact 1) for p <= 3 or r = s = 0; "theorem_case_3" (exact M) when r
+    or s is not a multiple of p; "example2_family" (exact 1) for (t, r, s)
+    = ((p-1)(m-1), mp, 0) with m >= 4; "upper_only" otherwise.
+    """
     m = 1 if p == 2 else _multisets((p - 1) // 2, r, s)
     if p < 5 or r == s == 0:
         return m, 1, "theorem_case_1"
@@ -240,23 +218,12 @@ def _bounds(p, t, r, s):
     return m, None, "upper_only"
 
 
-def m_count(tup):
-    """Number of irreducible components of the stratum of ``tup``.
+def dimension(g, p, t, r, s):
+    """Complex dimension (3g - 3 - r(p-3)) / p of each irreducible component.
 
-    This is the count of index-p normal Schottky subgroups of a
-    cyclic-Schottky group of that type, up to geometric automorphisms:
-    1 for p = 2, and for odd p the multisets of sizes r and s drawn from
-    the h = (p-1)/2 classes +-c of Z_p^*,
-
-        C(r + h - 1, r) * C(s + h - 1, s).
-
-    For p = 3 both factors collapse to C(r, r) = C(s, s) = 1.
-    Exact integers throughout; independent of t.
+    The quotient is an exact integer for admissible tuples and equals
+    3(t + s - 1) + 2r; both forms are computed and cross-asserted.
     """
-    return _bounds(tup.p, tup.t, tup.r, tup.s)[0]
-
-
-def _dimension(g, p, t, r, s):
     num = 3 * g - 3 - r * (p - 3)
     if num % p != 0:
         raise AssertionError(
@@ -267,30 +234,9 @@ def _dimension(g, p, t, r, s):
     return dim
 
 
-def dimension(tup):
-    """Complex dimension (3g - 3 - r(p-3)) / p of each irreducible component.
-
-    The quotient is an exact integer for admissible tuples and equals
-    3(t + s - 1) + 2r; both forms are computed and cross-asserted.
-    """
-    return _dimension(*tup)
-
-
 def _example2_family_member(p, t, r, s):
     # (t, r, s) = ((p-1)(m-1), mp, 0) for some m >= 4, p >= 5
     if p < 5 or s != 0 or r == 0 or r % p != 0:
         return False
     m = r // p
     return m >= 4 and t == (p - 1) * (m - 1)
-
-
-def component_bounds(tup):
-    """Connected-component bounds for the stratum of ``tup``.
-
-    exact=1 when p <= 3 or when p >= 5 with r = s = 0; exact=M when
-    p >= 5 and r or s is a non-multiple of p; exact=1 for the fiber-product
-    family (t, r, s) = ((p-1)(m-1), mp, 0), m >= 4; otherwise only the
-    upper bound M is reported.
-    """
-    m, exact, basis = _bounds(tup.p, tup.t, tup.r, tup.s)
-    return ComponentBounds(m, exact, Basis(basis))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -113,16 +112,11 @@ def example2_type(p, m):
     (g, p; (p-1)(m-1), mp, 0) with g = (p-1)(2mp - p - 1).
 
     The topological conclusions need m >= 4; smaller m still yields a
-    well-defined admissible tuple and only triggers a warning.
+    well-defined admissible tuple, outside the family's theorem.
     """
     check_prime(p, minimum=5)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m < 4:
-        warnings.warn(
-            f"m={m} is below the m >= 4 hypothesis of the fiber-product family",
-            stacklevel=2,
-        )
     g = (p - 1) * (2 * m * p - p - 1)
     return AdmissibleTuple(g, p, (p - 1) * (m - 1), m * p, 0)
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import schottky_strata
+from perfbench import checkers
 from schottky_strata import cli, homorbits, strata
 from schottky_strata.cli import run
 from schottky_strata.cyclic_schottky import normal_form
@@ -200,6 +201,28 @@ class TestExitCodes:
             f"error: enumeration requires {rows} rows, exceeding budget "
             "1000000; raise it with --budget\n")
 
+    def test_report_refuses_at_the_first_genus_past_the_budget(
+            self, monkeypatch, capsys):
+        original, calls = strata.count_strata, []
+
+        def counting(p, g):
+            calls.append(g)
+            return original(p, g)
+
+        monkeypatch.setattr(strata, "count_strata", counting)
+        argv = ["report", "--p", "5", "--g-min", "2", "--g-max", "2000000",
+                "--budget", "10"]
+        assert run_json(argv) == (2, None, "")
+        assert calls == list(range(2, 11))
+        assert capsys.readouterr().err == (
+            "error: enumeration requires 12 rows, exceeding budget 10; "
+            "raise it with --budget\n")
+
+    def test_oracle_past_a_byte(self):
+        code, env, _ = run_json(["oracle", "--p", "257", "--r", "1", "--s", "1"])
+        assert code == 0
+        assert env["results"]["orbit_count"] == 128**2
+
 
 def _failed_check(argv, name, capsys):
     code, env, _ = run_json(argv)
@@ -290,7 +313,7 @@ class TestChecksCanFail:
         def broken(g, p, t, r, s):
             raise AssertionError("dimension is not integral")
 
-        monkeypatch.setattr(strata, "_dimension", broken)
+        monkeypatch.setattr(strata, "dimension", broken)
         code, env, text = run_json(argv)
         assert (code, env["results"]) == (1, {})
         assert env["checks"] == [{
@@ -453,16 +476,24 @@ class TestCommands:
         assert first == second
 
 
-def _reference_row(tup):
-    """A ``report`` row assembled from the public per-tuple functions."""
-    cb = strata.component_bounds(tup)
-    return {
-        "tuple": {"g": tup.g, "p": tup.p, "t": tup.t, "r": tup.r, "s": tup.s},
-        "m_count": strata.m_count(tup),
-        "dimension": strata.dimension(tup),
-        "components": {"upper": cb.irreducible_count, "exact": cb.exact,
-                       "basis": cb.basis.value},
-    }
+def _checked_rows(p, g_min, g_max):
+    """The rows ``report`` gives for the window, after checking that they
+    are the window's tuples in order and that each passes the benchmark's
+    independent row check (binomial product, dimension formula)."""
+    code, env, _ = run_json(["report", "--p", str(p), "--g-min", str(g_min),
+                             "--g-max", str(g_max)])
+    assert code == 0
+    rows = env["results"]["reports"]
+    assert [tuple(row["tuple"].values()) for row in rows] == [
+        (g, p, *trs) for g in range(g_min, g_max + 1)
+        for trs in checkers.stratum_triples(g, p)]
+    for row in rows:
+        assert list(row) == ["tuple", "m_count", "dimension", "components"]
+        assert list(row["components"]) == ["upper", "exact", "basis"]
+        flat = {**row["tuple"], "m_count": row["m_count"],
+                "dimension": row["dimension"], **row["components"]}
+        assert checkers.check_report_row(flat) is None
+    return rows
 
 
 def _reference_csv(header, rows):
@@ -475,8 +506,7 @@ def _reference_csv(header, rows):
 
 
 def _reference_report(p, g_min, g_max, as_csv):
-    rows = [_reference_row(tup) for g in range(g_min, g_max + 1)
-            for tup in strata.enumerate_tuples(g, p)]
+    rows = _checked_rows(p, g_min, g_max)
     if as_csv:
         return _reference_csv(
             ["g", "p", "t", "r", "s", "m_count", "dimension", "exact", "upper",
@@ -521,8 +551,7 @@ _TABLE_WINDOWS = [(2, 2, 30), (3, 2, 40), (5, 2, 60), (5, 130, 140),
 
 class TestTableOutput:
     """``report`` and ``tuples`` print, byte for byte, the tables that
-    json.dumps and the csv module make from the public per-tuple
-    functions."""
+    json.dumps and the csv module make from the checked rows."""
 
     @pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
     @pytest.mark.parametrize("p,g_min,g_max", _TABLE_WINDOWS)
@@ -543,11 +572,10 @@ class TestTableOutput:
         assert text == _reference_tuples(g, p, as_csv)
 
     def test_windows_meet_every_basis(self):
-        rows = [_reference_row(tup) for p, g_min, g_max in _TABLE_WINDOWS
-                for g in range(g_min, g_max + 1)
-                for tup in strata.enumerate_tuples(g, p)]
-        assert ({row["components"]["basis"] for row in rows}
-                == {basis.value for basis in strata.Basis})
+        rows = [row for window in _TABLE_WINDOWS
+                for row in _checked_rows(*window)]
+        assert {row["components"]["basis"] for row in rows} == {
+            "theorem_case_1", "theorem_case_3", "example2_family", "upper_only"}
         family = [tuple(row["tuple"].values()) for row in rows
                   if row["components"]["basis"] == "example2_family"]
         assert family == [(136, 5, 12, 20, 0), (288, 7, 18, 28, 0)]

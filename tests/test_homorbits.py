@@ -199,7 +199,8 @@ class TestOrbitCountTuples:
             orbit_count_tuples(11, 8, 0, PERM_INV, budget=10**6)
         assert exc.value.required == 10**8
 
-    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    # 257: residues past a byte
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 257])
     @pytest.mark.parametrize("scaled", [False, True])
     def test_matches_burnside_up_to_budget(self, p, scaled):
         action = PERM_INV_SCALE if scaled else PERM_INV
@@ -210,6 +211,12 @@ class TestOrbitCountTuples:
                 want = closed_form_orbit_count(p, r, k - r, scaled)
                 assert got == want, (p, r, k - r)
             k += 1
+
+    def test_codes_past_two_bytes(self):
+        # every unit of 70001 is its own orbit when nothing identifies them
+        codes = canonical_codes(70001, 1, 0, ActionSpec(invert=False))
+        assert codes.size == 70000
+        assert codes[0] == 1 and codes[-1] == 70000
 
     def test_codes_are_sorted_distinct_and_decode_to_canonical_forms(self):
         for p, r, s, action in [
@@ -261,7 +268,9 @@ class TestBfsOrbitCount:
     @pytest.mark.parametrize(
         "p,t,r,s",
         [(5, 0, 1, 1), (5, 1, 2, 0), (3, 1, 1, 1), (5, 0, 2, 1), (7, 0, 1, 1),
-         (7, 0, 0, 3), (5, 0, 0, 4)],
+         (7, 0, 0, 3), (5, 0, 0, 4),
+         # a sum of two residues needs more than one byte, then two
+         (257, 0, 2, 0), (40009, 0, 1, 0)],
     )
     def test_agrees_with_canonical_count(self, p, t, r, s):
         assert bfs_orbit_count(p, t, r, s) == orbit_count_tuples(p, r, s, PERM_INV)

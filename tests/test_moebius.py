@@ -8,7 +8,6 @@ from schottky_strata.homorbits import HomImage
 from schottky_strata.strata import AdmissibleTuple
 from schottky_strata.cyclic_schottky import KHom, kernel_sample
 from schottky_strata.moebius import (
-    INF,
     MatrixGroupSpec,
     MobiusClass,
     MobiusMap,
@@ -17,11 +16,16 @@ from schottky_strata.moebius import (
     build_matrix_group,
     classify,
     commutator_defect,
-    fixed_points,
+    dist_to_unit,
     matrix_group_defects,
     order_check,
     purely_loxodromic_sample,
 )
+
+
+def fixed_point_residual(m, z):
+    """|c z^2 + (d - a) z - b|: zero exactly when m fixes the finite z."""
+    return abs(m.c * z * z + (m.d - m.a) * z - m.b)
 
 
 def rot(p):
@@ -67,24 +71,6 @@ class TestClassify:
             assert classify(conj) is classify(m)
 
 
-class TestFixedPoints:
-    def test_diagonal(self):
-        fp = fixed_points(MobiusMap(2, 0, 0, 0.5))
-        assert fp.attracting == INF
-        assert fp.repelling == 0
-
-    def test_parabolic_single_point(self):
-        assert fixed_points(MobiusMap(1, 1, 0, 1)).points == (INF,)
-
-    def test_inversion(self):
-        pts = fixed_points(MobiusMap(0, 1, -1, 0)).points
-        assert sorted(pts, key=lambda z: z.imag) == [-1j, 1j]
-
-    def test_identity_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_points(MobiusMap(1, 0, 0, 1, normalize=False))
-
-
 class TestOrderCheck:
     def test_rotation_has_order(self):
         assert order_check(rot(5), 5)
@@ -97,6 +83,14 @@ class TestOrderCheck:
 
     def test_identity_not_of_order_p(self):
         assert not order_check(MobiusMap(1, 0, 0, 1, normalize=False), 5)
+
+    def test_tolerance_widens_with_the_norm(self):
+        # the half turn about 2000 -+ 0.1i has norm ~4e7: its square misses
+        # -I by more than the plain order tolerance, within 64 eps ||M||^3
+        mg = build_matrix_group(AdmissibleTuple(2, 2, 0, 3, 0), separation=1e3)
+        m = mg.matrices[("e", 3)]
+        assert dist_to_unit(m**2) > Tolerances().order
+        assert order_check(m, 2)
 
 
 class TestTolerances:
@@ -112,7 +106,7 @@ class TestNormalization:
         rng = random.Random(3)
         for _ in range(500):
             m = random_unimodular(rng)
-            assert abs(m.det() - 1) <= 1e-12
+            assert abs(m.a * m.d - m.b * m.c - 1) <= 1e-12
 
     def test_idempotent_and_scale_stable(self):
         rng = random.Random(4)
@@ -160,18 +154,21 @@ class TestBuildMatrixGroup:
         for k in range(1, tup.s + 1):
             t_m, f_m = mg.matrices[("t", k)], mg.matrices[("f", k)]
             assert commutator_defect(t_m, f_m) <= _COMMUTATION_TOL
-            assert order_check(f_m, tup.p)
+            assert dist_to_unit(f_m**tup.p) <= Tolerances().order
             assert classify(t_m) is MobiusClass.LOXODROMIC
-            t_pts = sorted(fixed_points(t_m).points, key=lambda z: z.real)
-            f_pts = sorted(fixed_points(f_m).points, key=lambda z: z.real)
-            for zt, zf in zip(t_pts, f_pts):
-                assert abs(zt - zf) <= 1e-8
+            # both fix the real pair center -+ 0.1
+            center = mg.centers[("t", k)]
+            for m in (t_m, f_m):
+                for z in (center - 0.1, center + 0.1):
+                    assert fixed_point_residual(m, z) <= 1e-8
 
     def test_elliptic_fixed_points_off_axis(self):
         mg = build_matrix_group(AdmissibleTuple(2, 2, 0, 3, 0))
-        pts = fixed_points(mg.matrices[("e", 2)]).points
-        assert sorted(z.imag for z in pts) == pytest.approx([-0.1, 0.1])
-        assert all(abs(z.real - 10) < 1e-9 for z in pts)
+        m = mg.matrices[("e", 2)]
+        for z in (10 - 0.1j, 10 + 0.1j):
+            assert fixed_point_residual(m, z) <= 1e-9
+        # and not on the real axis
+        assert fixed_point_residual(m, 10.1) > 1e-3
 
     def test_order_check_implies_elliptic_classification(self):
         for args in [(2, 2, 0, 3, 0), (5, 5, 1, 1, 0), (2, 2, 0, 1, 1)]:

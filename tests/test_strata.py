@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from schottky_strata.cli import run
 from schottky_strata.strata import (
     AdmissibleTuple,
-    Basis,
-    ComponentBounds,
     closed_form_count,
     component_bounds,
     count_strata,
@@ -16,7 +14,6 @@ from schottky_strata.strata import (
     genus,
     is_admissible,
     is_prime,
-    m_count,
 )
 
 PRIMES_TO_60 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
@@ -215,6 +212,10 @@ class TestClosedForm:
             assert closed_form_count(p, g) == count_strata(p, g), (p, g)
 
 
+def m_count(tup):
+    return component_bounds(*tup)[0]
+
+
 class TestMCount:
     def test_p2_always_one(self):
         for tup in enumerate_tuples(9, 2):
@@ -252,72 +253,64 @@ class TestMCount:
 
 class TestDimension:
     def test_published_example(self):
-        assert dimension(AdmissibleTuple(26, 5, 6, 0, 0)) == 15
+        assert dimension(26, 5, 6, 0, 0) == 15
 
     @pytest.mark.parametrize("g", [2, 3, 10, 25])
     def test_hyperelliptic_dimension(self, g):
-        assert dimension(AdmissibleTuple(g, 2, 0, g + 1, 0)) == 2 * g - 1
+        assert dimension(*AdmissibleTuple(g, 2, 0, g + 1, 0)) == 2 * g - 1
 
     def test_rank_two_case(self):
-        assert dimension(AdmissibleTuple(2, 2, 0, 3, 0)) == 3
+        assert dimension(2, 2, 0, 3, 0) == 3
 
     def test_integrality_and_formula(self):
         for g in range(2, 101):
             for tup in all_tuples_for_genus(g):
                 num = 3 * tup.g - 3 - tup.r * (tup.p - 3)
                 assert num % tup.p == 0
-                d = dimension(tup)
+                d = dimension(*tup)
                 assert d == 3 * (tup.t + tup.s - 1) + 2 * tup.r
                 assert d >= 0
 
     def test_hyperelliptic_maximality(self):
         for g in range(2, 51):
-            top = dimension(AdmissibleTuple(g, 2, 0, g + 1, 0))
-            assert top == max(dimension(tup) for tup in all_tuples_for_genus(g))
+            top = dimension(g, 2, 0, g + 1, 0)
+            assert top == max(dimension(*tup) for tup in all_tuples_for_genus(g))
+
+    def test_non_integral_quotient_asserts(self):
+        # (3, 5; 0, 1, 0) breaks the defining relation: 3g - 3 - r(p-3) = 4
+        with pytest.raises(AssertionError, match="not an integer: 4/5"):
+            dimension(3, 5, 0, 1, 0)
 
 
 class TestComponentBounds:
     def test_p2_connected(self):
         for tup in enumerate_tuples(7, 2):
-            cb = component_bounds(tup)
-            assert cb.exact == 1 and cb.basis is Basis.THEOREM_CASE_1
+            _m, exact, basis = component_bounds(*tup)
+            assert exact == 1 and basis == "theorem_case_1"
 
     def test_case3(self):
-        cb = component_bounds(AdmissibleTuple(5, 5, 0, 1, 1))
-        assert cb.exact == 4 == cb.irreducible_count
-        assert cb.basis is Basis.THEOREM_CASE_3
+        assert component_bounds(5, 5, 0, 1, 1) == (4, 4, "theorem_case_3")
 
     def test_free_case_connected(self):
-        cb = component_bounds(AdmissibleTuple(6, 5, 2, 0, 0))
-        assert cb.exact == 1 and cb.basis is Basis.THEOREM_CASE_1
+        _m, exact, basis = component_bounds(6, 5, 2, 0, 0)
+        assert exact == 1 and basis == "theorem_case_1"
 
     def test_fiber_product_family(self):
-        cb = component_bounds(AdmissibleTuple(136, 5, 12, 20, 0))
-        assert cb.exact == 1 and cb.basis is Basis.EXAMPLE2_FAMILY
-        assert cb.irreducible_count == m_count(AdmissibleTuple(136, 5, 12, 20, 0))
+        # M = C(20 + 1, 20) * C(0 + 1, 0) with h = 2 classes
+        assert component_bounds(136, 5, 12, 20, 0) == (21, 1, "example2_family")
 
     def test_upper_only_reports_no_exact(self):
         # r = p, s = 0, t not of the fiber-product shape
         tup = AdmissibleTuple(5 * (0 + 5 + 0 - 1) + 1 - 5, 5, 0, 5, 0)
-        cb = component_bounds(tup)
-        assert cb.exact is None and cb.basis is Basis.UPPER_ONLY
+        _m, exact, basis = component_bounds(*tup)
+        assert exact is None and basis == "upper_only"
 
     def test_exact_never_exceeds_upper(self):
         for g in range(2, 80):
             for tup in all_tuples_for_genus(g):
-                cb = component_bounds(tup)
-                assert cb.irreducible_count == m_count(tup)
-                if cb.exact is not None:
-                    assert 1 <= cb.exact <= cb.irreducible_count
-
-    @pytest.mark.parametrize("exact", [0, 5, -1])
-    def test_rejects_exact_outside_one_to_m(self, exact):
-        with pytest.raises(ValueError, match=r"outside \[1, 4\]"):
-            ComponentBounds(4, exact, Basis.THEOREM_CASE_3)
-
-    def test_accepts_exact_within_one_to_m(self):
-        for exact in (None, 1, 4):
-            assert ComponentBounds(4, exact, Basis.UPPER_ONLY).exact == exact
+                m, exact, _basis = component_bounds(*tup)
+                if exact is not None:
+                    assert 1 <= exact <= m
 
 
 class TestInvariants:
@@ -365,11 +358,7 @@ class TestStratumReport:
     def test_fields_consistent(self):
         for row in report_rows(20, 3):
             tup = AdmissibleTuple(**row["tuple"])
-            cb = component_bounds(tup)
-            assert row["m_count"] == m_count(tup)
-            assert row["dimension"] == dimension(tup)
-            assert row["components"] == {
-                "upper": cb.irreducible_count,
-                "exact": cb.exact,
-                "basis": cb.basis.value,
-            }
+            m, exact, basis = component_bounds(*tup)
+            assert row["m_count"] == m
+            assert row["dimension"] == dimension(*tup)
+            assert row["components"] == {"upper": m, "exact": exact, "basis": basis}

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from schottky_strata.homorbits import BudgetExceeded
-from schottky_strata.strata import component_bounds, Basis, is_admissible
+from schottky_strata.strata import component_bounds, is_admissible
 from schottky_strata.surfaces import (
     CurveData,
     NearSingular,
@@ -185,13 +185,15 @@ class TestExample2Type:
                 assert is_admissible(tup.g, tup.p, tup.t, tup.r, tup.s)
                 assert tup.g == (p - 1) * (2 * m * p - p - 1)
 
-    def test_small_m_warns(self):
-        with pytest.warns(UserWarning):
-            example2_type(5, 2)
+    def test_small_m_outside_family(self):
+        # m < 4 still gives an admissible tuple, but no theorem settles it
+        tup = example2_type(5, 2)
+        assert is_admissible(*tup)
+        assert component_bounds(*tup)[1:] == (None, "upper_only")
 
     def test_connected_family_bound(self):
-        cb = component_bounds(example2_type(5, 4))
-        assert cb.exact == 1 and cb.basis is Basis.EXAMPLE2_FAMILY
+        _m, exact, basis = component_bounds(*example2_type(5, 4))
+        assert exact == 1 and basis == "example2_family"
 
 
 class TestFixedPointCheck:
