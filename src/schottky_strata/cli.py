@@ -9,9 +9,7 @@ checks pass, 1 a check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import random
 import sys
@@ -79,11 +77,17 @@ def _phi_from_args(spec, phi_text):
 def _stratum_row(tup):
     g, p, t, r, s = tup
     m, exact, basis = strata.component_bounds(g, p, t, r, s)
+    return g, p, t, r, s, m, strata.dimension(g, p, t, r, s), exact, m, basis
+
+
+def _stratum_dict(row):
+    # the bounds results, and the form that every report row prints
+    g, p, t, r, s, m, dim, exact, upper, basis = row
     return {
         "tuple": {"g": g, "p": p, "t": t, "r": r, "s": s},
         "m_count": m,
-        "dimension": strata.dimension(g, p, t, r, s),
-        "components": {"upper": m, "exact": exact, "basis": basis},
+        "dimension": dim,
+        "components": {"upper": upper, "exact": exact, "basis": basis},
     }
 
 
@@ -95,11 +99,7 @@ def _cmd_tuples(args):
     if n > args.budget:
         raise homorbits.BudgetExceeded(n, args.budget, what="rows")
     tuples = strata.enumerate_tuples(args.g, args.p)
-    results = {
-        "count": len(tuples),
-        "tuples": [{"g": g, "p": p, "t": t, "r": r, "s": s}
-                   for g, p, t, r, s in tuples],
-    }
+    results = {"count": len(tuples), "tuples": tuples}
     checks = [
         check(
             "all_admissible",
@@ -145,7 +145,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_bounds(args):
-    return _stratum_row(_tuple_from_args(args)), []
+    return _stratum_dict(_stratum_row(_tuple_from_args(args))), []
 
 
 def _cmd_kernel(args):
@@ -317,36 +317,14 @@ def _cmd_report(args):
     return results, checks
 
 
-def _csv_output(command, results):
-    # csv writes None, an unsettled exact count, as an empty field
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if command == "tuples":
-        writer.writerow(["g", "p", "t", "r", "s"])
-        writer.writerows(map(dict.values, results["tuples"]))
-    elif command == "report":
-        writer.writerow(
-            ["g", "p", "t", "r", "s", "m_count", "dimension", "exact", "upper",
-             "basis"]
-        )
-        components = itemgetter("exact", "upper", "basis")
-        writer.writerows(
-            (*row["tuple"].values(), row["m_count"], row["dimension"],
-             *components(row["components"]))
-            for row in results["reports"]
-        )
-    else:
-        raise ValueError(f"--csv not supported for {command}")
-    return out.getvalue()
-
-
 # --------------------------------------------------------------------------
 # envelope encoding: the text of json.dumps(value, indent=2, allow_nan=False),
 # byte for byte.  That call runs json's pure-Python encoder, because any
 # indent disables the C one.  An encoded JSON string never holds a raw
 # newline, so the C encoder with "\n" as item separator turns a sequence
 # of scalars into one text that splits back into their texts.  Dicts that
-# share their keys (the table rows) are encoded a column at a time.
+# share their keys (such as loxcheck's words) are encoded a column at a
+# time.  Table rows bypass the encoder: see the table section below.
 
 _SCALARS = json.JSONEncoder(separators=("\n", ": "), allow_nan=False)
 _CONTAINERS = (dict, list, tuple)
@@ -408,6 +386,57 @@ def _indented_rows(keys, rows, depth):
     return list(map("".join, zip(*parts)))
 
 
+# --------------------------------------------------------------------------
+# tables: each row's text is its kind's %-template filled from the row
+# tuple with str semantics, and only the rest of the envelope is encoded.
+# A JSON template is the encoder's text of the row's dict form, so a
+# report row prints what bounds prints.
+
+_ROW = "\n" + "  " * 3  # a row's indent: an item of the list at results[key]
+_TUPLE_JSON = _indented(dict.fromkeys("gptrs", "%s"), 3).replace('"%s"', "%s")
+_REPORT_JSON = _indented(_stratum_dict(["%s"] * 10), 3).replace('"%s"', "%s")
+
+
+def _csv_output(command, results):
+    # None, an unsettled exact count, is an empty field; basis names need
+    # no quoting
+    if command == "tuples":
+        return "".join(["g,p,t,r,s\n", *map("%s,%s,%s,%s,%s\n".__mod__,
+                                            results["tuples"])])
+    return "".join(["g,p,t,r,s,m_count,dimension,exact,upper,basis\n", *[
+        "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
+        % (g, p, t, r, s, m, dim, "" if exact is None else exact, upper, basis)
+        for g, p, t, r, s, m, dim, exact, upper, basis in results["reports"]]])
+
+
+def _json_output(envelope):
+    command, results = envelope["command"], envelope["results"]
+    if command == "tuples" and results:
+        key = "tuples"
+        texts = list(map(_TUPLE_JSON.__mod__, results[key]))
+    elif command == "report" and results:
+        key, quoted = "reports", _SCALARS.encode
+        # in _stratum_dict's order: upper before exact, None as null
+        texts = [_REPORT_JSON % (g, p, t, r, s, m, dim, upper,
+                                 "null" if exact is None else exact,
+                                 quoted(basis))
+                 for g, p, t, r, s, m, dim, exact, upper, basis
+                 in results[key]]
+    else:
+        return _indented(envelope) + "\n"
+    text = _indented({**envelope, "results": {**results, key: []}}) + "\n"
+    if not texts:
+        return text
+    head, mark, tail = text.partition(f'"{key}": [')
+    texts[0] = head + mark + _ROW + texts[0]
+    texts[-1] += _ROW[:-2] + tail
+    return ("," + _ROW).join(texts)
+
+
+def _crash(exc):
+    return check("internal_invariant", False, f"{type(exc).__name__}: {exc}")
+
+
 _HANDLERS = {
     "tuples": _cmd_tuples,
     "count": _cmd_count,
@@ -436,7 +465,7 @@ def _add_tol_flags(sub):
 
 
 # rows that tuples and report build by default: a report row peaks at
-# about 1.7 KB of memory as JSON, so a default run stays under 2 GB
+# about 0.95 KB of memory as JSON, so a default run stays near 1 GB
 _ROW_BUDGET = 10**6
 
 
@@ -518,7 +547,9 @@ def _parser():
 
 
 def run(argv):
-    """Parse and execute; returns (exit_code, envelope_or_None, text)."""
+    """Parse and execute; returns (exit_code, envelope_or_None, text).
+
+    Table rows in the envelope are tuples in CSV column order."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -538,9 +569,7 @@ def run(argv):
         return 2, None, ""
     except Exception as exc:
         # a broken library invariant fails a check instead of escaping
-        results = {}
-        checks = [check("internal_invariant", False,
-                        f"{type(exc).__name__}: {exc}")]
+        results, checks = {}, [_crash(exc)]
 
     envelope = {
         "command": args.command,
@@ -552,11 +581,16 @@ def run(argv):
         envelope["meta"] = {
             "timestamp": datetime.now(timezone.utc).isoformat()
         }
-    if getattr(args, "csv", False) and results:  # else the envelope says why
-        text = _csv_output(args.command, results)
-    else:
+    try:  # under --csv, a failed command's envelope says why
+        if getattr(args, "csv", False) and results:
+            text = _csv_output(args.command, results)
+        else:
+            text = _json_output(envelope)
+    except Exception as exc:
+        # a value that no template or the encoder can write
+        envelope["results"], envelope["checks"] = {}, [_crash(exc)]
         text = _indented(envelope) + "\n"
-    code = 0 if all(c["pass"] for c in checks) else 1
+    code = 0 if all(c["pass"] for c in envelope["checks"]) else 1
     return code, envelope, text
 
 

@@ -47,14 +47,33 @@ def run_json(argv):
     return code, envelope, text
 
 
+def _dict_rows(env):
+    """``env`` with its table rows in the dict form that its text prints;
+    in-process they are tuples in CSV column order."""
+    results = dict(env["results"])
+    if env["command"] == "tuples" and results:
+        results["tuples"] = [dict(zip("gptrs", row))
+                             for row in results["tuples"]]
+    if env["command"] == "report" and results:
+        results["reports"] = [
+            {"tuple": dict(zip("gptrs", row[:5])), "m_count": row[5],
+             "dimension": row[6],
+             "components": {"upper": row[8], "exact": row[7],
+                            "basis": row[9]}}
+            for row in results["reports"]]
+    return {**env, "results": results}
+
+
 class TestEnvelope:
     def test_tuples_payload(self):
         code, env, text = run_json(["tuples", "--g", "5", "--p", "5"])
         assert code == 0
         assert env["command"] == "tuples"
         assert env["results"]["count"] == 2
-        assert env["results"]["tuples"][0] == {"g": 5, "p": 5, "t": 0, "r": 1, "s": 1}
-        assert json.loads(text) == env
+        assert env["results"]["tuples"] == strata.enumerate_tuples(5, 5)
+        rows = json.loads(text)["results"]["tuples"]
+        assert rows[0] == {"g": 5, "p": 5, "t": 0, "r": 1, "s": 1}
+        assert json.loads(text) == _dict_rows(env)
 
     def test_deterministic_output(self):
         _, _, first = run_json(["report", "--p", "5", "--g-min", "2", "--g-max", "8"])
@@ -323,6 +342,27 @@ class TestChecksCanFail:
         assert json.loads(text) == env
         assert capsys.readouterr().err == ""
 
+    class _Unprintable:
+        def __str__(self):
+            raise RuntimeError("no text")
+
+    @pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+    def test_internal_invariant_while_rendering(self, as_csv, monkeypatch,
+                                                capsys):
+        # a row value that no template can write fails the check, with the
+        # envelope in place of the table
+        monkeypatch.setattr(strata, "dimension",
+                            lambda g, p, t, r, s: self._Unprintable())
+        argv = ["report", "--p", "5", "--g-min", "2", "--g-max", "8"]
+        code, env, text = run_json(argv + ["--csv"] * as_csv)
+        assert (code, env["results"]) == (1, {})
+        assert env["checks"] == [{
+            "name": "internal_invariant", "pass": False,
+            "detail": "RuntimeError: no text",
+        }]
+        assert json.loads(text) == env
+        assert capsys.readouterr().err == ""
+
 
 def _fresh_python(*args):
     """stdout of a new interpreter with the package's source on its path."""
@@ -426,9 +466,9 @@ class TestCommands:
         assert all(line.endswith("theorem_case_1") for line in lines[1:])
 
     def test_bounds_is_the_report_row(self):
-        _, env, _ = run_json(["report", "--p", "5", "--g-min", "2",
-                              "--g-max", "40"])
-        rows = env["results"]["reports"]
+        _, _, text = run_json(["report", "--p", "5", "--g-min", "2",
+                               "--g-max", "40"])
+        rows = json.loads(text)["results"]["reports"]
         assert len(rows) == sum(strata.count_strata(5, g) for g in range(2, 41))
         for row in rows:
             t = row["tuple"]
@@ -439,8 +479,8 @@ class TestCommands:
 
     def test_report_upper_is_m_count(self):
         window = ["report", "--p", "7", "--g-min", "2", "--g-max", "60"]
-        _, env, _ = run_json(window)
-        rows = env["results"]["reports"]
+        _, _, text = run_json(window)
+        rows = json.loads(text)["results"]["reports"]
         assert rows and all(
             row["components"]["upper"] == row["m_count"] for row in rows
         )
@@ -480,10 +520,10 @@ def _checked_rows(p, g_min, g_max):
     """The rows ``report`` gives for the window, after checking that they
     are the window's tuples in order and that each passes the benchmark's
     independent row check (binomial product, dimension formula)."""
-    code, env, _ = run_json(["report", "--p", str(p), "--g-min", str(g_min),
-                             "--g-max", str(g_max)])
+    code, _, text = run_json(["report", "--p", str(p), "--g-min", str(g_min),
+                              "--g-max", str(g_max)])
     assert code == 0
-    rows = env["results"]["reports"]
+    rows = json.loads(text)["results"]["reports"]
     assert [tuple(row["tuple"].values()) for row in rows] == [
         (g, p, *trs) for g in range(g_min, g_max + 1)
         for trs in checkers.stratum_triples(g, p)]
@@ -505,7 +545,14 @@ def _reference_csv(header, rows):
     return out.getvalue()
 
 
-def _reference_report(p, g_min, g_max, as_csv):
+def _with_meta(envelope, meta):
+    """The envelope's json.dumps text, with the meta block ``meta`` if any."""
+    if meta is not None:
+        envelope["meta"] = meta
+    return json.dumps(envelope, indent=2) + "\n"
+
+
+def _reference_report(p, g_min, g_max, as_csv, meta=None):
     rows = _checked_rows(p, g_min, g_max)
     if as_csv:
         return _reference_csv(
@@ -523,10 +570,10 @@ def _reference_report(p, g_min, g_max, as_csv):
                     "detail": f"{len(rows)} rows, count_strata sums to "
                               f"{len(rows)}"}],
     }
-    return json.dumps(envelope, indent=2) + "\n"
+    return _with_meta(envelope, meta)
 
 
-def _reference_tuples(g, p, as_csv):
+def _reference_tuples(g, p, as_csv, meta=None):
     tuples = [{"g": tup.g, "p": tup.p, "t": tup.t, "r": tup.r, "s": tup.s}
               for tup in strata.enumerate_tuples(g, p)]
     if as_csv:
@@ -540,36 +587,50 @@ def _reference_tuples(g, p, as_csv):
                     "detail": f"{len(tuples)} tuples verified against the "
                               "defining relation"}],
     }
-    return json.dumps(envelope, indent=2) + "\n"
+    return _with_meta(envelope, meta)
 
 
 # (p, g_min, g_max): windows that between them meet all four bases,
-# including the Example 2 members (136,5;12,20,0) and (288,7;18,28,0)
+# including the Example 2 members (136,5;12,20,0) and (288,7;18,28,0), a
+# window with no row and one whose M passes 2^63
 _TABLE_WINDOWS = [(2, 2, 30), (3, 2, 40), (5, 2, 60), (5, 130, 140),
-                  (7, 280, 290), (31, 2, 400)]
+                  (7, 280, 290), (31, 2, 400), (5, 7, 7), (31, 3630, 3630)]
+# (g, p), the last with no row
+_TUPLE_GENERA = [(30, 2), (40, 3), (136, 5), (288, 7), (311, 31), (7, 5)]
+# --meta prints its block in JSON and nothing in CSV
+_MODES = pytest.mark.parametrize("as_csv,meta", [
+    (False, False), (True, False), (False, True), (True, True),
+], ids=["json", "csv", "json-meta", "csv-meta"])
+
+
+def _table_text(argv, meta):
+    """The text and meta block of a table command, run with ``--meta``
+    when ``meta`` is set."""
+    code, env, text = run_json(["--meta"] * meta + argv)
+    assert code == 0
+    return text, env.get("meta")
 
 
 class TestTableOutput:
     """``report`` and ``tuples`` print, byte for byte, the tables that
     json.dumps and the csv module make from the checked rows."""
 
-    @pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+    @_MODES
     @pytest.mark.parametrize("p,g_min,g_max", _TABLE_WINDOWS)
-    def test_report(self, p, g_min, g_max, as_csv):
+    def test_report(self, p, g_min, g_max, as_csv, meta):
         argv = ["report", "--p", str(p), "--g-min", str(g_min),
                 "--g-max", str(g_max)] + ["--csv"] * as_csv
-        code, _env, text = run_json(argv)
-        assert code == 0
-        assert text == _reference_report(p, g_min, g_max, as_csv)
+        text, block = _table_text(argv, meta)
+        assert (block is not None) == meta
+        assert text == _reference_report(p, g_min, g_max, as_csv, block)
 
-    @pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
-    @pytest.mark.parametrize("g,p", [(30, 2), (40, 3), (136, 5), (288, 7),
-                                     (311, 31)])
-    def test_tuples(self, g, p, as_csv):
+    @_MODES
+    @pytest.mark.parametrize("g,p", _TUPLE_GENERA)
+    def test_tuples(self, g, p, as_csv, meta):
         argv = ["tuples", "--g", str(g), "--p", str(p)] + ["--csv"] * as_csv
-        code, _env, text = run_json(argv)
-        assert code == 0
-        assert text == _reference_tuples(g, p, as_csv)
+        text, block = _table_text(argv, meta)
+        assert (block is not None) == meta
+        assert text == _reference_tuples(g, p, as_csv, block)
 
     def test_windows_meet_every_basis(self):
         rows = [row for window in _TABLE_WINDOWS
@@ -579,6 +640,9 @@ class TestTableOutput:
         family = [tuple(row["tuple"].values()) for row in rows
                   if row["components"]["basis"] == "example2_family"]
         assert family == [(136, 5, 12, 20, 0), (288, 7, 18, 28, 0)]
+        assert not _checked_rows(5, 7, 7) and not strata.enumerate_tuples(7, 5)
+        big = _checked_rows(31, 3630, 3630)
+        assert max(row["m_count"] for row in big) > 2**63
 
 
 def _dumps(value):
@@ -673,7 +737,7 @@ class TestEncoder:
     ])
     def test_every_command(self, argv):
         _code, env, text = run_json(argv)
-        assert text == _dumps(env) + "\n"
+        assert text == _dumps(_dict_rows(env)) + "\n"
 
 
 _SMALL_INTS = st.integers(-3, 40)
@@ -812,7 +876,7 @@ class TestArgvFuzz:
             # malformed input exits 2; a crash in a handler is a bug
             assert "internal_invariant" not in {c["name"] for c in env["checks"]}
         if code == 0:
-            assert json.loads(text) == env
+            assert json.loads(text) == _dict_rows(env)
         curves = [arg[len("--curve="):] for arg in argv
                   if arg.startswith("--curve=")]
         if code != 2 and curves:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -334,10 +335,10 @@ class TestInvariants:
 
 def report_rows(g, p):
     """The ``report`` rows of the one-genus window g..g."""
-    code, env, _ = run(["report", "--p", str(p), "--g-min", str(g),
-                        "--g-max", str(g)])
+    code, _, text = run(["report", "--p", str(p), "--g-min", str(g),
+                         "--g-max", str(g)])
     assert code == 0
-    return env["results"]["reports"]
+    return json.loads(text)["results"]["reports"]
 
 
 class TestStratumReport:
