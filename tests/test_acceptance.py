@@ -173,14 +173,12 @@ def test_criterion_7_example2_suite():
                 g = (p - 1) * (2 * m * p - p - 1)
                 assert tup.g == g
                 assert g == p * (tup.t + tup.r - 1) + 1 - tup.r
+                # genus, sigma1's fixed points and the quotient genus from
+                # the branch data, against the type
+                assert sf.riemann_hurwitz(p, m) == (g, 2 * tup.r,
+                                                    tup.t + tup.s)
         x, y = sf.witness_pair(5, 4)
         assert not sf.same_orbit(x, y)
-        rng = random.Random(424242)
-        for m in (1, 2):
-            for _ in range(5):
-                curve = sf.random_curve(5, m, rng)
-                rep = sf.fixed_point_check(curve, tolerance=1e-9)
-                assert rep["passed"], rep["max_residual"]
 
 
 def _all_admissible_up_to(g_max):

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import random
 import shlex
 import subprocess
 import sys
@@ -14,32 +13,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import schottky_strata
 from perfbench import checkers
-from schottky_strata import cli, homorbits, strata
+from schottky_strata import cli, homorbits, strata, surfaces
 from schottky_strata.cli import run
 from schottky_strata.cyclic_schottky import normal_form
-from schottky_strata.surfaces import random_curve
+from schottky_strata.strata import AdmissibleTuple
 
 
 _G5_TUPLE = ["--g", "5", "--p", "5", "--t", "0", "--r", "1", "--s", "1"]
-# finite coordinates whose p-th powers overflow a double
-HUGE_CURVE = ('{"p": 5, "a": [[[1e300, 0], [2, 0]]], '
-              '"b": [[[3, 0], [-1e300, 0]]], "alpha": [2], "beta": [1]}')
-
-
-# a float p and a bool rotation entry, each in an otherwise valid curve
-FLOAT_P_CURVE = ('{"p": 5.0, "a": [[[1, 0], [2, 0]]], "b": [[[3, 0], [-1, 0]]], '
-                 '"alpha": [1], "beta": [1]}')
-BOOL_ENTRY_CURVE = ('{"p": 5, "a": [[[1, 0], [2, 0]]], "b": [[[3, 0], [-1, 0]]], '
-                    '"alpha": [true], "beta": [1]}')
-
-
-def _scaled_curve(factor):
-    """A seeded curve with every branch point multiplied by ``factor``."""
-    data = random_curve(5, 2, random.Random(3)).to_json()
-    for key in ("a", "b"):
-        data[key] = [[[factor * re, factor * im] for re, im in pair]
-                     for pair in data[key]]
-    return json.dumps(data)
 
 
 def run_json(argv):
@@ -98,7 +78,7 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         # m is gone: bounds prints M and oracle checks it; example1 takes
-        # none of example2's flags
+        # no flags
         for argv in (["frobnicate"], ["m", *_G5_TUPLE],
                      ["m", *_G5_TUPLE, "--oracle"],
                      ["verify", "example1", "--tolerance", "nan"],
@@ -128,7 +108,6 @@ class TestExitCodes:
              "--phi", '{"a":["x"],"e":[1]}'],
             ["kernel", "--g", "5", "--p", "5", "--t", "1", "--r", "1", "--s", "0",
              "--phi", "[1]"],
-            ["verify", "example2", "--curve", '{"p":5}'],
             ["report", "--p", "5", "--g-min", "10", "--g-max", "2"],
             ["oracle", "--p", "5", "--r", "0", "--s", "0", "--t", "0"],
             ["oracle", "--p", "5", "--r", "0", "--s", "0", "--t", "1"],
@@ -142,22 +121,14 @@ class TestExitCodes:
                 ]
             ),
             ["loxcheck", *_G5_TUPLE, "--tol-order", "nan"],
-            *(["verify", "example2", "--tolerance", value]
-              for value in ("nan", "inf", "-1")),
             ["loxcheck", *_G5_TUPLE, "--max-syllables", "0"],
-            ["verify", "example2", "--curve", HUGE_CURVE],
             # centers and matrices overflow a double
             ["build", *_G5_TUPLE, "--separation", "1e308"],
             ["loxcheck", *_G5_TUPLE, "--separation", "1e308"],
-            # bases that are not finite: NaN residuals at 1e40, NaN in the
-            # output at 1e80
-            ["verify", "example2", "--curve", _scaled_curve(1e40)],
-            ["verify", "example2", "--curve", _scaled_curve(1e80)],
-            ["verify", "example2", "--curve", FLOAT_P_CURVE],
-            ["verify", "example2", "--curve", BOOL_ENTRY_CURVE],
-            # a finite tolerance whose threshold overflows a double
-            ["verify", "example2", "--tolerance", "1e308",
-             "--curve", _scaled_curve(1)],
+            # outside the fiber-product family
+            ["verify", "example2", "--p", "4"],
+            ["verify", "example2", "--p", "3"],
+            ["verify", "example2", "--m", "0"],
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -165,6 +136,16 @@ class TestExitCodes:
         assert (code, env, text) == (2, None, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,value", [("--curve", '{"p":5}'),
+                                            ("--tolerance", "1e-9")])
+    def test_example2_takes_only_p_and_m(self, flag, value, capsys):
+        # no command takes these flags: argparse's usage error
+        assert run_json(["verify", "example2", flag, value]) == (2, None, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: schottky-strata ")
+        assert err.endswith(
+            f"schottky-strata: error: unrecognized arguments: {flag} {value}\n")
 
     _G4_TUPLE = ["--g", "4", "--p", "5", "--t", "0", "--r", "2", "--s", "0"]
 
@@ -285,6 +266,22 @@ class TestChecksCanFail:
                             lambda p, t, r, s: False)
         _failed_check(["verify", "example2"], "family_is_connected_case",
                       capsys)
+
+    def test_riemann_hurwitz_genus(self, monkeypatch, capsys):
+        real = surfaces.example2_type
+        monkeypatch.setattr(surfaces, "example2_type",
+                            lambda p, m: real(p, m + 1))
+        failed = _failed_check(["verify", "example2", "--p", "7", "--m", "5"],
+                               "riemann_hurwitz_genus", capsys)
+        assert failed["detail"].startswith("p=7 m=5: ")
+
+    # (136, 5; 28, 0, 0) is admissible with the genus of p = 5, m = 4
+    @pytest.mark.parametrize("name", ["sigma1_fixed_points", "quotient_genus"])
+    def test_same_genus_other_type(self, name, monkeypatch, capsys):
+        monkeypatch.setattr(surfaces, "example2_type",
+                            lambda p, m: AdmissibleTuple(136, 5, 28, 0, 0))
+        failed = _failed_check(["verify", "example2"], name, capsys)
+        assert failed["detail"].startswith("p=5 m=4: ")
 
     @pytest.mark.parametrize("scale", [[], ["--scale"]])
     def test_oracle_closed_form_agreement(self, scale, monkeypatch, capsys):
@@ -492,23 +489,20 @@ class TestCommands:
     def test_verify_example2_payload(self):
         code, env, _ = run_json(["verify", "example2"])
         assert code == 0
+        assert env["inputs"] == {"example": "example2", "m": 4, "p": 5}
         assert env["results"]["witness"] == [[1, 1, 1, 1], [1, 1, 1, 2]]
-        names = {c["name"] for c in env["checks"]}
-        assert "family_is_connected_case" in names
-        assert "fixed_point_check" in names
+        assert [c["name"] for c in env["checks"]] == [
+            "riemann_hurwitz_genus", "sigma1_fixed_points", "quotient_genus",
+            "family_is_connected_case", "witness_pair_distinct_orbits"]
 
-    def test_verify_example2_user_curve(self):
-        import random
-
-        from schottky_strata.surfaces import random_curve
-
-        curve = random_curve(5, 1, random.Random(5))
-        code, env, _ = run_json(
-            ["verify", "example2", "--curve", json.dumps(curve.to_json())]
-        )
+    @pytest.mark.parametrize("p,m", [(7, 5), (13, 6)])
+    def test_verify_example2_checks_the_requested_family(self, p, m):
+        code, env, _ = run_json(["verify", "example2", "--p", str(p),
+                                 "--m", str(m)])
         assert code == 0
-        assert env["results"]["curve_report"]["passed"]
-        assert any(c["name"] == "user_curve_fixed_points" for c in env["checks"])
+        assert env["results"]["type"] == surfaces.example2_type(p, m)._asdict()
+        for check in env["checks"][:3]:
+            assert check["detail"].startswith(f"p={p} m={m}: ")
 
     def test_verify_deterministic(self):
         _, _, first = run_json(["verify", "example2"])
@@ -689,8 +683,6 @@ _VALUES = st.recursive(
     max_leaves=12,
 )
 
-_G5_CURVE = json.dumps(random_curve(5, 1, random.Random(5)).to_json())
-
 
 class TestEncoder:
     """The envelope text is json.dumps(envelope, indent=2), byte for byte."""
@@ -728,7 +720,7 @@ class TestEncoder:
         ["kernel", "--g", "26", "--p", "5", "--t", "6", "--r", "0",
          "--s", "0"],
         ["verify", "example1"],
-        ["verify", "example2", "--curve", _G5_CURVE],
+        ["verify", "example2", "--p", "7", "--m", "5"],
         ["build", *_G5_TUPLE],
         ["loxcheck", "--g", "4", "--p", "5", "--t", "0", "--r", "2",
          "--s", "0", "--separation", "0.1", "--max-syllables", "3"],
@@ -770,23 +762,11 @@ def _table_argv(draw):
 _SHAPE = st.integers(-1, 4)
 _FLOAT_TEXTS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1", "0",
                                 "1e-12", "1e-9", "0.1", "10"])
-# a small JSON grammar for --phi and --curve
+# a small JSON grammar for --phi
 _JSON_LEAVES = st.integers(-2, 13) | st.sampled_from([5.0, True, False, None,
                                                       "x"])
 _JSON = st.recursive(_JSON_LEAVES, lambda kids: st.lists(kids, max_size=3),
                      max_leaves=6)
-_CURVE_VALUES = (
-    st.sampled_from([5, 7, 5.0, True, "5", 4])
-    | st.lists(st.sampled_from([1, 2, 4, 0, 2.0, True, "1"]), min_size=1,
-               max_size=2)
-    | st.sampled_from([1e300, math.nan, math.inf, 0.5]).map(
-        lambda x: [[[x, 0], [2, 0]]])
-    | _JSON
-)
-
-
-def _integral(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @st.composite
@@ -814,7 +794,7 @@ def _optional(draw, argv, flag, values):
 
 @st.composite
 def _command_argv(draw):
-    """argv lists for the commands that take a shape, a --phi or a --curve."""
+    """argv lists for the commands that take a shape, a --phi or a family."""
     command = draw(st.sampled_from(["oracle", "kernel", "verify", "build",
                                     "loxcheck"]))
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]) | st.integers(-1, 13))
@@ -827,12 +807,7 @@ def _command_argv(draw):
     if command == "verify":
         argv = ["verify", draw(st.sampled_from(["example1", "example2"]))]
         _optional(draw, argv, "--p", st.integers(-1, 13))
-        _optional(draw, argv, "--m", st.integers(-1, 4))
-        _optional(draw, argv, "--tolerance", _FLOAT_TEXTS)
-        base = random_curve(draw(st.sampled_from([5, 7])),
-                            draw(st.integers(1, 2)),
-                            random.Random(draw(st.integers(0, 3)))).to_json()
-        _optional(draw, argv, "--curve", _json_text(base, _CURVE_VALUES))
+        _optional(draw, argv, "--m", st.integers(-1, 5))
         return argv
     if draw(st.integers(0, 2)):
         g = p * (t + r + s - 1) + 1 - r  # the relation, so some exit 0
@@ -861,12 +836,9 @@ _KERNEL_ARGV = ["kernel", "--g", "5", "--p", "5", "--t", "1", "--r", "1",
 
 class TestArgvFuzz:
     @given(_table_argv() | _command_argv())
-    @example(["verify", "example2", f"--curve={FLOAT_P_CURVE}"])
-    @example(["verify", "example2", f"--curve={BOOL_ENTRY_CURVE}"])
     @example(["verify", "example1", "--tolerance", "nan"])
     @example(_KERNEL_ARGV + ["--phi", '{"a":["x"],"e":[1]}'])
     @example(_KERNEL_ARGV + ["--phi", "[1]"])
-    @example(["verify", "example2", '--curve={"p":5}'])
     @settings(max_examples=300, deadline=None)
     def test_exit_code_contract(self, argv):
         code, env, text = run_json(argv)
@@ -877,13 +849,6 @@ class TestArgvFuzz:
             assert "internal_invariant" not in {c["name"] for c in env["checks"]}
         if code == 0:
             assert json.loads(text) == _dict_rows(env)
-        curves = [arg[len("--curve="):] for arg in argv
-                  if arg.startswith("--curve=")]
-        if code != 2 and curves:
-            # a curve's p and rotation entries are integers, never bools
-            curve = json.loads(curves[0])
-            assert all(map(_integral,
-                           [curve["p"], *curve["alpha"], *curve["beta"]]))
 
 
 def _without_brackets(line):

@@ -1,22 +1,17 @@
-import cmath
 import itertools
 import math
 import random
 
-import mpmath
 import pytest
 
 from schottky_strata.homorbits import BudgetExceeded
 from schottky_strata.strata import component_bounds, is_admissible
 from schottky_strata.surfaces import (
-    CurveData,
-    NearSingular,
     RotationTuple,
     canonical_rotation,
     count_orbits,
     example2_type,
-    fixed_point_check,
-    random_curve,
+    riemann_hurwitz,
     same_orbit,
     witness_pair,
 )
@@ -196,95 +191,12 @@ class TestExample2Type:
         assert exact == 1 and basis == "example2_family"
 
 
-class TestFixedPointCheck:
-    def curve(self, seed=1, p=5, m=2):
-        return random_curve(p, m, random.Random(seed))
-
-    def test_random_instances_pass(self):
-        rng = random.Random(2024)
-        for m in (1, 2):
-            for _ in range(5):
-                rep = fixed_point_check(random_curve(5, m, rng), tolerance=1e-9)
-                assert rep["passed"], rep["max_residual"]
-
-    def test_vanishing_coordinate_is_exact(self):
-        rep = fixed_point_check(self.curve(), tolerance=1e-9)
-        # every point has one equation satisfied exactly: overall residuals
-        # stay far below threshold, and the report carries every point
-        p, m = 5, 2
-        assert len(rep["points"]) == 2 * m * 2 * p
-
-    def test_perturbed_root_detected(self):
-        # replicate one fixed point, perturb the nonzero coordinate by 1e-3,
-        # and confirm the curve equation rejects it at the same tolerance
-        c = self.curve(seed=3)
-        x = c.a[0][0]
-        base = 1 + 0j
-        for (b1, b2), q in zip(c.b, c.beta.entries):
-            base *= (x - b1) ** q * (x - b2) ** (5 - q)
-        y2 = cmath.exp(cmath.log(base) / 5)
-        good = abs(y2**5 - base)
-        bad = abs((y2 + 1e-3) ** 5 - base)
-        rep = fixed_point_check(c, tolerance=1e-9)
-        assert good <= rep["threshold"]
-        assert bad > rep["threshold"]
-
-    def test_near_singular_rejected(self):
-        c = self.curve()
-        squeezed = CurveData(
-            c.p,
-            ((c.a[0][0], c.a[0][0] + 1e-14), c.a[1]),
-            c.b,
-            c.alpha,
-            c.beta,
-        )
-        with pytest.raises(NearSingular):
-            fixed_point_check(squeezed)
-
-    def test_precision_improves_residual(self):
-        # the docstring's formula at 50 digits, evaluated here from the
-        # curve's data: its residuals fall below the double-precision ones
-        c = self.curve(seed=8)
-        double = fixed_point_check(c, tolerance=1e-9)
-        p = c.p
-        residuals = []
-        with mpmath.workdps(50):
-            omega = mpmath.exp(2j * mpmath.pi / p)
-            for pairs, other_pairs, other_exps in ((c.a, c.b, c.beta.entries),
-                                                   (c.b, c.a, c.alpha.entries)):
-                for x in (mpmath.mpc(z) for pair in pairs for z in pair):
-                    base = mpmath.mpc(1)
-                    for (z1, z2), q in zip(other_pairs, other_exps):
-                        base *= (x - z1) ** q * (x - z2) ** (p - q)
-                    root = mpmath.exp(mpmath.log(base) / p)
-                    residuals += [abs((omega**k * root) ** p - base)
-                                  for k in range(p)]
-        assert len(residuals) == len(double["points"])
-        assert float(max(residuals)) < double["max_residual"]
-
-    def test_json_round_trip(self):
-        c = self.curve()
-        again = CurveData.from_json(c.to_json())
-        assert again == c
-
-    @pytest.mark.parametrize("data", [[1], {"p": 5}, {"p": 5, "a": 1, "b": 2,
-                                                    "alpha": 3, "beta": 4}])
-    def test_from_json_rejects_malformed(self, data):
+class TestRiemannHurwitz:
+    # the values against example2_type: test_acceptance, criterion 7
+    @pytest.mark.parametrize("p,m", [(4, 4), (3, 4), (5, 0)])
+    def test_rejects_outside_the_family(self, p, m):
         with pytest.raises(ValueError):
-            CurveData.from_json(data)
-
-    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_nonpositive_tolerance(self, tolerance):
-        with pytest.raises(ValueError, match="finite and positive"):
-            fixed_point_check(self.curve(), tolerance=tolerance)
-
-    def test_overflow_is_value_error(self):
-        # finite coordinates whose p-th powers overflow a double
-        huge = CurveData.from_json({"p": 5, "a": [[[1e300, 0], [2, 0]]],
-                                    "b": [[[3, 0], [-1e300, 0]]],
-                                    "alpha": [2], "beta": [1]})
-        with pytest.raises(ValueError, match="overflow double precision"):
-            fixed_point_check(huge)
+            riemann_hurwitz(p, m)
 
 
 def riemann_hurwitz_holds(tup):
