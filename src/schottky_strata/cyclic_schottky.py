@@ -18,6 +18,7 @@ Text syntax for words: whitespace-separated syllables ``a1``, ``e2^3``,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -62,6 +63,11 @@ class GroupSpec:
             out.append(("t", k))
             out.append(("f", k))
         return out
+
+    @functools.cached_property
+    def roster(self):
+        """The roster as a frozenset, built once per spec."""
+        return frozenset(self.symbols())
 
     def is_elliptic(self, sym):
         return sym[0] in ("e", "f")
@@ -127,7 +133,7 @@ def normal_form(spec, syllables):
 
     The result is empty iff the word represents the identity.
     """
-    roster = set(spec.symbols())
+    roster = spec.roster
     stack = []
     for sym, exp in syllables:
         if sym not in roster:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from operator import add, mod
 from typing import Dict, List, Tuple
 
 from .strata import check_prime
@@ -52,7 +51,7 @@ def _reduce_letters(letters):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeWord:
     """A freely reduced word in the free group of the given rank."""
 
@@ -74,8 +73,9 @@ class FreeWord:
         """Build without re-validating: only for letters already freely
         reduced and within ``rank``."""
         word = object.__new__(cls)
-        object.__setattr__(word, "rank", rank)  # kept inline, as __init__ does
-        object.__setattr__(word, "letters", letters)
+        # the slot descriptors set the fields without the frozen __setattr__
+        cls.rank.__set__(word, rank)
+        cls.letters.__set__(word, letters)
         return word
 
     def __mul__(self, other):
@@ -150,22 +150,18 @@ class AbelianHom:
         for img in self.images:
             if len(img) != len(self.moduli):
                 raise ValueError("image dimension does not match moduli")
-        object.__setattr__(self, "_steps", {  # signed image of each letter
-            sign * x: tuple(sign * v for v in img)
-            for x, img in enumerate(self.images, 1) for sign in (1, -1)})
-
-    def apply_letter(self, coset, x):
-        return tuple(map(mod, map(add, coset, self._steps[x]), self.moduli))
 
 
 def hom_image(phi, w):
     """Image of a word: signed sum of generator images mod the moduli."""
     if phi.rank != w.rank:
         raise ValueError("rank mismatch")
-    acc = (0,) * len(phi.moduli)
+    sums = [0] * len(phi.moduli)
     for x in w.letters:
-        acc = phi.apply_letter(acc, x)
-    return acc
+        sign = 1 if x > 0 else -1
+        for i, v in enumerate(phi.images[abs(x) - 1]):
+            sums[i] += sign * v
+    return tuple(total % m for total, m in zip(sums, phi.moduli))
 
 
 class StallingsGraph:
@@ -236,24 +232,26 @@ def fold(generators):
             v = parent[v]
         return v
 
+    merged = False  # until the first merge every vertex is its own root
     for w in generators:
         letters = w.letters
-        root = find(0)
+        root = find(0) if merged else 0
         head, i = root, 0
         for x in letters:
             nxt = adj[head].get(x)
             if nxt is None:
                 break
-            head, i = find(nxt), i + 1
+            head, i = find(nxt) if merged else nxt, i + 1
         tail, j = root, len(letters)
         while j > i:
             nxt = adj[tail].get(-letters[j - 1])
             if nxt is None:
                 break
-            tail, j = find(nxt), j - 1
+            tail, j = find(nxt) if merged else nxt, j - 1
         if i == j:
             if head != tail:
                 _flush_folds(parent, adj, find, head, tail)
+                merged = True
             continue
         for x in letters[i:j - 1]:
             nxt = len(adj)
@@ -270,7 +268,12 @@ def fold(generators):
             adj[tail][-x] = head
         else:
             _flush_folds(parent, adj, find, taken, head)
-    return _canonical_relabel(rank, adj, find)
+            merged = True
+    if merged:  # point every edge at its target's root
+        for edges in adj:
+            for x, w in edges.items():
+                edges[x] = find(w)
+    return _canonical_relabel(rank, adj, find(0))
 
 
 def _flush_folds(parent, adj, find, u, v):
@@ -301,26 +304,20 @@ def _flush_folds(parent, adj, find, u, v):
                 pending.append((find(old), w))
 
 
-def _canonical_relabel(rank, adj, find):
-    # breadth-first from the basepoint's class; every edge target is read
-    # through find, so vertices merged away by folding are never labelled
+def _canonical_relabel(rank, adj, root):
+    # breadth-first from the basepoint's root; every edge targets a root, so
+    # vertices merged away by folding are never labelled
     order = _letter_order(rank)
-    root = find(0)
     label = {root: 0}
     queue = deque([root])
     while queue:
-        v = queue.popleft()
+        edges = adj[queue.popleft()]
         for x in order:
-            w = adj[v].get(x)
-            if w is not None:
-                w = find(w)
-                if w not in label:
-                    label[w] = len(label)
-                    queue.append(w)
-    new = [dict() for _ in label]
-    for v, i in label.items():
-        for x, w in adj[v].items():
-            new[i][x] = label[find(w)]
+            w = edges.get(x)
+            if w is not None and w not in label:
+                label[w] = len(label)
+                queue.append(w)
+    new = [{x: label[w] for x, w in adj[v].items()} for v in label]
     return StallingsGraph(rank, new)
 
 
@@ -350,6 +347,22 @@ def index_and_rank(graph):
     return (index, rank)
 
 
+def _coset_steps(phi):
+    """step[x][c] = the coset c.x, for every signed letter x.
+
+    Cosets are numbered in mixed radix over the moduli, the first modulus
+    most significant, so coset 0 is the zero of the codomain.
+    """
+    steps = {}
+    for x in _letter_order(phi.rank):
+        table = [0]
+        for m, v in zip(phi.moduli, phi.images[abs(x) - 1]):
+            v = v if x > 0 else -v
+            table = [i * m + (b + v) % m for i in table for b in range(m)]
+        steps[x] = table
+    return steps
+
+
 def schreier_kernel(phi):
     """Schreier generators of ker(phi) for a surjective AbelianHom.
 
@@ -362,30 +375,29 @@ def schreier_kernel(phi):
     its joins cancels, and reduced otherwise (Lyndon-Schupp I.3).
     """
     k = phi.rank
-    zero = (0,) * len(phi.moduli)
     letters = _letter_order(k)
-    reps = {zero: ()}
+    steps = _coset_steps(phi)
+    rows = [(x, steps[x]) for x in letters]
+    reps = {0: ()}
     order = []  # (coset, targets under a, b, ...) in shortlex discovery order
-    queue = deque([(zero, None)])
+    queue = deque([(0, None)])
     while queue:
         c, back = queue.popleft()
         u = reps[c]
+        last = -u[-1] if u else 0
         targets = []
-        for x in letters:
-            if u and u[-1] == -x:
+        for x, step in rows:
+            if x == last:
                 d = back  # cancels u's last letter; never shortlex-least
             else:
-                d = phi.apply_letter(c, x)
+                d = step[c]
                 if d not in reps:
                     reps[d] = u + (x,)
                     queue.append((d, c))
             if x > 0:
                 targets.append(d)
         order.append((c, targets))
-    n = 1
-    for m in phi.moduli:
-        n *= m
-    if len(reps) != n:
+    if len(reps) != math.prod(phi.moduli):
         raise ValueError("homomorphism is not surjective onto its codomain")
 
     inverse_reps = {c: tuple(-y for y in reversed(u)) for c, u in reps.items()}

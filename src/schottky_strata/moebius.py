@@ -334,14 +334,25 @@ def purely_loxodromic_sample(
 
     A word's matrix is the left-to-right product of its syllable powers
     from the identity.  Words come in level, then lexicographic order, so
-    ``products`` keeps the prefix products of the previous word and only
-    the syllables after the shared prefix are multiplied.
+    ``products`` keeps the prefix products of the previous word, and
+    ``prefixes`` their texts, and only the syllables after the shared
+    prefix are multiplied and written.
+
+    Most words are loxodromic, and those are decided without ``classify``
+    when that decision is exact: each left-to-right partial sum in
+    ``dist_to_unit`` is at least fl(|b|^2 + |c|^2), as rounding is
+    monotone, so past eps the word is not the identity; the tr^2 tests
+    are those of ``classify``.  Every other word, NaN and inf included,
+    goes to ``classify``.
     """
     words = kernel_sample(phi, max_syllables, budget=budget)
+    eps = tolerances.classify
+    loxodromic = MobiusClass.LOXODROMIC.value
     powers = {}
     texts = {}
     previous = ()
     products = [MobiusMap(1, 0, 0, 1, normalize=False)]
+    prefixes = [""]
     entries = []
     violations = []
     n_lox = 0
@@ -353,17 +364,28 @@ def purely_loxodromic_sample(
                 break
             shared += 1
         del products[shared + 1:]
+        del prefixes[shared + 1:]
         for syl in w.syllables[shared:]:
             if syl not in powers:
                 powers[syl] = mg.matrices[syl[0]] ** syl[1]
                 texts[syl] = fpword_str(FPWord((syl,)))
             products.append(products[-1] * powers[syl])
+            # str(w) from syllable texts written once (a test pins the equality)
+            prefix = prefixes[-1]
+            prefixes.append(prefix + " " + texts[syl] if prefix else texts[syl])
         previous = w.syllables
-        m = products[-1]
-        cls = classify(m, tolerances)
+        m, text = products[-1], prefixes[-1]
         tr = m.trace()
-        # str(w) from syllable texts written once (a test pins the equality)
-        text = " ".join([texts[syl] for syl in w.syllables])
+        tr2 = tr ** 2
+        # the exact early exit of the docstring: a loxodromic word
+        if (math.sqrt(abs(m.b) ** 2 + abs(m.c) ** 2) > eps
+                and abs(tr2 - 4) > eps
+                and not (abs(tr2.imag) <= eps and -eps <= tr2.real <= 4 - eps)):
+            n_lox += 1
+            entries.append({"word": text, "class": loxodromic,
+                            "trace": [tr.real, tr.imag]})
+            continue
+        cls = classify(m, tolerances)
         entry = {"word": text, "class": cls.value, "trace": [tr.real, tr.imag]}
         entries.append(entry)
         if cls is MobiusClass.LOXODROMIC:

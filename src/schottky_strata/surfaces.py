@@ -72,11 +72,15 @@ def same_orbit(x, y):
     return canonical_rotation(x) == canonical_rotation(y)
 
 
-def _rotation_codes(p, m):
-    """Sorted canonical codes of the orbits in (Z_p^*)^m, one per orbit."""
+def _check_family(p, m):
     check_prime(p, minimum=5)
     if m < 1:
         raise ValueError("m must be >= 1")
+
+
+def _rotation_codes(p, m):
+    """Sorted canonical codes of the orbits in (Z_p^*)^m, one per orbit."""
+    _check_family(p, m)
     return canonical_codes(p, m, 0, _ROTATION)
 
 
@@ -86,17 +90,20 @@ def count_orbits(p, m):
 
 
 def witness_pair(p, m):
-    """Two tuples in distinct orbits (lex-least canonical forms), or None.
+    """The two lex-least canonical forms, tuples in distinct orbits, or None
+    when the action is transitive (m = 1).
 
-    Returns None exactly when the action is transitive.
+    A canonical form is sorted and starts with 1 (rescale by the inverse of
+    any entry), so the least is (1, ..., 1), alone in its orbit since
+    rescaling keeps all entries equal.  For m >= 2 every other sorted
+    tuple has some entry above 1 and sorts at or above (1, ..., 1, 2);
+    that tuple is its own orbit's least sorted rescale, the second form.
     """
-    codes = _rotation_codes(p, m)
-    if codes.size < 2:
+    _check_family(p, m)
+    if m == 1:
         return None
-    return tuple(
-        RotationTuple(p, tuple(int(code) // p**j % p for j in reversed(range(m))))
-        for code in codes[:2]
-    )
+    ones = (1,) * (m - 1)
+    return RotationTuple(p, ones + (1,)), RotationTuple(p, ones + (2,))
 
 
 def example2_type(p, m):
@@ -106,9 +113,7 @@ def example2_type(p, m):
     The topological conclusions need m >= 4; smaller m still yields a
     well-defined admissible tuple, outside the family's theorem.
     """
-    check_prime(p, minimum=5)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_family(p, m)
     g = (p - 1) * (2 * m * p - p - 1)
     return AdmissibleTuple(g, p, (p - 1) * (m - 1), m * p, 0)
 
@@ -129,7 +134,5 @@ def riemann_hurwitz(p, m):
     y1 = 0 over each of the 2m a-points; S/<sigma1> is the p-gonal curve
     y2^p = ..., branched at the 2m b-points.
     """
-    check_prime(p, minimum=5)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_family(p, m)
     return _cover_genus(p * p, 4 * m, p), 2 * m * p, _cover_genus(p, 2 * m, p)

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from schottky_strata import freegroup
 from schottky_strata.freegroup import (
     INFINITE,
     AbelianHom,
@@ -156,6 +158,24 @@ class TestFold:
     def test_matches_naive_bouquet_fold(self, case):
         rank, words = case
         assert fold(words).key() == naive_fold_key(rank, words)
+
+    def test_reads_after_the_first_merge(self, monkeypatch):
+        # the first merge comes with the fourth word, so it and the fifth
+        # are read through merged vertices; together the words generate
+        # the index-3 kernel of a, b -> 1
+        words = [W(text) for text in ("aaa", "bbb", "abbbA", "aB", "Ba")]
+        merges = []
+        real = freegroup._flush_folds
+        monkeypatch.setattr(freegroup, "_flush_folds",
+                            lambda *args: merges.append(args) or real(*args))
+        fold(words[:3])
+        assert not merges
+        graph = fold(words[:4])
+        assert merges and graph.n_vertices == 4
+        graph = fold(words)
+        assert graph.key() == naive_fold_key(2, words)
+        assert index_and_rank(graph) == (3, 4)
+        assert graph == fold(schreier_kernel(AbelianHom(2, (3,), ((1,), (1,)))))
 
     def test_whole_group(self):
         g = fold([W("a"), W("b")])
@@ -324,8 +344,9 @@ class TestSchreier:
 def reference_schreier_letters(phi):
     """Letters of the Schreier words by the plain formula: every
     u x (rep of u.x)^-1 over the shortlex-least transversal, validated and
-    reduced by ``FreeWord``, the empty ones dropped.  Cosets step by the
-    signed generator images, without ``AbelianHom.apply_letter``."""
+    reduced by ``FreeWord``, the empty ones dropped.  Cosets are tuples
+    that step by the signed generator images, not the integer tables of
+    ``schreier_kernel``."""
     k = phi.rank
     zero = (0,) * len(phi.moduli)
 
@@ -342,6 +363,8 @@ def reference_schreier_letters(phi):
             if d not in reps:
                 reps[d] = reps[c] + (x,)
                 queue.append(d)
+    if len(reps) != math.prod(phi.moduli):
+        raise ValueError("homomorphism is not surjective onto its codomain")
     out = []
     for c in queue:
         for x in range(1, k + 1):
@@ -369,6 +392,25 @@ class TestTrustedSchreierWords:
                 assert all(FreeWord(k, w.letters) == w for w in words)
                 assert [w.letters for w in words] == \
                     reference_schreier_letters(phi)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_tuple_coset_reference(self, data):
+        k = data.draw(st.integers(1, 5))
+        moduli = tuple(data.draw(st.lists(
+            st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1, max_size=2)))
+        images = tuple(tuple(data.draw(st.integers(0, m - 1)) for m in moduli)
+                       for _ in range(k))
+        phi = AbelianHom(k, moduli, images)
+        try:
+            want = reference_schreier_letters(phi)
+        except ValueError as err:  # not surjective
+            with pytest.raises(ValueError) as raised:
+                schreier_kernel(phi)
+            assert str(raised.value) == str(err)
+        else:
+            assert [w.letters for w in schreier_kernel(phi)] == want
 
 
 class TestExample1:

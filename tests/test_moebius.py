@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -6,8 +7,9 @@ import pytest
 
 from schottky_strata.homorbits import HomImage
 from schottky_strata.strata import AdmissibleTuple
-from schottky_strata.cyclic_schottky import KHom, kernel_sample
+from schottky_strata.cyclic_schottky import KHom, kernel_sample, normalized_homs
 from schottky_strata.moebius import (
+    DEFAULT_TOLERANCES,
     MatrixGroupSpec,
     MobiusClass,
     MobiusMap,
@@ -274,6 +276,37 @@ class TestPurelyLoxodromic:
                         want = [m.trace().real.hex(), m.trace().imag.hex()]
                         assert [x.hex() for x in entry["trace"]] == want, entry
                         assert entry["class"] == classify(m).value
+
+    @pytest.mark.parametrize("separation", [10, 1, 0.2, 0.05])
+    def test_classes_match_classify(self, separation):
+        # loxodromic words skip classify; every entry must still carry the
+        # class classify gives the left-to-right product, on crowded
+        # separations and a loose tolerance too, where words fail
+        classes = set()
+        for g, p, t, r, s in [(5, 5, 1, 1, 0), (6, 5, 1, 0, 1), (4, 5, 0, 2, 0),
+                              (6, 5, 2, 0, 0), (2, 2, 0, 3, 0)]:
+            mg = build_matrix_group(AdmissibleTuple(g, p, t, r, s),
+                                    separation=separation)
+            for phi in itertools.islice(normalized_homs(mg.spec), 4):
+                words = kernel_sample(phi, 3)
+                for tol in (DEFAULT_TOLERANCES, Tolerances(classify=10)):
+                    rep = purely_loxodromic_sample(mg, phi, max_syllables=3,
+                                                   tolerances=tol)
+                    assert len(rep["words"]) == len(words)
+                    for entry, w in zip(rep["words"], words):
+                        m = MobiusMap(1, 0, 0, 1, normalize=False)
+                        for sym, exp in w.syllables:
+                            m = m * (mg.matrices[sym] ** exp)
+                        assert entry["class"] == classify(m, tol).value, entry
+                        classes.add(entry["class"])
+                    assert rep["n_loxodromic"] == sum(
+                        e["class"] == "loxodromic" for e in rep["words"])
+                    assert rep["n_identity"] == sum(
+                        e["class"] == "identity" for e in rep["words"])
+                    assert rep["violations"] == [
+                        e for e in rep["words"]
+                        if e["class"] in ("elliptic", "parabolic")]
+        assert "parabolic" in classes
 
     def test_powers_match_repeated_products(self):
         mg = build_matrix_group(AdmissibleTuple(5, 5, 1, 1, 0))

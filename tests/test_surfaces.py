@@ -8,6 +8,7 @@ from schottky_strata.homorbits import BudgetExceeded
 from schottky_strata.strata import component_bounds, is_admissible
 from schottky_strata.surfaces import (
     RotationTuple,
+    _rotation_codes,
     canonical_rotation,
     count_orbits,
     example2_type,
@@ -159,6 +160,33 @@ class TestWitness:
         })
         x, y = witness_pair(p, m)
         assert (x.entries, y.entries) == (forms[0], forms[1])
+
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_closed_form_is_the_two_least_codes(self, p):
+        # against the orbit engine on every m with at most 10^6 tuples
+        m = 1
+        while (p - 1) ** m <= 10**6:
+            codes = _rotation_codes(p, m)
+            pair = witness_pair(p, m)
+            if codes.size < 2:
+                assert pair is None and m == 1
+            else:
+                assert [x.entries for x in pair] == [
+                    tuple(int(code) // p**j % p for j in reversed(range(m)))
+                    for code in codes[:2]]
+            m += 1
+
+    def test_large_family_needs_no_enumeration(self):
+        # 12^7 tuples, past the orbit engine's default budget
+        x, y = witness_pair(13, 7)
+        assert (x.entries, y.entries) == ((1,) * 7, (1,) * 6 + (2,))
+        assert not same_orbit(x, y)
+
+    @pytest.mark.parametrize("p,m", [(4, 2), (3, 2), (5, 0)])
+    def test_rejects_outside_the_family(self, p, m):
+        with pytest.raises(ValueError):
+            witness_pair(p, m)
 
 
 class TestExample2Type:
