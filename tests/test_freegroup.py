@@ -393,7 +393,6 @@ class TestTrustedSchreierWords:
                 assert [w.letters for w in words] == \
                     reference_schreier_letters(phi)
 
-
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_tuple_coset_reference(self, data):

@@ -161,7 +161,6 @@ class TestWitness:
         x, y = witness_pair(p, m)
         assert (x.entries, y.entries) == (forms[0], forms[1])
 
-
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_closed_form_is_the_two_least_codes(self, p):
         # against the orbit engine on every m with at most 10^6 tuples
