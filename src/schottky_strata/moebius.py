@@ -139,9 +139,15 @@ def classify(m, tolerances=DEFAULT_TOLERANCES):
     With eps = tolerances.classify: IDENTITY within eps of +-I; PARABOLIC
     when tr^2 is within eps of 4; ELLIPTIC when tr^2 is real within eps
     and lies in [0, 4-eps]; LOXODROMIC otherwise.
+
+    The identity test first compares sqrt(|b|^2 + |c|^2) with eps, which
+    decides it exactly when that exceeds eps: each left-to-right partial
+    sum in ``dist_to_unit`` is at least fl(|b|^2 + |c|^2), as rounding is
+    monotone, so both distances to +-I exceed eps too (NaN fails both).
     """
     eps = tolerances.classify
-    if dist_to_unit(m) <= eps:
+    if (math.sqrt(abs(m.b) ** 2 + abs(m.c) ** 2) <= eps
+            and dist_to_unit(m) <= eps):
         return MobiusClass.IDENTITY
     tr2 = m.trace() ** 2
     if abs(tr2 - 4) <= eps:
@@ -337,17 +343,8 @@ def purely_loxodromic_sample(
     ``products`` keeps the prefix products of the previous word, and
     ``prefixes`` their texts, and only the syllables after the shared
     prefix are multiplied and written.
-
-    Most words are loxodromic, and those are decided without ``classify``
-    when that decision is exact: each left-to-right partial sum in
-    ``dist_to_unit`` is at least fl(|b|^2 + |c|^2), as rounding is
-    monotone, so past eps the word is not the identity; the tr^2 tests
-    are those of ``classify``.  Every other word, NaN and inf included,
-    goes to ``classify``.
     """
     words = kernel_sample(phi, max_syllables, budget=budget)
-    eps = tolerances.classify
-    loxodromic = MobiusClass.LOXODROMIC.value
     powers = {}
     texts = {}
     previous = ()
@@ -376,15 +373,6 @@ def purely_loxodromic_sample(
         previous = w.syllables
         m, text = products[-1], prefixes[-1]
         tr = m.trace()
-        tr2 = tr ** 2
-        # the exact early exit of the docstring: a loxodromic word
-        if (math.sqrt(abs(m.b) ** 2 + abs(m.c) ** 2) > eps
-                and abs(tr2 - 4) > eps
-                and not (abs(tr2.imag) <= eps and -eps <= tr2.real <= 4 - eps)):
-            n_lox += 1
-            entries.append({"word": text, "class": loxodromic,
-                            "trace": [tr.real, tr.imag]})
-            continue
         cls = classify(m, tolerances)
         entry = {"word": text, "class": cls.value, "trace": [tr.real, tr.imag]}
         entries.append(entry)

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .homorbits import ActionSpec, ImageTuple, canonical_codes, canonical_form
+from .homorbits import (ActionSpec, BudgetExceeded, ImageTuple,
+                        canonical_codes, canonical_form)
 from .strata import AdmissibleTuple, check_int, check_prime
 
 __all__ = [
@@ -89,6 +90,11 @@ def count_orbits(p, m):
     return int(_rotation_codes(p, m).size)
 
 
+# checking the pair with same_orbit sorts p - 1 rescales of each tuple;
+# every family with at most 10^7 rotation tuples stays within this
+_WITNESS_BUDGET = 10**6
+
+
 def witness_pair(p, m):
     """The two lex-least canonical forms, tuples in distinct orbits, or None
     when the action is transitive (m = 1).
@@ -98,10 +104,16 @@ def witness_pair(p, m):
     rescaling keeps all entries equal.  For m >= 2 every other sorted
     tuple has some entry above 1 and sorts at or above (1, ..., 1, 2);
     that tuple is its own orbit's least sorted rescale, the second form.
+
+    Raises BudgetExceeded when (p - 1) * m, the rescaled entries of one
+    tuple, exceeds 10^6.
     """
     _check_family(p, m)
     if m == 1:
         return None
+    if (p - 1) * m > _WITNESS_BUDGET:
+        raise BudgetExceeded((p - 1) * m, _WITNESS_BUDGET,
+                             what="rescaled entries")
     ones = (1,) * (m - 1)
     return RotationTuple(p, ones + (1,)), RotationTuple(p, ones + (2,))
 

@@ -129,6 +129,9 @@ class TestExitCodes:
             ["verify", "example2", "--p", "4"],
             ["verify", "example2", "--p", "3"],
             ["verify", "example2", "--m", "0"],
+            # a witness pair too long to check
+            ["verify", "example2", "--m", "1000000000"],
+            ["verify", "example2", "--p", "1000003", "--m", "2"],
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):

@@ -72,6 +72,41 @@ class TestClassify:
             conj = u * m * u.inverse()
             assert classify(conj) is classify(m)
 
+    def test_identity_pretest_matches_distance(self):
+        # classify tests |b|^2 + |c|^2 before dist_to_unit; near +-I, at the
+        # eps boundary and with NaN and inf entries it must still return
+        # IDENTITY exactly when dist_to_unit(m) <= eps
+        rng = random.Random(5)
+        nonfinite = [math.nan, math.inf, -math.inf]
+        seen = set()
+        for eps in (1e-9, 1e-3, 0.5, 1.0, 3.0, 10.0):
+            tol = Tolerances(classify=eps)
+            for _ in range(3000):
+                sign = rng.choice((1, -1))
+                scale = eps * rng.choice((0.3, 0.7, 1 - 1e-15, 1, 1 + 1e-15, 2))
+                a, b, c, d = (complex(rng.gauss(0, scale), rng.gauss(0, scale))
+                              for _ in range(4))
+                if rng.random() < 0.2:
+                    b, c = complex(scale, 0), 0j
+                if rng.random() < 0.1:
+                    entries = [a, b, c, d]
+                    entries[rng.randrange(4)] = complex(rng.choice(nonfinite), 0)
+                    a, b, c, d = entries
+                m = MobiusMap(sign + a, b, c, sign + d, normalize=False)
+                want = dist_to_unit(m) <= eps
+                got = classify(m, tol) is MobiusClass.IDENTITY
+                assert got == want, (eps, m)
+                seen.add(want)
+            # |b| or |c| at eps itself, with a = d = +-1: on the boundary
+            for sign in (1, -1):
+                for b, c in ((eps, 0), (0, eps), (0, -1j * eps)):
+                    m = MobiusMap(sign, b, c, sign, normalize=False)
+                    assert (classify(m, tol) is MobiusClass.IDENTITY) == (
+                        dist_to_unit(m) <= eps), (eps, m)
+        assert seen == {True, False}
+        assert classify(MobiusMap(1, 0.5, 0, 1, normalize=False),
+                        Tolerances(classify=0.5)) is MobiusClass.IDENTITY
+
 
 class TestOrderCheck:
     def test_rotation_has_order(self):
@@ -279,9 +314,9 @@ class TestPurelyLoxodromic:
 
     @pytest.mark.parametrize("separation", [10, 1, 0.2, 0.05])
     def test_classes_match_classify(self, separation):
-        # loxodromic words skip classify; every entry must still carry the
-        # class classify gives the left-to-right product, on crowded
-        # separations and a loose tolerance too, where words fail
+        # every entry must carry the class classify gives the left-to-right
+        # product, on crowded separations and a loose tolerance too, where
+        # words fail
         classes = set()
         for g, p, t, r, s in [(5, 5, 1, 1, 0), (6, 5, 1, 0, 1), (4, 5, 0, 2, 0),
                               (6, 5, 2, 0, 0), (2, 2, 0, 3, 0)]:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from schottky_strata.homorbits import BudgetExceeded
-from schottky_strata.strata import component_bounds, is_admissible
+from schottky_strata.strata import component_bounds, is_admissible, is_prime
 from schottky_strata.surfaces import (
     RotationTuple,
     _rotation_codes,
@@ -186,6 +186,20 @@ class TestWitness:
     def test_rejects_outside_the_family(self, p, m):
         with pytest.raises(ValueError):
             witness_pair(p, m)
+
+    def test_budget_bounds_the_check(self):
+        # same_orbit sorts p - 1 rescales of m entries per tuple
+        x, y = witness_pair(5, 250_000)
+        assert y.entries[-2:] == (1, 2)
+        for p, m in [(5, 250_001), (5, 10**9), (1_000_003, 2)]:
+            with pytest.raises(BudgetExceeded) as exc:
+                witness_pair(p, m)
+            assert exc.value.required == (p - 1) * m
+        # every family with at most 10^7 rotation tuples is still paired
+        worst = max((p - 1) * m for p in range(5, 3170) if is_prime(p)
+                    for m in range(2, 13) if (p - 1) ** m <= 10**7)
+        assert worst == 2 * 3162
+        assert witness_pair(3163, 2) is not None
 
 
 class TestExample2Type:
