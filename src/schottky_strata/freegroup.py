@@ -232,22 +232,22 @@ def fold(generators):
             v = parent[v]
         return v
 
-    merged = False  # until the first merge every vertex is its own root
+    merged = False  # no merge, no edge to repoint
     for w in generators:
         letters = w.letters
-        root = find(0) if merged else 0
+        root = find(0)
         head, i = root, 0
         for x in letters:
             nxt = adj[head].get(x)
             if nxt is None:
                 break
-            head, i = find(nxt) if merged else nxt, i + 1
+            head, i = find(nxt), i + 1
         tail, j = root, len(letters)
         while j > i:
             nxt = adj[tail].get(-letters[j - 1])
             if nxt is None:
                 break
-            tail, j = find(nxt) if merged else nxt, j - 1
+            tail, j = find(nxt), j - 1
         if i == j:
             if head != tail:
                 _flush_folds(parent, adj, find, head, tail)
