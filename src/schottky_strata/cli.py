@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
 Every command prints one JSON envelope {command, inputs, results, checks}
-(or CSV for the two table commands under --csv).  Output is deterministic;
---meta adds a timestamp block outside the payload.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 usage error.
+(or CSV for the two table commands under --csv), as the text of
+json.dumps(envelope, indent=2, allow_nan=False) with table rows filled
+from templates.  Output is deterministic; --meta adds a timestamp block
+outside the payload.  Exit codes: 0 all checks pass, 1 a check failed,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import functools
 import json
 import sys
 from datetime import datetime, timezone
-from itertools import repeat
-from operator import itemgetter
 
 from . import homorbits, moebius, strata, surfaces
 from .cyclic_schottky import (
@@ -34,32 +34,18 @@ def _tuple_from_args(args):
     return AdmissibleTuple(args.g, args.p, args.t, args.r, args.s)
 
 
-def _complex_json(z):
-    return [z.real, z.imag]
-
-
-def _matrix_json(m):
-    return [_complex_json(z) for z in m.entries()]
-
-
-def _default_phi(spec):
-    return next(iter(normalized_homs(spec)))
-
-
 def _phi_from_args(spec, phi_text):
     if phi_text is None:
-        return _default_phi(spec)
+        return next(iter(normalized_homs(spec)))
     data = json.loads(phi_text)
     if not isinstance(data, dict):
         raise ValueError("--phi must be a JSON object with keys a, e, tau, f")
     for key in ("a", "e", "tau", "f"):
         value = data.get(key, [])
-        if not isinstance(value, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in value
-        ):
+        # type, not isinstance: true and false are not integers here
+        if not isinstance(value, list) or any(type(c) is not int for c in value):
             raise ValueError(
-                f"--phi: {key!r} must be a list of integers, got {value!r}"
-            )
+                f"--phi: {key!r} must be a list of integers, got {value!r}")
     tup = spec.tuple
     hom = HomImage(
         tup.p,
@@ -217,6 +203,18 @@ def _verify_example2(args):
     return results, checks
 
 
+def _within_doubles(handler):
+    """``handler`` with an overflow of its matrix arithmetic refused as a
+    bad separation, as ``build_matrix_group`` refuses one it cannot place."""
+    def refusing(args):
+        try:
+            return handler(args)
+        except OverflowError:
+            raise ValueError(f"separation {args.separation} takes the matrix "
+                             "arithmetic beyond double precision") from None
+    return refusing
+
+
 def _built_group(args):
     """The command's matrix group, its tolerances and its invariant check."""
     tup = _tuple_from_args(args)
@@ -231,6 +229,7 @@ def _built_group(args):
     return tup, tol, mg, invariants
 
 
+@_within_doubles
 def _cmd_build(args):
     tup, tol, mg, invariants = _built_group(args)
     matrices = []
@@ -239,8 +238,8 @@ def _cmd_build(args):
         matrices.append(
             {
                 "symbol": f"{sym[0]}{sym[1]}",
-                "matrix": _matrix_json(m),
-                "center": _complex_json(mg.centers[sym]),
+                "matrix": [[z.real, z.imag] for z in m.entries()],
+                "center": [mg.centers[sym].real, mg.centers[sym].imag],
                 "class": moebius.classify(m, tolerances=tol).value,
             }
         )
@@ -249,6 +248,7 @@ def _cmd_build(args):
     return results, [invariants]
 
 
+@_within_doubles
 def _cmd_loxcheck(args):
     tup, tol, mg, invariants = _built_group(args)
     phi = _phi_from_args(mg.spec, args.phi)
@@ -302,83 +302,24 @@ def _cmd_report(args):
 
 
 # --------------------------------------------------------------------------
-# envelope encoding: the text of json.dumps(value, indent=2, allow_nan=False),
-# byte for byte.  That call runs json's pure-Python encoder, because any
-# indent disables the C one.  An encoded JSON string never holds a raw
-# newline, so the C encoder with "\n" as item separator turns a sequence
-# of scalars into one text that splits back into their texts.  Dicts that
-# share their keys (such as loxcheck's words) are encoded a column at a
-# time.  Table rows bypass the encoder: see the table section below.
-
-_SCALARS = json.JSONEncoder(separators=("\n", ": "), allow_nan=False)
-_CONTAINERS = (dict, list, tuple)
-
-
-def _key_text(key):
-    # json.dumps writes true, null, 1 or 1.5 as the key's string
-    if not isinstance(key, (str, int, float, type(None))):
-        raise TypeError("keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return _SCALARS.encode(key if isinstance(key, str)
-                           else _SCALARS.encode(key))
-
-
-def _indented(value, depth=0):
-    """The text of ``value`` at nesting depth ``depth``."""
-    if not isinstance(value, _CONTAINERS):
-        return _SCALARS.encode(value)
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    if not value:
-        return brackets
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict):
-        keys = [_key_text(k) for k in value]
-        items = map("{}: {}".format, keys,
-                    _indented_items(list(value.values()), depth + 1))
-    else:
-        items = _indented_items(value, depth + 1)
-    body = ("," + inner).join(items)
-    return f"{brackets[0]}{inner}{body}{inner[:-2]}{brackets[1]}"
-
-
-def _indented_items(values, depth):
-    """The texts of a non-empty sequence of values at ``depth``, in order."""
-    kinds = set(map(type, values))
-    if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
-        return _SCALARS.encode(values)[1:-1].split("\n")
-    if kinds == {dict}:
-        keys = tuple(values[0])
-        # equal keys of other types can print differently (True, 1, 1.0)
-        if (keys and all(type(k) is str for k in keys)
-                and all(map(keys.__eq__, map(tuple, values)))):
-            return _indented_rows(keys, values, depth)
-    return [_indented(v, depth) for v in values]
-
-
-def _indented_rows(keys, rows, depth):
-    # dicts with the same str keys in the same order.  itemgetter makes no
-    # object per row: a view per row would set off the cyclic garbage
-    # collector over the whole envelope.
-    inner = "\n" + "  " * (depth + 1)
-    parts = []
-    for key in keys:
-        lead = "," if parts else "{"
-        column = list(map(itemgetter(key), rows))
-        parts += [repeat(f"{lead}{inner}{_key_text(key)}: "),
-                  _indented_items(column, depth + 1)]
-    parts.append(repeat(inner[:-2] + "}"))
-    return list(map("".join, zip(*parts)))
-
-
-# --------------------------------------------------------------------------
-# tables: each row's text is its kind's %-template filled from the row
-# tuple with str semantics, and only the rest of the envelope is encoded.
-# A JSON template is the encoder's text of the row's dict form, so a
-# report row prints what bounds prints.
+# output: every envelope's text is json.dumps(envelope, indent=2,
+# allow_nan=False).  Table rows skip it: each row's text is its kind's
+# %-template filled from the row tuple with str semantics, and the rows are
+# spliced into the text of the rest of the envelope.  A JSON template is
+# json.dumps of the row's dict form at the row indent, so a report row
+# prints what bounds prints.
 
 _ROW = "\n" + "  " * 3  # a row's indent: an item of the list at results[key]
-_TUPLE_JSON = _indented(dict.fromkeys("gptrs", "%s"), 3).replace('"%s"', "%s")
-_REPORT_JSON = _indented(_stratum_dict(["%s"] * 10), 3).replace('"%s"', "%s")
+
+
+def _row_template(row):
+    return json.dumps(row, indent=2).replace("\n", _ROW).replace('"%s"', "%s")
+
+
+_TUPLE_JSON = _row_template(dict.fromkeys("gptrs", "%s"))
+# basis names are fixed identifiers, which need no escaping
+_REPORT_JSON = _row_template(_stratum_dict(["%s"] * 10)).replace(
+    '"basis": %s', '"basis": "%s"')
 
 
 def _csv_output(command, results):
@@ -395,20 +336,20 @@ def _csv_output(command, results):
 
 def _json_output(envelope):
     command, results = envelope["command"], envelope["results"]
+    texts = []
     if command == "tuples" and results:
         key = "tuples"
         texts = list(map(_TUPLE_JSON.__mod__, results[key]))
     elif command == "report" and results:
-        key, quoted = "reports", _SCALARS.encode
+        key = "reports"
         # in _stratum_dict's order: upper before exact, None as null
         texts = [_REPORT_JSON % (g, p, t, r, s, m, dim, upper,
-                                 "null" if exact is None else exact,
-                                 quoted(basis))
+                                 "null" if exact is None else exact, basis)
                  for g, p, t, r, s, m, dim, exact, upper, basis
                  in results[key]]
-    else:
-        return _indented(envelope) + "\n"
-    text = _indented({**envelope, "results": {**results, key: []}}) + "\n"
+    if texts:
+        envelope = {**envelope, "results": {**results, key: []}}
+    text = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
     if not texts:
         return text
     head, mark, tail = text.partition(f'"{key}": [')
@@ -435,11 +376,8 @@ _HANDLERS = {
 
 
 def _add_tuple_flags(sub):
-    sub.add_argument("--g", type=int, required=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--t", type=int, required=True)
-    sub.add_argument("--r", type=int, required=True)
-    sub.add_argument("--s", type=int, required=True)
+    for name in "gptrs":
+        sub.add_argument(f"--{name}", type=int, required=True)
 
 
 def _add_tol_flags(sub):
@@ -568,9 +506,9 @@ def run(argv):
         else:
             text = _json_output(envelope)
     except Exception as exc:
-        # a value that no template or the encoder can write
+        # a value that no template or json.dumps can write
         envelope["results"], envelope["checks"] = {}, [_crash(exc)]
-        text = _indented(envelope) + "\n"
+        text = _json_output(envelope)
     code = 0 if all(c["pass"] for c in envelope["checks"]) else 1
     return code, envelope, text
 

@@ -336,7 +336,7 @@ def purely_loxodromic_sample(
 
     Violations (elliptic/parabolic evaluations) are reported with the
     offending word and its trace; they indicate insufficient separation
-    rather than a hard error.
+    rather than a hard error.  An overflowing product raises OverflowError.
 
     A word's matrix is the left-to-right product of its syllable powers
     from the identity.  Words come in level, then lexicographic order, so
@@ -373,6 +373,8 @@ def purely_loxodromic_sample(
         previous = w.syllables
         m, text = products[-1], prefixes[-1]
         tr = m.trace()
+        if not cmath.isfinite(tr):  # classify raises for finite overflows
+            raise OverflowError(f"{text} has trace {tr}")
         cls = classify(m, tolerances)
         entry = {"word": text, "class": cls.value, "trace": [tr.real, tr.imag]}
         entries.append(entry)

@@ -25,20 +25,29 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with the prime bases up to 41 is proven for every n below
+# _MR_BOUND (Sorenson and Webster, Math. Comp. 2017); the bases up to 37
+# alone pass the composite 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
-    """Deterministic trial division; inputs here are small."""
+    """Deterministic Miller-Rabin; ValueError for n >= _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is not decided: the Miller-Rabin "
+                         f"bases 2..41 are proven only below {_MR_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d = n - 1
+    k = (d & -d).bit_length() - 1  # n - 1 = d * 2^k with d odd
+    d >>= k
+    return all(pow(b, d, n) == 1
+               or any(pow(b, d << i, n) == n - 1 for i in range(k))
+               for b in _MR_BASES)
 
 
 def check_int(name, value):

@@ -272,6 +272,17 @@ class TestPurelyLoxodromic:
         if not rep["passed"]:
             assert rep["violations"]
 
+    def test_non_finite_trace_raises(self):
+        # products of a factor near the largest double overflow to inf and
+        # nan; no such trace is reported
+        tup = AdmissibleTuple(2, 2, 0, 3, 0)
+        mg = build_matrix_group(tup)
+        mg.matrices[("e", 1)] = MobiusMap(1e308, 1e308, 1e308, 1e308,
+                                          normalize=False)
+        phi = KHom(mg.spec, HomImage(2, e=(1, 1, 1)))
+        with pytest.raises(OverflowError, match="has trace"):
+            purely_loxodromic_sample(mg, phi, max_syllables=2)
+
     def test_empty_sample_rejected(self):
         # a sample of no words would pass vacuously
         tup = AdmissibleTuple(2, 2, 0, 3, 0)

@@ -29,6 +29,44 @@ def all_tuples_for_genus(g):
     return out
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        assert [n for n in range(-3, 10**5) if is_prime(n)] == [
+            n for n in range(-3, 10**5) if _trial_division(n)]
+
+    # the least strong pseudoprimes to the prime bases 2, 2..3, 2..5, 2..7,
+    # 2..11, 2..13, 2..19, 2..31 and 2..37, as tabulated by Sorenson and
+    # Webster (Math. Comp. 2017), each with a factor
+    @pytest.mark.parametrize("n,factor", [
+        (2047, 23), (1373653, 829), (25326001, 2251), (3215031751, 151),
+        (2152302898747, 6763), (3474749660383, 1303),
+        (341550071728321, 10670053), (3825123056546413051, 149491),
+        (318665857834031151167461, 399165290221),
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n, factor):
+        assert n % factor == 0 and 1 < factor < n
+        assert not is_prime(n)
+
+    def test_large_prime(self):
+        assert is_prime(10**18 + 3) and is_prime(100000000000031)
+
+    def test_refuses_beyond_the_proven_bound(self, capsys):
+        bound = 3317044064679887385961981
+        # bound - 168 is the largest prime below it
+        assert is_prime(bound - 168)
+        assert not any(map(is_prime, range(bound - 167, bound)))
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(bound)
+        assert run(["count", "--g", "2", "--p", str(bound + 2)]) == (2, None, "")
+        assert capsys.readouterr().err == (
+            f"error: primality of {bound + 2} is not decided: the "
+            f"Miller-Rabin bases 2..41 are proven only below {bound}\n")
+
+
 class TestAdmissibility:
     def test_published_type_is_admissible(self):
         assert is_admissible(26, 5, 6, 0, 0)
