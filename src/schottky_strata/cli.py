@@ -216,22 +216,23 @@ def _within_doubles(handler):
 
 
 def _built_group(args):
-    """The command's matrix group, its tolerances and its invariant check."""
+    """The command's matrix group, its tolerance and its invariant check."""
     tup = _tuple_from_args(args)
-    tol = moebius.Tolerances(classify=args.tol_classify, order=args.tol_order)
+    eps = args.tol_classify
+    moebius.check_finite_positive("tolerance classify", eps)
     mg = moebius.build_matrix_group(tup, separation=args.separation)
-    defects = moebius.matrix_group_defects(mg, tol)
+    defects = moebius.matrix_group_defects(mg, eps)
     invariants = check(
         "build_invariants", not defects,
         "; ".join(defects)
         or "order, classification and commutation checks hold",
     )
-    return tup, tol, mg, invariants
+    return tup, eps, mg, invariants
 
 
 @_within_doubles
 def _cmd_build(args):
-    tup, tol, mg, invariants = _built_group(args)
+    tup, eps, mg, invariants = _built_group(args)
     matrices = []
     for sym in mg.spec.symbols():
         m = mg.matrices[sym]
@@ -240,7 +241,7 @@ def _cmd_build(args):
                 "symbol": f"{sym[0]}{sym[1]}",
                 "matrix": [[z.real, z.imag] for z in m.entries()],
                 "center": [mg.centers[sym].real, mg.centers[sym].imag],
-                "class": moebius.classify(m, tolerances=tol).value,
+                "class": moebius.classify(m, eps).value,
             }
         )
     results = {"tuple": tup._asdict(), "separation": args.separation,
@@ -250,14 +251,14 @@ def _cmd_build(args):
 
 @_within_doubles
 def _cmd_loxcheck(args):
-    tup, tol, mg, invariants = _built_group(args)
+    tup, eps, mg, invariants = _built_group(args)
     phi = _phi_from_args(mg.spec, args.phi)
     report = moebius.purely_loxodromic_sample(
         mg,
         phi,
         max_syllables=args.max_syllables,
         budget=args.budget,
-        tolerances=tol,
+        eps=eps,
     )
     results = {
         "tuple": tup._asdict(),
@@ -380,10 +381,9 @@ def _add_tuple_flags(sub):
         sub.add_argument(f"--{name}", type=int, required=True)
 
 
-def _add_tol_flags(sub):
+def _add_tol_flag(sub):
     sub.add_argument("--tol-classify", type=float, default=1e-9,
                      dest="tol_classify")
-    sub.add_argument("--tol-order", type=float, default=1e-8, dest="tol_order")
 
 
 # rows that tuples and report build by default: a report row peaks at
@@ -437,7 +437,7 @@ def build_parser():
     sp = sub.add_parser("build", help="matrix realisation of a group")
     _add_tuple_flags(sp)
     sp.add_argument("--separation", type=float, default=10.0)
-    _add_tol_flags(sp)
+    _add_tol_flag(sp)
 
     sp = sub.add_parser("loxcheck", help="classify short kernel words")
     _add_tuple_flags(sp)
@@ -446,7 +446,7 @@ def build_parser():
                     dest="max_syllables")
     sp.add_argument("--budget", type=int, default=10**6)
     sp.add_argument("--phi", type=str, default=None)
-    _add_tol_flags(sp)
+    _add_tol_flag(sp)
 
     sp = sub.add_parser("report", help="stratum reports over a genus range")
     sp.add_argument("--p", type=int, required=True)

@@ -2,9 +2,11 @@
 cyclic-Schottky structural data.
 
 Maps are unit-determinant 2x2 complex matrices up to sign; every test
-against the identity compares with both +I and -I.  The classification
-and order tolerances, which the CLI sets, live in one configuration
-object; the commutation tolerance is the constant ``_COMMUTATION_TOL``.
+against the identity compares with both +I and -I.  Every factor is
+built unit-determinant from one closed form, so no matrix is
+renormalised.  Classification and order are trace tests within one
+tolerance ``eps``, which the CLI sets; the commutation tolerance is the
+constant ``_COMMUTATION_TOL``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .cyclic_schottky import (FPWord, GroupSpec, build_spec, fpword_str,
 __all__ = [
     "MobiusClass",
     "MobiusMap",
-    "Tolerances",
     "check_finite_positive",
-    "DEFAULT_TOLERANCES",
     "MatrixGroupSpec",
     "classify",
     "order_check",
@@ -39,19 +39,6 @@ def check_finite_positive(what, value):
         raise ValueError(f"{what} must be finite and positive, got {value}")
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    classify: float = 1e-9
-    order: float = 1e-8
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            check_finite_positive(f"tolerance {name}", value)
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
 class MobiusClass(enum.Enum):
     LOXODROMIC = "loxodromic"
     ELLIPTIC = "elliptic"
@@ -60,27 +47,13 @@ class MobiusClass(enum.Enum):
 
 
 class MobiusMap:
-    """Matrix [[a, b], [c, d]] normalised to determinant 1.
-
-    The square root of the determinant is chosen so the resulting trace
-    has nonnegative real part (ties: nonnegative imaginary part), which
-    makes normalisation idempotent and sign-stable.
-    """
+    """Matrix [[a, b], [c, d]], taken as given: callers pass determinant 1."""
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d, normalize=True):
-        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-        if normalize:
-            det = a * d - b * c
-            if abs(det) == 0:
-                raise ValueError("matrix is singular")
-            root = cmath.sqrt(det)
-            a, b, c, d = a / root, b / root, c / root, d / root
-            tr = a + d
-            if tr.real < 0 or (tr.real == 0 and tr.imag < 0):
-                a, b, c, d = -a, -b, -c, -d
-        self.a, self.b, self.c, self.d = a, b, c, d
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = (complex(a), complex(b), complex(c),
+                                          complex(d))
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -98,12 +71,12 @@ class MobiusMap:
 
     def inverse(self):
         # determinant is 1, so the adjugate is the inverse
-        return MobiusMap(self.d, -self.b, -self.c, self.a, normalize=False)
+        return MobiusMap(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = MobiusMap(1, 0, 0, 1, normalize=False)
+        result = MobiusMap(1, 0, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -120,10 +93,6 @@ def _frobenius(entries):
     return math.sqrt(sum(abs(x) ** 2 for x in entries))
 
 
-def _frobenius_m(m):
-    return _frobenius(m.entries())
-
-
 def dist_to_unit(m):
     """min(||M - I||, ||M + I||) in the Frobenius norm (PSL sign folded)."""
     # the squares are added left to right, in the order _frobenius adds them
@@ -133,19 +102,18 @@ def dist_to_unit(m):
     return min(plus, minus)
 
 
-def classify(m, tolerances=DEFAULT_TOLERANCES):
+def classify(m, eps=1e-9):
     """Trace classification, identity and parabolic first.
 
-    With eps = tolerances.classify: IDENTITY within eps of +-I; PARABOLIC
-    when tr^2 is within eps of 4; ELLIPTIC when tr^2 is real within eps
-    and lies in [0, 4-eps]; LOXODROMIC otherwise.
+    IDENTITY within eps of +-I; PARABOLIC when tr^2 is within eps of 4;
+    ELLIPTIC when tr^2 is real within eps and lies in [0, 4-eps];
+    LOXODROMIC otherwise.
 
     The identity test first compares sqrt(|b|^2 + |c|^2) with eps, which
     decides it exactly when that exceeds eps: each left-to-right partial
     sum in ``dist_to_unit`` is at least fl(|b|^2 + |c|^2), as rounding is
     monotone, so both distances to +-I exceed eps too (NaN fails both).
     """
-    eps = tolerances.classify
     if (math.sqrt(abs(m.b) ** 2 + abs(m.c) ** 2) <= eps
             and dist_to_unit(m) <= eps):
         return MobiusClass.IDENTITY
@@ -157,75 +125,41 @@ def classify(m, tolerances=DEFAULT_TOLERANCES):
     return MobiusClass.LOXODROMIC
 
 
-_MACH_EPS = 2.220446049250313e-16
+def order_check(m, p, eps=1e-9):
+    """True iff the unit-determinant M satisfies M^p = +-I with M != +-I.
 
-
-def order_check(m, p, tolerances=DEFAULT_TOLERANCES):
-    """True iff M^p is +-I within the order tolerance and M itself is not
-    the identity.
-
-    M^p of a far-centred matrix is ill-conditioned in doubles (its error
-    grows like ||M||^3), so the tolerance is widened to 64 eps ||M||^3
-    when that is larger.
+    That holds exactly when tr M = 2 cos(k pi / p) for some 0 < k < p, so
+    the nearest such k is read from the trace and the trace is compared
+    with 2 cos(k pi / p) within eps; no power of M is taken.
     """
-    if dist_to_unit(m) <= tolerances.classify:
-        return False
-    eps = max(tolerances.order, 64 * _MACH_EPS * _frobenius_m(m) ** 3)
-    return dist_to_unit(m**p) <= eps
+    tr = m.trace()
+    k = round(p * math.acos(min(1.0, max(-1.0, tr.real / 2))) / math.pi)
+    return (0 < k < p and abs(tr.imag) <= eps
+            and abs(tr.real - 2 * math.cos(k * math.pi / p)) <= eps)
 
 
 # ---------------------------------------------------------------------------
 # concrete matrix groups
-#
-# All three factory matrices are written in closed form (entries of the
-# conjugated diagonal model expanded symbolically) rather than as matrix
-# products; this keeps each entry within a couple of ulps and is what makes
-# the order/commutation checks meaningful at distant centers.
 
+_MACH_EPS = 2.220446049250313e-16
 _COMMUTATION_TOL = 1e-10  # commutator defect allowed before widening
 _OFFSET = 0.1
 _MULTIPLIER = 9.0
 
 
-def _loxodromic_at(center, offset, multiplier):
-    """Loxodromic with real fixed points center -+ offset; attracting at
-    center + offset; trace sqrt(m) + 1/sqrt(m)."""
-    u = math.sqrt(multiplier)
-    ch, sh = (u + 1 / u) / 2, (u - 1 / u) / 2
-    k = center / offset
-    return MobiusMap(
-        ch + k * sh,
-        -((center * center - offset * offset) / offset) * sh,
-        sh / offset,
-        ch - k * sh,
-    )
+def _factor(center, half, ch, sh):
+    """ch I + sh N, where N = [[k, -(center^2 - half^2)/half], [1/half, -k]]
+    with k = center/half fixes center -+ half and N^2 = I; with
+    ch^2 - sh^2 = 1 the determinant is 1 by construction.
 
-
-def _elliptic_conj_pair(center, offset, p):
-    """Order-p rotation fixing the conjugate pair center -+ i*offset.
-
-    The fixed points are conjugate, so the matrix is real.
+    Each entry is written in closed form from (center, half) rather than
+    from the fixed points or as a matrix product, which keeps it within a
+    couple of ulps at distant centers.
     """
-    cs, sn = math.cos(math.pi / p), math.sin(math.pi / p)
-    k = center / offset
-    return MobiusMap(
-        cs + k * sn,
-        -((center * center + offset * offset) / offset) * sn,
-        sn / offset,
-        cs - k * sn,
-    )
-
-
-def _elliptic_real_pair(center, offset, p):
-    """Order-p rotation fixing the real pair center -+ offset (pair frame)."""
-    cs, sn = math.cos(math.pi / p), math.sin(math.pi / p)
-    k = center / offset
-    return MobiusMap(
-        cs + 1j * k * sn,
-        -1j * ((center * center - offset * offset) / offset) * sn,
-        1j * sn / offset,
-        cs - 1j * k * sn,
-    )
+    k = center / half
+    # -sh, not the negated product: a rotation's zero real part stays +0.0
+    return MobiusMap(ch + sh * k, -sh * ((center * center - half * half) / half),
+                     sh / half, ch - sh * k)
 
 
 @dataclass(frozen=True)
@@ -243,25 +177,25 @@ def build_matrix_group(tup, separation=10.0):
     Elliptic factors take the centers nearest the origin, then the
     commuting pairs, then the loxodromic factors (the torsion checks have
     the tightest tolerances and their double-precision accuracy decays
-    with the center magnitude).  Elliptic generators rotate by 2 pi / p
-    about center -+ _OFFSET*i; loxodromic generators have real fixed
-    points center -+ _OFFSET; each pair shares one real fixed-point set,
-    so its commutator vanishes to rounding.  ``matrix_group_defects``
+    with the center magnitude).  Every factor is a ``_factor``: elliptic
+    generators rotate by 2 pi / p about center -+ _OFFSET*i; loxodromic
+    generators, of multiplier _MULTIPLIER, have real fixed points
+    center -+ _OFFSET; each pair shares one real fixed-point set, so its
+    commutator vanishes to rounding.  ``matrix_group_defects``
     checks the algebraic and classification invariants; nothing here
     certifies discreteness.
     """
     check_finite_positive("separation", separation)
     spec = build_spec(tup)
-    p = tup.p
+    u = math.sqrt(_MULTIPLIER)
+    lox = ((u + 1 / u) / 2, (u - 1 / u) / 2)
+    rot = (math.cos(math.pi / tup.p), 1j * math.sin(math.pi / tup.p))
     matrices = {}
     centers = {}
 
-    def place(sym, center, factor, *args):
-        try:
-            m = factor(center, _OFFSET, *args)
-        except ValueError:  # the normalising determinant cancelled to 0
-            m = None
-        if m is None or not all(map(cmath.isfinite, (center, *m.entries()))):
+    def place(sym, center, half, ch_sh):
+        m = _factor(center, half, *ch_sh)
+        if not all(map(cmath.isfinite, (center, *m.entries()))):
             raise ValueError(f"separation {separation} places {sym[0]}"
                              f"{sym[1]} beyond double precision")
         matrices[sym] = m
@@ -269,37 +203,37 @@ def build_matrix_group(tup, separation=10.0):
 
     slot = 0
     for j in range(1, tup.r + 1):
-        place(("e", j), slot * separation, _elliptic_conj_pair, p)
+        place(("e", j), slot * separation, 1j * _OFFSET, rot)
         slot += 1
     for k in range(1, tup.s + 1):
-        place(("t", k), slot * separation, _loxodromic_at, _MULTIPLIER)
-        place(("f", k), slot * separation, _elliptic_real_pair, p)
+        place(("t", k), slot * separation, _OFFSET, lox)
+        place(("f", k), slot * separation, _OFFSET, rot)
         slot += 1
     for j in range(1, tup.t + 1):
-        place(("a", j), slot * separation, _loxodromic_at, _MULTIPLIER)
+        place(("a", j), slot * separation, _OFFSET, lox)
         slot += 1
     return MatrixGroupSpec(spec, matrices, centers)
 
 
-def matrix_group_defects(mg, tolerances=DEFAULT_TOLERANCES):
+def matrix_group_defects(mg, eps=1e-9):
     """Messages naming each built matrix that breaks its invariant; empty
     when every loxodromic factor classifies as loxodromic, every elliptic
-    factor is elliptic of order p and every pair commutes.
+    factor is elliptic with the trace of order p and every pair commutes.
 
-    Far centers make the torsion checks intrinsically ill-conditioned in
-    doubles: ``order_check`` widens the order tolerance by ||M||^3, and
-    the commutation tolerance is widened by ||T||*||F|| here.  Tests
-    assert the plain tolerances on the well-conditioned instances.
+    Classification and order are trace tests within eps at any center.
+    The commutator of a far-centred pair is ill-conditioned in doubles,
+    so its tolerance is widened by ||T||*||F|| here; tests assert the
+    plain tolerance on the well-conditioned instances.
     """
     p = mg.spec.p
     defects = []
     for sym, m in mg.matrices.items():
-        cls = classify(m, tolerances=tolerances)
+        cls = classify(m, eps)
         if sym[0] in ("a", "t"):
             if cls is not MobiusClass.LOXODROMIC:
                 defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not loxodromic")
             continue
-        if not order_check(m, p, tolerances=tolerances):
+        if not order_check(m, p, eps):
             defects.append(f"{sym[0]}{sym[1]} does not have order {p}")
         if cls is not MobiusClass.ELLIPTIC:
             defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not elliptic")
@@ -308,7 +242,8 @@ def matrix_group_defects(mg, tolerances=DEFAULT_TOLERANCES):
         delta = commutator_defect(t_m, f_m)
         eff = max(
             _COMMUTATION_TOL,
-            64 * _MACH_EPS * _frobenius_m(t_m) * _frobenius_m(f_m),
+            64 * _MACH_EPS * _frobenius(t_m.entries())
+            * _frobenius(f_m.entries()),
         )
         if delta > eff:
             defects.append(f"pair {k} fails to commute: defect {delta:.3e}")
@@ -329,7 +264,7 @@ def purely_loxodromic_sample(
     phi,
     max_syllables=4,
     budget=10**6,
-    tolerances=DEFAULT_TOLERANCES,
+    eps=1e-9,
 ):
     """Classify every short kernel word; pass iff all non-identity products
     are loxodromic.
@@ -348,7 +283,7 @@ def purely_loxodromic_sample(
     powers = {}
     texts = {}
     previous = ()
-    products = [MobiusMap(1, 0, 0, 1, normalize=False)]
+    products = [MobiusMap(1, 0, 0, 1)]
     prefixes = [""]
     entries = []
     violations = []
@@ -375,7 +310,7 @@ def purely_loxodromic_sample(
         tr = m.trace()
         if not cmath.isfinite(tr):  # classify raises for finite overflows
             raise OverflowError(f"{text} has trace {tr}")
-        cls = classify(m, tolerances)
+        cls = classify(m, eps)
         entry = {"word": text, "class": cls.value, "trace": [tr.real, tr.imag]}
         entries.append(entry)
         if cls is MobiusClass.LOXODROMIC:

@@ -118,9 +118,10 @@ class TestExitCodes:
                     ("--separation", "inf"),
                     ("--tol-classify", "-1"),
                     ("--tol-classify", "nan"),
+                    ("--tol-classify", "0"),
+                    ("--tol-classify", "inf"),
                 ]
             ),
-            ["loxcheck", *_G5_TUPLE, "--tol-order", "nan"],
             ["loxcheck", *_G5_TUPLE, "--max-syllables", "0"],
             # centers and matrices overflow a double
             ["build", *_G5_TUPLE, "--separation", "1e308"],
@@ -150,43 +151,45 @@ class TestExitCodes:
         assert err.endswith(
             f"schottky-strata: error: unrecognized arguments: {flag} {value}\n")
 
+    @pytest.mark.parametrize("command", ["build", "loxcheck"])
+    def test_tol_order_is_gone(self, command, capsys):
+        # one tolerance bounds every trace test: argparse's usage error
+        argv = [command, *_G5_TUPLE, "--tol-order", "nan"]
+        assert run_json(argv) == (2, None, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: schottky-strata ")
+        assert err.endswith(
+            "schottky-strata: error: unrecognized arguments: --tol-order nan\n")
+
     _G4_TUPLE = ["--g", "4", "--p", "5", "--t", "0", "--r", "2", "--s", "0"]
 
-    @pytest.mark.parametrize("command", ["build", "loxcheck"])
-    @pytest.mark.parametrize("separation", ["1e60", "1e100"])
-    def test_separation_that_cancels_a_determinant(self, command, separation,
-                                                   capsys):
-        # the second elliptic factor's determinant cancels to 0 in doubles;
-        # the message names the separation, not the matrix
-        extra = ["--max-syllables", "3"] if command == "loxcheck" else []
-        argv = [command, *self._G4_TUPLE, "--separation", separation, *extra]
-        assert run_json(argv) == (2, None, "")
-        assert capsys.readouterr().err == (
-            f"error: separation {float(separation)} places e2 beyond double "
-            "precision\n")
+    @pytest.mark.parametrize("separation", ["1e40", "1e60"])
+    def test_far_elliptic_factor_fails_its_order(self, separation, capsys):
+        # e2's trace cancels at its far center: the order check reads it
+        # and fails, however large the matrix norm
+        failed = _failed_check(["build", *self._G4_TUPLE, "--separation",
+                                separation], "build_invariants", capsys)
+        assert failed["detail"] == "e2 does not have order 5"
 
     @pytest.mark.parametrize("argv,separation", [
         (["build", "--g", "2", "--p", "2", "--t", "0", "--r", "3", "--s", "0"],
          "1e120"),
         (["loxcheck", *_G4_TUPLE, "--max-syllables", "3"], "1e70"),
         (["loxcheck", *_G5_TUPLE, "--max-syllables", "3"], "1e70"),
-    ], ids=["build", "loxcheck-g4", "loxcheck-g5"])
+        (["build", *_G4_TUPLE], "1e100"),
+        (["loxcheck", *_G4_TUPLE, "--max-syllables", "3"], "1e60"),
+        (["loxcheck", *_G4_TUPLE, "--max-syllables", "3"], "1e62"),
+        (["loxcheck", *_G4_TUPLE, "--max-syllables", "3"], "1e100"),
+    ], ids=["build", "loxcheck-g4", "loxcheck-g5", "build-g4-1e100",
+            "loxcheck-g4-1e60", "loxcheck-g4-1e62", "loxcheck-g4-1e100"])
     def test_separation_that_overflows_the_checks(self, argv, separation,
                                                   capsys):
-        # the factors are finite, but the order check or a word product
+        # the factors are finite, but classification or a word product
         # overflows a double; the message names the separation
         assert run_json([*argv, "--separation", separation]) == (2, None, "")
         assert capsys.readouterr().err == (
             f"error: separation {float(separation)} takes the matrix "
             "arithmetic beyond double precision\n")
-
-    def test_separation_between_them_builds(self, capsys):
-        # 1e62 builds its matrices, and the loxodromy check fails
-        code, env, _ = run_json(["loxcheck", *self._G4_TUPLE, "--separation",
-                                 "1e62", "--max-syllables", "3"])
-        assert code == 1 and capsys.readouterr().err == ""
-        assert [c["name"] for c in env["checks"] if not c["pass"]] == [
-            "purely_loxodromic"]
 
     def test_budget_error_names_its_flag(self, capsys):
         code, env, _ = run_json(
@@ -261,7 +264,9 @@ class TestChecksCanFail:
             [command, *_G5_TUPLE, "--tol-classify", "10"], "build_invariants",
             capsys,
         )
-        assert "e1 does not have order 5" in failed["detail"]
+        assert failed["detail"] == (
+            "e1 is identity, not elliptic; t1 is parabolic, not loxodromic; "
+            "f1 is parabolic, not elliptic")
 
     _KERNEL = ["kernel", "--g", "26", "--p", "5", "--t", "6", "--r", "0",
                "--s", "0"]
@@ -791,7 +796,7 @@ def _command_argv(draw):
         _optional(draw, argv, "--phi",
                   _json_text(phi, st.lists(_JSON_LEAVES, max_size=4) | _JSON))
     if command in ("build", "loxcheck"):
-        for flag in ("--separation", "--tol-classify", "--tol-order"):
+        for flag in ("--separation", "--tol-classify"):
             _optional(draw, argv, flag, _FLOAT_TEXTS)
     if command == "loxcheck":
         # a budget, as the default of 10^6 sampled words takes seconds

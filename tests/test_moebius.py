@@ -9,12 +9,11 @@ from schottky_strata.homorbits import HomImage
 from schottky_strata.strata import AdmissibleTuple
 from schottky_strata.cyclic_schottky import KHom, kernel_sample, normalized_homs
 from schottky_strata.moebius import (
-    DEFAULT_TOLERANCES,
     MatrixGroupSpec,
     MobiusClass,
     MobiusMap,
-    Tolerances,
     _COMMUTATION_TOL,
+    _factor,
     build_matrix_group,
     classify,
     commutator_defect,
@@ -32,7 +31,7 @@ def fixed_point_residual(m, z):
 
 def rot(p):
     ph = cmath.exp(1j * math.pi / p)
-    return MobiusMap(ph, 0, 0, 1 / ph, normalize=False)
+    return MobiusMap(ph, 0, 0, 1 / ph)
 
 
 def random_unimodular(rng):
@@ -54,8 +53,8 @@ class TestClassify:
         assert classify(rot(5)) is MobiusClass.ELLIPTIC
 
     def test_identity_both_signs(self):
-        assert classify(MobiusMap(1, 0, 0, 1, normalize=False)) is MobiusClass.IDENTITY
-        assert classify(MobiusMap(-1, 0, 0, -1, normalize=False)) is MobiusClass.IDENTITY
+        assert classify(MobiusMap(1, 0, 0, 1)) is MobiusClass.IDENTITY
+        assert classify(MobiusMap(-1, 0, 0, -1)) is MobiusClass.IDENTITY
 
     def test_conjugation_invariance(self):
         rng = random.Random(17)
@@ -80,7 +79,6 @@ class TestClassify:
         nonfinite = [math.nan, math.inf, -math.inf]
         seen = set()
         for eps in (1e-9, 1e-3, 0.5, 1.0, 3.0, 10.0):
-            tol = Tolerances(classify=eps)
             for _ in range(3000):
                 sign = rng.choice((1, -1))
                 scale = eps * rng.choice((0.3, 0.7, 1 - 1e-15, 1, 1 + 1e-15, 2))
@@ -92,20 +90,20 @@ class TestClassify:
                     entries = [a, b, c, d]
                     entries[rng.randrange(4)] = complex(rng.choice(nonfinite), 0)
                     a, b, c, d = entries
-                m = MobiusMap(sign + a, b, c, sign + d, normalize=False)
+                m = MobiusMap(sign + a, b, c, sign + d)
                 want = dist_to_unit(m) <= eps
-                got = classify(m, tol) is MobiusClass.IDENTITY
+                got = classify(m, eps) is MobiusClass.IDENTITY
                 assert got == want, (eps, m)
                 seen.add(want)
             # |b| or |c| at eps itself, with a = d = +-1: on the boundary
             for sign in (1, -1):
                 for b, c in ((eps, 0), (0, eps), (0, -1j * eps)):
-                    m = MobiusMap(sign, b, c, sign, normalize=False)
-                    assert (classify(m, tol) is MobiusClass.IDENTITY) == (
+                    m = MobiusMap(sign, b, c, sign)
+                    assert (classify(m, eps) is MobiusClass.IDENTITY) == (
                         dist_to_unit(m) <= eps), (eps, m)
         assert seen == {True, False}
-        assert classify(MobiusMap(1, 0.5, 0, 1, normalize=False),
-                        Tolerances(classify=0.5)) is MobiusClass.IDENTITY
+        assert classify(MobiusMap(1, 0.5, 0, 1),
+                        eps=0.5) is MobiusClass.IDENTITY
 
 
 class TestOrderCheck:
@@ -119,23 +117,15 @@ class TestOrderCheck:
         assert order_check(MobiusMap(0, 1, -1, 0), 2)
 
     def test_identity_not_of_order_p(self):
-        assert not order_check(MobiusMap(1, 0, 0, 1, normalize=False), 5)
+        assert not order_check(MobiusMap(1, 0, 0, 1), 5)
 
-    def test_tolerance_widens_with_the_norm(self):
+    def test_far_half_turn_passes_by_its_trace(self):
         # the half turn about 2000 -+ 0.1i has norm ~4e7: its square misses
-        # -I by more than the plain order tolerance, within 64 eps ||M||^3
+        # -I by more than 1e-8, but its trace is 0 to rounding
         mg = build_matrix_group(AdmissibleTuple(2, 2, 0, 3, 0), separation=1e3)
         m = mg.matrices[("e", 3)]
-        assert dist_to_unit(m**2) > Tolerances().order
+        assert dist_to_unit(m**2) > 1e-8
         assert order_check(m, 2)
-
-
-class TestTolerances:
-    @pytest.mark.parametrize("name", ["classify", "order"])
-    @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
-    def test_rejects_non_finite_or_non_positive(self, name, value):
-        with pytest.raises(ValueError, match=f"tolerance {name} must be"):
-            Tolerances(**{name: value})
 
 
 class TestNormalization:
@@ -144,21 +134,6 @@ class TestNormalization:
         for _ in range(500):
             m = random_unimodular(rng)
             assert abs(m.a * m.d - m.b * m.c - 1) <= 1e-12
-
-    def test_idempotent_and_scale_stable(self):
-        rng = random.Random(4)
-        for _ in range(200):
-            m = random_unimodular(rng)
-            again = MobiusMap(*m.entries())
-            scaled = MobiusMap(*(3 * z for z in m.entries()))
-            for z, w in zip(m.entries(), again.entries()):
-                assert abs(z - w) < 1e-12
-            for z, w in zip(m.entries(), scaled.entries()):
-                assert abs(z - w) < 1e-12
-
-    def test_sign_convention(self):
-        m = MobiusMap(-2, 0, 0, -0.5)
-        assert m.trace().real > 0
 
 
 class TestBuildMatrixGroup:
@@ -191,7 +166,7 @@ class TestBuildMatrixGroup:
         for k in range(1, tup.s + 1):
             t_m, f_m = mg.matrices[("t", k)], mg.matrices[("f", k)]
             assert commutator_defect(t_m, f_m) <= _COMMUTATION_TOL
-            assert dist_to_unit(f_m**tup.p) <= Tolerances().order
+            assert dist_to_unit(f_m**tup.p) <= 1e-8
             assert classify(t_m) is MobiusClass.LOXODROMIC
             # both fix the real pair center -+ 0.1
             center = mg.centers[("t", k)]
@@ -219,11 +194,10 @@ class TestBuildMatrixGroup:
 
 
     def test_defects_name_each_broken_invariant(self):
-        # a classify tolerance of 10 calls every factor the identity or
-        # parabolic, and order_check refuses a map it calls the identity
+        # a tolerance of 10 calls every factor the identity or parabolic;
+        # e1's trace still reads order 5
         mg = build_matrix_group(AdmissibleTuple(5, 5, 0, 1, 1))
-        assert matrix_group_defects(mg, Tolerances(classify=10)) == [
-            "e1 does not have order 5",
+        assert matrix_group_defects(mg, eps=10) == [
             "e1 is identity, not elliptic",
             "t1 is parabolic, not loxodromic",
             "f1 is parabolic, not elliptic",
@@ -236,6 +210,31 @@ class TestBuildMatrixGroup:
         )
         (defect,) = matrix_group_defects(swapped)
         assert defect.startswith("pair 1 fails to commute")
+
+    @pytest.mark.parametrize("separation", [10, 1e3, 1e4, 1e5, 1e6])
+    def test_wrong_order_is_named_at_far_centers(self, separation):
+        # an order-3 rotation about e3's own fixed points, in place of its
+        # half turn: elliptic, but its trace is not of order 2
+        mg = build_matrix_group(AdmissibleTuple(2, 2, 0, 3, 0),
+                                separation=separation)
+        center = mg.centers[("e", 3)].real
+        third = _factor(center, 0.1j, math.cos(math.pi / 3),
+                        1j * math.sin(math.pi / 3))
+        assert abs(third.trace() - 1) <= 1e-9
+        for z in (center - 0.1j, center + 0.1j):
+            assert fixed_point_residual(third, z) <= 1e-12 * center ** 2
+        assert matrix_group_defects(mg) == []
+        mg.matrices[("e", 3)] = third
+        assert matrix_group_defects(mg) == ["e3 does not have order 2"]
+
+    def test_far_loxodromic_factors_are_not_renormalised(self):
+        # a6 sits at 5e6, where a normalising determinant would cancel to 0
+        mg = build_matrix_group(AdmissibleTuple(26, 5, 6, 0, 0),
+                                separation=1e6)
+        for j in range(1, 7):
+            m = mg.matrices[("a", j)]
+            assert classify(m) is MobiusClass.LOXODROMIC, j
+        assert matrix_group_defects(mg) == []
 
 
 class TestPurelyLoxodromic:
@@ -277,8 +276,7 @@ class TestPurelyLoxodromic:
         # nan; no such trace is reported
         tup = AdmissibleTuple(2, 2, 0, 3, 0)
         mg = build_matrix_group(tup)
-        mg.matrices[("e", 1)] = MobiusMap(1e308, 1e308, 1e308, 1e308,
-                                          normalize=False)
+        mg.matrices[("e", 1)] = MobiusMap(1e308, 1e308, 1e308, 1e308)
         phi = KHom(mg.spec, HomImage(2, e=(1, 1, 1)))
         with pytest.raises(OverflowError, match="has trace"):
             purely_loxodromic_sample(mg, phi, max_syllables=2)
@@ -316,7 +314,7 @@ class TestPurelyLoxodromic:
                     assert ([e["word"] for e in rep["words"]]
                             == [str(w) for w in words])
                     for entry, w in zip(rep["words"], words):
-                        m = MobiusMap(1, 0, 0, 1, normalize=False)
+                        m = MobiusMap(1, 0, 0, 1)
                         for sym, exp in w.syllables:
                             m = m * (mg.matrices[sym] ** exp)
                         want = [m.trace().real.hex(), m.trace().imag.hex()]
@@ -335,15 +333,15 @@ class TestPurelyLoxodromic:
                                     separation=separation)
             for phi in itertools.islice(normalized_homs(mg.spec), 4):
                 words = kernel_sample(phi, 3)
-                for tol in (DEFAULT_TOLERANCES, Tolerances(classify=10)):
+                for eps in (1e-9, 10):
                     rep = purely_loxodromic_sample(mg, phi, max_syllables=3,
-                                                   tolerances=tol)
+                                                   eps=eps)
                     assert len(rep["words"]) == len(words)
                     for entry, w in zip(rep["words"], words):
-                        m = MobiusMap(1, 0, 0, 1, normalize=False)
+                        m = MobiusMap(1, 0, 0, 1)
                         for sym, exp in w.syllables:
                             m = m * (mg.matrices[sym] ** exp)
-                        assert entry["class"] == classify(m, tol).value, entry
+                        assert entry["class"] == classify(m, eps).value, entry
                         classes.add(entry["class"])
                     assert rep["n_loxodromic"] == sum(
                         e["class"] == "loxodromic" for e in rep["words"])
@@ -358,7 +356,7 @@ class TestPurelyLoxodromic:
         mg = build_matrix_group(AdmissibleTuple(5, 5, 1, 1, 0))
         for sym in (("e", 1), ("a", 1)):
             m = mg.matrices[sym]
-            product = MobiusMap(1, 0, 0, 1, normalize=False)
+            product = MobiusMap(1, 0, 0, 1)
             for exp in range(1, 6):
                 product = product * m
                 scale = max(map(abs, product.entries()))
