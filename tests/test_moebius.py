@@ -15,6 +15,7 @@ from schottky_strata.moebius import (
     _COMMUTATION_TOL,
     _factor,
     build_matrix_group,
+    check_finite_positive,
     classify,
     commutator_defect,
     dist_to_unit,
@@ -126,6 +127,16 @@ class TestOrderCheck:
         m = mg.matrices[("e", 3)]
         assert dist_to_unit(m**2) > 1e-8
         assert order_check(m, 2)
+
+
+class TestTolerances:
+    # the one tolerance left is the classification tolerance, which the CLI
+    # checks with check_finite_positive before building
+    @pytest.mark.parametrize("name", ["classify"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
+    def test_rejects_non_finite_or_non_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"tolerance {name} must be"):
+            check_finite_positive(f"tolerance {name}", value)
 
 
 class TestNormalization:
