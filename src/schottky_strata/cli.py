@@ -284,10 +284,14 @@ def _cmd_report(args):
         )
     window = range(args.g_min, args.g_max + 1)
     expected = 0
-    for g in window:  # refuse at the first genus past the budget
+    # refuse at the first genus past the budget, in rows or in genera
+    for visited, g in enumerate(window, 1):
         expected += strata.count_strata(args.p, g)
         if expected > args.budget:
             raise homorbits.BudgetExceeded(expected, args.budget, what="rows")
+        if visited >= args.budget and g < args.g_max:
+            raise homorbits.BudgetExceeded(args.g_max - args.g_min + 1,
+                                           args.budget, what="genera")
     rows = [
         _stratum_row(tup)
         for g in window

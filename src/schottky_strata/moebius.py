@@ -5,8 +5,8 @@ Maps are unit-determinant 2x2 complex matrices up to sign; every test
 against the identity compares with both +I and -I.  Every factor is
 built unit-determinant from one closed form, so no matrix is
 renormalised.  Classification and order are trace tests within one
-tolerance ``eps``, which the CLI sets; the commutation tolerance is the
-constant ``_COMMUTATION_TOL``.
+tolerance ``eps``, which the CLI sets; commutation is a test relative
+to the pair's own entries, ``commute``, the same at every scale.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "check_finite_positive",
     "MatrixGroupSpec",
     "classify",
+    "commute",
     "order_check",
     "build_matrix_group",
     "matrix_group_defects",
@@ -89,13 +90,9 @@ class MobiusMap:
         return f"MobiusMap({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
-def _frobenius(entries):
-    return math.sqrt(sum(abs(x) ** 2 for x in entries))
-
-
 def dist_to_unit(m):
     """min(||M - I||, ||M + I||) in the Frobenius norm (PSL sign folded)."""
-    # the squares are added left to right, in the order _frobenius adds them
+    # the squares are added left to right (classify relies on the order)
     b2, c2 = abs(m.b) ** 2, abs(m.c) ** 2
     plus = math.sqrt(abs(m.a - 1) ** 2 + b2 + c2 + abs(m.d - 1) ** 2)
     minus = math.sqrt(abs(m.a + 1) ** 2 + b2 + c2 + abs(m.d + 1) ** 2)
@@ -138,11 +135,29 @@ def order_check(m, p, eps=1e-9):
             and abs(tr.real - 2 * math.cos(k * math.pi / p)) <= eps)
 
 
+_PARALLEL_TOL = 2.0**-49  # 16 unit roundoffs u = 2**-53
+
+
+def commute(m1, m2):
+    """True iff the traceless parts (a - d, b, c) of m1 and m2 are parallel:
+    for determinant 1 and not +-I, m1 m2 = m2 m1 (m1 m2 = -m2 m1 needs two
+    traces 0, which no loxodromic map has).  Each minor x1 y2 - y1 x2 is
+    at most _PARALLEL_TOL times its terms |x1| |y2| + |y1| |x2|, with
+    |a| + |d| for |a - d|, which cancels; a NaN fails.  Why 16u: a pair
+    ``_factor`` builds is ch I + sh N and ch' I + sh' N for one float N, so
+    it commutes exactly; fl(a - d) errs by 5u (|a| + |d|), b and c by u, so
+    a product errs by (6 + sqrt 5) u of its term, the subtraction u: 9.3u.
+    """
+    s, t = [((m.a - m.d, abs(m.a) + abs(m.d)), (m.b, abs(m.b)),
+             (m.c, abs(m.c))) for m in (m1, m2)]
+    return all(abs(s[i][0] * t[j][0] - s[j][0] * t[i][0])
+               <= _PARALLEL_TOL * (s[i][1] * t[j][1] + s[j][1] * t[i][1])
+               for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
 # ---------------------------------------------------------------------------
 # concrete matrix groups
 
-_MACH_EPS = 2.220446049250313e-16
-_COMMUTATION_TOL = 1e-10  # commutator defect allowed before widening
 _OFFSET = 0.1
 _MULTIPLIER = 9.0
 
@@ -180,10 +195,9 @@ def build_matrix_group(tup, separation=10.0):
     with the center magnitude).  Every factor is a ``_factor``: elliptic
     generators rotate by 2 pi / p about center -+ _OFFSET*i; loxodromic
     generators, of multiplier _MULTIPLIER, have real fixed points
-    center -+ _OFFSET; each pair shares one real fixed-point set, so its
-    commutator vanishes to rounding.  ``matrix_group_defects``
-    checks the algebraic and classification invariants; nothing here
-    certifies discreteness.
+    center -+ _OFFSET; each pair shares one real fixed-point set, so it
+    commutes to rounding.  ``matrix_group_defects`` checks the algebraic
+    and classification invariants; nothing here certifies discreteness.
     """
     check_finite_positive("separation", separation)
     spec = build_spec(tup)
@@ -220,10 +234,9 @@ def matrix_group_defects(mg, eps=1e-9):
     when every loxodromic factor classifies as loxodromic, every elliptic
     factor is elliptic with the trace of order p and every pair commutes.
 
-    Classification and order are trace tests within eps at any center.
-    The commutator of a far-centred pair is ill-conditioned in doubles,
-    so its tolerance is widened by ||T||*||F|| here; tests assert the
-    plain tolerance on the well-conditioned instances.
+    Classification and order are trace tests within eps, and commutation
+    is ``commute``, a test relative to the pair's own entries; all three
+    mean the same at every center.
     """
     p = mg.spec.p
     defects = []
@@ -238,25 +251,9 @@ def matrix_group_defects(mg, eps=1e-9):
         if cls is not MobiusClass.ELLIPTIC:
             defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not elliptic")
     for k in range(1, mg.spec.tuple.s + 1):
-        t_m, f_m = mg.matrices[("t", k)], mg.matrices[("f", k)]
-        delta = commutator_defect(t_m, f_m)
-        eff = max(
-            _COMMUTATION_TOL,
-            64 * _MACH_EPS * _frobenius(t_m.entries())
-            * _frobenius(f_m.entries()),
-        )
-        if delta > eff:
-            defects.append(f"pair {k} fails to commute: defect {delta:.3e}")
+        if not commute(mg.matrices[("t", k)], mg.matrices[("f", k)]):
+            defects.append(f"pair {k} fails to commute")
     return defects
-
-
-def commutator_defect(m1, m2):
-    """min over signs of ||m1 m2 -+ m2 m1|| in the Frobenius norm."""
-    ab, ba = m1 * m2, m2 * m1
-    return min(
-        _frobenius([x - y for x, y in zip(ab.entries(), ba.entries())]),
-        _frobenius([x + y for x, y in zip(ab.entries(), ba.entries())]),
-    )
 
 
 def purely_loxodromic_sample(

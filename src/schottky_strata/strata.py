@@ -10,6 +10,7 @@ integer arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -32,6 +33,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
+@functools.lru_cache(maxsize=1)  # report tests one p for every genus
 def is_prime(n):
     """Deterministic Miller-Rabin; ValueError for n >= _MR_BOUND."""
     if n >= _MR_BOUND:
@@ -169,7 +171,8 @@ def count_strata(p, g):
     """
     _validate_gp(g, p)
     totals = _admissible_totals(g, p)
-    k = len(totals)
+    # len(totals), which raises OverflowError past sys.maxsize totals
+    k = max(0, (totals.stop - totals.start - 1) // totals.step + 1)
     return k * (totals.start + 1) + (p - 1) * k * (k - 1) // 2
 
 

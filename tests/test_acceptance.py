@@ -200,6 +200,8 @@ def test_criterion_8_structural_numeric_invariants():
             (AdmissibleTuple(2, 2, 0, 3, 0), HomImage(2, e=(1, 1, 1))),
             (AdmissibleTuple(5, 5, 1, 1, 0), HomImage(5, a=(0,), e=(1,))),
             (AdmissibleTuple(26, 5, 6, 0, 0), HomImage(5, a=(1, 0, 0, 0, 0, 0))),
+            (AdmissibleTuple(5, 5, 0, 1, 1),
+             HomImage(5, e=(1,), tau=(0,), f=(1,))),
         ]
         for tup, himg in cases:
             mg = mo.build_matrix_group(tup)
@@ -211,10 +213,7 @@ def test_criterion_8_structural_numeric_invariants():
                     assert mo.classify(m) is mo.MobiusClass.LOXODROMIC
                     assert abs(m.trace()) > 2 + 1e-6
             for k in range(1, tup.s + 1):
-                defect = mo.commutator_defect(
-                    mg.matrices[("t", k)], mg.matrices[("f", k)]
-                )
-                assert defect <= mo._COMMUTATION_TOL
+                assert mo.commute(mg.matrices[("t", k)], mg.matrices[("f", k)])
             phi = KHom(mg.spec, himg)
             rep = mo.purely_loxodromic_sample(mg, phi, max_syllables=4)
             assert rep["passed"], (tup, rep["violations"][:3])

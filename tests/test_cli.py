@@ -171,6 +171,25 @@ class TestExitCodes:
                                 separation], "build_invariants", capsys)
         assert failed["detail"] == "e2 does not have order 5"
 
+    @pytest.mark.parametrize("shape,detail", [
+        ((5, 5, 0, 1, 1), "t1 is elliptic, not loxodromic"),
+        ((9, 3, 1, 1, 2), "t1 is elliptic, not loxodromic; t2 is elliptic, "
+         "not loxodromic; a1 is elliptic, not loxodromic"),
+        ((14, 5, 1, 2, 1), "e2 does not have order 5; t1 is elliptic, not "
+         "loxodromic; a1 is elliptic, not loxodromic"),
+        ((19, 7, 0, 3, 1), "e2 does not have order 7; e3 does not have "
+         "order 7; t1 is elliptic, not loxodromic"),
+    ])
+    def test_far_pairs_commute_without_overflow(self, shape, detail, capsys):
+        # at 1e60 the loxodromic traces round to elliptic ones; the pairs
+        # still commute, and their test multiplies no matrices, so nothing
+        # overflows
+        flags = [x for name, v in zip("gptrs", shape)
+                 for x in (f"--{name}", str(v))]
+        failed = _failed_check(["build", *flags, "--separation", "1e60"],
+                               "build_invariants", capsys)
+        assert failed["detail"] == detail
+
     @pytest.mark.parametrize("argv,separation", [
         (["build", "--g", "2", "--p", "2", "--t", "0", "--r", "3", "--s", "0"],
          "1e120"),
@@ -239,6 +258,40 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: enumeration requires 12 rows, exceeding budget 10; "
             "raise it with --budget\n")
+
+    def test_report_refuses_a_window_wider_than_the_budget(
+            self, monkeypatch, capsys):
+        # no genus below 10^9 + 8 has a tuple for this p, so only the
+        # genera visited bound the work
+        original, calls = strata.count_strata, []
+
+        def counting(p, g):
+            calls.append(g)
+            return original(p, g)
+
+        monkeypatch.setattr(strata, "count_strata", counting)
+        strata.is_prime.cache_clear()
+        argv = ["report", "--p", "1000000007", "--g-min", "2", "--g-max",
+                str(10**12), "--budget", "1000"]
+        assert run_json(argv) == (2, None, "")
+        assert calls == list(range(2, 1002))
+        assert strata.is_prime.cache_info().misses == 1  # p tested once
+        assert capsys.readouterr().err == (
+            "error: enumeration requires 999999999999 genera, exceeding "
+            "budget 1000; raise it with --budget\n")
+        argv[-3] = "1001"  # a window of exactly the budget in genera
+        code, env, _ = run_json(argv)
+        assert (code, env["results"]["reports"]) == (0, [])
+
+    @pytest.mark.parametrize("command", ["tuples", "report"])
+    def test_genus_beyond_a_c_integer(self, command, capsys):
+        g = str(10**21)
+        argv = ([command, "--g", g, "--p", "5"] if command == "tuples" else
+                [command, "--p", "5", "--g-min", g, "--g-max", g])
+        assert run_json(argv) == (2, None, "")
+        assert capsys.readouterr().err == (
+            "error: enumeration requires 5000000000000000000150000000000000000"
+            "001 rows, exceeding budget 1000000; raise it with --budget\n")
 
     def test_oracle_past_a_byte(self):
         code, env, _ = run_json(["oracle", "--p", "257", "--r", "1", "--s", "1"])
@@ -428,6 +481,16 @@ class TestParserReuse:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("g,p,count", [
+        (10**21, 5, 5 * 10**39 + 15 * 10**19 + 1),
+        (2 * 10**19, 2, 5 * 10**37 + 15 * 10**18 + 1),
+    ])
+    def test_count_beyond_a_c_integer(self, g, p, count):
+        # more admissible totals than a C integer holds
+        code, env, _ = run_json(["count", "--g", str(g), "--p", str(p)])
+        assert code == 0 and env["results"]["count"] == count
+        assert strata.count_strata(p, g) == count
+
     def test_count_matches_tuples(self):
         for g, p in [(5, 5), (10, 5), (100, 11), (20, 2), (21, 3)]:
             _, env_c, _ = run_json(["count", "--g", str(g), "--p", str(p)])

@@ -6,18 +6,17 @@ import random
 import pytest
 
 from schottky_strata.homorbits import HomImage
-from schottky_strata.strata import AdmissibleTuple
+from schottky_strata.strata import AdmissibleTuple, enumerate_tuples
 from schottky_strata.cyclic_schottky import KHom, kernel_sample, normalized_homs
 from schottky_strata.moebius import (
     MatrixGroupSpec,
     MobiusClass,
     MobiusMap,
-    _COMMUTATION_TOL,
     _factor,
     build_matrix_group,
     check_finite_positive,
     classify,
-    commutator_defect,
+    commute,
     dist_to_unit,
     matrix_group_defects,
     order_check,
@@ -176,7 +175,7 @@ class TestBuildMatrixGroup:
         mg = build_matrix_group(tup)
         for k in range(1, tup.s + 1):
             t_m, f_m = mg.matrices[("t", k)], mg.matrices[("f", k)]
-            assert commutator_defect(t_m, f_m) <= _COMMUTATION_TOL
+            assert commute(t_m, f_m)
             assert dist_to_unit(f_m**tup.p) <= 1e-8
             assert classify(t_m) is MobiusClass.LOXODROMIC
             # both fix the real pair center -+ 0.1
@@ -221,6 +220,50 @@ class TestBuildMatrixGroup:
         )
         (defect,) = matrix_group_defects(swapped)
         assert defect.startswith("pair 1 fails to commute")
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])
+    @pytest.mark.parametrize("separation", [10, 1e3, 1e4, 1e5, 1e6])
+    def test_moved_pair_is_named_at_far_centers(self, separation, delta):
+        # F2 rotates about center + delta -+ 0.1, T2 about center -+ 0.1:
+        # the minors read about delta / center, far above rounding
+        mg = build_matrix_group(AdmissibleTuple(9, 3, 1, 1, 2),
+                                separation=separation)
+        assert matrix_group_defects(mg) == []
+        center = mg.centers[("f", 2)].real
+        mg.matrices[("f", 2)] = _factor(center + delta, 0.1,
+                                        math.cos(math.pi / 3),
+                                        1j * math.sin(math.pi / 3))
+        assert order_check(mg.matrices[("f", 2)], 3)
+        assert matrix_group_defects(mg) == ["pair 2 fails to commute"]
+
+    def test_every_built_pair_commutes(self):
+        # every pair of every shape with s >= 1 and at most 14 factors, for
+        # g < 60, near the origin and far from it
+        builds = 0
+        for p in (2, 3, 5, 7, 11, 13, 31, 101):
+            for g in range(2, 60):
+                for tup in enumerate_tuples(g, p):
+                    if tup.s < 1 or tup.t + tup.r + tup.s > 14:
+                        continue
+                    for separation in (1e-6, 1e-3, 0.05, 1, 10, 1e3, 1e6,
+                                       1e10, 1e14):
+                        mg = build_matrix_group(tup, separation=separation)
+                        builds += 1
+                        for k in range(1, tup.s + 1):
+                            assert commute(mg.matrices[("t", k)],
+                                           mg.matrices[("f", k)]), (
+                                tup, separation, k)
+        assert builds == 16614
+
+    @pytest.mark.parametrize("entry", range(4))
+    def test_nan_entry_does_not_commute(self, entry):
+        mg = build_matrix_group(AdmissibleTuple(5, 5, 0, 1, 1))
+        t_m, f_m = mg.matrices[("t", 1)], mg.matrices[("f", 1)]
+        assert commute(t_m, f_m) and commute(f_m, t_m)
+        entries = list(f_m.entries())
+        entries[entry] = complex(math.nan, 0)
+        assert not commute(t_m, MobiusMap(*entries))
+        assert not commute(MobiusMap(*entries), t_m)
 
     @pytest.mark.parametrize("separation", [10, 1e3, 1e4, 1e5, 1e6])
     def test_wrong_order_is_named_at_far_centers(self, separation):
