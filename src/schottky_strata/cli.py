@@ -57,10 +57,28 @@ def _phi_from_args(spec, phi_text):
     return KHom(spec, hom)
 
 
+def _writable(n, what):
+    """``n``, refused as bad input when it has more digits than Python
+    writes an int as text: sys.get_int_max_str_digits(), which is 0 for no
+    limit and otherwise at least 640, so no n below 1e300 is refused.
+    ``what`` names n."""
+    if n > 1e300:
+        limit = sys.get_int_max_str_digits()
+        if limit and n >= 10**limit:
+            raise ValueError(f"{what} has more than {limit} digits, the "
+                             "limit of sys.get_int_max_str_digits() for "
+                             "writing an int as text")
+    return n
+
+
 def _stratum_row(tup):
     g, p, t, r, s = tup
     m, exact, basis = strata.component_bounds(g, p, t, r, s)
-    return g, p, t, r, s, m, strata.dimension(g, p, t, r, s), exact, m, basis
+    dim = strata.dimension(g, p, t, r, s)
+    if m + g > 1e300:  # else both pass _writable, as dim < 2g
+        _writable(m, f"M of {tup}")
+        _writable(dim, f"the dimension of {tup}")
+    return g, p, t, r, s, m, dim, exact, m, basis
 
 
 def _stratum_dict(row):
@@ -78,7 +96,7 @@ def _stratum_dict(row):
 # command handlers: each returns (results, checks)
 
 def _cmd_tuples(args):
-    n = strata.count_strata(args.p, args.g)
+    n = _writable(strata.count_strata(args.p, args.g), "the row count")
     if n > args.budget:
         raise homorbits.BudgetExceeded(n, args.budget, what="rows")
     tuples = strata.enumerate_tuples(args.g, args.p)
@@ -95,7 +113,7 @@ def _cmd_tuples(args):
 
 
 def _cmd_count(args):
-    n = strata.count_strata(args.p, args.g)
+    n = _writable(strata.count_strata(args.p, args.g), "the count")
     checks = []
     if args.p in (2, 3):
         closed = strata.closed_form_count(args.p, args.g)
@@ -216,23 +234,21 @@ def _within_doubles(handler):
 
 
 def _built_group(args):
-    """The command's matrix group, its tolerance and its invariant check."""
+    """The command's matrix group and its invariant check."""
     tup = _tuple_from_args(args)
-    eps = args.tol_classify
-    moebius.check_finite_positive("tolerance classify", eps)
     mg = moebius.build_matrix_group(tup, separation=args.separation)
-    defects = moebius.matrix_group_defects(mg, eps)
+    defects = moebius.matrix_group_defects(mg)
     invariants = check(
         "build_invariants", not defects,
         "; ".join(defects)
         or "order, classification and commutation checks hold",
     )
-    return tup, eps, mg, invariants
+    return tup, mg, invariants
 
 
 @_within_doubles
 def _cmd_build(args):
-    tup, eps, mg, invariants = _built_group(args)
+    tup, mg, invariants = _built_group(args)
     matrices = []
     for sym in mg.spec.symbols():
         m = mg.matrices[sym]
@@ -241,7 +257,7 @@ def _cmd_build(args):
                 "symbol": f"{sym[0]}{sym[1]}",
                 "matrix": [[z.real, z.imag] for z in m.entries()],
                 "center": [mg.centers[sym].real, mg.centers[sym].imag],
-                "class": moebius.classify(m, eps).value,
+                "class": moebius.classify(m).value,
             }
         )
     results = {"tuple": tup._asdict(), "separation": args.separation,
@@ -251,15 +267,10 @@ def _cmd_build(args):
 
 @_within_doubles
 def _cmd_loxcheck(args):
-    tup, eps, mg, invariants = _built_group(args)
+    tup, mg, invariants = _built_group(args)
     phi = _phi_from_args(mg.spec, args.phi)
     report = moebius.purely_loxodromic_sample(
-        mg,
-        phi,
-        max_syllables=args.max_syllables,
-        budget=args.budget,
-        eps=eps,
-    )
+        mg, phi, max_syllables=args.max_syllables, budget=args.budget)
     results = {
         "tuple": tup._asdict(),
         "separation": args.separation,
@@ -288,6 +299,7 @@ def _cmd_report(args):
     for visited, g in enumerate(window, 1):
         expected += strata.count_strata(args.p, g)
         if expected > args.budget:
+            _writable(expected, "the row count")
             raise homorbits.BudgetExceeded(expected, args.budget, what="rows")
         if visited >= args.budget and g < args.g_max:
             raise homorbits.BudgetExceeded(args.g_max - args.g_min + 1,
@@ -385,11 +397,6 @@ def _add_tuple_flags(sub):
         sub.add_argument(f"--{name}", type=int, required=True)
 
 
-def _add_tol_flag(sub):
-    sub.add_argument("--tol-classify", type=float, default=1e-9,
-                     dest="tol_classify")
-
-
 # rows that tuples and report build by default: a report row peaks at
 # about 0.95 KB of memory as JSON, so a default run stays near 1 GB
 _ROW_BUDGET = 10**6
@@ -441,7 +448,6 @@ def build_parser():
     sp = sub.add_parser("build", help="matrix realisation of a group")
     _add_tuple_flags(sp)
     sp.add_argument("--separation", type=float, default=10.0)
-    _add_tol_flag(sp)
 
     sp = sub.add_parser("loxcheck", help="classify short kernel words")
     _add_tuple_flags(sp)
@@ -450,7 +456,6 @@ def build_parser():
                     dest="max_syllables")
     sp.add_argument("--budget", type=int, default=10**6)
     sp.add_argument("--phi", type=str, default=None)
-    _add_tol_flag(sp)
 
     sp = sub.add_parser("report", help="stratum reports over a genus range")
     sp.add_argument("--p", type=int, required=True)

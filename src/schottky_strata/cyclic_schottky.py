@@ -12,15 +12,14 @@ basis of size g: the Schreier generators over the transversal
 xi^0..xi^{p-1} that the rewritten relators leave, written down in closed
 form.
 
-Text syntax for words: whitespace-separated syllables ``a1``, ``e2^3``,
-``t1^-1`` (kind letter + index, optional ^exponent).
+Words print as whitespace-separated syllables ``a1``, ``e2^3``, ``t1^-1``
+(kind letter + index, optional ^exponent).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -33,7 +32,6 @@ __all__ = [
     "KHom",
     "build_spec",
     "normal_form",
-    "parse_fpword",
     "fpword_str",
     "kernel_membership",
     "kernel_sample",
@@ -89,10 +87,6 @@ class FPWord:
     def __len__(self):
         return len(self.syllables)
 
-    @property
-    def is_identity(self):
-        return not self.syllables
-
     def __str__(self):
         return fpword_str(self)
 
@@ -140,21 +134,6 @@ def normal_form(spec, syllables):
             raise ValueError(f"symbol {sym} not in roster of {spec.tuple}")
         _push_syllable(stack, sym, exp, spec)
     return FPWord(tuple(stack))
-
-
-_TOKEN = re.compile(r"([aetf])([1-9][0-9]*)(?:\^(-?[1-9][0-9]*))?$")
-
-
-def parse_fpword(spec, text):
-    """Parse the ``e1^3 a2 e1^-3`` syntax."""
-    syl = []
-    for token in text.split():
-        m = _TOKEN.match(token)
-        if not m:
-            raise ValueError(f"bad syllable token {token!r}")
-        kind, idx, exp = m.group(1), int(m.group(2)), m.group(3)
-        syl.append(((kind, idx), 1 if exp is None else int(exp)))
-    return normal_form(spec, syl)
 
 
 def fpword_str(w):

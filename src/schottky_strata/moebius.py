@@ -4,9 +4,9 @@ cyclic-Schottky structural data.
 Maps are unit-determinant 2x2 complex matrices up to sign; every test
 against the identity compares with both +I and -I.  Every factor is
 built unit-determinant from one closed form, so no matrix is
-renormalised.  Classification and order are trace tests within one
-tolerance ``eps``, which the CLI sets; commutation is a test relative
-to the pair's own entries, ``commute``, the same at every scale.
+renormalised.  Classification and order are trace tests within the one
+fixed tolerance ``_EPS``; commutation is a test relative to the pair's own
+entries, ``commute``, the same at every scale.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .cyclic_schottky import (FPWord, GroupSpec, build_spec, fpword_str,
 __all__ = [
     "MobiusClass",
     "MobiusMap",
-    "check_finite_positive",
     "MatrixGroupSpec",
     "classify",
     "commute",
@@ -32,12 +31,6 @@ __all__ = [
     "matrix_group_defects",
     "purely_loxodromic_sample",
 ]
-
-
-def check_finite_positive(what, value):
-    """Raise ValueError unless ``value`` is a finite positive number."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{what} must be finite and positive, got {value}")
 
 
 class MobiusClass(enum.Enum):
@@ -99,11 +92,15 @@ def dist_to_unit(m):
     return min(plus, minus)
 
 
-def classify(m, eps=1e-9):
+# the tolerance of every trace test, read at call time
+_EPS = 1e-9
+
+
+def classify(m):
     """Trace classification, identity and parabolic first.
 
-    IDENTITY within eps of +-I; PARABOLIC when tr^2 is within eps of 4;
-    ELLIPTIC when tr^2 is real within eps and lies in [0, 4-eps];
+    IDENTITY within eps = _EPS of +-I; PARABOLIC when tr^2 is within eps
+    of 4; ELLIPTIC when tr^2 is real within eps and lies in [0, 4-eps];
     LOXODROMIC otherwise.
 
     The identity test first compares sqrt(|b|^2 + |c|^2) with eps, which
@@ -111,6 +108,7 @@ def classify(m, eps=1e-9):
     sum in ``dist_to_unit`` is at least fl(|b|^2 + |c|^2), as rounding is
     monotone, so both distances to +-I exceed eps too (NaN fails both).
     """
+    eps = _EPS
     if (math.sqrt(abs(m.b) ** 2 + abs(m.c) ** 2) <= eps
             and dist_to_unit(m) <= eps):
         return MobiusClass.IDENTITY
@@ -122,17 +120,17 @@ def classify(m, eps=1e-9):
     return MobiusClass.LOXODROMIC
 
 
-def order_check(m, p, eps=1e-9):
+def order_check(m, p):
     """True iff the unit-determinant M satisfies M^p = +-I with M != +-I.
 
     That holds exactly when tr M = 2 cos(k pi / p) for some 0 < k < p, so
     the nearest such k is read from the trace and the trace is compared
-    with 2 cos(k pi / p) within eps; no power of M is taken.
+    with 2 cos(k pi / p) within _EPS; no power of M is taken.
     """
     tr = m.trace()
     k = round(p * math.acos(min(1.0, max(-1.0, tr.real / 2))) / math.pi)
-    return (0 < k < p and abs(tr.imag) <= eps
-            and abs(tr.real - 2 * math.cos(k * math.pi / p)) <= eps)
+    return (0 < k < p and abs(tr.imag) <= _EPS
+            and abs(tr.real - 2 * math.cos(k * math.pi / p)) <= _EPS)
 
 
 _PARALLEL_TOL = 2.0**-49  # 16 unit roundoffs u = 2**-53
@@ -199,7 +197,9 @@ def build_matrix_group(tup, separation=10.0):
     commutes to rounding.  ``matrix_group_defects`` checks the algebraic
     and classification invariants; nothing here certifies discreteness.
     """
-    check_finite_positive("separation", separation)
+    if not (math.isfinite(separation) and separation > 0):
+        raise ValueError(
+            f"separation must be finite and positive, got {separation}")
     spec = build_spec(tup)
     u = math.sqrt(_MULTIPLIER)
     lox = ((u + 1 / u) / 2, (u - 1 / u) / 2)
@@ -229,24 +229,24 @@ def build_matrix_group(tup, separation=10.0):
     return MatrixGroupSpec(spec, matrices, centers)
 
 
-def matrix_group_defects(mg, eps=1e-9):
+def matrix_group_defects(mg):
     """Messages naming each built matrix that breaks its invariant; empty
     when every loxodromic factor classifies as loxodromic, every elliptic
     factor is elliptic with the trace of order p and every pair commutes.
 
-    Classification and order are trace tests within eps, and commutation
+    Classification and order are trace tests within _EPS, and commutation
     is ``commute``, a test relative to the pair's own entries; all three
     mean the same at every center.
     """
     p = mg.spec.p
     defects = []
     for sym, m in mg.matrices.items():
-        cls = classify(m, eps)
+        cls = classify(m)
         if sym[0] in ("a", "t"):
             if cls is not MobiusClass.LOXODROMIC:
                 defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not loxodromic")
             continue
-        if not order_check(m, p, eps):
+        if not order_check(m, p):
             defects.append(f"{sym[0]}{sym[1]} does not have order {p}")
         if cls is not MobiusClass.ELLIPTIC:
             defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not elliptic")
@@ -256,19 +256,15 @@ def matrix_group_defects(mg, eps=1e-9):
     return defects
 
 
-def purely_loxodromic_sample(
-    mg,
-    phi,
-    max_syllables=4,
-    budget=10**6,
-    eps=1e-9,
-):
-    """Classify every short kernel word; pass iff all non-identity products
-    are loxodromic.
+def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
+    """Classify every short kernel word; pass iff every product is
+    loxodromic.
 
-    Violations (elliptic/parabolic evaluations) are reported with the
-    offending word and its trace; they indicate insufficient separation
-    rather than a hard error.  An overflowing product raises OverflowError.
+    Violations (identity, elliptic or parabolic evaluations) are reported
+    with the offending word and its trace: no nontrivial word of a Schottky
+    group is +-I, so an identity word fails as an elliptic one does.  They
+    indicate insufficient separation rather than a hard error.  An
+    overflowing product raises OverflowError.
 
     A word's matrix is the left-to-right product of its syllable powers
     from the identity.  Words come in level, then lexicographic order, so
@@ -284,8 +280,6 @@ def purely_loxodromic_sample(
     prefixes = [""]
     entries = []
     violations = []
-    n_lox = 0
-    n_identity = 0
     for w in words:
         shared = 0
         for old, new in zip(previous, w.syllables):
@@ -307,20 +301,15 @@ def purely_loxodromic_sample(
         tr = m.trace()
         if not cmath.isfinite(tr):  # classify raises for finite overflows
             raise OverflowError(f"{text} has trace {tr}")
-        cls = classify(m, eps)
+        cls = classify(m)
         entry = {"word": text, "class": cls.value, "trace": [tr.real, tr.imag]}
         entries.append(entry)
-        if cls is MobiusClass.LOXODROMIC:
-            n_lox += 1
-        elif cls is MobiusClass.IDENTITY:
-            n_identity += 1
-        else:
+        if cls is not MobiusClass.LOXODROMIC:
             violations.append(entry)
     return {
         "passed": not violations,
         "n_words": len(words),
-        "n_loxodromic": n_lox,
-        "n_identity": n_identity,
+        "n_loxodromic": len(words) - len(violations),
         "violations": violations,
         "words": entries,
     }

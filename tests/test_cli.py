@@ -13,13 +13,34 @@ from hypothesis import example, given, settings, strategies as st
 
 import schottky_strata
 from perfbench import checkers
-from schottky_strata import cli, homorbits, strata, surfaces
+from schottky_strata import cli, homorbits, moebius, strata, surfaces
 from schottky_strata.cli import run
 from schottky_strata.cyclic_schottky import normal_form
 from schottky_strata.strata import AdmissibleTuple
 
 
 _G5_TUPLE = ["--g", "5", "--p", "5", "--t", "0", "--r", "1", "--s", "1"]
+# a genus whose stratum count has more digits than Python writes as text
+_G_4201_DIGITS = "1" + "0" * 4200
+# a genus that Python still reads, with a dimension 1.5 (g - 1) that it
+# cannot write
+_G_4300_NINES = "9" * 4300
+_HALF = str(5 * 10**4299)  # t = (g + 1) / 2 for that genus at p = 2
+# (argv, the number it names); M of (200109994, 10007; 0, 20000, 0) has
+# about 8,291 digits
+_TEXT_LIMIT_CASES = [
+    (["bounds", "--g", "200109994", "--p", "10007", "--t", "0", "--r",
+      "20000", "--s", "0"], "M of (200109994,10007;0,20000,0)"),
+    (["count", "--g", _G_4201_DIGITS, "--p", "5"], "the count"),
+    # refused at the first row: no later row's M is computed
+    (["report", "--p", "10007", "--g-min", "200109994", "--g-max",
+      "200109994"], "M of (200109994,10007;0,9993,10006)"),
+    (["tuples", "--g", _G_4201_DIGITS, "--p", "5"], "the row count"),
+    (["report", "--p", "5", "--g-min", _G_4201_DIGITS, "--g-max",
+      _G_4201_DIGITS], "the row count"),
+    (["bounds", "--g", _G_4300_NINES, "--p", "2", "--t", _HALF, "--r", "0",
+      "--s", "0"], f"the dimension of ({_G_4300_NINES},2;{_HALF},0,0)"),
+]
 
 
 def run_json(argv):
@@ -112,16 +133,11 @@ class TestExitCodes:
             ["oracle", "--p", "5", "--r", "0", "--s", "0", "--t", "0"],
             ["oracle", "--p", "5", "--r", "0", "--s", "0", "--t", "1"],
             *(
-                ["build", *_G5_TUPLE, flag, value]
-                for flag, value in [
-                    ("--separation", "nan"),
-                    ("--separation", "inf"),
-                    ("--tol-classify", "-1"),
-                    ("--tol-classify", "nan"),
-                    ("--tol-classify", "0"),
-                    ("--tol-classify", "inf"),
-                ]
+                ["build", *_G5_TUPLE, "--separation", value]
+                for value in ["nan", "inf", "0", "-1"]
             ),
+            ["loxcheck", *_G5_TUPLE, "--separation", "0"],
+            ["loxcheck", *_G5_TUPLE, "--separation", "-1"],
             ["loxcheck", *_G5_TUPLE, "--max-syllables", "0"],
             # centers and matrices overflow a double
             ["build", *_G5_TUPLE, "--separation", "1e308"],
@@ -133,6 +149,7 @@ class TestExitCodes:
             # a witness pair too long to check
             ["verify", "example2", "--m", "1000000000"],
             ["verify", "example2", "--p", "1000003", "--m", "2"],
+            *(argv for argv, _what in _TEXT_LIMIT_CASES),
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -160,6 +177,25 @@ class TestExitCodes:
         assert err.startswith("usage: schottky-strata ")
         assert err.endswith(
             "schottky-strata: error: unrecognized arguments: --tol-order nan\n")
+
+    @pytest.mark.parametrize("command", ["build", "loxcheck"])
+    def test_tol_classify_is_gone(self, command, capsys):
+        # the trace tolerance is fixed: argparse's usage error
+        argv = [command, *_G5_TUPLE, "--tol-classify", "1e-9"]
+        assert run_json(argv) == (2, None, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: schottky-strata ")
+        assert err.endswith("schottky-strata: error: unrecognized "
+                            "arguments: --tol-classify 1e-9\n")
+
+    @pytest.mark.parametrize("argv,what", _TEXT_LIMIT_CASES,
+                             ids=[argv[0] for argv, _what in _TEXT_LIMIT_CASES])
+    def test_number_past_the_text_limit(self, argv, what, capsys):
+        assert run_json(argv) == (2, None, "")
+        assert capsys.readouterr().err == (
+            f"error: {what} has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit of sys.get_int_max_str_digits() for writing "
+            "an int as text\n")
 
     _G4_TUPLE = ["--g", "4", "--p", "5", "--t", "0", "--r", "2", "--s", "0"]
 
@@ -312,11 +348,10 @@ class TestChecksCanFail:
     """Each check that no library guard pre-empts can read false."""
 
     @pytest.mark.parametrize("command", ["build", "loxcheck"])
-    def test_build_invariants(self, command, capsys):
-        failed = _failed_check(
-            [command, *_G5_TUPLE, "--tol-classify", "10"], "build_invariants",
-            capsys,
-        )
+    def test_build_invariants(self, command, monkeypatch, capsys):
+        monkeypatch.setattr(moebius, "_EPS", 10)
+        failed = _failed_check([command, *_G5_TUPLE], "build_invariants",
+                               capsys)
         assert failed["detail"] == (
             "e1 is identity, not elliptic; t1 is parabolic, not loxodromic; "
             "f1 is parabolic, not elliptic")
@@ -543,6 +578,28 @@ class TestCommands:
         assert [row["symbol"] for row in rows] == ["e1", "e2", "e3"]
         assert all(row["class"] == "elliptic" for row in rows)
         assert rows[1]["center"] == [10.0, 0.0]
+
+    def test_build_and_loxcheck_inputs(self):
+        _, env, _ = run_json(["build", *_G5_TUPLE])
+        assert list(env["inputs"]) == ["g", "p", "r", "s", "separation", "t"]
+        _, env, _ = run_json(["loxcheck", *_G5_TUPLE])
+        assert list(env["inputs"]) == ["budget", "g", "max_syllables", "p",
+                                       "r", "s", "separation", "t"]
+
+    def test_identity_words_fail_loxcheck(self):
+        # the three half turns coincide at this separation, so every
+        # e_i e_j reads +-I: no nontrivial Schottky word is the identity
+        for separation in ("1e-12", "1e-20", "1e-300"):
+            code, env, _ = run_json(
+                ["loxcheck", "--g", "2", "--p", "2", "--t", "0", "--r", "3",
+                 "--s", "0", "--separation", separation, "--max-syllables",
+                 "2"])
+            assert code == 1
+            report = env["results"]["report"]
+            assert [e["class"] for e in report["violations"]] == [
+                "identity"] * 6
+            assert env["checks"][0] == cli.check(
+                "purely_loxodromic", False, "0/6 loxodromic, 6 violations")
 
     def test_csv_tuples(self):
         code, _, text = run_json(["tuples", "--g", "2", "--p", "2", "--csv"])
@@ -859,8 +916,7 @@ def _command_argv(draw):
         _optional(draw, argv, "--phi",
                   _json_text(phi, st.lists(_JSON_LEAVES, max_size=4) | _JSON))
     if command in ("build", "loxcheck"):
-        for flag in ("--separation", "--tol-classify"):
-            _optional(draw, argv, flag, _FLOAT_TEXTS)
+        _optional(draw, argv, "--separation", _FLOAT_TEXTS)
     if command == "loxcheck":
         # a budget, as the default of 10^6 sampled words takes seconds
         argv += ["--max-syllables", str(draw(st.integers(-1, 3))),

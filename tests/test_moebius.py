@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from schottky_strata import moebius
 from schottky_strata.homorbits import HomImage
 from schottky_strata.strata import AdmissibleTuple, enumerate_tuples
 from schottky_strata.cyclic_schottky import KHom, kernel_sample, normalized_homs
@@ -14,7 +15,6 @@ from schottky_strata.moebius import (
     MobiusMap,
     _factor,
     build_matrix_group,
-    check_finite_positive,
     classify,
     commute,
     dist_to_unit,
@@ -71,7 +71,7 @@ class TestClassify:
             conj = u * m * u.inverse()
             assert classify(conj) is classify(m)
 
-    def test_identity_pretest_matches_distance(self):
+    def test_identity_pretest_matches_distance(self, monkeypatch):
         # classify tests |b|^2 + |c|^2 before dist_to_unit; near +-I, at the
         # eps boundary and with NaN and inf entries it must still return
         # IDENTITY exactly when dist_to_unit(m) <= eps
@@ -79,6 +79,7 @@ class TestClassify:
         nonfinite = [math.nan, math.inf, -math.inf]
         seen = set()
         for eps in (1e-9, 1e-3, 0.5, 1.0, 3.0, 10.0):
+            monkeypatch.setattr(moebius, "_EPS", eps)
             for _ in range(3000):
                 sign = rng.choice((1, -1))
                 scale = eps * rng.choice((0.3, 0.7, 1 - 1e-15, 1, 1 + 1e-15, 2))
@@ -92,18 +93,18 @@ class TestClassify:
                     a, b, c, d = entries
                 m = MobiusMap(sign + a, b, c, sign + d)
                 want = dist_to_unit(m) <= eps
-                got = classify(m, eps) is MobiusClass.IDENTITY
+                got = classify(m) is MobiusClass.IDENTITY
                 assert got == want, (eps, m)
                 seen.add(want)
             # |b| or |c| at eps itself, with a = d = +-1: on the boundary
             for sign in (1, -1):
                 for b, c in ((eps, 0), (0, eps), (0, -1j * eps)):
                     m = MobiusMap(sign, b, c, sign)
-                    assert (classify(m, eps) is MobiusClass.IDENTITY) == (
+                    assert (classify(m) is MobiusClass.IDENTITY) == (
                         dist_to_unit(m) <= eps), (eps, m)
         assert seen == {True, False}
-        assert classify(MobiusMap(1, 0.5, 0, 1),
-                        eps=0.5) is MobiusClass.IDENTITY
+        monkeypatch.setattr(moebius, "_EPS", 0.5)
+        assert classify(MobiusMap(1, 0.5, 0, 1)) is MobiusClass.IDENTITY
 
 
 class TestOrderCheck:
@@ -126,16 +127,6 @@ class TestOrderCheck:
         m = mg.matrices[("e", 3)]
         assert dist_to_unit(m**2) > 1e-8
         assert order_check(m, 2)
-
-
-class TestTolerances:
-    # the one tolerance left is the classification tolerance, which the CLI
-    # checks with check_finite_positive before building
-    @pytest.mark.parametrize("name", ["classify"])
-    @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
-    def test_rejects_non_finite_or_non_positive(self, name, value):
-        with pytest.raises(ValueError, match=f"tolerance {name} must be"):
-            check_finite_positive(f"tolerance {name}", value)
 
 
 class TestNormalization:
@@ -203,15 +194,17 @@ class TestBuildMatrixGroup:
                     assert classify(m) is MobiusClass.ELLIPTIC
 
 
-    def test_defects_name_each_broken_invariant(self):
+    def test_defects_name_each_broken_invariant(self, monkeypatch):
         # a tolerance of 10 calls every factor the identity or parabolic;
         # e1's trace still reads order 5
         mg = build_matrix_group(AdmissibleTuple(5, 5, 0, 1, 1))
-        assert matrix_group_defects(mg, eps=10) == [
-            "e1 is identity, not elliptic",
-            "t1 is parabolic, not loxodromic",
-            "f1 is parabolic, not elliptic",
-        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(moebius, "_EPS", 10)
+            assert matrix_group_defects(mg) == [
+                "e1 is identity, not elliptic",
+                "t1 is parabolic, not loxodromic",
+                "f1 is parabolic, not elliptic",
+            ]
         # e1 rotates about a point 10 away from t1's axis: order 5, but
         # it does not commute with t1
         swapped = MatrixGroupSpec(
@@ -376,7 +369,7 @@ class TestPurelyLoxodromic:
                         assert entry["class"] == classify(m).value
 
     @pytest.mark.parametrize("separation", [10, 1, 0.2, 0.05])
-    def test_classes_match_classify(self, separation):
+    def test_classes_match_classify(self, separation, monkeypatch):
         # every entry must carry the class classify gives the left-to-right
         # product, on crowded separations and a loose tolerance too, where
         # words fail
@@ -388,22 +381,20 @@ class TestPurelyLoxodromic:
             for phi in itertools.islice(normalized_homs(mg.spec), 4):
                 words = kernel_sample(phi, 3)
                 for eps in (1e-9, 10):
-                    rep = purely_loxodromic_sample(mg, phi, max_syllables=3,
-                                                   eps=eps)
+                    monkeypatch.setattr(moebius, "_EPS", eps)
+                    rep = purely_loxodromic_sample(mg, phi, max_syllables=3)
                     assert len(rep["words"]) == len(words)
                     for entry, w in zip(rep["words"], words):
                         m = MobiusMap(1, 0, 0, 1)
                         for sym, exp in w.syllables:
                             m = m * (mg.matrices[sym] ** exp)
-                        assert entry["class"] == classify(m, eps).value, entry
+                        assert entry["class"] == classify(m).value, entry
                         classes.add(entry["class"])
                     assert rep["n_loxodromic"] == sum(
                         e["class"] == "loxodromic" for e in rep["words"])
-                    assert rep["n_identity"] == sum(
-                        e["class"] == "identity" for e in rep["words"])
                     assert rep["violations"] == [
-                        e for e in rep["words"]
-                        if e["class"] in ("elliptic", "parabolic")]
+                        e for e in rep["words"] if e["class"] != "loxodromic"]
+                    assert rep["passed"] == (not rep["violations"])
         assert "parabolic" in classes
 
     def test_powers_match_repeated_products(self):
