@@ -202,44 +202,65 @@ def _may_follow(prev_sym, sym):
     return True
 
 
-def kernel_sample(phi, max_syllables, budget=10**6):
-    """All normal-form kernel words with at most ``max_syllables`` syllables
-    (loxodromic exponents restricted to +-1), identity excluded.
+def _kernel_walk(phi, max_syllables, budget, root, extend):
+    """``extend(...extend(root, s1)..., sk)`` for every kernel word
+    s1 ... sk, in ``kernel_sample``'s order: a level-order walk of the
+    normal-form syllable trie that extends each node's payload once.
 
-    Deterministic order: by syllable count, then lexicographically in the
-    roster/exponent order.  Raises BudgetExceeded when the enumeration
-    grows past ``budget`` words.
+    Every candidate syllable counts toward ``budget``, the last level's
+    too, but the last level is not scanned: its kernel words are looked
+    up as the syllables whose image closes the prefix sum to 0 mod p.
     """
     if max_syllables < 1:
         raise ValueError("max_syllables must be >= 1")
     spec = phi.spec
     p = spec.p
-    alphabet = [((sym, exp), sym, exp * phi.image(sym))
+    alphabet = [((sym, exp), sym, exp * phi.image(sym) % p)
                 for sym, exp in _syllable_alphabet(spec)]
-    # the alphabet entries that may follow each last symbol
+    # the alphabet entries that may follow each last symbol, and those of
+    # them that close each image sum, indexed by that sum
     follow = {prev: [e for e in alphabet if _may_follow(prev, e[1])]
               for prev in [None, *spec.symbols()]}
+    closing = {prev: [[] for _ in range(p)] for prev in follow}
+    for prev, entries in follow.items():
+        for syl, _sym, step in entries:
+            closing[prev][-step % p].append(syl)
     out = []
     seen = 0
-    level = [((), None, 0)]  # (syllables, last symbol, image sum)
+    level = [(root, None, 0)]  # (payload, last symbol, image sum)
     for length in range(1, max_syllables + 1):
-        # the last level is only counted and filtered, never extended
-        nxt = [] if length < max_syllables else None
-        for syls, prev, total in level:
-            entries = follow[prev]
-            seen += len(entries)
+        nxt = []
+        for node, prev, total in level:
+            seen += len(follow[prev])
             if seen > budget:
                 # name the first candidate past the budget
                 raise BudgetExceeded(max(budget, 0) + 1, budget,
                                      what="sampled words")
-            for syl, sym, step in entries:
+            if length == max_syllables:
+                for syl in closing[prev][total]:
+                    out.append(extend(node, syl))
+                continue
+            for syl, sym, step in follow[prev]:
+                child = extend(node, syl)
                 img = (total + step) % p
                 if img == 0:
-                    out.append(FPWord(syls + (syl,)))
-                if nxt is not None:
-                    nxt.append((syls + (syl,), sym, img))
+                    out.append(child)
+                nxt.append((child, sym, img))
         level = nxt
     return out
+
+
+def kernel_sample(phi, max_syllables, budget=10**6):
+    """All normal-form kernel words with at most ``max_syllables`` syllables
+    (loxodromic exponents restricted to +-1), identity excluded.
+
+    Deterministic order: by syllable count, then lexicographically in the
+    roster/exponent order.  Runs ``_kernel_walk`` on syllable tuples, so
+    it raises BudgetExceeded when the enumeration grows past ``budget``
+    candidate words.
+    """
+    return [FPWord(syls) for syls in _kernel_walk(
+        phi, max_syllables, budget, (), lambda syls, syl: syls + (syl,))]
 
 
 def normalized_homs(spec):

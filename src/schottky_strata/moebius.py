@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .cyclic_schottky import (FPWord, GroupSpec, build_spec, fpword_str,
-                              kernel_sample)
+from .cyclic_schottky import (FPWord, GroupSpec, _kernel_walk,
+                              _syllable_alphabet, build_spec, fpword_str)
 
 __all__ = [
     "MobiusClass",
@@ -267,37 +267,23 @@ def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
     overflowing product raises OverflowError.
 
     A word's matrix is the left-to-right product of its syllable powers
-    from the identity.  Words come in level, then lexicographic order, so
-    ``products`` keeps the prefix products of the previous word, and
-    ``prefixes`` their texts, and only the syllables after the shared
-    prefix are multiplied and written.
+    from the identity, and its text joins the syllable texts: the kernel
+    walk carries both, extended once per node of its syllable trie, and
+    every word is classified only after the walk has passed the budget.
     """
-    words = kernel_sample(phi, max_syllables, budget=budget)
-    powers = {}
-    texts = {}
-    previous = ()
-    products = [MobiusMap(1, 0, 0, 1)]
-    prefixes = [""]
+    factors = {syl: (mg.matrices[syl[0]] ** syl[1], fpword_str(FPWord((syl,))))
+               for syl in _syllable_alphabet(phi.spec)}
+
+    def extend(node, syl):
+        (m, text), (power, word) = node, factors[syl]
+        # str(w) from syllable texts written once (a test pins the equality)
+        return m * power, text + " " + word if text else word
+
+    words = _kernel_walk(phi, max_syllables, budget,
+                         (MobiusMap(1, 0, 0, 1), ""), extend)
     entries = []
     violations = []
-    for w in words:
-        shared = 0
-        for old, new in zip(previous, w.syllables):
-            if old != new:
-                break
-            shared += 1
-        del products[shared + 1:]
-        del prefixes[shared + 1:]
-        for syl in w.syllables[shared:]:
-            if syl not in powers:
-                powers[syl] = mg.matrices[syl[0]] ** syl[1]
-                texts[syl] = fpword_str(FPWord((syl,)))
-            products.append(products[-1] * powers[syl])
-            # str(w) from syllable texts written once (a test pins the equality)
-            prefix = prefixes[-1]
-            prefixes.append(prefix + " " + texts[syl] if prefix else texts[syl])
-        previous = w.syllables
-        m, text = products[-1], prefixes[-1]
+    for m, text in words:
         tr = m.trace()
         if not cmath.isfinite(tr):  # classify raises for finite overflows
             raise OverflowError(f"{text} has trace {tr}")

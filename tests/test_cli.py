@@ -42,6 +42,12 @@ _TEXT_LIMIT_CASES = [
       "--s", "0"], f"the dimension of ({_G_4300_NINES},2;{_HALF},0,0)"),
 ]
 
+# overflows on a level-2 word, but its budget is exceeded only on level 3:
+# the budget wins, as no word is classified before the walk has finished
+_BUDGET_BEFORE_OVERFLOW = [
+    "loxcheck", "--g", "4", "--p", "5", "--t", "0", "--r", "2", "--s", "0",
+    "--separation", "1e70", "--max-syllables", "3", "--budget", "100"]
+
 
 def run_json(argv):
     code, envelope, text = run(argv)
@@ -150,6 +156,7 @@ class TestExitCodes:
             ["verify", "example2", "--m", "1000000000"],
             ["verify", "example2", "--p", "1000003", "--m", "2"],
             *(argv for argv, _what in _TEXT_LIMIT_CASES),
+            _BUDGET_BEFORE_OVERFLOW,
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -157,6 +164,9 @@ class TestExitCodes:
         assert (code, env, text) == (2, None, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if argv == _BUDGET_BEFORE_OVERFLOW:
+            assert err == ("error: enumeration requires 101 sampled words, "
+                           "exceeding budget 100; raise it with --budget\n")
 
     @pytest.mark.parametrize("flag,value", [("--curve", '{"p":5}'),
                                             ("--tolerance", "1e-9")])

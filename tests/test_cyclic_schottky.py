@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,10 @@ from schottky_strata.freegroup import AbelianHom, schreier_kernel
 from schottky_strata.homorbits import BudgetExceeded, HomImage
 from schottky_strata.strata import AdmissibleTuple
 from schottky_strata.cyclic_schottky import (
+    FPWord,
     KHom,
+    _may_follow,
+    _syllable_alphabet,
     build_spec,
     fpword_str,
     kernel_membership,
@@ -219,6 +223,33 @@ class TestKernelSample:
         assert (exc.value.required, exc.value.budget) == (1332, 1331)
         assert str(exc.value) == ("enumeration requires 1332 sampled words, "
                                   "exceeding budget 1331")
+
+    @pytest.mark.parametrize("shape,hom,length", [
+        ((2, 2, 0, 3, 0), HomImage(2, e=(1, 1, 1)), 4),
+        ((3, 2, 0, 0, 2), HomImage(2, tau=(1, 0), f=(1, 1)), 4),
+        ((9, 3, 1, 1, 2),
+         HomImage(3, a=(2,), e=(1,), tau=(1, 0), f=(2, 1)), 3),
+        ((26, 5, 6, 0, 0), HomImage(5, a=(1, 2, 0, 3, 0, 4)), 3),
+        ((5, 5, 1, 1, 0), HomImage(5, a=(2,), e=(3,)), 4),
+        ((6, 5, 1, 0, 1), HomImage(5, a=(0,), tau=(0,), f=(1,)), 4),
+        ((6, 5, 1, 0, 1), HomImage(5, a=(3,), tau=(2,), f=(1,)), 4),
+        ((8, 7, 1, 0, 1), HomImage(7, a=(3,), tau=(5,), f=(2,)), 3),
+        ((12, 7, 0, 3, 0), HomImage(7, e=(1, 2, 6)), 3),
+    ])
+    def test_matches_brute_force(self, shape, hom, length):
+        # every word over the alphabet whose neighbours may follow each
+        # other, by length and then lexicographically, kept when in the
+        # kernel: an enumeration that shares no code with the walk
+        phi = KHom(spec_of(*shape), hom)
+        alphabet = _syllable_alphabet(phi.spec)
+        want = []
+        for k in range(1, length + 1):
+            for syls in itertools.product(alphabet, repeat=k):
+                w = FPWord(syls)
+                if (all(_may_follow(x, y) for (x, _), (y, _) in
+                        zip(syls, syls[1:])) and kernel_membership(phi, w)):
+                    want.append(w)
+        assert want and kernel_sample(phi, length) == want
 
     def test_all_members_nonidentity(self):
         phi = KHom(SPEC_MIXED, HomImage(5, a=(2,), e=(3,)))

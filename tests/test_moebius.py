@@ -338,8 +338,8 @@ class TestPurelyLoxodromic:
 
     def test_traces_match_left_to_right_powers(self):
         # each trace is, float for float, the product of the syllable powers
-        # taken left to right from the identity, whatever prefix it shares
-        # with the word before it
+        # taken left to right from the identity, though the walk multiplies
+        # each shared prefix only once
         rng = random.Random(11)
         for g, p, t, r, s in [(5, 5, 1, 1, 0), (5, 5, 0, 1, 1), (6, 5, 1, 0, 1),
                               (8, 7, 1, 0, 1), (6, 5, 2, 0, 0)]:
