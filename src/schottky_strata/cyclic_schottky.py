@@ -208,8 +208,9 @@ def _kernel_walk(phi, max_syllables, budget, root, extend):
     normal-form syllable trie that extends each node's payload once.
 
     Every candidate syllable counts toward ``budget``, the last level's
-    too, but the last level is not scanned: its kernel words are looked
-    up as the syllables whose image closes the prefix sum to 0 mod p.
+    too, and the count is checked before any payload is built.  The last
+    level is not scanned: its kernel words are looked up as the syllables
+    whose image closes the prefix sum to 0 mod p.
     """
     if max_syllables < 1:
         raise ValueError("max_syllables must be >= 1")
@@ -218,26 +219,33 @@ def _kernel_walk(phi, max_syllables, budget, root, extend):
     alphabet = [((sym, exp), sym, exp * phi.image(sym) % p)
                 for sym, exp in _syllable_alphabet(spec)]
     # the alphabet entries that may follow each last symbol, and those of
-    # them that close each image sum, indexed by that sum
+    # them that close each image sum, keyed by the sums that occur
     follow = {prev: [e for e in alphabet if _may_follow(prev, e[1])]
               for prev in [None, *spec.symbols()]}
-    closing = {prev: [[] for _ in range(p)] for prev in follow}
+    closing = {prev: {} for prev in follow}
     for prev, entries in follow.items():
         for syl, _sym, step in entries:
-            closing[prev][-step % p].append(syl)
+            closing[prev].setdefault(-step % p, []).append(syl)
+    # each level's candidates, counted from how many nodes end in each symbol
+    seen, ends = 0, {None: 1}
+    for _ in range(max_syllables):
+        seen += sum(n * len(follow[prev]) for prev, n in ends.items())
+        if seen > budget:
+            # name the first candidate past the budget
+            raise BudgetExceeded(max(budget, 0) + 1, budget,
+                                 what="sampled words")
+        nxt = dict.fromkeys(spec.symbols(), 0)
+        for prev, n in ends.items():
+            for _syl, sym, _step in follow[prev]:
+                nxt[sym] += n
+        ends = nxt
     out = []
-    seen = 0
     level = [(root, None, 0)]  # (payload, last symbol, image sum)
     for length in range(1, max_syllables + 1):
         nxt = []
         for node, prev, total in level:
-            seen += len(follow[prev])
-            if seen > budget:
-                # name the first candidate past the budget
-                raise BudgetExceeded(max(budget, 0) + 1, budget,
-                                     what="sampled words")
             if length == max_syllables:
-                for syl in closing[prev][total]:
+                for syl in closing[prev].get(total, ()):
                     out.append(extend(node, syl))
                 continue
             for syl, sym, step in follow[prev]:
@@ -272,10 +280,10 @@ def normalized_homs(spec):
     """
     tup = spec.tuple
     p = spec.p
-    units = tuple(range(1, p))
     if tup.r == 0 and tup.s == 0:
         yield KHom(spec, HomImage(p, a=(1,) + (0,) * (tup.t - 1)))
         return
+    units = tuple(range(1, p))
     for e in itertools.product(units, repeat=tup.r):
         for f in itertools.product(units, repeat=tup.s):
             yield KHom(

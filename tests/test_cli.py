@@ -265,6 +265,18 @@ class TestExitCodes:
         assert err == ("error: enumeration requires 101 sampled words, "
                        "exceeding budget 100; raise it with --budget\n")
 
+    def test_large_prime_answers_at_once(self, capsys):
+        # two free generators at p = 10^9 + 7: nothing the walk or the
+        # default hom builds grows with p, so both runs answer at once
+        argv = ["loxcheck", "--g", "1000000008", "--p", "1000000007", "--t",
+                "2", "--r", "0", "--s", "0", "--max-syllables", "2"]
+        code, env, _ = run_json(argv)
+        assert code == 0 and env["results"]["report"]["n_words"] == 2
+        assert run_json([*argv, "--budget", "0"]) == (2, None, "")
+        assert capsys.readouterr().err == (
+            "error: enumeration requires 1 sampled words, exceeding budget 0; "
+            "raise it with --budget\n")
+
     @pytest.mark.parametrize("argv,rows", [
         (["tuples", "--g", "100", "--p", "5", "--budget", "65"], 66),
         (["report", "--csv", "--p", "5", "--g-min", "2", "--g-max", "40",

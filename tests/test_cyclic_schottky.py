@@ -9,6 +9,7 @@ from schottky_strata.strata import AdmissibleTuple
 from schottky_strata.cyclic_schottky import (
     FPWord,
     KHom,
+    _kernel_walk,
     _may_follow,
     _syllable_alphabet,
     build_spec,
@@ -223,6 +224,29 @@ class TestKernelSample:
         assert (exc.value.required, exc.value.budget) == (1332, 1331)
         assert str(exc.value) == ("enumeration requires 1332 sampled words, "
                                   "exceeding budget 1331")
+
+    def test_refuses_before_building_any_payload(self):
+        phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))
+        built = []
+
+        def extend(node, syl):
+            built.append(syl)
+            return node + (syl,)
+
+        with pytest.raises(BudgetExceeded):
+            _kernel_walk(phi, 3, 1331, (), extend)
+        assert built == []
+        # one payload per trie node above the last level, one per word on it
+        words = _kernel_walk(phi, 3, 1332, (), extend)
+        assert len(built) == 12 + 120 + sum(len(w) == 3 for w in words)
+
+    def test_walk_setup_does_not_grow_with_p(self):
+        # a table with an entry per residue would need 10^9 of them here
+        phi = KHom(spec_of(1000000008, 1000000007, 2, 0, 0),
+                   HomImage(1000000007, a=(1, 0)))
+        assert [fpword_str(w) for w in kernel_sample(phi, 3)] == [
+            "a2^-1", "a2", "a1^-1 a2^-1 a1", "a1^-1 a2 a1", "a1 a2^-1 a1^-1",
+            "a1 a2 a1^-1"]
 
     @pytest.mark.parametrize("shape,hom,length", [
         ((2, 2, 0, 3, 0), HomImage(2, e=(1, 1, 1)), 4),
