@@ -71,14 +71,21 @@ def _writable(n, what):
     return n
 
 
+def _writable_row(row):
+    """A stratum row, refused as bad input if M or dimension is unwritable."""
+    if row[5] + row[0] > 1e300:  # M + g; else both pass, as dim < 2g
+        g, p, t, r, s, m, dim = row[:7]
+        tup = f"({g},{p};{t},{r},{s})"
+        _writable(m, f"M of {tup}")
+        _writable(dim, f"the dimension of {tup}")
+    return row
+
+
 def _stratum_row(tup):
     g, p, t, r, s = tup
     m, exact, basis = strata.component_bounds(g, p, t, r, s)
     dim = strata.dimension(g, p, t, r, s)
-    if m + g > 1e300:  # else both pass _writable, as dim < 2g
-        _writable(m, f"M of {tup}")
-        _writable(dim, f"the dimension of {tup}")
-    return g, p, t, r, s, m, dim, exact, m, basis
+    return _writable_row((g, p, t, r, s, m, dim, exact, m, basis))
 
 
 def _stratum_dict(row):
@@ -101,11 +108,14 @@ def _cmd_tuples(args):
         raise homorbits.BudgetExceeded(n, args.budget, what="rows")
     tuples = strata.enumerate_tuples(args.g, args.p)
     results = {"count": len(tuples), "tuples": tuples}
+    # by column: the g and p asked for, no negative entry, and the genus
+    gs, ps, ts, rs, ss = list(zip(*tuples)) or [()] * 5
     checks = [
         check(
             "all_admissible",
-            all(g == args.g and p == args.p and min(t, r, s) >= 0
-                and g == strata.genus(p, t, r, s) for g, p, t, r, s in tuples),
+            set(gs) <= {args.g} and set(ps) <= {args.p}
+            and min(ts + rs + ss, default=0) >= 0
+            and set(map(strata.genus, ps, ts, rs, ss)) <= {args.g},
             f"{len(tuples)} tuples verified against the defining relation",
         )
     ]
@@ -304,11 +314,9 @@ def _cmd_report(args):
         if visited >= args.budget and g < args.g_max:
             raise homorbits.BudgetExceeded(args.g_max - args.g_min + 1,
                                            args.budget, what="genera")
-    rows = [
-        _stratum_row(tup)
-        for g in window
-        for tup in strata.enumerate_tuples(g, args.p)
-    ]
+    # row by row, so a refused row stops the walk before any later M
+    rows = [_writable_row(row) for g in window
+            for row in strata.stratum_rows(g, args.p)]
     results = {"p": args.p, "g_min": args.g_min, "g_max": args.g_max,
                "reports": rows}
     checks = [

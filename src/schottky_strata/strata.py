@@ -23,6 +23,7 @@ __all__ = [
     "closed_form_count",
     "dimension",
     "component_bounds",
+    "stratum_rows",
 ]
 
 
@@ -221,13 +222,42 @@ def component_bounds(g, p, t, r, s):
     = ((p-1)(m-1), mp, 0) with m >= 4; "upper_only" otherwise.
     """
     m = 1 if p == 2 else _multisets((p - 1) // 2, r, s)
+    return (m, *_settled(p, t, r, s, m))
+
+
+def _settled(p, t, r, s, m):
+    """(exact, basis) of component_bounds, for the tuple's M ``m``."""
     if p < 5 or r == s == 0:
-        return m, 1, "theorem_case_1"
+        return 1, "theorem_case_1"
     if r % p or s % p:
-        return m, m, "theorem_case_3"
+        return m, "theorem_case_3"
     if _example2_family_member(p, t, r, s):
-        return m, 1, "example2_family"
-    return m, None, "upper_only"
+        return 1, "example2_family"
+    return None, "upper_only"
+
+
+def stratum_rows(g, p):
+    """Yield (g, p, t, r, s, M, dimension, exact, M, basis), the values of
+    ``component_bounds`` and ``dimension``, for each admissible tuple in
+    ``enumerate_tuples`` order.  A total n = t + s fixes r and the
+    dimension, and M = C(r+h-1, r) * C(s+h-1, s): the r factor is made once
+    per n before the first row, the s factor once per s when s first occurs.
+    """
+    _validate_gp(g, p)
+    h = max(1, (p - 1) // 2)  # p = 2 draws from one class: M = 1
+    blocks = []  # (n, r, dimension, r factor of M), n descending
+    for n in reversed(_admissible_totals(g, p)):
+        r = (g - 1 - p * (n - 1)) // (p - 1)
+        blocks.append((n, r, dimension(g, p, n, r, 0), _multisets(h, r, 0)))
+    by_s = {}  # the s factor of M, by s
+    for t in range(blocks[0][0] + 1 if blocks else 0):
+        for n, r, dim, m in blocks:
+            if n < t:
+                break
+            s = n - t
+            m *= by_s.get(s) or by_s.setdefault(s, _multisets(h, 0, s))
+            exact, basis = _settled(p, t, r, s, m)
+            yield g, p, t, r, s, m, dim, exact, m, basis
 
 
 def dimension(g, p, t, r, s):

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -431,23 +432,31 @@ class TestChecksCanFail:
         _failed_check(argv, "closed_form_agreement", capsys)
 
     def test_row_count(self, monkeypatch, capsys):
-        real = strata.enumerate_tuples
-        monkeypatch.setattr(strata, "enumerate_tuples",
-                            lambda g, p: real(g, p)[1:])
+        real = strata.stratum_rows
+        monkeypatch.setattr(strata, "stratum_rows",
+                            lambda g, p: itertools.islice(real(g, p), 1, None))
         failed = _failed_check(
             ["report", "--p", "5", "--g-min", "2", "--g-max", "8"],
             "row_count", capsys,
         )
         assert failed["detail"] == "3 rows, count_strata sums to 7"
 
-    def test_all_admissible(self, monkeypatch, capsys):
+    # (10, 5; 0, 1, 2), the first row, changed so that it fails the genus
+    # alone, the g column alone, the p column and the genus, or the sign
+    # test alone
+    @pytest.mark.parametrize("off", [
+        lambda g, p, t, r, s: (g, p, t, r + 1, s),
+        lambda g, p, t, r, s: (g + 1, p, t, r, s),
+        lambda g, p, t, r, s: (g, 7, t, r, s),
+        lambda g, p, t, r, s: (g, p, t - 1, r, s + 1),
+    ], ids=["r_plus_1", "other_g", "other_p", "negative_t"])
+    def test_all_admissible(self, off, monkeypatch, capsys):
         real = strata.enumerate_tuples
 
         def one_row_off(g, p):
             tuples = real(g, p)
-            t = tuples[0]
-            off = strata.AdmissibleTuple._from_relation((g, p, t.t, t.r + 1, t.s))
-            return [off, *tuples[1:]]
+            return [strata.AdmissibleTuple._from_relation(off(*tuples[0])),
+                    *tuples[1:]]
 
         monkeypatch.setattr(strata, "enumerate_tuples", one_row_off)
         failed = _failed_check(["tuples", "--g", "10", "--p", "5"],
@@ -817,6 +826,35 @@ class TestTableOutput:
         assert not _checked_rows(5, 7, 7) and not strata.enumerate_tuples(7, 5)
         big = _checked_rows(31, 3630, 3630)
         assert max(row["m_count"] for row in big) > 2**63
+
+
+class TestStratumRows:
+    """``strata.stratum_rows`` walks the admissible totals in blocks; its
+    rows are ``enumerate_tuples``' tuples with ``component_bounds``' M and
+    case and ``dimension``'s dimension."""
+
+    @pytest.mark.parametrize("p,g_min,g_max", [
+        *((p, 2, 120) for p in checkers.PRIMES_TO_31), *_TABLE_WINDOWS])
+    def test_rows_match_the_row_functions(self, p, g_min, g_max):
+        for g in range(g_min, g_max + 1):
+            rows = list(strata.stratum_rows(g, p))
+            assert [row[:5] for row in rows] == strata.enumerate_tuples(g, p)
+            for row in rows:
+                m, exact, basis = strata.component_bounds(*row[:5])
+                assert row[5:] == (m, strata.dimension(*row[:5]), exact, m,
+                                   basis)
+
+    def test_refusal_computes_no_later_m(self, monkeypatch):
+        # the first row's M cannot be written: one r factor per admissible
+        # total, then that row's s factor, and no later row's
+        calls = []
+        real = strata._multisets
+        monkeypatch.setattr(strata, "_multisets",
+                            lambda *args: calls.append(args) or real(*args))
+        assert run_json(["report", "--p", "10007", "--g-min", "200109994",
+                         "--g-max", "200109994"]) == (2, None, "")
+        totals = strata._admissible_totals(200109994, 10007)
+        assert 0 < len(calls) <= len(totals) + 1
 
 
 def _dumps(value):
