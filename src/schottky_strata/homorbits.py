@@ -9,9 +9,12 @@ elliptic halves of the rank-two abelian factors; ``f`` units only).
 Two independent counters live here:
 
 * ``canonical_codes`` (behind ``orbit_count_tuples`` and the rotation
-  tuples of :mod:`.surfaces`) enumerates the unit-vector pairs (u, v) and
-  keeps one code per orbit under block permutation, entrywise inversion
-  u -> p - u, and optionally a global unit rescale.
+  tuples of :mod:`.surfaces`) keeps one code per orbit of the unit-vector
+  pairs (u, v) under block permutation, entrywise inversion u -> p - u,
+  and optionally a global unit rescale.  Permutation and inversion act on
+  each block alone, so it enumerates every vector of each block on its
+  own and pairs their classes; a rescale acts on both blocks at once, so
+  it merges class pairs.
 * ``bfs_orbit_count`` labels every state of the full image space by the
   orbits of the elementary moves that geometric automorphisms induce
   (torsion shifts into the loxodromic images, block permutations and
@@ -160,6 +163,18 @@ def _sorting_network(n):
     return pairs
 
 
+def _primitive_root(p):
+    """The least generator of the units mod the prime p (1 when p = 2)."""
+    n, factors = p - 1, set()
+    for q in range(2, math.isqrt(n) + 1):
+        while n % q == 0:
+            factors.add(q)
+            n //= q
+    factors |= {n} - {1}
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
 def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
     """The distinct canonical codes over all of (Z_p^*)^r x (Z_p^*)^s, sorted.
 
@@ -167,6 +182,18 @@ def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
     orbit.  A code is the big-endian base-p number of the canonical form's
     entries u then v, so code order is the lexicographic order of the
     forms.  Raises BudgetExceeded when (p-1)^(r+s) exceeds ``budget``.
+
+    Permutation and inversion act on u and on v separately, so a plain
+    orbit is a pair (class of u, class of v), and its code is the u class's
+    code times p^s plus the v class's.  Each block of width w > 0 is
+    enumerated on its own: all (p-1)^w of its vectors, each folded under
+    invert and sorted, one code per distinct class.  A global rescale
+    commutes with both actions, so it permutes the class pairs; the
+    rescales form a cyclic group, and each orbit keeps the pair whose code
+    is least over the powers of a generator.  The work is (p-1)^r +
+    (p-1)^s vectors plus the grid of class pairs, and a block has no more
+    classes than vectors, so the grid has at most (p-1)^(r+s) cells: the
+    budget on (p-1)^(r+s) still bounds the memory.
     """
     check_prime(p, minimum=3)
     if r < 0 or s < 0:
@@ -179,35 +206,64 @@ def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
         raise BudgetExceeded(p**k, 2**63, what="distinct codes")
     import numpy as np  # deferred: commands that never call it start faster
 
-    dtype = np.min_scalar_type(p - 1)
-    columns = [np.empty(total, dtype) for _ in range(k)]
-    spare = np.empty(total, dtype)
-    # -lam gives the entries of lam negated, which invert identifies
-    top = (p + 1) // 2 if action.invert else p
-    scalings = range(1, top) if action.global_scale else (1,)
-    # sort each block by compare-exchange, rebinding columns, not copying
-    networks = [(0, _sorting_network(r)), (r, _sorting_network(s))]
-    best = None
-    for lam in scalings:
-        image = lam * np.arange(1, p) % p
-        if action.invert:
-            image = np.minimum(image, p - image)
-        image = image.astype(dtype)[:, None]
-        for i, column in enumerate(columns):
-            column.reshape(n**i, n, -1)[...] = image
-        for lo, network in networks:
-            for i, j in network:
-                low, high = columns[lo + i], columns[lo + j]
-                np.minimum(low, high, out=spare)
-                np.maximum(low, high, out=high)
-                columns[lo + i], spare = spare, low
-        codes = np.zeros(total, np.int32 if p**k < 2**31 else np.int64)
+    code_type = np.int32 if p**k < 2**31 else np.int64
+    if k == 0:  # the empty vector; nothing below may grow with p
+        return np.zeros(1, code_type)
+    image = np.arange(p, dtype=np.min_scalar_type(p - 1))
+    if action.invert:
+        image = np.minimum(image, p - image)
+    if action.global_scale:  # image[root * c], the class entry of root * c
+        image_by_root = image.take(_primitive_root(p) * np.arange(p) % p)
+
+    def codes_of(columns):
+        """Base-p codes of the rows of ``columns`` once each row is sorted by
+        compare-exchange, rebinding columns, not copying."""
+        spare = np.empty_like(columns[0])
+        for i, j in _sorting_network(len(columns)):
+            low, high = columns[i], columns[j]
+            np.minimum(low, high, out=spare)
+            np.maximum(low, high, out=high)
+            columns[i], spare = spare, low
+        codes = np.zeros(columns[0].size, code_type)
         for column in columns:
             codes *= p
             codes += column
-        best = codes if best is None else np.minimum(best, codes, out=best)
-    best.sort()
-    return best[np.concatenate(([True], best[1:] != best[:-1]))]
+        return codes
+
+    # grid: the sorted codes of the class pairs of the blocks so far;
+    # moves: for each pair, the index in grid of its rescale by the generator
+    grid = moves = None
+    for w in (r, s):
+        if not w:
+            continue
+        # every vector of the block, in lexicographic order
+        columns = [np.empty(n**w, image.dtype) for _ in range(w)]
+        for i, column in enumerate(columns):
+            column.reshape(n**i, n, -1)[...] = image[1:, None]
+        classes = codes_of(columns)
+        classes.sort()
+        classes = classes[np.concatenate(([True], classes[1:] != classes[:-1]))]
+        grid = classes if grid is None else (
+            grid[:, None] * p**w + classes).ravel()
+        if action.global_scale:
+            codes = classes.astype(np.intp)  # digits that index without a cast
+            digits = [codes // p**i % p for i in reversed(range(w))]
+            move = np.searchsorted(
+                classes, codes_of([image_by_root.take(d) for d in digits]))
+            moves = move if moves is None else (
+                moves[:, None] * classes.size + move).ravel()
+    if action.global_scale:
+        # the rescales form a cyclic group, of order (p-1)/2 under invert,
+        # where lam and -lam act alike; take the least code over the first
+        # 2^j powers of the generator, by doubling, until they cover it.  A
+        # pair represents its orbit when its own code is the least one.
+        order = (p - 1) // 2 if action.invert else p - 1
+        least = grid
+        for _ in range((order - 1).bit_length()):
+            least = np.minimum(least, least.take(moves))
+            moves = moves.take(moves)
+        grid = grid[least == grid]
+    return grid
 
 
 def orbit_count_tuples(p, r, s, action=PERM_INV, budget=10**7):
@@ -296,9 +352,7 @@ def _move_targets(index, p, t, r, s, scale):
     for k in range(s):
         yield move({f[k]: p - values[f[k]], tau[k]: mod(p - values[tau[k]])})
     if scale:  # by the least generator of the units mod p (1 when p = 2)
-        root = next(g for g in range(1, p)
-                    if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
-        table = (root * np.arange(p) % p).astype(dtype)
+        table = (_primitive_root(p) * np.arange(p) % p).astype(dtype)
         yield move({c: table[column] for c, column in enumerate(values)})
 
 

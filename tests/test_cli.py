@@ -1056,6 +1056,23 @@ class TestRuntimeImports:
             "    assert 'numpy' not in sys.modules, argv\n"
         ))
 
+    def test_the_orbit_engines_never_load_numpy_ma(self):
+        # the engines need core numpy only; numpy.ma (which np.unique pulls
+        # in) would add its import time and memory to every oracle run
+        examples = [argv for argv in _readme_examples() if argv[0] == "oracle"]
+        assert any("--scale" in argv for argv in examples)
+        _fresh_python("-c", (
+            "import sys\n"
+            "from schottky_strata import surfaces\n"
+            "from schottky_strata.cli import run\n"
+            "assert surfaces.count_orbits(7, 4) == 22\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'numpy.ma' not in sys.modules, 'count_orbits'\n"
+            f"for argv in {examples!r}:\n"
+            "    assert run(argv)[0] == 0, argv\n"
+            "    assert 'numpy.ma' not in sys.modules, argv\n"
+        ))
+
     def test_cli_examples_never_load_mpmath(self):
         # mpmath is a test dependency only; a fresh interpreter runs every
         # README example and must not have imported it

@@ -76,6 +76,17 @@ def reference_bfs(p, t, r, s, scaled):
     return orbits
 
 
+def reference_codes(p, r, s, action):
+    """Sorted distinct codes of ``canonical_form`` over every vector."""
+    codes = set()
+    for u in itertools.product(range(1, p), repeat=r):
+        for v in itertools.product(range(1, p), repeat=s):
+            form = canonical_form(ImageTuple(p, u, v), action)
+            digits = form.u + form.v
+            codes.add(sum(c * p**j for j, c in enumerate(reversed(digits))))
+    return sorted(codes)
+
+
 class TestCanonicalForm:
     def test_invert_and_sort(self):
         out = canonical_form(ImageTuple(5, (4, 2), ()), PERM_INV)
@@ -178,22 +189,6 @@ class TestOrbitCountTuples:
                 if r == s == 0:
                     assert scaled == base == 1
 
-    def test_agrees_with_per_tuple_canonicalisation(self):
-        # the vectorised counter against a plain python set of canonical forms
-        import itertools
-
-        for p, r, s, action in [
-            (5, 2, 1, PERM_INV),
-            (5, 2, 1, PERM_INV_SCALE),
-            (7, 2, 0, PERM_INV_SCALE),
-        ]:
-            forms = {
-                canonical_form(ImageTuple(p, u, v), action)
-                for u in itertools.product(range(1, p), repeat=r)
-                for v in itertools.product(range(1, p), repeat=s)
-            }
-            assert orbit_count_tuples(p, r, s, action) == len(forms)
-
     def test_budget_error_names_required_count(self):
         with pytest.raises(BudgetExceeded) as exc:
             orbit_count_tuples(11, 8, 0, PERM_INV, budget=10**6)
@@ -218,22 +213,40 @@ class TestOrbitCountTuples:
         assert codes.size == 70000
         assert codes[0] == 1 and codes[-1] == 70000
 
-    def test_codes_are_sorted_distinct_and_decode_to_canonical_forms(self):
-        for p, r, s, action in [
-            (5, 2, 1, PERM_INV),
-            (7, 1, 2, PERM_INV_SCALE),
-            (7, 3, 0, ActionSpec(invert=False, global_scale=True)),
-        ]:
-            forms = {
-                canonical_form(ImageTuple(p, u, v), action)
-                for u in itertools.product(range(1, p), repeat=r)
-                for v in itertools.product(range(1, p), repeat=s)
-            }
-            digits = [
-                tuple(int(c) // p**j % p for j in reversed(range(r + s)))
-                for c in canonical_codes(p, r, s, action)
-            ]
-            assert digits == sorted(form.u + form.v for form in forms)
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("invert", [True, False])
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_every_split_matches_per_vector_canonical_forms(self, p, invert, scale):
+        # the block-by-block engine against canonical_form over every vector,
+        # empty blocks included; every shape here has int32 codes
+        action = ActionSpec(invert, scale)
+        k = 0
+        while (p - 1) ** k <= 4000:
+            for r in range(k + 1):
+                codes = canonical_codes(p, r, k - r, action)
+                assert codes.dtype == np.int32
+                want = reference_codes(p, r, k - r, action)
+                assert codes.tolist() == want, (r, k - r)
+            k += 1
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_past_the_enumeration_of_whole_vectors(self, scaled):
+        # 4^12 = 16.7 M vectors (u, v), but only 4^6 per block
+        action = PERM_INV_SCALE if scaled else PERM_INV
+        got = orbit_count_tuples(5, 6, 6, action, budget=10**8)
+        assert got == closed_form_orbit_count(5, 6, 6, scaled)
+
+    def test_budget_still_counts_every_vector(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            orbit_count_tuples(5, 6, 6)
+        assert exc.value.required == 4**12
+
+    def test_codes_widen_with_the_code_space(self):
+        # the one orbit's code (3^20 - 1) / 2 fits in 31 bits, but codes are
+        # int64 whenever p^(r+s) does not
+        codes = canonical_codes(3, 10, 10)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [(3**20 - 1) // 2]
 
     @pytest.mark.parametrize("n", range(13))
     def test_sorting_network_sorts_every_zero_one_input(self, n):
