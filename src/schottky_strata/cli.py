@@ -6,6 +6,10 @@ json.dumps(envelope, indent=2, allow_nan=False) with table rows filled
 from templates.  Output is deterministic; --meta adds a timestamp block
 outside the payload.  Exit codes: 0 all checks pass, 1 a check failed,
 2 usage error.
+
+Check records and refusals come from ``strata``.  Each handler imports the
+other layers it uses when it is dispatched, so ``count``, ``tuples``,
+``bounds`` and ``report`` load no other module of the package.
 """
 
 from __future__ import annotations
@@ -14,20 +18,9 @@ import argparse
 import functools
 import json
 import sys
-from datetime import datetime, timezone
 
-from . import homorbits, moebius, strata, surfaces
-from .cyclic_schottky import (
-    KHom,
-    build_spec,
-    fpword_str,
-    kernel_membership,
-    kernel_presentation,
-    normalized_homs,
-)
-from .freegroup import check, verify_example1
-from .homorbits import PERM_INV, PERM_INV_SCALE, HomImage
-from .strata import AdmissibleTuple
+from . import strata
+from .strata import AdmissibleTuple, BudgetExceeded, check, within_budget
 
 
 def _tuple_from_args(args):
@@ -35,6 +28,8 @@ def _tuple_from_args(args):
 
 
 def _phi_from_args(spec, phi_text):
+    from .cyclic_schottky import KHom, normalized_homs
+    from .homorbits import HomImage
     if phi_text is None:
         return next(iter(normalized_homs(spec)))
     data = json.loads(phi_text)
@@ -104,8 +99,7 @@ def _stratum_dict(row):
 
 def _cmd_tuples(args):
     n = _writable(strata.count_strata(args.p, args.g), "the row count")
-    if n > args.budget:
-        raise homorbits.BudgetExceeded(n, args.budget, what="rows")
+    within_budget(n, args.budget, "rows")
     tuples = strata.enumerate_tuples(args.g, args.p)
     results = {"count": len(tuples), "tuples": tuples}
     # by column: the g and p asked for, no negative entry, and the genus
@@ -133,10 +127,10 @@ def _cmd_count(args):
 
 
 def _cmd_oracle(args):
-    action = PERM_INV_SCALE if args.scale else PERM_INV
-    count = homorbits.orbit_count_tuples(
-        args.p, args.r, args.s, action, budget=args.budget
-    )
+    from . import homorbits
+    action = homorbits.PERM_INV_SCALE if args.scale else homorbits.PERM_INV
+    count = homorbits.orbit_count_tuples(args.p, args.r, args.s, action,
+                                         budget=args.budget)
     results = {"orbit_count": count, "scaled": bool(args.scale)}
     closed = homorbits.closed_form_orbit_count(args.p, args.r, args.s,
                                                args.scale)
@@ -160,6 +154,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_kernel(args):
+    from .cyclic_schottky import (build_spec, fpword_str, kernel_membership,
+                                  kernel_presentation)
     tup = _tuple_from_args(args)
     spec = build_spec(tup)
     phi = _phi_from_args(spec, args.phi)
@@ -186,12 +182,9 @@ def _cmd_kernel(args):
 
 def _cmd_verify(args):
     if args.example == "example1":
-        report = verify_example1()
-        return {"suite": "example1"}, report["checks"]
-    return _verify_example2(args)
-
-
-def _verify_example2(args):
+        from .freegroup import verify_example1
+        return {"suite": "example1"}, verify_example1()["checks"]
+    from . import surfaces
     p, m = args.p, args.m
     tup = surfaces.example2_type(p, m)
     results = {"suite": "example2", "type": tup._asdict()}
@@ -245,6 +238,7 @@ def _within_doubles(handler):
 
 def _built_group(args):
     """The command's matrix group and its invariant check."""
+    from . import moebius
     tup = _tuple_from_args(args)
     mg = moebius.build_matrix_group(tup, separation=args.separation)
     defects = moebius.matrix_group_defects(mg)
@@ -258,6 +252,7 @@ def _built_group(args):
 
 @_within_doubles
 def _cmd_build(args):
+    from .moebius import classify
     tup, mg, invariants = _built_group(args)
     matrices = []
     for sym in mg.spec.symbols():
@@ -267,7 +262,7 @@ def _cmd_build(args):
                 "symbol": f"{sym[0]}{sym[1]}",
                 "matrix": [[z.real, z.imag] for z in m.entries()],
                 "center": [mg.centers[sym].real, mg.centers[sym].imag],
-                "class": moebius.classify(m).value,
+                "class": classify(m).value,
             }
         )
     results = {"tuple": tup._asdict(), "separation": args.separation,
@@ -277,9 +272,10 @@ def _cmd_build(args):
 
 @_within_doubles
 def _cmd_loxcheck(args):
+    from .moebius import purely_loxodromic_sample
     tup, mg, invariants = _built_group(args)
     phi = _phi_from_args(mg.spec, args.phi)
-    report = moebius.purely_loxodromic_sample(
+    report = purely_loxodromic_sample(
         mg, phi, max_syllables=args.max_syllables, budget=args.budget)
     results = {
         "tuple": tup._asdict(),
@@ -308,12 +304,10 @@ def _cmd_report(args):
     # refuse at the first genus past the budget, in rows or in genera
     for visited, g in enumerate(window, 1):
         expected += strata.count_strata(args.p, g)
-        if expected > args.budget:
-            _writable(expected, "the row count")
-            raise homorbits.BudgetExceeded(expected, args.budget, what="rows")
+        within_budget(_writable(expected, "the row count"), args.budget,
+                      "rows")
         if visited >= args.budget and g < args.g_max:
-            raise homorbits.BudgetExceeded(args.g_max - args.g_min + 1,
-                                           args.budget, what="genera")
+            within_budget(args.g_max - args.g_min + 1, args.budget, "genera")
     # row by row, so a refused row stops the walk before any later M
     rows = [_writable_row(row) for g in window
             for row in strata.stratum_rows(g, args.p)]
@@ -498,8 +492,8 @@ def run(argv):
     }
     try:
         results, checks = _HANDLERS[args.command](args)
-    except (ValueError, homorbits.BudgetExceeded) as exc:
-        flag = isinstance(exc, homorbits.BudgetExceeded) and "budget" in inputs
+    except (ValueError, BudgetExceeded) as exc:
+        flag = isinstance(exc, BudgetExceeded) and "budget" in inputs
         print(f"error: {exc}{'; raise it with --budget' if flag else ''}",
               file=sys.stderr)
         return 2, None, ""
@@ -514,6 +508,7 @@ def run(argv):
         "checks": checks,
     }
     if args.meta:
+        from datetime import datetime, timezone
         envelope["meta"] = {
             "timestamp": datetime.now(timezone.utc).isoformat()
         }

@@ -23,8 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
-from .homorbits import BudgetExceeded, HomImage
-from .strata import AdmissibleTuple
+from .homorbits import HomImage
+from .strata import AdmissibleTuple, within_budget
 
 __all__ = [
     "GroupSpec",
@@ -208,7 +208,8 @@ def _kernel_walk(phi, max_syllables, budget, root, extend):
     normal-form syllable trie that extends each node's payload once.
 
     Every candidate syllable counts toward ``budget``, the last level's
-    too, and the count is checked before any payload is built.  The last
+    too, and the count is checked before any payload is built; a refusal
+    names the candidates through the level that crossed it.  The last
     level is not scanned: its kernel words are looked up as the syllables
     whose image closes the prefix sum to 0 mod p.
     """
@@ -230,10 +231,7 @@ def _kernel_walk(phi, max_syllables, budget, root, extend):
     seen, ends = 0, {None: 1}
     for _ in range(max_syllables):
         seen += sum(n * len(follow[prev]) for prev, n in ends.items())
-        if seen > budget:
-            # name the first candidate past the budget
-            raise BudgetExceeded(max(budget, 0) + 1, budget,
-                                 what="sampled words")
+        within_budget(seen, budget, "sampled words")
         nxt = dict.fromkeys(spec.symbols(), 0)
         for prev, n in ends.items():
             for _syl, sym, _step in follow[prev]:
@@ -264,8 +262,8 @@ def kernel_sample(phi, max_syllables, budget=10**6):
 
     Deterministic order: by syllable count, then lexicographically in the
     roster/exponent order.  Runs ``_kernel_walk`` on syllable tuples, so
-    it raises BudgetExceeded when the enumeration grows past ``budget``
-    candidate words.
+    it raises ``strata.BudgetExceeded`` when the enumeration grows past
+    ``budget`` candidate words.
     """
     return [FPWord(syls) for syls in _kernel_walk(
         phi, max_syllables, budget, (), lambda syls, syl: syls + (syl,))]

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .strata import check_prime
+from .strata import check, check_prime
 
 __all__ = [
     "INFINITE",
@@ -34,7 +34,6 @@ __all__ = [
     "index_and_rank",
     "schreier_kernel",
     "verify_example1",
-    "check",
     "example1_data",
 ]
 
@@ -439,20 +438,15 @@ def example1_data():
     }
 
 
-def check(name, passed, detail):
-    """One named check record {name, pass, detail}, as the CLI prints it."""
-    return {"name": name, "pass": bool(passed), "detail": detail}
-
-
 def verify_example1():
     """Run the full worked-example suite; returns a report dict.
 
-    Checks: (a) the rank-two kernel of the Z_5 x Z_5 quotient has index 25
-    and rank 26; (b) both intermediate subgroups have index 5 / rank 6 and
-    are generated exactly by the listed words; (c) the swap a<->b maps
-    every Schreier generator of the kernel back into the kernel; (d) the
-    swap carries the first word list onto the second; (e) the five listed
-    kernel members are members.
+    Checks, each a ``strata.check`` record: (a) the rank-two kernel of
+    the Z_5 x Z_5 quotient has index 25 and rank 26; (b) both intermediate
+    subgroups have index 5 / rank 6 and are generated exactly by the
+    listed words; (c) the swap a<->b maps every Schreier generator of the
+    kernel back into the kernel; (d) the swap carries the first word list
+    onto the second; (e) the five listed kernel members are members.
     """
     data = example1_data()
     theta = data["theta"]

@@ -24,7 +24,8 @@ Neither counter consults a formula; the ``oracle`` command and the tests
 compare them with each other and with ``closed_form_orbit_count``.  Its
 plain count is the multiset count M of ``strata.component_bounds``, from
 the same product, and its scaled count is a Burnside average of such
-products; so ``oracle`` is also the enumeration check of M.
+products; so ``oracle`` is also the enumeration check of M.  Both
+counters refuse work past their budget with ``strata.within_budget``.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .strata import _multisets, check_prime
+from .strata import _multisets, check_prime, within_budget
 
 __all__ = [
     "ActionSpec",
     "ImageTuple",
     "HomImage",
-    "BudgetExceeded",
     "PERM_INV",
     "PERM_INV_SCALE",
     "canonical_form",
@@ -48,17 +48,6 @@ __all__ = [
     "closed_form_orbit_count",
     "bfs_orbit_count",
 ]
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when an enumeration would exceed its configured budget."""
-
-    def __init__(self, required, budget, what="tuples"):
-        self.required = required
-        self.budget = budget
-        super().__init__(
-            f"enumeration requires {required} {what}, exceeding budget {budget}"
-        )
 
 
 @dataclass(frozen=True)
@@ -181,7 +170,7 @@ def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
     Exhaustive enumeration (vectorised), no formula involved: one code per
     orbit.  A code is the big-endian base-p number of the canonical form's
     entries u then v, so code order is the lexicographic order of the
-    forms.  Raises BudgetExceeded when (p-1)^(r+s) exceeds ``budget``.
+    forms.
 
     Permutation and inversion act on u and on v separately, so a plain
     orbit is a pair (class of u, class of v), and its code is the u class's
@@ -190,20 +179,20 @@ def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
     invert and sorted, one code per distinct class.  A global rescale
     commutes with both actions, so it permutes the class pairs; the
     rescales form a cyclic group, and each orbit keeps the pair whose code
-    is least over the powers of a generator.  The work is (p-1)^r +
-    (p-1)^s vectors plus the grid of class pairs, and a block has no more
-    classes than vectors, so the grid has at most (p-1)^(r+s) cells: the
-    budget on (p-1)^(r+s) still bounds the memory.
+    is least over the powers of a generator.  The work is those vectors
+    plus the grid of class pairs, C(w+h-1, w) classes a block (h = (p-1)/2
+    under invert, p - 1 without); it is counted before any array is made
+    and refused past ``budget`` with BudgetExceeded, as a 64-bit code is.
     """
     check_prime(p, minimum=3)
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
     k, n = r + s, p - 1
-    total = n**k
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    if p**k >= 2**63:
-        raise BudgetExceeded(p**k, 2**63, what="distinct codes")
+    vectors = sum(n**w for w in (r, s) if w)
+    within_budget(vectors, budget, "block vectors")  # before any binomial
+    within_budget(vectors + _multisets(n // 2 if action.invert else n, r, s),
+                  budget, "block vectors and class pairs")
+    within_budget(p**k, 2**63, "distinct codes")  # p^k is odd, never 2^63
     import numpy as np  # deferred: commands that never call it start faster
 
     code_type = np.int32 if p**k < 2**31 else np.int64
@@ -278,6 +267,8 @@ def closed_form_orbit_count(p, r, s, scaled=False):
     cyclic group of order h, and Burnside's lemma gives (phi Euler's totient)
     (1/h) sum_{d | gcd(h,r,s)} phi(d) C(r/d+h/d-1, r/d) C(s/d+h/d-1, s/d)."""
     check_prime(p, minimum=3)
+    if scaled and r == s == 0:
+        return 1  # the phi(d) over the divisors d of h sum to h
     h = (p - 1) // 2
     common = math.gcd(h, r, s) if scaled else 1  # d = 1 is the plain count
     total = 0
@@ -397,8 +388,7 @@ def bfs_orbit_count(p, t, r, s, action=PERM_INV, *, budget=10**7):
     """
     check_prime(p)
     total = p**t * (p - 1) ** r * p**s * (p - 1) ** s
-    if total > budget:
-        raise BudgetExceeded(total, budget, what="image vectors")
+    within_budget(total, budget, "image vectors")
     if min(t, r, s) < 0:
         raise ValueError("repeat argument cannot be negative")
     count = _orbit_count(total, lambda index: _move_targets(

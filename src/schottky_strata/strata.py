@@ -6,6 +6,9 @@ Everything is indexed by tuples (g, p; t, r, s) with p prime, g >= 2 and
 
 equivalently g - 1 = p(t + s - 1) + r(p - 1).  All counting here is exact
 integer arithmetic; no floats anywhere.
+
+Every layer imports it, so outside ``__all__`` it also holds the input
+checks, the check record ``check`` and the refusal rule ``within_budget``.
 """
 
 from __future__ import annotations
@@ -65,6 +68,27 @@ def check_prime(p, minimum=2, *, named=False):
     if p < minimum or not is_prime(p):
         got = f"p={p}" if named else p
         raise ValueError(f"p must be a prime >= {minimum}, got {got}")
+
+
+def check(name, passed, detail):
+    """One named check record {name, pass, detail}, as the CLI prints it."""
+    return {"name": name, "pass": bool(passed), "detail": detail}
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when an enumeration would exceed its configured budget."""
+
+    def __init__(self, required, budget, what):
+        self.required = required
+        self.budget = budget
+        super().__init__(f"enumeration requires {required} {what}, "
+                         f"exceeding budget {budget}")
+
+
+def within_budget(required, budget, what):
+    """Raise BudgetExceeded when ``required`` ``what`` exceed ``budget``."""
+    if required > budget:
+        raise BudgetExceeded(required, budget, what)
 
 
 def _validate_gp(g, p):

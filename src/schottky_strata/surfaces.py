@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .homorbits import (ActionSpec, BudgetExceeded, ImageTuple,
-                        canonical_codes, canonical_form)
-from .strata import AdmissibleTuple, check_int, check_prime
+from .homorbits import ActionSpec, ImageTuple, canonical_codes, canonical_form
+from .strata import AdmissibleTuple, check_int, check_prime, within_budget
 
 __all__ = [
     "RotationTuple",
@@ -105,15 +104,13 @@ def witness_pair(p, m):
     tuple has some entry above 1 and sorts at or above (1, ..., 1, 2);
     that tuple is its own orbit's least sorted rescale, the second form.
 
-    Raises BudgetExceeded when (p - 1) * m, the rescaled entries of one
-    tuple, exceeds 10^6.
+    Raises ``strata.BudgetExceeded`` when (p - 1) * m, the rescaled
+    entries of one tuple, exceeds 10^6.
     """
     _check_family(p, m)
     if m == 1:
         return None
-    if (p - 1) * m > _WITNESS_BUDGET:
-        raise BudgetExceeded((p - 1) * m, _WITNESS_BUDGET,
-                             what="rescaled entries")
+    within_budget((p - 1) * m, _WITNESS_BUDGET, "rescaled entries")
     ones = (1,) * (m - 1)
     return RotationTuple(p, ones + (1,)), RotationTuple(p, ones + (2,))
 

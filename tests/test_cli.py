@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import schottky_strata
 from perfbench import checkers
-from schottky_strata import cli, homorbits, moebius, strata, surfaces
+from schottky_strata import (cli, cyclic_schottky, homorbits, moebius,
+                             strata, surfaces)
 from schottky_strata.cli import run
 from schottky_strata.cyclic_schottky import normal_form
 from schottky_strata.strata import AdmissibleTuple
@@ -166,7 +167,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         if argv == _BUDGET_BEFORE_OVERFLOW:
-            assert err == ("error: enumeration requires 101 sampled words, "
+            # 8 syllables, then 4 after each on levels 2 and 3
+            assert err == ("error: enumeration requires 168 sampled words, "
                            "exceeding budget 100; raise it with --budget\n")
 
     @pytest.mark.parametrize("flag,value", [("--curve", '{"p":5}'),
@@ -263,7 +265,8 @@ class TestExitCodes:
              "--s", "0", "--max-syllables", "5", "--budget", "100"])
         assert (code, env) == (2, None)
         err = capsys.readouterr().err
-        assert err == ("error: enumeration requires 101 sampled words, "
+        # the candidates counted through level 2, 12 + 12 * 10
+        assert err == ("error: enumeration requires 132 sampled words, "
                        "exceeding budget 100; raise it with --budget\n")
 
     def test_large_prime_answers_at_once(self, capsys):
@@ -275,7 +278,7 @@ class TestExitCodes:
         assert code == 0 and env["results"]["report"]["n_words"] == 2
         assert run_json([*argv, "--budget", "0"]) == (2, None, "")
         assert capsys.readouterr().err == (
-            "error: enumeration requires 1 sampled words, exceeding budget 0; "
+            "error: enumeration requires 4 sampled words, exceeding budget 0; "
             "raise it with --budget\n")
 
     @pytest.mark.parametrize("argv,rows", [
@@ -283,12 +286,19 @@ class TestExitCodes:
         (["report", "--csv", "--p", "5", "--g-min", "2", "--g-max", "40",
           "--budget", "221"], 222),
     ])
-    def test_row_budget(self, argv, rows, capsys):
+    def test_row_budget(self, argv, rows, monkeypatch, capsys):
+        # refused from the count, before any row is made
+        made = []
+        for name in ("enumerate_tuples", "stratum_rows"):
+            real = getattr(strata, name)
+            monkeypatch.setattr(strata, name, lambda g, p, real=real:
+                                made.append(g) or real(g, p))
         assert run_json(argv) == (2, None, "")
         assert capsys.readouterr().err == (
             f"error: enumeration requires {rows} rows, exceeding budget "
             f"{argv[-1]}; raise it with --budget\n")
-        assert run_json(argv[:-1] + [str(rows)])[0] == 0
+        assert made == []
+        assert run_json(argv[:-1] + [str(rows)])[0] == 0 and made
 
     @pytest.mark.parametrize("argv,rows", [
         (["tuples", "--g", "3000", "--p", "2"], 1127251),
@@ -383,15 +393,15 @@ class TestChecksCanFail:
                "--s", "0"]
 
     def test_rank_equals_genus(self, monkeypatch, capsys):
-        real = cli.kernel_presentation
-        monkeypatch.setattr(cli, "kernel_presentation",
+        real = cyclic_schottky.kernel_presentation
+        monkeypatch.setattr(cyclic_schottky, "kernel_presentation",
                             lambda phi: real(phi)[:-1])
         _failed_check(self._KERNEL, "rank_equals_genus", capsys)
 
     def test_all_in_kernel(self, monkeypatch, capsys):
-        real = cli.kernel_presentation
+        real = cyclic_schottky.kernel_presentation
         monkeypatch.setattr(
-            cli, "kernel_presentation",
+            cyclic_schottky, "kernel_presentation",
             lambda phi: real(phi) + [normal_form(phi.spec, [(("a", 1), 1)])],
         )
         _failed_check(self._KERNEL, "all_in_kernel", capsys)
@@ -568,6 +578,19 @@ class TestCommands:
         assert code == 0 and env["results"]["orbit_count"] == 4
         code, env, _ = run_json(["bounds", *_G5_TUPLE])
         assert code == 0 and env["results"]["m_count"] == 4
+
+    @pytest.mark.parametrize("argv,count", [
+        # the scaled closed form at r = s = 0 is 1, with no walk over the
+        # divisors of h = (p - 1) / 2
+        (["--p", "1000000007", "--r", "0", "--s", "0", "--scale"], 1),
+        (["--p", "1000000000000000003", "--r", "0", "--s", "0", "--scale"], 1),
+        # 2 * 4^6 block vectors and 49 class pairs, within the default budget
+        (["--p", "5", "--r", "6", "--s", "6"], 49),
+    ])
+    def test_oracle_agrees_with_its_closed_form(self, argv, count):
+        code, env, _ = run_json(["oracle", *argv])
+        assert code == 0 and env["results"]["orbit_count"] == count
+        assert [c["name"] for c in env["checks"]] == ["closed_form_agreement"]
 
     def test_oracle_with_bfs_and_scale(self):
         code, env, _ = run_json(
@@ -1038,6 +1061,25 @@ class TestReadme:
 
 
 class TestRuntimeImports:
+    def test_table_commands_load_only_strata(self):
+        # count, tuples, bounds and report are tuple arithmetic: the other
+        # layers, numpy and dataclasses are imported only by the handlers
+        # that use them
+        tables = ("count", "tuples", "bounds", "report")
+        examples = [argv for argv in _readme_examples() if argv[0] in tables]
+        assert {argv[0] for argv in examples} == set(tables)
+        _fresh_python("-c", (
+            "import sys\n"
+            "from schottky_strata.cli import run\n"
+            f"for argv in {[['count', '--g', '100', '--p', '11'], *examples]!r}:\n"
+            "    assert run(argv)[0] == 0, argv\n"
+            "loaded = {m for m in sys.modules if m.startswith('schottky_strata')}\n"
+            "assert loaded == {'schottky_strata', 'schottky_strata.cli',\n"
+            "                  'schottky_strata.strata'}, loaded\n"
+            "assert 'dataclasses' not in sys.modules\n"
+            "assert 'numpy' not in sys.modules\n"
+        ))
+
     def test_only_the_orbit_engines_load_numpy(self):
         # numpy is imported inside the homorbits functions that use it, so
         # every command but oracle starts without it (verify example2 writes

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from schottky_strata.freegroup import AbelianHom, schreier_kernel
-from schottky_strata.homorbits import BudgetExceeded, HomImage
-from schottky_strata.strata import AdmissibleTuple
+from schottky_strata.homorbits import HomImage
+from schottky_strata.strata import AdmissibleTuple, BudgetExceeded
 from schottky_strata.cyclic_schottky import (
     FPWord,
     KHom,
@@ -224,6 +224,10 @@ class TestKernelSample:
         assert (exc.value.required, exc.value.budget) == (1332, 1331)
         assert str(exc.value) == ("enumeration requires 1332 sampled words, "
                                   "exceeding budget 1331")
+        # a refusal names the candidates through the level that crossed it
+        with pytest.raises(BudgetExceeded) as exc:
+            kernel_sample(phi, 3, budget=100)
+        assert exc.value.required == 132
 
     def test_refuses_before_building_any_payload(self):
         phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))

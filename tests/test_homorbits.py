@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schottky_strata import homorbits
 from schottky_strata.homorbits import (
     PERM_INV,
     PERM_INV_SCALE,
     ActionSpec,
-    BudgetExceeded,
     HomImage,
     ImageTuple,
     _sorting_network,
@@ -19,6 +19,7 @@ from schottky_strata.homorbits import (
     closed_form_orbit_count,
     orbit_count_tuples,
 )
+from schottky_strata.strata import BudgetExceeded
 
 
 def reference_bfs(p, t, r, s, scaled):
@@ -190,9 +191,13 @@ class TestOrbitCountTuples:
                     assert scaled == base == 1
 
     def test_budget_error_names_required_count(self):
+        # 10^8 vectors in the one block: refused before its C(12, 8) classes
+        # are counted
         with pytest.raises(BudgetExceeded) as exc:
             orbit_count_tuples(11, 8, 0, PERM_INV, budget=10**6)
         assert exc.value.required == 10**8
+        assert str(exc.value) == ("enumeration requires 100000000 block "
+                                  "vectors, exceeding budget 1000000")
 
     # 257: residues past a byte
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 257])
@@ -202,7 +207,7 @@ class TestOrbitCountTuples:
         k = 0
         while (p - 1) ** k <= 10**6:
             for r in range(k + 1):
-                got = orbit_count_tuples(p, r, k - r, action, budget=10**6)
+                got = orbit_count_tuples(p, r, k - r, action)
                 want = closed_form_orbit_count(p, r, k - r, scaled)
                 assert got == want, (p, r, k - r)
             k += 1
@@ -231,15 +236,43 @@ class TestOrbitCountTuples:
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_past_the_enumeration_of_whole_vectors(self, scaled):
-        # 4^12 = 16.7 M vectors (u, v), but only 4^6 per block
+        # 4^12 = 16.7 M vectors (u, v), but only 4^6 per block: answered at
+        # the default budget
         action = PERM_INV_SCALE if scaled else PERM_INV
-        got = orbit_count_tuples(5, 6, 6, action, budget=10**8)
+        got = orbit_count_tuples(5, 6, 6, action)
         assert got == closed_form_orbit_count(5, 6, 6, scaled)
 
-    def test_budget_still_counts_every_vector(self):
+    @pytest.mark.parametrize("p,r,s", [(5, 6, 6), (7, 3, 0), (11, 2, 3),
+                                       (13, 0, 4), (3, 5, 5)])
+    @pytest.mark.parametrize("invert", [True, False])
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_budget_counts_block_vectors_and_class_pairs(self, p, r, s,
+                                                         invert, scale):
+        # the grid has one cell per class pair, which is one plain code each
+        action = ActionSpec(invert, scale)
+        grid = canonical_codes(p, r, s, ActionSpec(invert)).size
+        work = sum((p - 1) ** w for w in (r, s) if w) + grid
+        assert canonical_codes(p, r, s, action, budget=work).size <= grid
         with pytest.raises(BudgetExceeded) as exc:
-            orbit_count_tuples(5, 6, 6)
-        assert exc.value.required == 4**12
+            canonical_codes(p, r, s, action, budget=work - 1)
+        assert (exc.value.required, exc.value.budget) == (work, work - 1)
+        assert str(exc.value) == (f"enumeration requires {work} block vectors "
+                                  f"and class pairs, exceeding budget {work - 1}")
+
+    def test_refuses_before_any_array(self, monkeypatch):
+        made = []
+        for name in ("arange", "empty", "zeros"):
+            real = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, real=real, **k:
+                                made.append(a) or real(*a, **k))
+        # 2 * 4^6 vectors and 7^2 class pairs; then 3^40 codes past 2^63
+        with pytest.raises(BudgetExceeded):
+            canonical_codes(5, 6, 6, budget=8240)
+        with pytest.raises(BudgetExceeded) as exc:
+            canonical_codes(3, 40, 0, budget=10**30)
+        assert (exc.value.required, exc.value.budget) == (3**40, 2**63)
+        assert made == []
+        assert canonical_codes(5, 6, 6, budget=8241).size == 49 and made
 
     def test_codes_widen_with_the_code_space(self):
         # the one orbit's code (3^20 - 1) / 2 fits in 31 bits, but codes are
@@ -299,9 +332,17 @@ class TestBfsOrbitCount:
             want = reference_bfs(p, t, r, s, scaled)
             assert bfs_orbit_count(p, t, r, s, action) == want, (t, r, s)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         with pytest.raises(BudgetExceeded):
             bfs_orbit_count(11, 4, 4, 2, budget=10**5)
+        # 5 * 4 * 5 * 4 states of (5; 1, 1, 1), refused before labelling
+        real, labelled = homorbits._orbit_count, []
+        monkeypatch.setattr(homorbits, "_orbit_count", lambda total, moves:
+                            labelled.append(total) or real(total, moves))
+        with pytest.raises(BudgetExceeded) as exc:
+            bfs_orbit_count(5, 1, 1, 1, budget=399)
+        assert (exc.value.required, labelled) == (400, [])
+        assert bfs_orbit_count(5, 1, 1, 1, budget=400) and labelled == [400]
 
     @pytest.mark.parametrize("t,r,s", [(-1, 0, 0), (0, -1, 1), (1, 1, -1)])
     def test_negative_shape_rejected(self, t, r, s):

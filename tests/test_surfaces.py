@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from schottky_strata.homorbits import BudgetExceeded
-from schottky_strata.strata import component_bounds, is_admissible, is_prime
+from schottky_strata import surfaces
+from schottky_strata.strata import (BudgetExceeded, component_bounds,
+                                    is_admissible, is_prime)
 from schottky_strata.surfaces import (
     RotationTuple,
     _rotation_codes,
@@ -187,14 +188,18 @@ class TestWitness:
         with pytest.raises(ValueError):
             witness_pair(p, m)
 
-    def test_budget_bounds_the_check(self):
+    def test_budget_bounds_the_check(self, monkeypatch):
         # same_orbit sorts p - 1 rescales of m entries per tuple
         x, y = witness_pair(5, 250_000)
         assert y.entries[-2:] == (1, 2)
+        made = []
+        monkeypatch.setattr(surfaces, "RotationTuple", lambda p, entries:
+                            made.append(p) or RotationTuple(p, entries))
         for p, m in [(5, 250_001), (5, 10**9), (1_000_003, 2)]:
             with pytest.raises(BudgetExceeded) as exc:
                 witness_pair(p, m)
             assert exc.value.required == (p - 1) * m
+        assert made == []  # refused before either tuple is made
         # every family with at most 10^7 rotation tuples is still paired
         worst = max((p - 1) * m for p in range(5, 3170) if is_prime(p)
                     for m in range(2, 13) if (p - 1) ** m <= 10**7)
