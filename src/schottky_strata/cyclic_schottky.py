@@ -137,10 +137,12 @@ def normal_form(spec, syllables):
 
 
 def fpword_str(w):
-    parts = []
-    for (kind, idx), exp in w.syllables:
-        parts.append(f"{kind}{idx}" if exp == 1 else f"{kind}{idx}^{exp}")
-    return " ".join(parts)
+    return " ".join(map(_syllable_str, w.syllables))
+
+
+def _syllable_str(syllable):
+    (kind, idx), exp = syllable
+    return f"{kind}{idx}" if exp == 1 else f"{kind}{idx}^{exp}"
 
 
 @dataclass(frozen=True)
@@ -202,31 +204,36 @@ def _may_follow(prev_sym, sym):
     return True
 
 
-def _kernel_walk(phi, max_syllables, budget, root, extend):
-    """``extend(...extend(root, s1)..., sk)`` for every kernel word
-    s1 ... sk, in ``kernel_sample``'s order: a level-order walk of the
-    normal-form syllable trie that extends each node's payload once.
+def _kernel_walk(phi, max_syllables, budget, labels):
+    """The normal-form syllable trie of ``kernel_sample``, one level at a
+    time: for each length k = 1 .. max_syllables, a pair (children,
+    words).  ``labels[j]`` is the caller's value for the j-th syllable of
+    ``_syllable_alphabet(phi.spec)``; ``children[i]`` lists the labels of
+    the syllables that extend node i of level k - 1 (the root is level
+    0).  Level k is those extensions in order, parent by parent, and
+    ``words`` holds the positions in it of the kernel words, so the words
+    of level 1, then of level 2 and so on are ``kernel_sample``'s.
 
     Every candidate syllable counts toward ``budget``, the last level's
-    too, and the count is checked before any payload is built; a refusal
-    names the candidates through the level that crossed it.  The last
-    level is not scanned: its kernel words are looked up as the syllables
-    whose image closes the prefix sum to 0 mod p.
+    too, and the count is checked before the first level is handed out;
+    a refusal names the candidates through the level that crossed it.
+    The last level is not scanned: its nodes are the kernel words, looked
+    up as the syllables whose image closes the prefix sum to 0 mod p.
     """
     if max_syllables < 1:
         raise ValueError("max_syllables must be >= 1")
     spec = phi.spec
     p = spec.p
-    alphabet = [((sym, exp), sym, exp * phi.image(sym) % p)
-                for sym, exp in _syllable_alphabet(spec)]
+    alphabet = [(label, sym, exp * phi.image(sym) % p)
+                for label, (sym, exp) in zip(labels, _syllable_alphabet(spec))]
     # the alphabet entries that may follow each last symbol, and those of
     # them that close each image sum, keyed by the sums that occur
     follow = {prev: [e for e in alphabet if _may_follow(prev, e[1])]
               for prev in [None, *spec.symbols()]}
     closing = {prev: {} for prev in follow}
     for prev, entries in follow.items():
-        for syl, _sym, step in entries:
-            closing[prev].setdefault(-step % p, []).append(syl)
+        for label, _sym, step in entries:
+            closing[prev].setdefault(-step % p, []).append(label)
     # each level's candidates, counted from how many nodes end in each symbol
     seen, ends = 0, {None: 1}
     for _ in range(max_syllables):
@@ -234,26 +241,19 @@ def _kernel_walk(phi, max_syllables, budget, root, extend):
         within_budget(seen, budget, "sampled words")
         nxt = dict.fromkeys(spec.symbols(), 0)
         for prev, n in ends.items():
-            for _syl, sym, _step in follow[prev]:
+            for _label, sym, _step in follow[prev]:
                 nxt[sym] += n
         ends = nxt
-    out = []
-    level = [(root, None, 0)]  # (payload, last symbol, image sum)
-    for length in range(1, max_syllables + 1):
-        nxt = []
-        for node, prev, total in level:
-            if length == max_syllables:
-                for syl in closing[prev].get(total, ()):
-                    out.append(extend(node, syl))
-                continue
-            for syl, sym, step in follow[prev]:
-                child = extend(node, syl)
-                img = (total + step) % p
-                if img == 0:
-                    out.append(child)
-                nxt.append((child, sym, img))
-        level = nxt
-    return out
+    extensions = {prev: [label for label, _sym, _step in entries]
+                  for prev, entries in follow.items()}
+    level = [(None, 0)]  # (last symbol, image sum) of each node
+    for _ in range(max_syllables - 1):
+        children = [extensions[prev] for prev, _total in level]
+        level = [(sym, (total + step) % p) for prev, total in level
+                 for _label, sym, step in follow[prev]]
+        yield children, [i for i, (_sym, img) in enumerate(level) if not img]
+    children = [closing[prev].get(total, ()) for prev, total in level]
+    yield children, range(sum(map(len, children)))
 
 
 def kernel_sample(phi, max_syllables, budget=10**6):
@@ -261,12 +261,17 @@ def kernel_sample(phi, max_syllables, budget=10**6):
     (loxodromic exponents restricted to +-1), identity excluded.
 
     Deterministic order: by syllable count, then lexicographically in the
-    roster/exponent order.  Runs ``_kernel_walk`` on syllable tuples, so
-    it raises ``strata.BudgetExceeded`` when the enumeration grows past
-    ``budget`` candidate words.
+    roster/exponent order.  Extends the levels of ``_kernel_walk`` by
+    syllable tuples, so it raises ``strata.BudgetExceeded`` when the
+    enumeration grows past ``budget`` candidate words.
     """
-    return [FPWord(syls) for syls in _kernel_walk(
-        phi, max_syllables, budget, (), lambda syls, syl: syls + (syl,))]
+    nodes, words = [()], []
+    for children, kernel in _kernel_walk(phi, max_syllables, budget,
+                                         _syllable_alphabet(phi.spec)):
+        nodes = [syls + (syl,) for syls, nxt in zip(nodes, children)
+                 for syl in nxt]
+        words += [FPWord(nodes[i]) for i in kernel]
+    return words
 
 
 def normalized_homs(spec):

@@ -25,7 +25,8 @@ compare them with each other and with ``closed_form_orbit_count``.  Its
 plain count is the multiset count M of ``strata.component_bounds``, from
 the same product, and its scaled count is a Burnside average of such
 products; so ``oracle`` is also the enumeration check of M.  Both
-counters refuse work past their budget with ``strata.within_budget``.
+counters refuse work past their budget with ``strata.within_budget`` and
+``strata.within_budget_of_powers``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .strata import _multisets, check_prime, within_budget
+from .strata import (_multisets, check_prime, within_budget,
+                     within_budget_of_powers)
 
 __all__ = [
     "ActionSpec",
@@ -188,8 +190,9 @@ def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
     k, n = r + s, p - 1
-    vectors = sum(n**w for w in (r, s) if w)
-    within_budget(vectors, budget, "block vectors")  # before any binomial
+    # before any binomial
+    vectors = within_budget_of_powers([[(n, w)] for w in (r, s) if w],
+                                      budget, "block vectors")
     within_budget(vectors + _multisets(n // 2 if action.invert else n, r, s),
                   budget, "block vectors and class pairs")
     within_budget(p**k, 2**63, "distinct codes")  # p^k is odd, never 2^63
@@ -387,8 +390,8 @@ def bfs_orbit_count(p, t, r, s, action=PERM_INV, *, budget=10**7):
     nonzero coordinate.
     """
     check_prime(p)
-    total = p**t * (p - 1) ** r * p**s * (p - 1) ** s
-    within_budget(total, budget, "image vectors")
+    total = within_budget_of_powers([[(p, t), (p - 1, r), (p, s), (p - 1, s)]],
+                                    budget, "image vectors")
     if min(t, r, s) < 0:
         raise ValueError("repeat argument cannot be negative")
     count = _orbit_count(total, lambda index: _move_targets(

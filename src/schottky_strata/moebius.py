@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .cyclic_schottky import (FPWord, GroupSpec, _kernel_walk,
-                              _syllable_alphabet, build_spec, fpword_str)
+from .cyclic_schottky import (GroupSpec, _kernel_walk, _syllable_alphabet,
+                              _syllable_str, build_spec)
 
 __all__ = [
     "MobiusClass",
@@ -75,8 +75,9 @@ class MobiusMap:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return result
 
     def __repr__(self):
@@ -85,15 +86,21 @@ class MobiusMap:
 
 def dist_to_unit(m):
     """min(||M - I||, ||M + I||) in the Frobenius norm (PSL sign folded)."""
-    # the squares are added left to right (classify relies on the order)
-    b2, c2 = abs(m.b) ** 2, abs(m.c) ** 2
-    plus = math.sqrt(abs(m.a - 1) ** 2 + b2 + c2 + abs(m.d - 1) ** 2)
-    minus = math.sqrt(abs(m.a + 1) ** 2 + b2 + c2 + abs(m.d + 1) ** 2)
+    return _dist_to_unit(m.a, abs(m.b) ** 2, abs(m.c) ** 2, m.d)
+
+
+def _dist_to_unit(a, b2, c2, d):
+    # the squares are added left to right (_classify relies on the order)
+    plus = math.sqrt(abs(a - 1) ** 2 + b2 + c2 + abs(d - 1) ** 2)
+    minus = math.sqrt(abs(a + 1) ** 2 + b2 + c2 + abs(d + 1) ** 2)
     return min(plus, minus)
 
 
 # the tolerance of every trace test, read at call time
 _EPS = 1e-9
+
+# the class names, read once: an Enum's .value is a property lookup
+_LOXODROMIC, _ELLIPTIC, _PARABOLIC, _IDENTITY = (c.value for c in MobiusClass)
 
 
 def classify(m):
@@ -101,23 +108,60 @@ def classify(m):
 
     IDENTITY within eps = _EPS of +-I; PARABOLIC when tr^2 is within eps
     of 4; ELLIPTIC when tr^2 is real within eps and lies in [0, 4-eps];
-    LOXODROMIC otherwise.
+    LOXODROMIC otherwise.  ``_classify`` applies the rule to the entries.
+    """
+    return MobiusClass(_classify(m.a, m.b, m.c, m.d))
 
-    The identity test first compares sqrt(|b|^2 + |c|^2) with eps, which
-    decides it exactly when that exceeds eps: each left-to-right partial
-    sum in ``dist_to_unit`` is at least fl(|b|^2 + |c|^2), as rounding is
-    monotone, so both distances to +-I exceed eps too (NaN fails both).
+
+def _classify(a, b, c, d):
+    """The name of ``classify``'s class of [[a, b], [c, d]], trace first.
+
+    With x + iy the computed tr^2 and the margin M = (8 eps + 4 eps^2)
+    (1 + 2^-20) + 2^-40, LOXODROMIC is returned at once when x - 4 > M,
+    |y| > M, or x < -eps and 4 - x > M, and |b|, |c| < 1e150, so that
+    their squares cannot overflow.  Each puts tr^2 outside the elliptic
+    band and, as M > eps and the computed |tr^2 - 4| is at least |x - 4|
+    and |y|, outside the parabolic one.  No matrix that the full rule
+    calls IDENTITY passes.  Take +I (for -I swap tr - 2 and tr + 2): the
+    computed distance bounds each computed term of its sum, as rounding
+    is monotone, so |a - 1| and |d - 1| are at most eps' = eps (1 + 6u),
+    u = 2^-53 (the sqrt, the square, hypot within an ulp, a - 1).  Then
+    |tr - 2| <= 2 eps' and |tr + 2| <= 4 + 2 eps', so |tr^2 - 4| <=
+    2 eps' (4 + 2 eps') <= (8 eps + 4 eps^2)(1 + 12u).  The computed tr
+    errs by u |tr|, its square by 3u |tr|^2 more, x - 4 by u of itself:
+    under 30u (1 + eps)^2 + 20u (8 eps + 4 eps^2) in all, which 2^-40
+    covers for eps <= 1 and 2^-20 (8 eps + 4 eps^2) for eps > 1.
+
+    Every other matrix takes the full rule, IDENTITY, PARABOLIC, ELLIPTIC,
+    then LOXODROMIC, as above.  Its identity test first compares
+    sqrt(|b|^2 + |c|^2) with eps, which decides it exactly when that
+    exceeds eps: each left-to-right partial sum in ``dist_to_unit`` is at
+    least fl(|b|^2 + |c|^2), so both distances to +-I exceed eps too (NaN
+    fails both).  OverflowError is raised exactly when |b|^2, |c|^2 or,
+    off +-I, tr^2 overflows: the shortcut takes none of those.
     """
     eps = _EPS
-    if (math.sqrt(abs(m.b) ** 2 + abs(m.c) ** 2) <= eps
-            and dist_to_unit(m) <= eps):
-        return MobiusClass.IDENTITY
-    tr2 = m.trace() ** 2
+    try:
+        tr2 = (a + d) ** 2
+    except OverflowError:  # the full rule raises it, after |b|^2 and |c|^2
+        tr2 = None
+    else:
+        margin = (8 + 2**-17 + (4 + 2**-18) * eps) * eps + 2**-40  # M, folded
+        x = tr2.real
+        if ((x - 4 > margin or abs(tr2.imag) > margin
+             or x < -eps and 4 - x > margin)
+                and abs(b) < 1e150 and abs(c) < 1e150):
+            return _LOXODROMIC
+    b2, c2 = abs(b) ** 2, abs(c) ** 2
+    if math.sqrt(b2 + c2) <= eps and _dist_to_unit(a, b2, c2, d) <= eps:
+        return _IDENTITY
+    if tr2 is None:
+        tr2 = (a + d) ** 2
     if abs(tr2 - 4) <= eps:
-        return MobiusClass.PARABOLIC
+        return _PARABOLIC
     if abs(tr2.imag) <= eps and -eps <= tr2.real <= 4 - eps:
-        return MobiusClass.ELLIPTIC
-    return MobiusClass.LOXODROMIC
+        return _ELLIPTIC
+    return _LOXODROMIC
 
 
 def order_check(m, p):
@@ -267,30 +311,37 @@ def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
     overflowing product raises OverflowError.
 
     A word's matrix is the left-to-right product of its syllable powers
-    from the identity, and its text joins the syllable texts: the kernel
-    walk carries both, extended once per node of its syllable trie, and
-    every word is classified only after the walk has passed the budget.
+    from the identity, and its text joins the syllable texts: each level
+    of ``_kernel_walk`` extends the entries and text of its parents'
+    nodes, one product per node, and every word is classified only after
+    the walk has passed the budget.
     """
-    factors = {syl: (mg.matrices[syl[0]] ** syl[1], fpword_str(FPWord((syl,))))
-               for syl in _syllable_alphabet(phi.spec)}
-
-    def extend(node, syl):
-        (m, text), (power, word) = node, factors[syl]
-        # str(w) from syllable texts written once (a test pins the equality)
-        return m * power, text + " " + word if text else word
-
-    words = _kernel_walk(phi, max_syllables, budget,
-                         (MobiusMap(1, 0, 0, 1), ""), extend)
+    factors = []
+    for syl in _syllable_alphabet(phi.spec):
+        word = _syllable_str(syl)
+        power = mg.matrices[syl[0]] ** syl[1]
+        factors.append((*power.entries(), word, " " + word))
+    nodes = [(1 + 0j, 0j, 0j, 1 + 0j, "")]
+    words = []
+    for children, kernel in _kernel_walk(phi, max_syllables, budget, factors):
+        # MobiusMap.__mul__'s products; str(w) from syllable texts written
+        # once (a test pins both)
+        nodes = [(a * fa + b * fc, a * fb + b * fd, c * fa + d * fc,
+                  c * fb + d * fd, text + spaced if text else word)
+                 for (a, b, c, d, text), nxt in zip(nodes, children)
+                 for fa, fb, fc, fd, word, spaced in nxt]
+        words += [nodes[i] for i in kernel]
     entries = []
     violations = []
-    for m, text in words:
-        tr = m.trace()
-        if not cmath.isfinite(tr):  # classify raises for finite overflows
+    isfinite = cmath.isfinite
+    for a, b, c, d, text in words:
+        tr = a + d
+        if not isfinite(tr):  # _classify raises for finite overflows
             raise OverflowError(f"{text} has trace {tr}")
-        cls = classify(m)
-        entry = {"word": text, "class": cls.value, "trace": [tr.real, tr.imag]}
+        cls = _classify(a, b, c, d)
+        entry = {"word": text, "class": cls, "trace": [tr.real, tr.imag]}
         entries.append(entry)
-        if cls is not MobiusClass.LOXODROMIC:
+        if cls is not _LOXODROMIC:
             violations.append(entry)
     return {
         "passed": not violations,

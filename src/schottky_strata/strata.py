@@ -8,13 +8,15 @@ equivalently g - 1 = p(t + s - 1) + r(p - 1).  All counting here is exact
 integer arithmetic; no floats anywhere.
 
 Every layer imports it, so outside ``__all__`` it also holds the input
-checks, the check record ``check`` and the refusal rule ``within_budget``.
+checks, the check record ``check`` and the refusal rule ``within_budget``,
+with ``within_budget_of_powers`` for counts too large to form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import namedtuple
 
 __all__ = [
@@ -76,12 +78,24 @@ def check(name, passed, detail):
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an enumeration would exceed its configured budget."""
+    """Raised when an enumeration would exceed its configured budget.
 
-    def __init__(self, required, budget, what):
+    ``required`` is the count, or None when its size alone refused it
+    before it was formed; ``digits`` then says how long it is.  A count
+    longer than Python writes as text is named by its number of digits.
+    """
+
+    def __init__(self, required, budget, what, digits=None):
         self.required = required
         self.budget = budget
-        super().__init__(f"enumeration requires {required} {what}, "
+        if digits is None:
+            try:
+                count = str(required)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                digits = _digits(required)
+        if digits is not None:
+            count = f"a {digits}-digit number of"
+        super().__init__(f"enumeration requires {count} {what}, "
                          f"exceeding budget {budget}")
 
 
@@ -89,6 +103,60 @@ def within_budget(required, budget, what):
     """Raise BudgetExceeded when ``required`` ``what`` exceed ``budget``."""
     if required > budget:
         raise BudgetExceeded(required, budget, what)
+
+
+def within_budget_of_powers(terms, budget, what):
+    """``within_budget`` for the count sum(prod(b ** e for b, e in term)
+    for term in terms), every base b >= 1; returns the count.
+
+    A count whose bit lengths alone put it past the budget and past the
+    longest int Python writes as text is refused before any power is
+    formed (forming (10^9 + 6)^300000 takes a second); its digits are
+    then counted from logarithms.
+    """
+    limit = sys.get_int_max_str_digits()
+    for term in terms:
+        bits = 0  # the term is at least 2^bits
+        for b, e in term:
+            bits += e * (b.bit_length() - 1)
+        if limit and bits >= 4 * limit and bits >= budget.bit_length():
+            raise BudgetExceeded(None, budget, what, _power_digits(terms))
+    required = 0
+    for term in terms:
+        product = 1
+        for b, e in term:
+            product *= b ** e
+        required += product
+    within_budget(required, budget, what)
+    return required
+
+
+def _digits(n):
+    """The number of decimal digits of the int n >= 1, not written out."""
+    d = (n.bit_length() - 1) * 3010299 // 10**7 + 1  # 0.3010299 < log10 2
+    while n >= 10**d:
+        d += 1
+    return d
+
+
+def _power_digits(terms):
+    """``_digits`` of the count of ``within_budget_of_powers``, from its
+    base-10 logarithm, carried to 60 more significant digits than the
+    longest exponent has: each rounding errs by less than 1e-50, so the
+    floor of the logarithm is exact unless that lies within 1e-30 of an
+    integer, as for a power of 10, when the count is formed after all."""
+    import decimal
+    prec = 60 + max(len(str(abs(e))) for term in terms for _b, e in term)
+    with decimal.localcontext(decimal.Context(
+            prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)):
+        logs = [sum(e * decimal.Decimal(b).log10() for b, e in term)
+                for term in terms]
+        top = max(logs)
+        log = top + sum(10 ** (x - top) for x in logs).log10()
+    whole, tiny = int(log), decimal.Decimal("1e-30")
+    if tiny < log - whole < 1 - tiny:
+        return whole + 1
+    return _digits(sum(math.prod(b ** e for b, e in term) for term in terms))
 
 
 def _validate_gp(g, p):

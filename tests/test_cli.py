@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,26 @@ class TestExitCodes:
         assert run_json([*argv, "--budget", "0"]) == (2, None, "")
         assert capsys.readouterr().err == (
             "error: enumeration requires 4 sampled words, exceeding budget 0; "
+            "raise it with --budget\n")
+
+    @pytest.mark.parametrize("argv,count", [
+        # 4^8000 block vectors and 5^8000 * 4 image vectors: formed, but
+        # longer than Python writes as text
+        (["oracle", "--p", "5", "--r", "8000", "--s", "0"],
+         "a 4817-digit number of block vectors"),
+        (["oracle", "--p", "5", "--r", "1", "--s", "0", "--t", "8000"],
+         "a 5593-digit number of image vectors"),
+        # (10^9 + 6)^300000, refused by its bit length before it is formed
+        (["oracle", "--p", "1000000007", "--r", "300000", "--s", "0"],
+         "a 2700001-digit number of block vectors"),
+    ])
+    def test_count_too_long_to_write_is_named_by_its_digits(
+            self, argv, count, capsys):
+        start = time.perf_counter()
+        assert run_json(argv) == (2, None, "")
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == (
+            f"error: enumeration requires {count}, exceeding budget 10000000; "
             "raise it with --budget\n")
 
     @pytest.mark.parametrize("argv,rows", [

@@ -231,18 +231,26 @@ class TestKernelSample:
 
     def test_refuses_before_building_any_payload(self):
         phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))
+        alphabet = _syllable_alphabet(phi.spec)
         built = []
 
-        def extend(node, syl):
-            built.append(syl)
-            return node + (syl,)
+        def extend_levels(budget):
+            # one product per edge of each level, as the walk's callers make
+            nodes, words = [()], []
+            for children, kernel in _kernel_walk(phi, 3, budget, alphabet):
+                nodes = [syls + (syl,)
+                         for syls, nxt in zip(nodes, children) for syl in nxt]
+                built.extend(nodes)
+                words += [nodes[i] for i in kernel]
+            return words
 
         with pytest.raises(BudgetExceeded):
-            _kernel_walk(phi, 3, 1331, (), extend)
+            extend_levels(1331)
         assert built == []
         # one payload per trie node above the last level, one per word on it
-        words = _kernel_walk(phi, 3, 1332, (), extend)
+        words = extend_levels(1332)
         assert len(built) == 12 + 120 + sum(len(w) == 3 for w in words)
+        assert [FPWord(w) for w in words] == kernel_sample(phi, 3)
 
     def test_walk_setup_does_not_grow_with_p(self):
         # a table with an entry per residue would need 10^9 of them here

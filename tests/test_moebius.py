@@ -107,6 +107,91 @@ class TestClassify:
         assert classify(MobiusMap(1, 0.5, 0, 1)) is MobiusClass.IDENTITY
 
 
+def full_rule(m, eps):
+    """classify's rule in full, with no trace-first shortcut: identity
+    (pretest, then both Frobenius distances), parabolic, elliptic,
+    loxodromic."""
+    b2, c2 = abs(m.b) ** 2, abs(m.c) ** 2
+    if math.sqrt(b2 + c2) <= eps and min(
+            math.sqrt(abs(m.a - 1) ** 2 + b2 + c2 + abs(m.d - 1) ** 2),
+            math.sqrt(abs(m.a + 1) ** 2 + b2 + c2 + abs(m.d + 1) ** 2)) <= eps:
+        return MobiusClass.IDENTITY
+    tr2 = (m.a + m.d) ** 2
+    if abs(tr2 - 4) <= eps:
+        return MobiusClass.PARABOLIC
+    if abs(tr2.imag) <= eps and -eps <= tr2.real <= 4 - eps:
+        return MobiusClass.ELLIPTIC
+    return MobiusClass.LOXODROMIC
+
+
+def _outcome(rule, m):
+    try:
+        return rule(m)
+    except OverflowError:
+        return OverflowError
+
+
+class TestTraceFirst:
+    EPS = (1e-9, 1e-3, 0.5, 1.0, 3.0, 10.0)
+
+    def _matrices(self, rng, eps):
+        """Seeded matrices around the shortcut's edges: near +-I, with tr^2
+        in the band 4 + eps < tr^2 <= 4 + 8 eps + 4 eps^2 and off it, with
+        |Im tr^2| near eps, generic ones and ones whose |b|^2, |c|^2 or
+        tr^2 overflows."""
+        def near(z, scale):
+            return z + complex(rng.gauss(0, scale), rng.gauss(0, scale))
+
+        band = (8 + 4 * eps) * eps
+        for _ in range(1500):
+            sign = rng.choice((1, -1))
+            scale = eps * rng.choice((0.1, 0.3, 0.5, 0.7, 1, 2))
+            yield MobiusMap(near(sign, scale), near(0, scale), near(0, scale),
+                            near(sign, scale))
+            # tr^2 = 4 + x + iy, x across the band and past it, y near 0
+            x = rng.choice((rng.uniform(eps, band), band * (1 + 1e-15),
+                            band * (1 - 1e-15), rng.uniform(0, 2 * band),
+                            -rng.uniform(0, 2 * band)))
+            y = rng.choice((0, rng.gauss(0, eps * 1e-3), rng.gauss(0, eps)))
+            half = sign * cmath.sqrt(4 + complex(x, y)) / 2
+            off = rng.choice((0, 0.1, 0.5, 1, 3)) * eps
+            yield MobiusMap(half + near(0, off), near(0, off), near(0, off),
+                            half + near(0, off))
+            # |Im tr^2| within a few ulps of eps, Re tr^2 inside [0, 4]
+            im = eps * rng.choice((1, 1 + 1e-15, 1 - 1e-15, 1 + 1e-9))
+            half = cmath.sqrt(complex(rng.uniform(-eps, 4),
+                                      rng.choice((im, -im)))) / 2
+            yield MobiusMap(half, near(0, 1), near(0, 1), half)
+            u = random_unimodular(rng)
+            yield u * rng.choice((rot(5), rot(7), MobiusMap(1, 1, 0, 1),
+                                  MobiusMap(2, 0, 0, 0.5))) * u.inverse()
+        for big in (1e153, 1e154, 1.4e154, 1e200, 1e308):
+            for entry in range(4):
+                entries = [2, 1, 0.5, 1]
+                entries[entry] = big * rng.choice((1, -1, 1j, -1j))
+                yield MobiusMap(*entries)
+            yield MobiusMap(1, big * (1 + 1j), 0, 1)
+            yield MobiusMap(3, 0, big, 0.5)
+
+    def test_classify_matches_the_full_rule(self, monkeypatch):
+        rng = random.Random(27)
+        for eps in self.EPS:
+            monkeypatch.setattr(moebius, "_EPS", eps)
+            seen = set()
+            for m in self._matrices(rng, eps):
+                want = _outcome(lambda m: full_rule(m, eps), m)
+                assert _outcome(classify, m) == want, (eps, m)
+                seen.add(want)
+            assert seen == {*MobiusClass, OverflowError}, eps
+
+    def test_identity_beyond_eps_of_four(self):
+        # tr^2 - 4 is about 3.2e-9 > eps: a shortcut whose margin were eps
+        # would call this loxodromic
+        m = MobiusMap(1 + 4e-10, 0, 0, 1 + 4e-10)
+        assert abs(m.trace() ** 2 - 4) > moebius._EPS
+        assert classify(m) is MobiusClass.IDENTITY
+
+
 class TestOrderCheck:
     def test_rotation_has_order(self):
         assert order_check(rot(5), 5)
@@ -368,14 +453,15 @@ class TestPurelyLoxodromic:
                         assert [x.hex() for x in entry["trace"]] == want, entry
                         assert entry["class"] == classify(m).value
 
-    @pytest.mark.parametrize("separation", [10, 1, 0.2, 0.05])
+    @pytest.mark.parametrize("separation", [1e6, 10, 1, 0.2, 0.05, 0.01])
     def test_classes_match_classify(self, separation, monkeypatch):
         # every entry must carry the class classify gives the left-to-right
-        # product, on crowded separations and a loose tolerance too, where
-        # words fail
+        # product, on crowded and distant separations and a loose tolerance
+        # too, where words fail
         classes = set()
         for g, p, t, r, s in [(5, 5, 1, 1, 0), (6, 5, 1, 0, 1), (4, 5, 0, 2, 0),
-                              (6, 5, 2, 0, 0), (2, 2, 0, 3, 0)]:
+                              (6, 5, 2, 0, 0), (2, 2, 0, 3, 0),
+                              (26, 5, 6, 0, 0)]:
             mg = build_matrix_group(AdmissibleTuple(g, p, t, r, s),
                                     separation=separation)
             for phi in itertools.islice(normalized_homs(mg.spec), 4):

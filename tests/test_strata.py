@@ -1,12 +1,15 @@
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from schottky_strata.cli import run
+from schottky_strata import strata
 from schottky_strata.strata import (
     AdmissibleTuple,
+    BudgetExceeded,
     closed_form_count,
     component_bounds,
     count_strata,
@@ -401,3 +404,48 @@ class TestStratumReport:
             assert row["m_count"] == m
             assert row["dimension"] == dimension(*tup)
             assert row["components"] == {"upper": m, "exact": exact, "basis": basis}
+
+
+class TestBudgetRefusals:
+    @pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 10**17 - 1, 10**17,
+                                   2**64, 10**4300 - 1, 10**4300, 7**9000],
+                             ids=lambda n: f"{n.bit_length()}-bit")
+    def test_digits_are_counted_exactly(self, n):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = len(str(n))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert strata._digits(n) == want
+
+    @pytest.mark.parametrize("terms", [
+        [[(4, 8000)]], [[(5, 8000), (4, 1)]], [[(4, 8000)], [(4, 8000)]],
+        [[(4, 9000)], [(4, 8999)]], [[(10, 5000)]], [[(10, 5000)], [(10, 3)]],
+        [[(100, 3000), (3, 17)]], [[(1000000006, 2000)], [(1000000006, 1)]],
+        [[(2, 40000)], [(3, 100)]],
+    ])
+    def test_power_digits_match_the_formed_count(self, terms):
+        # the logarithm path, powers of 10 included, where it falls back
+        count = sum(math.prod(b ** e for b, e in term) for term in terms)
+        assert strata._power_digits(terms) == strata._digits(count)
+
+    def test_huge_count_is_refused_unformed(self, monkeypatch):
+        # counted from logarithms: the count itself is never formed
+        monkeypatch.setattr(strata, "_digits", None)
+        with pytest.raises(BudgetExceeded) as exc:
+            strata.within_budget_of_powers([[(1000000006, 300000)]], 10**7,
+                                           "block vectors")
+        assert exc.value.required is None
+        assert str(exc.value) == ("enumeration requires a 2700001-digit "
+                                  "number of block vectors, exceeding budget "
+                                  "10000000")
+
+    def test_small_counts_keep_their_numbers(self):
+        assert strata.within_budget_of_powers(
+            [[(4, 3)], [(4, 2)]], 80, "block vectors") == 80
+        with pytest.raises(BudgetExceeded) as exc:
+            strata.within_budget_of_powers([[(4, 3)], [(4, 2)]], 79, "vectors")
+        assert exc.value.required == 80
+        assert str(exc.value) == ("enumeration requires 80 vectors, "
+                                  "exceeding budget 79")
