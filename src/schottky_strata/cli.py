@@ -98,8 +98,7 @@ def _stratum_dict(row):
 # command handlers: each returns (results, checks)
 
 def _cmd_tuples(args):
-    n = _writable(strata.count_strata(args.p, args.g), "the row count")
-    within_budget(n, args.budget, "rows")
+    within_budget(strata.count_strata(args.p, args.g), args.budget, "rows")
     tuples = strata.enumerate_tuples(args.g, args.p)
     results = {"count": len(tuples), "tuples": tuples}
     # by column: the g and p asked for, no negative entry, and the genus
@@ -304,8 +303,7 @@ def _cmd_report(args):
     # refuse at the first genus past the budget, in rows or in genera
     for visited, g in enumerate(window, 1):
         expected += strata.count_strata(args.p, g)
-        within_budget(_writable(expected, "the row count"), args.budget,
-                      "rows")
+        within_budget(expected, args.budget, "rows")
         if visited >= args.budget and g < args.g_max:
             within_budget(args.g_max - args.g_min + 1, args.budget, "genera")
     # row by row, so a refused row stops the walk before any later M

@@ -2,15 +2,15 @@
 
 A group of type (g, p; t, r, s) is the free product of t infinite cyclic
 groups <A_j>, r cyclic groups <E_j> of order p, and s rank-two abelian
-groups <T_k, F_k | F_k^p, [T_k, F_k]>.  Words are kept in syllable normal
-form: freely reduced, elliptic exponents in 1..p-1, and within a commuting
-pair the T-syllable written before the F-syllable.
+groups <T_k, F_k | F_k^p, [T_k, F_k]>.  Every word is written in syllable
+normal form as it is made: freely reduced, elliptic exponents in 1..p-1,
+and within a commuting pair the T-syllable written before the F-syllable.
 
 Kernels of homomorphisms onto Z_p are handled three ways: a membership
-test (image sum), a bounded enumeration of short kernel words, and a free
+test (image sum), a bounded walk over the short kernel words, and a free
 basis of size g: the Schreier generators over the transversal
 xi^0..xi^{p-1} that the rewritten relators leave, written down in closed
-form.
+form and in normal form.
 
 Words print as whitespace-separated syllables ``a1``, ``e2^3``, ``t1^-1``
 (kind letter + index, optional ^exponent).
@@ -18,7 +18,6 @@ Words print as whitespace-separated syllables ``a1``, ``e2^3``, ``t1^-1``
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Tuple
@@ -31,10 +30,8 @@ __all__ = [
     "FPWord",
     "KHom",
     "build_spec",
-    "normal_form",
     "fpword_str",
     "kernel_membership",
-    "kernel_sample",
     "kernel_presentation",
     "normalized_homs",
 ]
@@ -62,11 +59,6 @@ class GroupSpec:
             out.append(("f", k))
         return out
 
-    @functools.cached_property
-    def roster(self):
-        """The roster as a frozenset, built once per spec."""
-        return frozenset(self.symbols())
-
     def is_elliptic(self, sym):
         return sym[0] in ("e", "f")
 
@@ -89,51 +81,6 @@ class FPWord:
 
     def __str__(self):
         return fpword_str(self)
-
-
-def _push_syllable(stack, sym, exp, spec):
-    """Append one syllable, restoring normal form locally."""
-    p = spec.p
-    elliptic = spec.is_elliptic(sym)
-    if elliptic:
-        exp %= p
-    if exp == 0:
-        return
-    while True:
-        if not stack:
-            stack.append((sym, exp))
-            return
-        top_sym, top_exp = stack[-1]
-        if top_sym == sym:
-            stack.pop()
-            exp = top_exp + exp
-            if elliptic:
-                exp %= p
-            if exp == 0:
-                return
-            continue
-        # commuting pair: rewrite F_k T_k -> T_k F_k
-        if sym[0] == "t" and top_sym == ("f", sym[1]):
-            stack.pop()
-            _push_syllable(stack, sym, exp, spec)
-            _push_syllable(stack, top_sym, top_exp, spec)
-            return
-        stack.append((sym, exp))
-        return
-
-
-def normal_form(spec, syllables):
-    """Unique normal form of a raw (symbol, exponent) sequence.
-
-    The result is empty iff the word represents the identity.
-    """
-    roster = spec.roster
-    stack = []
-    for sym, exp in syllables:
-        if sym not in roster:
-            raise ValueError(f"symbol {sym} not in roster of {spec.tuple}")
-        _push_syllable(stack, sym, exp, spec)
-    return FPWord(tuple(stack))
 
 
 def fpword_str(w):
@@ -177,7 +124,7 @@ def kernel_membership(phi, w):
 
 
 def _syllable_alphabet(spec):
-    """Finite syllable choices used by kernel_sample.
+    """Finite syllable choices of ``_kernel_walk``, in roster order.
 
     Loxodromic syllables carry exponent +-1 only; elliptic syllables sweep
     the full exponent range 1..p-1, so the enumeration is complete up to
@@ -205,14 +152,17 @@ def _may_follow(prev_sym, sym):
 
 
 def _kernel_walk(phi, max_syllables, budget, labels):
-    """The normal-form syllable trie of ``kernel_sample``, one level at a
-    time: for each length k = 1 .. max_syllables, a pair (children,
+    """The normal-form syllable trie over ``_syllable_alphabet``, one level
+    at a time: for each length k = 1 .. max_syllables, a pair (children,
     words).  ``labels[j]`` is the caller's value for the j-th syllable of
     ``_syllable_alphabet(phi.spec)``; ``children[i]`` lists the labels of
     the syllables that extend node i of level k - 1 (the root is level
     0).  Level k is those extensions in order, parent by parent, and
-    ``words`` holds the positions in it of the kernel words, so the words
-    of level 1, then of level 2 and so on are ``kernel_sample``'s.
+    ``words`` holds the positions in it of the kernel words.  So the words
+    of level 1, then of level 2 and so on are every nonidentity kernel
+    word over the alphabet (loxodromic exponents +-1) of at most
+    ``max_syllables`` syllables, by syllable count and then
+    lexicographically in the alphabet's order.
 
     Every candidate syllable counts toward ``budget``, the last level's
     too, and the count is checked before the first level is handed out;
@@ -254,24 +204,6 @@ def _kernel_walk(phi, max_syllables, budget, labels):
         yield children, [i for i, (_sym, img) in enumerate(level) if not img]
     children = [closing[prev].get(total, ()) for prev, total in level]
     yield children, range(sum(map(len, children)))
-
-
-def kernel_sample(phi, max_syllables, budget=10**6):
-    """All normal-form kernel words with at most ``max_syllables`` syllables
-    (loxodromic exponents restricted to +-1), identity excluded.
-
-    Deterministic order: by syllable count, then lexicographically in the
-    roster/exponent order.  Extends the levels of ``_kernel_walk`` by
-    syllable tuples, so it raises ``strata.BudgetExceeded`` when the
-    enumeration grows past ``budget`` candidate words.
-    """
-    nodes, words = [()], []
-    for children, kernel in _kernel_walk(phi, max_syllables, budget,
-                                         _syllable_alphabet(phi.spec)):
-        nodes = [syls + (syl,) for syls, nxt in zip(nodes, children)
-                 for syl in nxt]
-        words += [FPWord(nodes[i]) for i in kernel]
-    return words
 
 
 def normalized_homs(spec):
@@ -333,26 +265,35 @@ def kernel_presentation(phi):
     - a loxodromic pivot: x_{p-1,xi} = xi^p.  An elliptic pivot keeps
       nothing: its relator xi^p rewrites to x_{p-1,xi} alone.
 
-    The x_{i,xi} with i < p-1 are transversal edges and trivial.  The
-    size and the zero image of every word are not asserted here; the
-    ``kernel`` command checks both.
+    The x_{i,xi} with i < p-1 are transversal edges and trivial.  Each
+    word is written in normal form: a zero power of xi is dropped, and
+    xi^-j is xi^(p-j) for an elliptic pivot.  No two syllables merge, as
+    s is not xi, and no F_k comes before T_k, as T_k keeps coset 0 when
+    F_k is the pivot.  The size and the zero image of every word are not
+    asserted here; the ``kernel`` command checks both.
     """
     spec = phi.spec
     p = spec.p
     xi = _transversal_pivot(phi)
     lam = pow(phi.image(xi), -1, p)
+    elliptic = spec.is_elliptic(xi)
+    # xi^i and xi^-i for i = 0 .. p-1, as syllable tuples
+    heads = [()] + [((xi, i),) for i in range(1, p)]
+    tails = [()] + [((xi, p - i if elliptic else -i),) for i in range(1, p)]
     words = []
     for sym in spec.symbols():
         if sym == xi:
-            cosets = [p - 1] if xi[0] == "a" else []
-        elif sym[0] == "a":
+            if not elliptic:
+                words.append(FPWord(((xi, p),)))
+            continue
+        if sym[0] == "a":
             cosets = range(p)
         elif sym[0] == "t":
             cosets = [0 if ("f", sym[1]) == xi else p - 1]
         else:
             cosets = range(1, p)
         c = lam * phi.image(sym)
-        for i in cosets:
-            raw = [(xi, i), (sym, 1), (xi, -((i + c) % p))]
-            words.append(normal_form(spec, raw))
+        syllable = ((sym, 1),)
+        words += [FPWord(heads[i] + syllable + tails[(i + c) % p])
+                  for i in cosets]
     return words

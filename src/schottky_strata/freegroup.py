@@ -26,7 +26,6 @@ __all__ = [
     "AbelianHom",
     "StallingsGraph",
     "parse_word",
-    "word_str",
     "map_letters",
     "hom_image",
     "fold",
@@ -77,24 +76,8 @@ class FreeWord:
         cls.letters.__set__(word, letters)
         return word
 
-    def __mul__(self, other):
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeWord(self.rank, self.letters + other.letters)
-
     def __invert__(self):
         return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
-
-    def __pow__(self, n):
-        if n < 0:
-            return (~self) ** (-n)
-        return FreeWord(self.rank, self.letters * n)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __str__(self):
-        return word_str(self)
 
 
 def parse_word(text, rank):
@@ -108,17 +91,6 @@ def parse_word(text, rank):
         else:
             raise ValueError(f"invalid character {ch!r} in word {text!r}")
     return FreeWord(rank, tuple(letters))
-
-
-def word_str(w):
-    """Inverse of parse_word; round-trips exactly on reduced words."""
-    out = []
-    for x in w.letters:
-        if x > 0:
-            out.append(chr(ord("a") + x - 1))
-        else:
-            out.append(chr(ord("A") - x - 1))
-    return "".join(out)
 
 
 def map_letters(w, images):
@@ -189,12 +161,6 @@ class StallingsGraph:
 
     def __eq__(self, other):
         return isinstance(other, StallingsGraph) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"StallingsGraph(rank={self.rank}, vertices={self.n_vertices})"
 
 
 def _letter_order(rank):

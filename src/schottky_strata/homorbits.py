@@ -384,12 +384,17 @@ def bfs_orbit_count(p, t, r, s, action=PERM_INV, *, budget=10**7):
     r = s = 0; (d) permutation/inversion of the e-block; (e) permutation
     of (tau, f) pairs and pair inversion (simultaneous negation of tau_k
     with f_k); (f) a global unit rescale iff ``action.global_scale``.
+    Moves (d) and (e) always invert, so an action without inversion is
+    refused with ValueError.
 
     Exhaustive over every state, with one neighbour-index array per move;
     the valid states are those with unit e/f entries and at least one
     nonzero coordinate.
     """
     check_prime(p)
+    if not action.invert:
+        raise ValueError("bfs_orbit_count always quotients by inversion; "
+                         "an action without it is not supported")
     total = within_budget_of_powers([[(p, t), (p - 1, r), (p, s), (p - 1, s)]],
                                     budget, "image vectors")
     if min(t, r, s) < 0:

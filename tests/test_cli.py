@@ -18,7 +18,7 @@ from perfbench import checkers
 from schottky_strata import (cli, cyclic_schottky, homorbits, moebius,
                              strata, surfaces)
 from schottky_strata.cli import run
-from schottky_strata.cyclic_schottky import normal_form
+from schottky_strata.cyclic_schottky import FPWord
 from schottky_strata.strata import AdmissibleTuple
 
 
@@ -38,11 +38,15 @@ _TEXT_LIMIT_CASES = [
     # refused at the first row: no later row's M is computed
     (["report", "--p", "10007", "--g-min", "200109994", "--g-max",
       "200109994"], "M of (200109994,10007;0,9993,10006)"),
-    (["tuples", "--g", _G_4201_DIGITS, "--p", "5"], "the row count"),
-    (["report", "--p", "5", "--g-min", _G_4201_DIGITS, "--g-max",
-      _G_4201_DIGITS], "the row count"),
     (["bounds", "--g", _G_4300_NINES, "--p", "2", "--t", _HALF, "--r", "0",
       "--s", "0"], f"the dimension of ({_G_4300_NINES},2;{_HALF},0,0)"),
+]
+# row counts too long to write: --budget is read by int, so it is shorter,
+# and the budget refuses the count by its digits
+_ROW_COUNT_PAST_THE_TEXT_LIMIT = [
+    ["tuples", "--g", _G_4201_DIGITS, "--p", "5"],
+    ["report", "--p", "5", "--g-min", _G_4201_DIGITS, "--g-max",
+     _G_4201_DIGITS],
 ]
 
 # overflows on a level-2 word, but its budget is exceeded only on level 3:
@@ -159,6 +163,7 @@ class TestExitCodes:
             ["verify", "example2", "--m", "1000000000"],
             ["verify", "example2", "--p", "1000003", "--m", "2"],
             *(argv for argv, _what in _TEXT_LIMIT_CASES),
+            *_ROW_COUNT_PAST_THE_TEXT_LIMIT,
             _BUDGET_BEFORE_OVERFLOW,
         ],
     )
@@ -210,6 +215,15 @@ class TestExitCodes:
             f"error: {what} has more than {sys.get_int_max_str_digits()} "
             "digits, the limit of sys.get_int_max_str_digits() for writing "
             "an int as text\n")
+
+    @pytest.mark.parametrize("argv", _ROW_COUNT_PAST_THE_TEXT_LIMIT,
+                             ids=["tuples", "report"])
+    def test_row_count_past_the_text_limit_is_over_budget(self, argv,
+                                                          capsys):
+        assert run_json(argv) == (2, None, "")
+        assert capsys.readouterr().err == (
+            "error: enumeration requires a 8398-digit number of rows, "
+            "exceeding budget 1000000; raise it with --budget\n")
 
     _G4_TUPLE = ["--g", "4", "--p", "5", "--t", "0", "--r", "2", "--s", "0"]
 
@@ -423,7 +437,7 @@ class TestChecksCanFail:
         real = cyclic_schottky.kernel_presentation
         monkeypatch.setattr(
             cyclic_schottky, "kernel_presentation",
-            lambda phi: real(phi) + [normal_form(phi.spec, [(("a", 1), 1)])],
+            lambda phi: real(phi) + [FPWord(((("a", 1), 1),))],
         )
         _failed_check(self._KERNEL, "all_in_kernel", capsys)
 
@@ -643,6 +657,23 @@ class TestCommands:
         )
         assert code == 0
         assert env["results"]["rank"] == 5
+
+    @pytest.mark.parametrize("shape,generators", [
+        # a loxodromic pivot keeps xi^p, written as one syllable
+        ((6, 5, 2, 0, 0), ["a1^5", "a2", "a1 a2 a1^-1", "a1^2 a2 a1^-2",
+                           "a1^3 a2 a1^-3", "a1^4 a2 a1^-4"]),
+        # F_1 is the pivot and tau_1 = 0: T_1 alone, with no power of F_1
+        ((6, 5, 1, 0, 1), ["a1", "f1 a1 f1^4", "f1^2 a1 f1^3", "f1^3 a1 f1^2",
+                           "f1^4 a1 f1", "t1"]),
+        # p = 2: xi^-1 is xi, and a zero power of xi is dropped
+        ((5, 2, 1, 0, 2), ["a1", "f1 a1 f1", "t1", "f1 t2 f1", "f1 f2"]),
+    ], ids=["loxodromic-pivot", "bare-t1", "p2"])
+    def test_kernel_construction_edges(self, shape, generators):
+        argv = ["kernel", *(x for name, v in zip("gptrs", shape)
+                            for x in (f"--{name}", str(v)))]
+        code, env, _ = run_json(argv)
+        assert code == 0
+        assert env["results"]["generators"] == generators
 
     def test_build_matrices(self):
         code, env, _ = run_json(

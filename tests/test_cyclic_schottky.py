@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from perfbench.checkers import is_normal_form, parse_syllables
 from schottky_strata.freegroup import AbelianHom, schreier_kernel
 from schottky_strata.homorbits import HomImage
-from schottky_strata.strata import AdmissibleTuple, BudgetExceeded
+from schottky_strata.strata import (AdmissibleTuple, BudgetExceeded,
+                                    enumerate_tuples)
 from schottky_strata.cyclic_schottky import (
     FPWord,
     KHom,
@@ -16,8 +18,6 @@ from schottky_strata.cyclic_schottky import (
     fpword_str,
     kernel_membership,
     kernel_presentation,
-    kernel_sample,
-    normal_form,
     normalized_homs,
 )
 
@@ -60,8 +60,31 @@ def certificate_homs():
     return out
 
 
+def kernel_words(phi, max_syllables, budget=10**6, built=None):
+    """The kernel words of ``_kernel_walk``, each level's nodes extended by
+    syllable tuples; every node is also appended to ``built``."""
+    nodes, words = [()], []
+    for children, kernel in _kernel_walk(phi, max_syllables, budget,
+                                         _syllable_alphabet(phi.spec)):
+        nodes = [syls + (syl,) for syls, nxt in zip(nodes, children)
+                 for syl in nxt]
+        if built is not None:
+            built.extend(nodes)
+        words += [FPWord(nodes[i]) for i in kernel]
+    return words
+
+
 def inverse(spec, w):
-    return normal_form(spec, [(sym, -exp) for sym, exp in reversed(w.syllables)])
+    """The inverse of a normal-form word, in normal form: the syllables
+    reversed, negated and reduced mod p when elliptic, and each F_k^a T_k^b
+    that the reversal makes swapped to T_k^b F_k^a."""
+    out = [(sym, -exp % spec.p if spec.is_elliptic(sym) else -exp)
+           for sym, exp in reversed(w.syllables)]
+    for i in range(len(out) - 1):
+        (prev, _), (sym, _) = out[i], out[i + 1]
+        if sym[0] == "t" and prev == ("f", sym[1]):
+            out[i], out[i + 1] = out[i + 1], out[i]
+    return FPWord(tuple(out))
 
 
 SPEC_FREE = spec_of(26, 5, 6, 0, 0)
@@ -89,94 +112,31 @@ class TestGroupSpec:
 
 
 class TestNormalForm:
-    def test_elliptic_relator_vanishes(self):
-        assert not normal_form(SPEC_INV, [(("e", 1), 2)]).syllables
-
-    def test_commutation_reorders(self):
-        w = normal_form(SPEC_PAIR, [(("f", 1), 1), (("t", 1), 1),
-                                    (("f", 1), -1)])
-        assert fpword_str(w) == "t1"
-
-    def test_exponent_reduction(self):
-        w = normal_form(SPEC_MIXED, [(("e", 1), 5 + 2)])
-        assert fpword_str(w) == "e1^2"
-
-    def test_idempotent(self):
-        w = normal_form(SPEC_PAIR, [(("t", 1), 2), (("f", 1), 3),
-                                    (("a", 1), 1), (("t", 1), -1)])
-        assert normal_form(SPEC_PAIR, w.syllables) == w
-
-    def test_inverse(self):
-        w = normal_form(SPEC_PAIR, [(("t", 1), 1), (("f", 1), 2),
-                                    (("a", 1), 1)])
-        winv = inverse(SPEC_PAIR, w)
-        assert fpword_str(winv) == "a1^-1 t1^-1 f1^3"
-        assert not normal_form(SPEC_PAIR, w.syllables + winv.syllables).syllables
-
-    def test_merge_across_vanishing_pair(self):
-        # a1 t1 t1^-1 a1 must collapse to a1^2
-        w = normal_form(SPEC_PAIR, [(("a", 1), 1), (("t", 1), 1), (("t", 1), -1), (("a", 1), 1)])
-        assert fpword_str(w) == "a1^2"
-
-    def test_rejects_foreign_symbols(self):
-        with pytest.raises(ValueError):
-            normal_form(SPEC_INV, [(("t", 1), 1)])
-
-    def test_random_words_normalise_consistently(self):
-        import random
-
-        spec = spec_of(14, 5, 1, 2, 1)
-        symbols = spec.symbols()
-        rng = random.Random(77)
-        for _ in range(1500):
-            raw = [(rng.choice(symbols), rng.randint(-7, 7))
-                   for _ in range(rng.randint(0, 12))]
-            w = normal_form(spec, raw)
-            for i, (sym, exp) in enumerate(w.syllables):
-                assert exp != 0
-                if spec.is_elliptic(sym):
-                    assert 1 <= exp <= 4
-                if i > 0:
-                    prev = w.syllables[i - 1][0]
-                    assert prev != sym
-                    assert not (sym[0] == "t" and prev == ("f", sym[1]))
-            # splitting then concatenating reaches the same normal form
-            k = rng.randint(0, len(raw))
-            halves = normal_form(
-                spec,
-                normal_form(spec, raw[:k]).syllables
-                + normal_form(spec, raw[k:]).syllables,
-            )
-            assert halves == w
-
     def test_round_trip(self):
-        for spec, syllables, text in [
-            (SPEC_MIXED, [(("a", 1), 1)], "a1"),
-            (SPEC_MIXED, [(("e", 1), 4), (("a", 1), 1), (("e", 1), 1)],
-             "e1^4 a1 e1"),
-            (SPEC_PAIR, [(("t", 1), -3), (("f", 1), 2)], "t1^-3 f1^2"),
-            (SPEC_PAIR, [(("a", 1), 2), (("t", 1), 1), (("f", 1), 4)],
-             "a1^2 t1 f1^4"),
+        for syllables, text in [
+            ([(("a", 1), 1)], "a1"),
+            ([(("e", 1), 4), (("a", 1), 1), (("e", 1), 1)], "e1^4 a1 e1"),
+            ([(("t", 1), -3), (("f", 1), 2)], "t1^-3 f1^2"),
+            ([(("a", 1), 2), (("t", 1), 1), (("f", 1), 4)], "a1^2 t1 f1^4"),
         ]:
-            w = normal_form(spec, syllables)
-            assert w.syllables == tuple(syllables)
-            assert fpword_str(w) == text
+            assert fpword_str(FPWord(tuple(syllables))) == text
+            assert parse_syllables(text) == [(kind, idx, exp) for (kind, idx),
+                                             exp in syllables]
 
 
 class TestKernelMembership:
     def test_relator_is_member(self):
         phi = KHom(SPEC_INV, HomImage(2, e=(1, 1, 1)))
-        assert kernel_membership(phi, normal_form(SPEC_INV, [(("e", 1), 2)]))
+        assert kernel_membership(phi, FPWord(()))  # e1^2 is the identity
 
     def test_conjugate_in_kernel(self):
         phi = KHom(SPEC_MIXED, HomImage(5, a=(0,), e=(1,)))
-        w = normal_form(SPEC_MIXED, [(("e", 1), 1), (("a", 1), 1),
-                                     (("e", 1), -1)])
+        w = FPWord(((("e", 1), 1), (("a", 1), 1), (("e", 1), 4)))
         assert kernel_membership(phi, w)
 
     def test_nonmember(self):
         phi = KHom(SPEC_MIXED, HomImage(5, a=(0,), e=(1,)))
-        w = normal_form(SPEC_MIXED, [(("e", 1), 2), (("a", 1), 1)])
+        w = FPWord(((("e", 1), 2), (("a", 1), 1)))
         assert not kernel_membership(phi, w)
 
     def test_length_mismatch_rejected(self):
@@ -187,7 +147,7 @@ class TestKernelMembership:
 class TestKernelSample:
     def test_involution_pairs(self):
         phi = KHom(SPEC_INV, HomImage(2, e=(1, 1, 1)))
-        words = kernel_sample(phi, 2)
+        words = kernel_words(phi, 2)
         expected = {
             f"e{i} e{j}" for i in (1, 2, 3) for j in (1, 2, 3) if i != j
         }
@@ -195,68 +155,60 @@ class TestKernelSample:
 
     def test_single_syllables_only_zero_image_loxodromics(self):
         phi = KHom(SPEC_MIXED, HomImage(5, a=(0,), e=(1,)))
-        assert {fpword_str(w) for w in kernel_sample(phi, 1)} == {"a1", "a1^-1"}
+        assert {fpword_str(w) for w in kernel_words(phi, 1)} == {"a1", "a1^-1"}
         phi_nz = KHom(SPEC_MIXED, HomImage(5, a=(1,), e=(1,)))
-        assert kernel_sample(phi_nz, 1) == []
+        assert kernel_words(phi_nz, 1) == []
 
     def test_closed_under_inversion(self):
         phi = KHom(SPEC_PAIR, HomImage(5, a=(0,), tau=(0,), f=(1,)))
-        words = kernel_sample(phi, 3)
+        # four syllables, so that words such as t1 f1 a1 f1^4 reach the
+        # swap of the inverse (no kernel word of three has T_1 F_1)
+        words = kernel_words(phi, 4)
         wordset = set(words)
         assert words and all(inverse(SPEC_PAIR, w) in wordset for w in words)
+        assert FPWord(((("t", 1), 1), (("f", 1), 1), (("a", 1), 1),
+                       (("f", 1), 4))) in wordset
 
     def test_deterministic_order(self):
         phi = KHom(SPEC_INV, HomImage(2, e=(1, 1, 1)))
-        assert kernel_sample(phi, 3) == kernel_sample(phi, 3)
+        assert kernel_words(phi, 3) == kernel_words(phi, 3)
 
     def test_budget_guard(self):
         phi = KHom(SPEC_FREE, HomImage(5, a=(1, 0, 0, 0, 0, 0)))
         with pytest.raises(BudgetExceeded):
-            kernel_sample(phi, 4, budget=100)
+            kernel_words(phi, 4, budget=100)
 
     def test_budget_counts_every_candidate(self):
         # six free generators: 12 first syllables, then 10 after each one
         # (not the same symbol again), 12 + 120 + 1200 candidates up to 3
         phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))
-        assert kernel_sample(phi, 3, budget=1332)
+        assert kernel_words(phi, 3, budget=1332)
         with pytest.raises(BudgetExceeded) as exc:
-            kernel_sample(phi, 3, budget=1331)
+            kernel_words(phi, 3, budget=1331)
         assert (exc.value.required, exc.value.budget) == (1332, 1331)
         assert str(exc.value) == ("enumeration requires 1332 sampled words, "
                                   "exceeding budget 1331")
         # a refusal names the candidates through the level that crossed it
         with pytest.raises(BudgetExceeded) as exc:
-            kernel_sample(phi, 3, budget=100)
+            kernel_words(phi, 3, budget=100)
         assert exc.value.required == 132
 
     def test_refuses_before_building_any_payload(self):
+        # one product per edge of each level, as the walk's callers make
         phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))
-        alphabet = _syllable_alphabet(phi.spec)
         built = []
-
-        def extend_levels(budget):
-            # one product per edge of each level, as the walk's callers make
-            nodes, words = [()], []
-            for children, kernel in _kernel_walk(phi, 3, budget, alphabet):
-                nodes = [syls + (syl,)
-                         for syls, nxt in zip(nodes, children) for syl in nxt]
-                built.extend(nodes)
-                words += [nodes[i] for i in kernel]
-            return words
-
         with pytest.raises(BudgetExceeded):
-            extend_levels(1331)
+            kernel_words(phi, 3, 1331, built)
         assert built == []
         # one payload per trie node above the last level, one per word on it
-        words = extend_levels(1332)
+        words = kernel_words(phi, 3, 1332, built)
         assert len(built) == 12 + 120 + sum(len(w) == 3 for w in words)
-        assert [FPWord(w) for w in words] == kernel_sample(phi, 3)
 
     def test_walk_setup_does_not_grow_with_p(self):
         # a table with an entry per residue would need 10^9 of them here
         phi = KHom(spec_of(1000000008, 1000000007, 2, 0, 0),
                    HomImage(1000000007, a=(1, 0)))
-        assert [fpword_str(w) for w in kernel_sample(phi, 3)] == [
+        assert [fpword_str(w) for w in kernel_words(phi, 3)] == [
             "a2^-1", "a2", "a1^-1 a2^-1 a1", "a1^-1 a2 a1", "a1 a2^-1 a1^-1",
             "a1 a2 a1^-1"]
 
@@ -285,11 +237,11 @@ class TestKernelSample:
                 if (all(_may_follow(x, y) for (x, _), (y, _) in
                         zip(syls, syls[1:])) and kernel_membership(phi, w)):
                     want.append(w)
-        assert want and kernel_sample(phi, length) == want
+        assert want and kernel_words(phi, length) == want
 
     def test_all_members_nonidentity(self):
         phi = KHom(SPEC_MIXED, HomImage(5, a=(2,), e=(3,)))
-        words = kernel_sample(phi, 3)
+        words = kernel_words(phi, 3)
         assert words
         for w in words:
             assert w.syllables
@@ -414,6 +366,32 @@ class TestKernelPresentation:
             syllables = [[(k, i, e) for (k, i), e in w.syllables] for w in words]
             assert coset_index(tup.p, tup.t, tup.r, tup.s, syllables) == tup.p
 
+    def test_words_are_written_in_normal_form(self):
+        # every basis word passes the benchmark's own normal-form check and
+        # its text parses back to its syllables: over the certificate homs
+        # and, for every tuple with p <= 7 and g <= 30, the first
+        # normalized hom and one seeded hom with a and tau not all zero
+        rng = random.Random(28)
+        homs = [phi for kind in certificate_homs().values() for phi in kind]
+        for p in (2, 3, 5, 7):
+            for g in range(2, 31):
+                for tup in enumerate_tuples(g, p):
+                    spec = build_spec(tup)
+                    homs.append(next(normalized_homs(spec)))
+                    a = tuple(rng.randrange(p) for _ in range(tup.t))
+                    tau = tuple(rng.randrange(p) for _ in range(tup.s))
+                    if not any(a + tau):
+                        a, tau = (1,) * tup.t, (1,) * tup.s
+                    homs.append(KHom(spec, HomImage(
+                        p, a=a, e=tuple(rng.randrange(1, p) for _ in range(tup.r)),
+                        tau=tau, f=tuple(rng.randrange(1, p) for _ in range(tup.s)))))
+        assert len(homs) > 1000
+        for phi in homs:
+            for w in kernel_presentation(phi):
+                syllables = [(k, i, e) for (k, i), e in w.syllables]
+                assert is_normal_form(syllables, phi.spec.p), (phi, w)
+                assert parse_syllables(fpword_str(w)) == syllables
+
     def test_distinct_kernels_match_signatures(self):
         # over ALL valid images on a tiny spec, kernels (as sets of short
         # members) biject with scale-normalised signatures
@@ -424,7 +402,7 @@ class TestKernelPresentation:
             for e in (1, 2)
         ]
         kernels = {
-            frozenset(kernel_sample(phi, 3)) for phi in homs
+            frozenset(kernel_words(phi, 3)) for phi in homs
         }
         # a hom onto Z_p is fixed by its kernel up to a unit, so the image
         # vector scaled to make its first nonzero entry 1 names the kernel

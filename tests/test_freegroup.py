@@ -18,7 +18,6 @@ from schottky_strata.freegroup import (
     parse_word,
     schreier_kernel,
     verify_example1,
-    word_str,
 )
 
 
@@ -100,22 +99,11 @@ class TestReduce:
         assert W("abBa").letters == (1, 1)
 
     def test_conjugate_times_inverse(self):
-        assert (W("bbbaBBB") * W("bbbABBB")).letters == ()
+        assert FreeWord(2, W("bbbaBBB").letters
+                        + W("bbbABBB").letters).letters == ()
 
     def test_parse_examples(self):
         assert W("bAB").letters == (2, -1, -2)
-
-    def test_round_trip(self):
-        rng = random.Random(42)
-        for _ in range(200):
-            letters = []
-            for _ in range(rng.randint(0, 12)):
-                x = rng.choice([1, -1, 2, -2, 3, -3])
-                if letters and letters[-1] == -x:
-                    continue
-                letters.append(x)
-            w = FreeWord(3, tuple(letters))
-            assert parse_word(word_str(w), 3) == w
 
     @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30))
     @settings(max_examples=300)
@@ -124,10 +112,10 @@ class TestReduce:
         assert len(w.letters) <= len(letters)
         assert FreeWord(2, w.letters).letters == w.letters
 
-    def test_pow_and_inverse(self):
+    def test_inverse(self):
         w = W("ab")
-        assert (w**3).letters == (1, 2) * 3
-        assert (~w * w).letters == ()
+        assert (~w).letters == (-2, -1)
+        assert FreeWord(2, (~w).letters + w.letters).letters == ()
 
 
 class TestHomImage:
@@ -208,7 +196,7 @@ class TestFold:
         graph = fold(gens)
         assert membership(graph, W("A"))
         assert membership(graph, W("bbAba"))
-        assert membership(graph, W("bbAba") * W("A"))
+        assert membership(graph, W("bbAbaA"))
 
     def test_random_soundness_and_confluence(self):
         rng = random.Random(123)
@@ -226,11 +214,11 @@ class TestFold:
                 continue
             graph = fold(gens)
             for _ in range(10):
-                w = FreeWord(rank, ())
+                letters = ()
                 for _ in range(rng.randint(1, 6)):
                     g = rng.choice(gens)
-                    w = w * (g if rng.random() < 0.5 else ~g)
-                assert membership(graph, w)
+                    letters += (g if rng.random() < 0.5 else ~g).letters
+                assert membership(graph, FreeWord(rank, letters))
             shuffled = list(gens)
             rng.shuffle(shuffled)
             assert fold(shuffled) == graph
@@ -264,7 +252,7 @@ class TestFold:
             rng.shuffle(words)
             g = fold(words)
             assert g == base
-            seen.add(hash(g))
+            seen.add(g.key())
         assert len(seen) == 1
 
 
@@ -288,11 +276,11 @@ class TestMembership:
         rng = random.Random(3)
         words = data["c_words"]
         for _ in range(200):
-            w = FreeWord(2, ())
+            letters = ()
             for _ in range(rng.randint(1, 5)):
                 pick = rng.choice(words)
-                w = w * (pick if rng.random() < 0.5 else ~pick)
-            assert membership(self.graph, w)
+                letters += (pick if rng.random() < 0.5 else ~pick).letters
+            assert membership(self.graph, FreeWord(2, letters))
         for _ in range(200):
             letters = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 9))]
             w = FreeWord(2, tuple(letters))
@@ -307,7 +295,7 @@ class TestSchreier:
         assert len(gens) == 6 == 1 + 5 * (2 - 1)
         assert all(hom_image(phi, w) == (0,) for w in gens)
         # same subgroup as the positive-transversal basis {a^5, a^i b a^-i}
-        alt = [W("aaaaa")] + [W("a" * i) * W("b") * W("A" * i) for i in range(5)]
+        alt = [W("aaaaa")] + [W("a" * i + "b" + "A" * i) for i in range(5)]
         assert fold(gens) == fold(alt)
 
     def test_theta_kernel_size(self):

@@ -349,6 +349,15 @@ class TestBfsOrbitCount:
         with pytest.raises(ValueError, match="cannot be negative"):
             bfs_orbit_count(5, t, r, s)
 
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_action_without_inversion_refused(self, scale):
+        # the move set always inverts the e-block and the pairs: on
+        # (5; 0, 1, 1) it would give 4 orbits where the canonical count,
+        # which does not invert, gives 16
+        assert orbit_count_tuples(5, 1, 1, ActionSpec(False)) == 16
+        with pytest.raises(ValueError, match="without it is not supported"):
+            bfs_orbit_count(5, 0, 1, 1, ActionSpec(False, scale))
+
 
 class TestHomImageValidation:
     def test_zero_elliptic_rejected(self):

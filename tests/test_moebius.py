@@ -8,7 +8,7 @@ import pytest
 from schottky_strata import moebius
 from schottky_strata.homorbits import HomImage
 from schottky_strata.strata import AdmissibleTuple, enumerate_tuples
-from schottky_strata.cyclic_schottky import KHom, kernel_sample, normalized_homs
+from schottky_strata.cyclic_schottky import KHom, normalized_homs
 from schottky_strata.moebius import (
     MatrixGroupSpec,
     MobiusClass,
@@ -22,6 +22,7 @@ from schottky_strata.moebius import (
     order_check,
     purely_loxodromic_sample,
 )
+from test_cyclic_schottky import kernel_words
 
 
 def fixed_point_residual(m, z):
@@ -442,7 +443,7 @@ class TestPurelyLoxodromic:
                 for length in range(1, 5):
                     rep = purely_loxodromic_sample(mg, phi,
                                                    max_syllables=length)
-                    words = kernel_sample(phi, length)
+                    words = kernel_words(phi, length)
                     assert ([e["word"] for e in rep["words"]]
                             == [str(w) for w in words])
                     for entry, w in zip(rep["words"], words):
@@ -465,7 +466,7 @@ class TestPurelyLoxodromic:
             mg = build_matrix_group(AdmissibleTuple(g, p, t, r, s),
                                     separation=separation)
             for phi in itertools.islice(normalized_homs(mg.spec), 4):
-                words = kernel_sample(phi, 3)
+                words = kernel_words(phi, 3)
                 for eps in (1e-9, 10):
                     monkeypatch.setattr(moebius, "_EPS", eps)
                     rep = purely_loxodromic_sample(mg, phi, max_syllables=3)
