@@ -112,6 +112,43 @@ class TestGroupSpec:
 
 
 class TestNormalForm:
+    def test_alphabet_exponents(self):
+        # loxodromic syllables carry +-1, elliptic ones 1..p-1, in roster order
+        assert _syllable_alphabet(SPEC_PAIR) == (
+            [(("a", 1), -1), (("a", 1), 1), (("t", 1), -1), (("t", 1), 1)]
+            + [(("f", 1), c) for c in range(1, 5)])
+        assert _syllable_alphabet(SPEC_INV) == [(("e", j), 1) for j in (1, 2, 3)]
+
+    def test_may_follow(self):
+        assert _may_follow(None, ("f", 1))
+        assert not _may_follow(("a", 1), ("a", 1))
+        assert not _may_follow(("f", 1), ("t", 1))  # T_k is written first
+        assert _may_follow(("t", 1), ("f", 1))
+        assert _may_follow(("f", 1), ("t", 2))
+        assert _may_follow(("e", 1), ("e", 2))
+
+    def test_rule_agrees_with_the_independent_check(self):
+        # seeded raw syllable strings: the walk's rule (alphabet plus
+        # _may_follow) accepts exactly those that the benchmark's check
+        # accepts with loxodromic exponents +-1
+        spec = spec_of(14, 5, 1, 2, 1)
+        symbols, alphabet = spec.symbols(), set(_syllable_alphabet(spec))
+        rng = random.Random(77)
+        seen = set()
+        for _ in range(1500):
+            raw = [(rng.choice(symbols), rng.randint(-2, 5))
+                   for _ in range(rng.randint(0, 6))]
+            ours = (all(syl in alphabet for syl in raw)
+                    and all(_may_follow(x, y)
+                            for (x, _), (y, _) in zip(raw, raw[1:])))
+            flat = [(kind, idx, exp) for (kind, idx), exp in raw]
+            theirs = (is_normal_form(flat, spec.p)
+                      and all(abs(exp) == 1 for kind, _, exp in flat
+                              if kind in "at"))
+            assert ours == theirs, raw
+            seen.add(ours)
+        assert seen == {True, False}
+
     def test_round_trip(self):
         for syllables, text in [
             ([(("a", 1), 1)], "a1"),

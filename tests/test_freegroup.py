@@ -105,6 +105,29 @@ class TestReduce:
     def test_parse_examples(self):
         assert W("bAB").letters == (2, -1, -2)
 
+    def test_round_trip(self):
+        # parse_word reads back a..z / A..Z text written from the letters
+        rng = random.Random(42)
+        for _ in range(200):
+            letters = []
+            for _ in range(rng.randint(0, 12)):
+                x = rng.choice([1, -1, 2, -2, 3, -3])
+                if letters and letters[-1] == -x:
+                    continue
+                letters.append(x)
+            w = FreeWord(3, tuple(letters))
+            text = "".join(chr(ord("a" if x > 0 else "A") + abs(x) - 1)
+                           for x in letters)
+            assert parse_word(text, 3) == w
+
+    def test_rejects_foreign_letters(self):
+        with pytest.raises(ValueError):
+            parse_word("ab1", 2)
+        with pytest.raises(ValueError):
+            parse_word("abc", 2)  # c is outside rank 2
+        with pytest.raises(ValueError):
+            FreeWord(2, (1, 0))
+
     @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30))
     @settings(max_examples=300)
     def test_idempotent_and_nonincreasing(self, letters):
