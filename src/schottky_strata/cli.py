@@ -156,6 +156,8 @@ def _cmd_kernel(args):
     from .cyclic_schottky import (build_spec, fpword_str, kernel_membership,
                                   kernel_presentation)
     tup = _tuple_from_args(args)
+    # all g words and their text are held before any is written
+    within_budget(tup.g, _ROW_BUDGET, "basis words")
     spec = build_spec(tup)
     phi = _phi_from_args(spec, args.phi)
     words = kernel_presentation(phi)
@@ -259,9 +261,9 @@ def _cmd_build(args):
         matrices.append(
             {
                 "symbol": f"{sym[0]}{sym[1]}",
-                "matrix": [[z.real, z.imag] for z in m.entries()],
+                "matrix": [[z.real, z.imag] for z in m],
                 "center": [mg.centers[sym].real, mg.centers[sym].imag],
-                "class": classify(m).value,
+                "class": classify(m),
             }
         )
     results = {"tuple": tup._asdict(), "separation": args.separation,

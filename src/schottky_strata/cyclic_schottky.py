@@ -76,9 +76,6 @@ class FPWord:
 
     syllables: Tuple[Tuple[Symbol, int], ...]
 
-    def __len__(self):
-        return len(self.syllables)
-
     def __str__(self):
         return fpword_str(self)
 
@@ -106,12 +103,17 @@ class KHom:
             raise ValueError("modulus mismatch between spec and images")
         if (len(h.a), len(h.e), len(h.tau), len(h.f)) != (tup.t, tup.r, tup.s, tup.s):
             raise ValueError("image vector lengths do not match the roster")
+        blocks = {"a": h.a, "e": h.e, "t": h.tau, "f": h.f}
+        object.__setattr__(self, "_images", {
+            sym: blocks[sym[0]][sym[1] - 1] for sym in self.spec.symbols()})
 
     def image(self, sym):
-        kind, idx = sym
-        block = {"a": self.hom.a, "e": self.hom.e, "t": self.hom.tau,
-                 "f": self.hom.f}[kind]
-        return block[idx - 1]
+        """The image of the roster symbol ``sym``; ValueError for any other."""
+        try:
+            return self._images[sym]
+        except KeyError:
+            raise ValueError(f"{sym!r} is not a symbol of the roster of "
+                             f"{self.spec.tuple}") from None
 
 
 def kernel_membership(phi, w):

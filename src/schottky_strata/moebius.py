@@ -1,8 +1,9 @@
 """Double-precision Moebius transformations and matrix realisations of
 cyclic-Schottky structural data.
 
-Maps are unit-determinant 2x2 complex matrices up to sign; every test
-against the identity compares with both +I and -I.  Every factor is
+Maps are unit-determinant 2x2 complex matrices [[a, b], [c, d]] up to
+sign, each held as the tuple (a, b, c, d) of its complex entries; every
+test against the identity compares with both +I and -I.  Every factor is
 built unit-determinant from one closed form, so no matrix is
 renormalised.  Classification and order are trace tests within the one
 fixed tolerance ``_EPS``; commutation is a test relative to the pair's own
@@ -12,7 +13,6 @@ entries, ``commute``, the same at every scale.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -21,8 +21,6 @@ from .cyclic_schottky import (GroupSpec, _kernel_walk, _syllable_alphabet,
                               _syllable_str, build_spec)
 
 __all__ = [
-    "MobiusClass",
-    "MobiusMap",
     "MatrixGroupSpec",
     "classify",
     "commute",
@@ -33,63 +31,33 @@ __all__ = [
 ]
 
 
-class MobiusClass(enum.Enum):
-    LOXODROMIC = "loxodromic"
-    ELLIPTIC = "elliptic"
-    PARABOLIC = "parabolic"
-    IDENTITY = "identity"
+def _mul(m, n):
+    """The product m n of two maps."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-class MobiusMap:
-    """Matrix [[a, b], [c, d]], taken as given: callers pass determinant 1."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = (complex(a), complex(b), complex(c),
-                                          complex(d))
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def trace(self):
-        return self.a + self.d
-
-    def __mul__(self, other):
-        m = object.__new__(MobiusMap)  # complex entries: nothing to convert
-        m.a = self.a * other.a + self.b * other.c
-        m.b = self.a * other.b + self.b * other.d
-        m.c = self.c * other.a + self.d * other.c
-        m.d = self.c * other.b + self.d * other.d
-        return m
-
-    def inverse(self):
-        # determinant is 1, so the adjugate is the inverse
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = MobiusMap(1, 0, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square past the top bit
-                base = base * base
-        return result
-
-    def __repr__(self):
-        return f"MobiusMap({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
-
-
-def dist_to_unit(m):
-    """min(||M - I||, ||M + I||) in the Frobenius norm (PSL sign folded)."""
-    return _dist_to_unit(m.a, abs(m.b) ** 2, abs(m.c) ** 2, m.d)
+def _power(m, k):
+    """m^k: from the identity, m's repeated squares multiplied on the
+    right, one per set bit of k, lowest first; no square past the top
+    bit.  A negative k raises the adjugate, the inverse at determinant 1."""
+    if k < 0:
+        a, b, c, d = m
+        return _power((d, -b, -c, a), -k)
+    result = (1 + 0j, 0j, 0j, 1 + 0j)
+    while k:
+        if k & 1:
+            result = _mul(result, m)
+        k >>= 1
+        if k:
+            m = _mul(m, m)
+    return result
 
 
 def _dist_to_unit(a, b2, c2, d):
+    """min(||M - I||, ||M + I||) in the Frobenius norm (PSL sign folded),
+    from a, |b|^2, |c|^2 and d."""
     # the squares are added left to right (_classify relies on the order)
     plus = math.sqrt(abs(a - 1) ** 2 + b2 + c2 + abs(d - 1) ** 2)
     minus = math.sqrt(abs(a + 1) ** 2 + b2 + c2 + abs(d + 1) ** 2)
@@ -99,30 +67,28 @@ def _dist_to_unit(a, b2, c2, d):
 # the tolerance of every trace test, read at call time
 _EPS = 1e-9
 
-# the class names, read once: an Enum's .value is a property lookup
-_LOXODROMIC, _ELLIPTIC, _PARABOLIC, _IDENTITY = (c.value for c in MobiusClass)
-
 
 def classify(m):
-    """Trace classification, identity and parabolic first.
+    """The class name of map m by its trace, identity and parabolic first.
 
-    IDENTITY within eps = _EPS of +-I; PARABOLIC when tr^2 is within eps
-    of 4; ELLIPTIC when tr^2 is real within eps and lies in [0, 4-eps];
-    LOXODROMIC otherwise.  ``_classify`` applies the rule to the entries.
+    "identity" within eps = _EPS of +-I; "parabolic" when tr^2 is within
+    eps of 4; "elliptic" when tr^2 is real within eps and lies in
+    [0, 4-eps]; "loxodromic" otherwise.  ``_classify`` applies the rule
+    to the entries.
     """
-    return MobiusClass(_classify(m.a, m.b, m.c, m.d))
+    return _classify(*m)
 
 
 def _classify(a, b, c, d):
     """The name of ``classify``'s class of [[a, b], [c, d]], trace first.
 
     With x + iy the computed tr^2 and the margin M = (8 eps + 4 eps^2)
-    (1 + 2^-20) + 2^-40, LOXODROMIC is returned at once when x - 4 > M,
+    (1 + 2^-20) + 2^-40, "loxodromic" is returned at once when x - 4 > M,
     |y| > M, or x < -eps and 4 - x > M, and |b|, |c| < 1e150, so that
     their squares cannot overflow.  Each puts tr^2 outside the elliptic
     band and, as M > eps and the computed |tr^2 - 4| is at least |x - 4|
     and |y|, outside the parabolic one.  No matrix that the full rule
-    calls IDENTITY passes.  Take +I (for -I swap tr - 2 and tr + 2): the
+    calls "identity" passes.  Take +I (for -I swap tr - 2 and tr + 2): the
     computed distance bounds each computed term of its sum, as rounding
     is monotone, so |a - 1| and |d - 1| are at most eps' = eps (1 + 6u),
     u = 2^-53 (the sqrt, the square, hypot within an ulp, a - 1).  Then
@@ -132,10 +98,10 @@ def _classify(a, b, c, d):
     under 30u (1 + eps)^2 + 20u (8 eps + 4 eps^2) in all, which 2^-40
     covers for eps <= 1 and 2^-20 (8 eps + 4 eps^2) for eps > 1.
 
-    Every other matrix takes the full rule, IDENTITY, PARABOLIC, ELLIPTIC,
-    then LOXODROMIC, as above.  Its identity test first compares
+    Every other matrix takes the full rule, identity, parabolic, elliptic,
+    then loxodromic, as above.  Its identity test first compares
     sqrt(|b|^2 + |c|^2) with eps, which decides it exactly when that
-    exceeds eps: each left-to-right partial sum in ``dist_to_unit`` is at
+    exceeds eps: each left-to-right partial sum in ``_dist_to_unit`` is at
     least fl(|b|^2 + |c|^2), so both distances to +-I exceed eps too (NaN
     fails both).  OverflowError is raised exactly when |b|^2, |c|^2 or,
     off +-I, tr^2 overflows: the shortcut takes none of those.
@@ -151,17 +117,17 @@ def _classify(a, b, c, d):
         if ((x - 4 > margin or abs(tr2.imag) > margin
              or x < -eps and 4 - x > margin)
                 and abs(b) < 1e150 and abs(c) < 1e150):
-            return _LOXODROMIC
+            return "loxodromic"
     b2, c2 = abs(b) ** 2, abs(c) ** 2
     if math.sqrt(b2 + c2) <= eps and _dist_to_unit(a, b2, c2, d) <= eps:
-        return _IDENTITY
+        return "identity"
     if tr2 is None:
         tr2 = (a + d) ** 2
     if abs(tr2 - 4) <= eps:
-        return _PARABOLIC
+        return "parabolic"
     if abs(tr2.imag) <= eps and -eps <= tr2.real <= 4 - eps:
-        return _ELLIPTIC
-    return _LOXODROMIC
+        return "elliptic"
+    return "loxodromic"
 
 
 def order_check(m, p):
@@ -171,7 +137,7 @@ def order_check(m, p):
     the nearest such k is read from the trace and the trace is compared
     with 2 cos(k pi / p) within _EPS; no power of M is taken.
     """
-    tr = m.trace()
+    tr = m[0] + m[3]
     k = round(p * math.acos(min(1.0, max(-1.0, tr.real / 2))) / math.pi)
     return (0 < k < p and abs(tr.imag) <= _EPS
             and abs(tr.real - 2 * math.cos(k * math.pi / p)) <= _EPS)
@@ -190,8 +156,8 @@ def commute(m1, m2):
     it commutes exactly; fl(a - d) errs by 5u (|a| + |d|), b and c by u, so
     a product errs by (6 + sqrt 5) u of its term, the subtraction u: 9.3u.
     """
-    s, t = [((m.a - m.d, abs(m.a) + abs(m.d)), (m.b, abs(m.b)),
-             (m.c, abs(m.c))) for m in (m1, m2)]
+    s, t = [((a - d, abs(a) + abs(d)), (b, abs(b)), (c, abs(c)))
+            for a, b, c, d in (m1, m2)]
     return all(abs(s[i][0] * t[j][0] - s[j][0] * t[i][0])
                <= _PARALLEL_TOL * (s[i][1] * t[j][1] + s[j][1] * t[i][1])
                for i, j in ((0, 1), (0, 2), (1, 2)))
@@ -214,9 +180,12 @@ def _factor(center, half, ch, sh):
     couple of ulps at distant centers.
     """
     k = center / half
-    # -sh, not the negated product: a rotation's zero real part stays +0.0
-    return MobiusMap(ch + sh * k, -sh * ((center * center - half * half) / half),
-                     sh / half, ch - sh * k)
+    # -sh, not the negated product: a rotation's zero real part stays +0.0;
+    # complex entries, as a float one would change the products' signed
+    # zeros and NaNs
+    return tuple(map(complex, (
+        ch + sh * k, -sh * ((center * center - half * half) / half),
+        sh / half, ch - sh * k)))
 
 
 @dataclass(frozen=True)
@@ -224,7 +193,7 @@ class MatrixGroupSpec:
     """Concrete matrices for a GroupSpec, one per roster symbol."""
 
     spec: GroupSpec
-    matrices: Dict[Tuple[str, int], MobiusMap]
+    matrices: Dict[Tuple[str, int], Tuple[complex, ...]]  # (a, b, c, d)
     centers: Dict[Tuple[str, int], complex]
 
 
@@ -253,7 +222,7 @@ def build_matrix_group(tup, separation=10.0):
 
     def place(sym, center, half, ch_sh):
         m = _factor(center, half, *ch_sh)
-        if not all(map(cmath.isfinite, (center, *m.entries()))):
+        if not all(map(cmath.isfinite, (center, *m))):
             raise ValueError(f"separation {separation} places {sym[0]}"
                              f"{sym[1]} beyond double precision")
         matrices[sym] = m
@@ -287,13 +256,13 @@ def matrix_group_defects(mg):
     for sym, m in mg.matrices.items():
         cls = classify(m)
         if sym[0] in ("a", "t"):
-            if cls is not MobiusClass.LOXODROMIC:
-                defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not loxodromic")
+            if cls != "loxodromic":
+                defects.append(f"{sym[0]}{sym[1]} is {cls}, not loxodromic")
             continue
         if not order_check(m, p):
             defects.append(f"{sym[0]}{sym[1]} does not have order {p}")
-        if cls is not MobiusClass.ELLIPTIC:
-            defects.append(f"{sym[0]}{sym[1]} is {cls.value}, not elliptic")
+        if cls != "elliptic":
+            defects.append(f"{sym[0]}{sym[1]} is {cls}, not elliptic")
     for k in range(1, mg.spec.tuple.s + 1):
         if not commute(mg.matrices[("t", k)], mg.matrices[("f", k)]):
             defects.append(f"pair {k} fails to commute")
@@ -319,13 +288,13 @@ def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
     factors = []
     for syl in _syllable_alphabet(phi.spec):
         word = _syllable_str(syl)
-        power = mg.matrices[syl[0]] ** syl[1]
-        factors.append((*power.entries(), word, " " + word))
+        power = _power(mg.matrices[syl[0]], syl[1])
+        factors.append((*power, word, " " + word))
     nodes = [(1 + 0j, 0j, 0j, 1 + 0j, "")]
     words = []
     for children, kernel in _kernel_walk(phi, max_syllables, budget, factors):
-        # MobiusMap.__mul__'s products; str(w) from syllable texts written
-        # once (a test pins both)
+        # _mul's products; str(w) from syllable texts written once (a test
+        # pins both)
         nodes = [(a * fa + b * fc, a * fb + b * fd, c * fa + d * fc,
                   c * fb + d * fd, text + spaced if text else word)
                  for (a, b, c, d, text), nxt in zip(nodes, children)
@@ -341,7 +310,7 @@ def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
         cls = _classify(a, b, c, d)
         entry = {"word": text, "class": cls, "trace": [tr.real, tr.imag]}
         entries.append(entry)
-        if cls is not _LOXODROMIC:
+        if cls != "loxodromic":
             violations.append(entry)
     return {
         "passed": not violations,

@@ -214,10 +214,6 @@ class AdmissibleTuple(namedtuple("AdmissibleTuple", "g p t r s")):
     # solved from the relation for a (g, p) that passed _validate_gp
     _from_relation = classmethod(tuple.__new__)
 
-    @property
-    def trs(self):
-        return (self.t, self.r, self.s)
-
     def __str__(self):
         return f"({self.g},{self.p};{self.t},{self.r},{self.s})"
 

@@ -55,6 +55,11 @@ _BUDGET_BEFORE_OVERFLOW = [
     "loxcheck", "--g", "4", "--p", "5", "--t", "0", "--r", "2", "--s", "0",
     "--separation", "1e70", "--max-syllables", "3", "--budget", "100"]
 
+# a basis of 10^9 + 6 words: refused by its size before any hom is made
+_KERNEL_PAST_THE_ROW_BUDGET = [
+    "kernel", "--g", "1000000006", "--p", "1000000007", "--t", "0", "--r", "2",
+    "--s", "0"]
+
 
 def run_json(argv):
     code, envelope, text = run(argv)
@@ -165,6 +170,7 @@ class TestExitCodes:
             *(argv for argv, _what in _TEXT_LIMIT_CASES),
             *_ROW_COUNT_PAST_THE_TEXT_LIMIT,
             _BUDGET_BEFORE_OVERFLOW,
+            _KERNEL_PAST_THE_ROW_BUDGET,
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -176,6 +182,10 @@ class TestExitCodes:
             # 8 syllables, then 4 after each on levels 2 and 3
             assert err == ("error: enumeration requires 168 sampled words, "
                            "exceeding budget 100; raise it with --budget\n")
+        if argv == _KERNEL_PAST_THE_ROW_BUDGET:
+            # kernel takes no --budget flag, so no hint names one
+            assert err == ("error: enumeration requires 1000000006 basis "
+                           "words, exceeding budget 1000000\n")
 
     @pytest.mark.parametrize("flag,value", [("--curve", '{"p":5}'),
                                             ("--tolerance", "1e-9")])

@@ -180,6 +180,16 @@ class TestKernelMembership:
         with pytest.raises(ValueError):
             KHom(SPEC_MIXED, HomImage(5, a=(0, 0), e=(1,)))
 
+    @pytest.mark.parametrize("sym", [("e", 0), ("e", 2), ("t", 1), ("x", 1)])
+    def test_symbol_off_the_roster_rejected(self, sym):
+        # e0 once read e1's image (index -1), so e0^5 passed as a member;
+        # t1 raised a bare IndexError and the unknown kind x a KeyError
+        phi = KHom(SPEC_MIXED, HomImage(5, a=(0,), e=(1,)))
+        with pytest.raises(ValueError, match="not a symbol of the roster") as exc:
+            kernel_membership(phi, FPWord(((sym, 5),)))
+        assert repr(sym) in str(exc.value)
+        assert phi.image(("e", 1)) == 1
+
 
 class TestKernelSample:
     def test_involution_pairs(self):
@@ -239,7 +249,7 @@ class TestKernelSample:
         assert built == []
         # one payload per trie node above the last level, one per word on it
         words = kernel_words(phi, 3, 1332, built)
-        assert len(built) == 12 + 120 + sum(len(w) == 3 for w in words)
+        assert len(built) == 12 + 120 + sum(len(w.syllables) == 3 for w in words)
 
     def test_walk_setup_does_not_grow_with_p(self):
         # a table with an entry per residue would need 10^9 of them here

@@ -11,13 +11,13 @@ from schottky_strata.strata import AdmissibleTuple, enumerate_tuples
 from schottky_strata.cyclic_schottky import KHom, normalized_homs
 from schottky_strata.moebius import (
     MatrixGroupSpec,
-    MobiusClass,
-    MobiusMap,
+    _dist_to_unit,
     _factor,
+    _mul,
+    _power,
     build_matrix_group,
     classify,
     commute,
-    dist_to_unit,
     matrix_group_defects,
     order_check,
     purely_loxodromic_sample,
@@ -25,14 +25,40 @@ from schottky_strata.moebius import (
 from test_cyclic_schottky import kernel_words
 
 
+CLASSES = {"identity", "parabolic", "elliptic", "loxodromic"}
+
+
+def mobius(a, b, c, d):
+    """The map [[a, b], [c, d]], its entries made complex as ``_factor``
+    makes them."""
+    return tuple(map(complex, (a, b, c, d)))
+
+
+def conjugate(u, m):
+    """u m u^-1, with u^-1 the adjugate of the unit-determinant u."""
+    a, b, c, d = u
+    return _mul(_mul(u, m), (d, -b, -c, a))
+
+
+def dist_to_unit(m):
+    """min(||M - I||, ||M + I||) in the Frobenius norm."""
+    a, b, c, d = m
+    return _dist_to_unit(a, abs(b) ** 2, abs(c) ** 2, d)
+
+
+def trace(m):
+    return m[0] + m[3]
+
+
 def fixed_point_residual(m, z):
     """|c z^2 + (d - a) z - b|: zero exactly when m fixes the finite z."""
-    return abs(m.c * z * z + (m.d - m.a) * z - m.b)
+    a, b, c, d = m
+    return abs(c * z * z + (d - a) * z - b)
 
 
 def rot(p):
     ph = cmath.exp(1j * math.pi / p)
-    return MobiusMap(ph, 0, 0, 1 / ph)
+    return mobius(ph, 0, 0, 1 / ph)
 
 
 def random_unimodular(rng):
@@ -40,37 +66,36 @@ def random_unimodular(rng):
         a, b, c = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
         if abs(a) > 0.2:
             d = (1 + b * c) / a
-            return MobiusMap(a, b, c, d)
+            return mobius(a, b, c, d)
 
 
 class TestClassify:
     def test_diagonal_loxodromic(self):
-        assert classify(MobiusMap(2, 0, 0, 0.5)) is MobiusClass.LOXODROMIC
+        assert classify(mobius(2, 0, 0, 0.5)) == "loxodromic"
 
     def test_translation_parabolic(self):
-        assert classify(MobiusMap(1, 1, 0, 1)) is MobiusClass.PARABOLIC
+        assert classify(mobius(1, 1, 0, 1)) == "parabolic"
 
     def test_order5_rotation_elliptic(self):
-        assert classify(rot(5)) is MobiusClass.ELLIPTIC
+        assert classify(rot(5)) == "elliptic"
 
     def test_identity_both_signs(self):
-        assert classify(MobiusMap(1, 0, 0, 1)) is MobiusClass.IDENTITY
-        assert classify(MobiusMap(-1, 0, 0, -1)) is MobiusClass.IDENTITY
+        assert classify(mobius(1, 0, 0, 1)) == "identity"
+        assert classify(mobius(-1, 0, 0, -1)) == "identity"
 
     def test_conjugation_invariance(self):
         rng = random.Random(17)
         samples = [
-            MobiusMap(2, 0, 0, 0.5),
+            mobius(2, 0, 0, 0.5),
             rot(5),
             rot(7),
-            MobiusMap(1, 1, 0, 1),
-            MobiusMap(3 + 1j, 1, 0, 1 / (3 + 1j)),
+            mobius(1, 1, 0, 1),
+            mobius(3 + 1j, 1, 0, 1 / (3 + 1j)),
         ]
         for _ in range(1000):
             u = random_unimodular(rng)
             m = rng.choice(samples)
-            conj = u * m * u.inverse()
-            assert classify(conj) is classify(m)
+            assert classify(conjugate(u, m)) == classify(m)
 
     def test_identity_pretest_matches_distance(self, monkeypatch):
         # classify tests |b|^2 + |c|^2 before dist_to_unit; near +-I, at the
@@ -92,37 +117,38 @@ class TestClassify:
                     entries = [a, b, c, d]
                     entries[rng.randrange(4)] = complex(rng.choice(nonfinite), 0)
                     a, b, c, d = entries
-                m = MobiusMap(sign + a, b, c, sign + d)
+                m = mobius(sign + a, b, c, sign + d)
                 want = dist_to_unit(m) <= eps
-                got = classify(m) is MobiusClass.IDENTITY
+                got = classify(m) == "identity"
                 assert got == want, (eps, m)
                 seen.add(want)
             # |b| or |c| at eps itself, with a = d = +-1: on the boundary
             for sign in (1, -1):
                 for b, c in ((eps, 0), (0, eps), (0, -1j * eps)):
-                    m = MobiusMap(sign, b, c, sign)
-                    assert (classify(m) is MobiusClass.IDENTITY) == (
+                    m = mobius(sign, b, c, sign)
+                    assert (classify(m) == "identity") == (
                         dist_to_unit(m) <= eps), (eps, m)
         assert seen == {True, False}
         monkeypatch.setattr(moebius, "_EPS", 0.5)
-        assert classify(MobiusMap(1, 0.5, 0, 1)) is MobiusClass.IDENTITY
+        assert classify(mobius(1, 0.5, 0, 1)) == "identity"
 
 
 def full_rule(m, eps):
     """classify's rule in full, with no trace-first shortcut: identity
     (pretest, then both Frobenius distances), parabolic, elliptic,
     loxodromic."""
-    b2, c2 = abs(m.b) ** 2, abs(m.c) ** 2
+    a, b, c, d = m
+    b2, c2 = abs(b) ** 2, abs(c) ** 2
     if math.sqrt(b2 + c2) <= eps and min(
-            math.sqrt(abs(m.a - 1) ** 2 + b2 + c2 + abs(m.d - 1) ** 2),
-            math.sqrt(abs(m.a + 1) ** 2 + b2 + c2 + abs(m.d + 1) ** 2)) <= eps:
-        return MobiusClass.IDENTITY
-    tr2 = (m.a + m.d) ** 2
+            math.sqrt(abs(a - 1) ** 2 + b2 + c2 + abs(d - 1) ** 2),
+            math.sqrt(abs(a + 1) ** 2 + b2 + c2 + abs(d + 1) ** 2)) <= eps:
+        return "identity"
+    tr2 = (a + d) ** 2
     if abs(tr2 - 4) <= eps:
-        return MobiusClass.PARABOLIC
+        return "parabolic"
     if abs(tr2.imag) <= eps and -eps <= tr2.real <= 4 - eps:
-        return MobiusClass.ELLIPTIC
-    return MobiusClass.LOXODROMIC
+        return "elliptic"
+    return "loxodromic"
 
 
 def _outcome(rule, m):
@@ -147,7 +173,7 @@ class TestTraceFirst:
         for _ in range(1500):
             sign = rng.choice((1, -1))
             scale = eps * rng.choice((0.1, 0.3, 0.5, 0.7, 1, 2))
-            yield MobiusMap(near(sign, scale), near(0, scale), near(0, scale),
+            yield mobius(near(sign, scale), near(0, scale), near(0, scale),
                             near(sign, scale))
             # tr^2 = 4 + x + iy, x across the band and past it, y near 0
             x = rng.choice((rng.uniform(eps, band), band * (1 + 1e-15),
@@ -156,23 +182,23 @@ class TestTraceFirst:
             y = rng.choice((0, rng.gauss(0, eps * 1e-3), rng.gauss(0, eps)))
             half = sign * cmath.sqrt(4 + complex(x, y)) / 2
             off = rng.choice((0, 0.1, 0.5, 1, 3)) * eps
-            yield MobiusMap(half + near(0, off), near(0, off), near(0, off),
+            yield mobius(half + near(0, off), near(0, off), near(0, off),
                             half + near(0, off))
             # |Im tr^2| within a few ulps of eps, Re tr^2 inside [0, 4]
             im = eps * rng.choice((1, 1 + 1e-15, 1 - 1e-15, 1 + 1e-9))
             half = cmath.sqrt(complex(rng.uniform(-eps, 4),
                                       rng.choice((im, -im)))) / 2
-            yield MobiusMap(half, near(0, 1), near(0, 1), half)
+            yield mobius(half, near(0, 1), near(0, 1), half)
             u = random_unimodular(rng)
-            yield u * rng.choice((rot(5), rot(7), MobiusMap(1, 1, 0, 1),
-                                  MobiusMap(2, 0, 0, 0.5))) * u.inverse()
+            yield conjugate(u, rng.choice((rot(5), rot(7), mobius(1, 1, 0, 1),
+                                          mobius(2, 0, 0, 0.5))))
         for big in (1e153, 1e154, 1.4e154, 1e200, 1e308):
             for entry in range(4):
                 entries = [2, 1, 0.5, 1]
                 entries[entry] = big * rng.choice((1, -1, 1j, -1j))
-                yield MobiusMap(*entries)
-            yield MobiusMap(1, big * (1 + 1j), 0, 1)
-            yield MobiusMap(3, 0, big, 0.5)
+                yield mobius(*entries)
+            yield mobius(1, big * (1 + 1j), 0, 1)
+            yield mobius(3, 0, big, 0.5)
 
     def test_classify_matches_the_full_rule(self, monkeypatch):
         rng = random.Random(27)
@@ -183,14 +209,14 @@ class TestTraceFirst:
                 want = _outcome(lambda m: full_rule(m, eps), m)
                 assert _outcome(classify, m) == want, (eps, m)
                 seen.add(want)
-            assert seen == {*MobiusClass, OverflowError}, eps
+            assert seen == {*CLASSES, OverflowError}, eps
 
     def test_identity_beyond_eps_of_four(self):
         # tr^2 - 4 is about 3.2e-9 > eps: a shortcut whose margin were eps
         # would call this loxodromic
-        m = MobiusMap(1 + 4e-10, 0, 0, 1 + 4e-10)
-        assert abs(m.trace() ** 2 - 4) > moebius._EPS
-        assert classify(m) is MobiusClass.IDENTITY
+        m = mobius(1 + 4e-10, 0, 0, 1 + 4e-10)
+        assert abs(trace(m) ** 2 - 4) > moebius._EPS
+        assert classify(m) == "identity"
 
 
 class TestOrderCheck:
@@ -198,20 +224,20 @@ class TestOrderCheck:
         assert order_check(rot(5), 5)
 
     def test_loxodromic_fails(self):
-        assert not order_check(MobiusMap(2, 0, 0, 0.5), 5)
+        assert not order_check(mobius(2, 0, 0, 0.5), 5)
 
     def test_quarter_turn_is_involution(self):
-        assert order_check(MobiusMap(0, 1, -1, 0), 2)
+        assert order_check(mobius(0, 1, -1, 0), 2)
 
     def test_identity_not_of_order_p(self):
-        assert not order_check(MobiusMap(1, 0, 0, 1), 5)
+        assert not order_check(mobius(1, 0, 0, 1), 5)
 
     def test_far_half_turn_passes_by_its_trace(self):
         # the half turn about 2000 -+ 0.1i has norm ~4e7: its square misses
         # -I by more than 1e-8, but its trace is 0 to rounding
         mg = build_matrix_group(AdmissibleTuple(2, 2, 0, 3, 0), separation=1e3)
         m = mg.matrices[("e", 3)]
-        assert dist_to_unit(m**2) > 1e-8
+        assert dist_to_unit(_power(m, 2)) > 1e-8
         assert order_check(m, 2)
 
 
@@ -219,29 +245,79 @@ class TestNormalization:
     def test_determinant_unit_scale(self):
         rng = random.Random(3)
         for _ in range(500):
-            m = random_unimodular(rng)
-            assert abs(m.a * m.d - m.b * m.c - 1) <= 1e-12
+            a, b, c, d = random_unimodular(rng)
+            assert abs(a * d - b * c - 1) <= 1e-12
+
+
+# the entries of two builds, (real imag) in float.hex, as first written
+_PINNED_ENTRIES = {
+    ((14, 5, 1, 2, 1), 10.0): {
+        "a1": ("0x1.91aaaaaaaaaabp+8 0x0.0p+0", "-0x1.76feeeeeeeeeep+13 0x0.0p+0",
+               "0x1.aaaaaaaaaaaaap+3 0x0.0p+0", "-0x1.8e55555555555p+8 0x0.0p+0"),
+        "e1": ("0x1.9e3779b97f4a8p-1 0x0.0p+0", "-0x1.e183807222a32p-5 0x0.0p+0",
+               "0x1.782ebc592b0f5p+2 0x0.0p+0", "0x1.9e3779b97f4a8p-1 0x0.0p+0"),
+        "e2": ("0x1.dcb349565bd06p+5 0x0.0p+0", "-0x1.25ec0933ab6c9p+9 0x0.0p+0",
+               "0x1.782ebc592b0f5p+2 0x0.0p+0", "-0x1.cfc18d888fd60p+5 0x0.0p+0"),
+        "t1": ("0x1.0c55555555555p+8 0x0.0p+0", "-0x1.4d53333333333p+12 0x0.0p+0",
+               "0x1.aaaaaaaaaaaaap+3 0x0.0p+0", "-0x1.08fffffffffffp+8 0x0.0p+0"),
+        "f1": ("0x1.9e3779b97f4a8p-1 0x1.d63a6b6f75d33p+6",
+               "0x0.0p+0 -0x1.25e2a1a22931ep+11", "0x0.0p+0 0x1.782ebc592b0f5p+2",
+               "0x1.9e3779b97f4a8p-1 -0x1.d63a6b6f75d33p+6"),
+    },
+    ((26, 5, 6, 0, 0), 1000000.0): {
+        "a1": ("0x1.aaaaaaaaaaaabp+0 0x0.0p+0", "0x1.1111111111112p-3 0x0.0p+0",
+               "0x1.aaaaaaaaaaaaap+3 0x0.0p+0", "0x1.aaaaaaaaaaaabp+0 0x0.0p+0"),
+        "a2": ("0x1.96e6adfffffffp+23 0x0.0p+0", "-0x1.840d131aaaa65p+43 0x0.0p+0",
+               "0x1.aaaaaaaaaaaaap+3 0x0.0p+0", "-0x1.96e6a75555555p+23 0x0.0p+0"),
+        "a3": ("0x1.96e6ac5555555p+24 0x0.0p+0", "-0x1.840d131aaaa99p+45 0x0.0p+0",
+               "0x1.aaaaaaaaaaaaap+3 0x0.0p+0", "-0x1.96e6a8fffffffp+24 0x0.0p+0"),
+        "a4": ("0x1.312d00d555555p+25 0x0.0p+0", "-0x1.b48eb57dffff6p+46 0x0.0p+0",
+               "0x1.aaaaaaaaaaaaap+3 0x0.0p+0", "-0x1.312cff2aaaaabp+25 0x0.0p+0"),
+        "a5": ("0x1.96e6ab7ffffffp+25 0x0.0p+0", "-0x1.840d131aaaaa6p+47 0x0.0p+0",
+               "0x1.aaaaaaaaaaaaap+3 0x0.0p+0", "-0x1.96e6a9d555555p+25 0x0.0p+0"),
+        "a6": ("0x1.fca0562aaaaaap+25 0x0.0p+0", "-0x1.2f2a36ecd5552p+48 0x0.0p+0",
+               "0x1.aaaaaaaaaaaaap+3 0x0.0p+0", "-0x1.fca0548000000p+25 0x0.0p+0"),
+    },
+}
 
 
 class TestBuildMatrixGroup:
+    def test_entries_are_complex(self):
+        # a float entry would change the signed zeros and NaNs of products
+        for args in [(2, 2, 0, 3, 0), (5, 5, 0, 1, 1), (9, 3, 1, 1, 2),
+                     (14, 5, 1, 2, 1), (26, 5, 6, 0, 0)]:
+            for separation in (1e-3, 10, 1e6):
+                mg = build_matrix_group(AdmissibleTuple(*args),
+                                        separation=separation)
+                for m in mg.matrices.values():
+                    assert type(m) is tuple and len(m) == 4
+                    assert all(type(z) is complex for z in m), (args, m)
+
+    @pytest.mark.parametrize("args,separation", list(_PINNED_ENTRIES))
+    def test_entries_are_pinned(self, args, separation):
+        mg = build_matrix_group(AdmissibleTuple(*args), separation=separation)
+        got = {f"{kind}{j}": tuple(f"{z.real.hex()} {z.imag.hex()}" for z in m)
+               for (kind, j), m in mg.matrices.items()}
+        assert got == _PINNED_ENTRIES[args, separation]
+
     def test_three_half_turns(self):
         mg = build_matrix_group(AdmissibleTuple(2, 2, 0, 3, 0))
         assert [mg.centers[("e", j)] for j in (1, 2, 3)] == [0, 10, 20]
         for j in (1, 2, 3):
             m = mg.matrices[("e", j)]
             assert order_check(m, 2)
-            assert abs(m.trace()) <= 1e-12  # half turn
+            assert abs(trace(m)) <= 1e-12  # half turn
 
     def test_mixed_build(self):
         mg = build_matrix_group(AdmissibleTuple(5, 5, 1, 1, 0))
-        assert classify(mg.matrices[("a", 1)]) is MobiusClass.LOXODROMIC
-        assert classify(mg.matrices[("e", 1)]) is MobiusClass.ELLIPTIC
+        assert classify(mg.matrices[("a", 1)]) == "loxodromic"
+        assert classify(mg.matrices[("e", 1)]) == "elliptic"
         assert order_check(mg.matrices[("e", 1)], 5)
 
     def test_loxodromic_trace_margin(self):
         mg = build_matrix_group(AdmissibleTuple(26, 5, 6, 0, 0))
         for j in range(1, 7):
-            assert abs(mg.matrices[("a", j)].trace()) > 2 + 1e-6
+            assert abs(trace(mg.matrices[("a", j)])) > 2 + 1e-6
 
     @pytest.mark.parametrize("args,himg", [
         ((2, 2, 0, 1, 1), None),
@@ -253,8 +329,8 @@ class TestBuildMatrixGroup:
         for k in range(1, tup.s + 1):
             t_m, f_m = mg.matrices[("t", k)], mg.matrices[("f", k)]
             assert commute(t_m, f_m)
-            assert dist_to_unit(f_m**tup.p) <= 1e-8
-            assert classify(t_m) is MobiusClass.LOXODROMIC
+            assert dist_to_unit(_power(f_m, tup.p)) <= 1e-8
+            assert classify(t_m) == "loxodromic"
             # both fix the real pair center -+ 0.1
             center = mg.centers[("t", k)]
             for m in (t_m, f_m):
@@ -277,7 +353,7 @@ class TestBuildMatrixGroup:
             for sym, m in mg.matrices.items():
                 if sym[0] in ("e", "f"):
                     assert order_check(m, p)
-                    assert classify(m) is MobiusClass.ELLIPTIC
+                    assert classify(m) == "elliptic"
 
 
     def test_defects_name_each_broken_invariant(self, monkeypatch):
@@ -339,10 +415,10 @@ class TestBuildMatrixGroup:
         mg = build_matrix_group(AdmissibleTuple(5, 5, 0, 1, 1))
         t_m, f_m = mg.matrices[("t", 1)], mg.matrices[("f", 1)]
         assert commute(t_m, f_m) and commute(f_m, t_m)
-        entries = list(f_m.entries())
+        entries = list(f_m)
         entries[entry] = complex(math.nan, 0)
-        assert not commute(t_m, MobiusMap(*entries))
-        assert not commute(MobiusMap(*entries), t_m)
+        assert not commute(t_m, mobius(*entries))
+        assert not commute(mobius(*entries), t_m)
 
     @pytest.mark.parametrize("separation", [10, 1e3, 1e4, 1e5, 1e6])
     def test_wrong_order_is_named_at_far_centers(self, separation):
@@ -353,7 +429,7 @@ class TestBuildMatrixGroup:
         center = mg.centers[("e", 3)].real
         third = _factor(center, 0.1j, math.cos(math.pi / 3),
                         1j * math.sin(math.pi / 3))
-        assert abs(third.trace() - 1) <= 1e-9
+        assert abs(trace(third) - 1) <= 1e-9
         for z in (center - 0.1j, center + 0.1j):
             assert fixed_point_residual(third, z) <= 1e-12 * center ** 2
         assert matrix_group_defects(mg) == []
@@ -366,7 +442,7 @@ class TestBuildMatrixGroup:
                                 separation=1e6)
         for j in range(1, 7):
             m = mg.matrices[("a", j)]
-            assert classify(m) is MobiusClass.LOXODROMIC, j
+            assert classify(m) == "loxodromic", j
         assert matrix_group_defects(mg) == []
 
 
@@ -409,7 +485,7 @@ class TestPurelyLoxodromic:
         # nan; no such trace is reported
         tup = AdmissibleTuple(2, 2, 0, 3, 0)
         mg = build_matrix_group(tup)
-        mg.matrices[("e", 1)] = MobiusMap(1e308, 1e308, 1e308, 1e308)
+        mg.matrices[("e", 1)] = mobius(1e308, 1e308, 1e308, 1e308)
         phi = KHom(mg.spec, HomImage(2, e=(1, 1, 1)))
         with pytest.raises(OverflowError, match="has trace"):
             purely_loxodromic_sample(mg, phi, max_syllables=2)
@@ -447,12 +523,12 @@ class TestPurelyLoxodromic:
                     assert ([e["word"] for e in rep["words"]]
                             == [str(w) for w in words])
                     for entry, w in zip(rep["words"], words):
-                        m = MobiusMap(1, 0, 0, 1)
+                        m = mobius(1, 0, 0, 1)
                         for sym, exp in w.syllables:
-                            m = m * (mg.matrices[sym] ** exp)
-                        want = [m.trace().real.hex(), m.trace().imag.hex()]
+                            m = _mul(m, _power(mg.matrices[sym], exp))
+                        want = [trace(m).real.hex(), trace(m).imag.hex()]
                         assert [x.hex() for x in entry["trace"]] == want, entry
-                        assert entry["class"] == classify(m).value
+                        assert entry["class"] == classify(m)
 
     @pytest.mark.parametrize("separation", [1e6, 10, 1, 0.2, 0.05, 0.01])
     def test_classes_match_classify(self, separation, monkeypatch):
@@ -472,10 +548,10 @@ class TestPurelyLoxodromic:
                     rep = purely_loxodromic_sample(mg, phi, max_syllables=3)
                     assert len(rep["words"]) == len(words)
                     for entry, w in zip(rep["words"], words):
-                        m = MobiusMap(1, 0, 0, 1)
+                        m = mobius(1, 0, 0, 1)
                         for sym, exp in w.syllables:
-                            m = m * (mg.matrices[sym] ** exp)
-                        assert entry["class"] == classify(m).value, entry
+                            m = _mul(m, _power(mg.matrices[sym], exp))
+                        assert entry["class"] == classify(m), entry
                         classes.add(entry["class"])
                     assert rep["n_loxodromic"] == sum(
                         e["class"] == "loxodromic" for e in rep["words"])
@@ -488,12 +564,12 @@ class TestPurelyLoxodromic:
         mg = build_matrix_group(AdmissibleTuple(5, 5, 1, 1, 0))
         for sym in (("e", 1), ("a", 1)):
             m = mg.matrices[sym]
-            product = MobiusMap(1, 0, 0, 1)
+            product = mobius(1, 0, 0, 1)
             for exp in range(1, 6):
-                product = product * m
-                scale = max(map(abs, product.entries()))
+                product = _mul(product, m)
+                scale = max(map(abs, product))
                 assert all(abs(x - y) < 1e-9 * scale for x, y in
-                           zip((m ** exp).entries(), product.entries()))
-                inverse = m ** -exp * product
+                           zip(_power(m, exp), product))
+                inverse = _mul(_power(m, -exp), product)
                 assert all(abs(x - y) < 1e-9 * scale**2 for x, y in
-                           zip(inverse.entries(), (1, 0, 0, 1)))
+                           zip(inverse, (1, 0, 0, 1)))

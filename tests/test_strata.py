@@ -115,7 +115,7 @@ class TestAdmissibility:
         tup = AdmissibleTuple(g=5, p=5, t=1, r=1, s=0)
         assert tup == (5, 5, 1, 1, 0) and isinstance(tup, tuple)
         assert (tup.g, tup.p, tup.t, tup.r, tup.s) == tuple(tup)
-        assert tup.trs == (1, 1, 0) and str(tup) == "(5,5;1,1,0)"
+        assert tup[2:] == (1, 1, 0) and str(tup) == "(5,5;1,1,0)"
         with pytest.raises(AttributeError):
             tup.g = 6
         with pytest.raises(AttributeError):
@@ -150,13 +150,13 @@ class TestAdmissibility:
 
 class TestEnumeration:
     def test_g5_p5(self):
-        assert [a.trs for a in enumerate_tuples(5, 5)] == [(0, 1, 1), (1, 1, 0)]
+        assert [a[2:] for a in enumerate_tuples(5, 5)] == [(0, 1, 1), (1, 1, 0)]
 
     def test_g10_p11(self):
-        assert [a.trs for a in enumerate_tuples(10, 11)] == [(0, 2, 0)]
+        assert [a[2:] for a in enumerate_tuples(10, 11)] == [(0, 2, 0)]
 
     def test_g2_p2(self):
-        assert [a.trs for a in enumerate_tuples(2, 2)] == [
+        assert [a[2:] for a in enumerate_tuples(2, 2)] == [
             (0, 1, 1),
             (0, 3, 0),
             (1, 1, 0),
@@ -194,12 +194,12 @@ class TestEnumeration:
     )
     def test_published_lists_after_reindex(self, g, p, printed):
         expected = {(a, c, b) for a, b, c in printed}
-        assert {t.trs for t in enumerate_tuples(g, p)} == expected
+        assert {t[2:] for t in enumerate_tuples(g, p)} == expected
 
     def test_sorted_lexicographically(self):
         for g in range(2, 40):
             for p in (2, 3, 5):
-                trs = [a.trs for a in enumerate_tuples(g, p)]
+                trs = [a[2:] for a in enumerate_tuples(g, p)]
                 assert trs == sorted(trs)
 
     def test_count_equals_enumeration_length(self):
