@@ -18,7 +18,6 @@ Words print as whitespace-separated syllables ``a1``, ``e2^3``, ``t1^-1``
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -212,21 +211,28 @@ def normalized_homs(spec):
     """Exhaustive normalized image vectors on a spec.
 
     The normal form fixes a = 0 and tau = 0 (reachable by the torsion-shift
-    moves) and sweeps all unit vectors e, f; when r = s = 0 the single
-    representative a = (1, 0, ..., 0) remains after rescaling.
+    moves) and sweeps all unit vectors e, f, lexicographically in e then f;
+    when r = s = 0 the single representative a = (1, 0, ..., 0) remains
+    after rescaling.  The units are counted up one vector at a time, never
+    held, so the first hom costs nothing that grows with p.
     """
     tup = spec.tuple
     p = spec.p
     if tup.r == 0 and tup.s == 0:
         yield KHom(spec, HomImage(p, a=(1,) + (0,) * (tup.t - 1)))
         return
-    units = tuple(range(1, p))
-    for e in itertools.product(units, repeat=tup.r):
-        for f in itertools.product(units, repeat=tup.s):
-            yield KHom(
-                spec,
-                HomImage(p, a=(0,) * tup.t, e=e, tau=(0,) * tup.s, f=f),
-            )
+    units = [1] * (tup.r + tup.s)
+    while True:
+        yield KHom(spec, HomImage(p, a=(0,) * tup.t, e=tuple(units[:tup.r]),
+                                  tau=(0,) * tup.s, f=tuple(units[tup.r:])))
+        # the next vector: the trailing p - 1 entries wrap to 1
+        j = len(units) - 1
+        while j >= 0 and units[j] == p - 1:
+            units[j] = 1
+            j -= 1
+        if j < 0:
+            return
+        units[j] += 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ Two independent counters live here:
   orbits of the elementary moves that geometric automorphisms induce
   (torsion shifts into the loxodromic images, block permutations and
   inversions, Nielsen moves on the free block when no torsion is present).
+  Each move's neighbour-index array is built once and merged into the
+  labels by hooking roots and pointer jumping; each orbit ends labelled
+  by its least state.
 
 Neither counter consults a formula; the ``oracle`` command and the tests
 compare them with each other and with ``closed_form_orbit_count``.  Its
@@ -350,30 +353,48 @@ def _move_targets(index, p, t, r, s, scale):
         yield move({c: table[column] for c, column in enumerate(values)})
 
 
+def _hooked(label, target):
+    """Hook the roots of the pairs (state, its target) whose labels differ;
+    False when no pair does.  Each of a pair's two roots takes the minimum
+    of its label and the other root, so only the greater one moves; a root
+    in several pairs takes its least partner, and a later round hooks the
+    rest."""
+    import numpy as np
+
+    other = label[target]
+    apart = other != label
+    if not apart.any():
+        return False
+    mine, other = label[apart], other[apart]
+    np.minimum.at(label, mine, other)
+    np.minimum.at(label, other, mine)
+    return True
+
+
 def _orbit_count(total, moves):
     """Orbits on range(total) of the group generated by the permutations
-    ``moves(index)`` yields; they are rebuilt each sweep, not kept, so
-    memory stays a few arrays of ``total`` however many moves there are.
+    ``moves(index)`` yields.  The generator is walked once and each target
+    array is dropped when its move is merged, so memory stays a few arrays
+    of ``total`` however many moves there are.
 
-    A sweep lowers each label (at first the state's own index) to the
-    label of the state each move sends it to, then pointer jumping
-    (label <- label[label]) runs to a fixed point.  Orbits of a permutation
-    group are strongly connected, so once a sweep changes nothing every
-    orbit is labelled by its least state, the one labelled by itself.
+    Connected components by hooking and pointer jumping (Shiloach and
+    Vishkin, J. Algorithms 3, 1982).  Every label is a root, a state
+    labelled by itself, and never above its state.  A move is merged by
+    rounds until each state shares its target's label: ``_hooked``, then
+    pointer jumping (label <- label[label]) to a fixed point.  The
+    partition only coarsens, so a merged move stays merged, and each
+    orbit ends labelled by its least state.
     """
     import numpy as np
 
     index = np.arange(total, dtype=np.int32 if total < 2**31 else np.int64)
     label = index.copy()
-    while True:
-        before = label.copy()
-        for target in moves(index):
-            np.minimum(label, label[target], out=label)
-        jumped = label[label]
-        while not np.array_equal(jumped, label):
-            label, jumped = jumped, jumped[jumped]
-        if np.array_equal(label, before):
-            return int(np.count_nonzero(label == index))
+    for target in moves(index):
+        while _hooked(label, target):
+            jumped = label[label]
+            while not np.array_equal(jumped, label):
+                label, jumped = jumped, jumped[jumped]
+    return int(np.count_nonzero(label == index))
 
 
 def bfs_orbit_count(p, t, r, s, action=PERM_INV, *, budget=10**7):
@@ -387,9 +408,9 @@ def bfs_orbit_count(p, t, r, s, action=PERM_INV, *, budget=10**7):
     Moves (d) and (e) always invert, so an action without inversion is
     refused with ValueError.
 
-    Exhaustive over every state, with one neighbour-index array per move;
-    the valid states are those with unit e/f entries and at least one
-    nonzero coordinate.
+    Exhaustive over every state: each move's neighbour-index array is
+    built once, merged by ``_orbit_count`` and dropped.  The valid states
+    are those with unit e/f entries and at least one nonzero coordinate.
     """
     check_prime(p)
     if not action.invert:

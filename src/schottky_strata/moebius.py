@@ -19,6 +19,7 @@ from typing import Dict, Tuple
 
 from .cyclic_schottky import (GroupSpec, _kernel_walk, _syllable_alphabet,
                               _syllable_str, build_spec)
+from .strata import within_budget
 
 __all__ = [
     "MatrixGroupSpec",
@@ -283,8 +284,13 @@ def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
     from the identity, and its text joins the syllable texts: each level
     of ``_kernel_walk`` extends the entries and text of its parents'
     nodes, one product per node, and every word is classified only after
-    the walk has passed the budget.
+    the walk has passed the budget.  The walk's first level is the
+    alphabet, 2(t + s) loxodromic syllables and p - 1 per elliptic
+    symbol, so its size is refused before any syllable is made.
     """
+    tup = phi.spec.tuple
+    within_budget(2 * (tup.t + tup.s) + (tup.r + tup.s) * (tup.p - 1),
+                  budget, "sampled words")
     factors = []
     for syl in _syllable_alphabet(phi.spec):
         word = _syllable_str(syl)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -59,6 +60,16 @@ _BUDGET_BEFORE_OVERFLOW = [
 _KERNEL_PAST_THE_ROW_BUDGET = [
     "kernel", "--g", "1000000006", "--p", "1000000007", "--t", "0", "--r", "2",
     "--s", "0"]
+
+
+# one free and one elliptic generator at p = 10^9 + 7: an alphabet of
+# 10^9 + 8 syllables, refused by its size before the default hom, the
+# alphabet or any power is made
+_LOXCHECK_PAST_THE_ALPHABET = [
+    "loxcheck", "--g", "1000000007", "--p", "1000000007", "--t", "1", "--r",
+    "1", "--s", "0", "--max-syllables", "1"]
+_ALPHABET_REFUSAL = ("error: enumeration requires 1000000008 sampled words, "
+                     "exceeding budget 1000000; raise it with --budget\n")
 
 
 def run_json(argv):
@@ -305,6 +316,43 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: enumeration requires 4 sampled words, exceeding budget 0; "
             "raise it with --budget\n")
+
+    def test_large_prime_alphabet_refused_before_it_is_built(
+            self, monkeypatch, capsys):
+        # the hom is given, so only the alphabet could grow with p; the
+        # wrapper refuses to build one that large rather than exhaust memory
+        real, built = cyclic_schottky._syllable_alphabet, []
+
+        def counting(spec):
+            built.append(spec.p)
+            assert spec.p < 10**6, "the alphabet of a refused run was built"
+            return real(spec)
+
+        for module in (cyclic_schottky, moebius):
+            monkeypatch.setattr(module, "_syllable_alphabet", counting)
+        argv = [*_LOXCHECK_PAST_THE_ALPHABET, "--phi", '{"a":[0],"e":[1]}']
+        assert run_json(argv) == (2, None, "")
+        assert capsys.readouterr().err == _ALPHABET_REFUSAL
+        assert built == []
+        # the wrapper sees the alphabet of a run that is not refused
+        assert run_json(["loxcheck", *_G5_TUPLE, "--max-syllables", "1"])[0] == 0
+        assert built == [5, 5]
+
+    @pytest.mark.parametrize("phi", [[], ["--phi", '{"a":[0],"e":[1]}']])
+    def test_large_prime_alphabet_refused_within_a_gigabyte(self, phi):
+        # the default hom and the alphabet each take several GB if made, so
+        # under 1 GB of address space either would exit 1 with MemoryError
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        src = str(Path(schottky_strata.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "schottky_strata.cli",
+             *_LOXCHECK_PAST_THE_ALPHABET, *phi],
+            capture_output=True, text=True, timeout=10, preexec_fn=limit,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", _ALPHABET_REFUSAL)
 
     @pytest.mark.parametrize("argv,count", [
         # 4^8000 block vectors and 5^8000 * 4 image vectors: formed, but

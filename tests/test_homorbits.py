@@ -22,9 +22,9 @@ from schottky_strata.homorbits import (
 from schottky_strata.strata import BudgetExceeded
 
 
-def reference_bfs(p, t, r, s, scaled):
-    """Plain depth-first search over the image vectors a | e | tau | f with
-    the move set of ``bfs_orbit_count``, one tuple at a time."""
+def reference_neighbours(p, t, r, s, scaled):
+    """The move set of ``bfs_orbit_count`` on one image vector a | e | tau
+    | f at a time: the function yielding its image under each move."""
     A, E = range(t), range(t, t + r)
     T, F = range(t + r, t + r + s), range(t + r + s, t + r + 2 * s)
     root = next(g for g in range(1, p)
@@ -63,6 +63,13 @@ def reference_bfs(p, t, r, s, scaled):
         if scaled:
             yield tuple(root * c % p for c in x)
 
+    return neighbours
+
+
+def reference_bfs(p, t, r, s, scaled):
+    """Plain depth-first search over the image vectors with the moves of
+    ``reference_neighbours``, one tuple at a time."""
+    neighbours = reference_neighbours(p, t, r, s, scaled)
     ranges = [range(p)] * t + [range(1, p)] * r + [range(p)] * s + [range(1, p)] * s
     unseen = {x for x in itertools.product(*ranges) if any(x)}
     orbits = 0
@@ -321,7 +328,16 @@ class TestBfsOrbitCount:
     def test_agrees_with_canonical_count(self, p, t, r, s):
         assert bfs_orbit_count(p, t, r, s) == orbit_count_tuples(p, r, s, PERM_INV)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("p,t,r,s", [(7, 1, 2, 1), (11, 0, 2, 1)])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_agrees_with_canonical_count_past_ten_thousand_states(
+            self, p, t, r, s, scaled):
+        # 10,584 and 11,000 states
+        action = PERM_INV_SCALE if scaled else PERM_INV
+        assert bfs_orbit_count(p, t, r, s, action) == orbit_count_tuples(
+            p, r, s, action)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("scaled", [False, True])
     def test_agrees_with_reference_bfs(self, p, scaled):
         # every shape with t + r + s <= 4 whose reference search stays small
@@ -331,6 +347,29 @@ class TestBfsOrbitCount:
                 continue
             want = reference_bfs(p, t, r, s, scaled)
             assert bfs_orbit_count(p, t, r, s, action) == want, (t, r, s)
+
+    @pytest.mark.parametrize("p,t,r,s", [(5, 1, 2, 1), (3, 3, 0, 0),
+                                         (7, 0, 0, 2), (5, 2, 1, 0)])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_each_move_is_built_once(self, p, t, r, s, scaled, monkeypatch):
+        # one walk of the move generator, one target per move of the
+        # reference move set
+        real, calls, built = homorbits._move_targets, [], []
+
+        def counting(*args):
+            calls.append(args[1:])
+            for target in real(*args):
+                built.append(target.size)
+                yield target
+
+        monkeypatch.setattr(homorbits, "_move_targets", counting)
+        action = PERM_INV_SCALE if scaled else PERM_INV
+        assert bfs_orbit_count(p, t, r, s, action) == reference_bfs(
+            p, t, r, s, scaled)
+        total = p**t * (p - 1) ** r * (p * (p - 1)) ** s
+        moves = reference_neighbours(p, t, r, s, scaled)
+        assert calls == [(p, t, r, s, scaled)]
+        assert built == [total] * sum(1 for _ in moves((1,) * (t + r + 2 * s)))
 
     def test_budget(self, monkeypatch):
         with pytest.raises(BudgetExceeded):
