@@ -35,6 +35,10 @@ def _phi_from_args(spec, phi_text):
     data = json.loads(phi_text)
     if not isinstance(data, dict):
         raise ValueError("--phi must be a JSON object with keys a, e, tau, f")
+    unknown = sorted(data.keys() - {"a", "e", "tau", "f"})
+    if unknown:
+        raise ValueError(f"--phi: unknown key {unknown[0]!r}; the keys are "
+                         "a, e, tau, f")
     for key in ("a", "e", "tau", "f"):
         value = data.get(key, [])
         # type, not isinstance: true and false are not integers here

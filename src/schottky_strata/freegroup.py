@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -69,15 +70,18 @@ class FreeWord:
     @classmethod
     def _reduced(cls, rank, letters):
         """Build without re-validating: only for letters already freely
-        reduced and within ``rank``."""
+        reduced and within ``rank``.  The slot setters are bound below."""
         word = object.__new__(cls)
-        # the slot descriptors set the fields without the frozen __setattr__
-        cls.rank.__set__(word, rank)
-        cls.letters.__set__(word, letters)
+        _set_rank(word, rank)
+        _set_letters(word, letters)
         return word
 
     def __invert__(self):
         return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
+
+
+# the slot descriptors set the fields without the frozen __setattr__
+_set_rank, _set_letters = FreeWord.rank.__set__, FreeWord.letters.__set__
 
 
 def parse_word(text, rank):
@@ -165,11 +169,7 @@ class StallingsGraph:
 
 def _letter_order(rank):
     # generator order a < b < ..., positive before negative
-    out = []
-    for g in range(1, rank + 1):
-        out.append(g)
-        out.append(-g)
-    return out
+    return [x for g in range(1, rank + 1) for x in (g, -g)]
 
 
 def fold(generators):
@@ -178,9 +178,11 @@ def fold(generators):
     Each word is read along the graph built so far, forward from the
     basepoint and then backward (inverse letters); only the unread middle
     becomes new vertices, and reads that meet merge their endpoints
-    (Kapovich-Myasnikov 2002).  Folding is confluent, so this is the folded
-    bouquet of loops: a core graph, as a reduced word never has x then -x.
-    The breadth-first relabelling makes the result independent of order.
+    (Kapovich-Myasnikov 2002).  Reads call ``find`` only on a vertex a merge
+    moved, so input that never merges (Schreier words) pays no union-find.
+    Folding is confluent, so this is the folded bouquet of loops: a core
+    graph, as a reduced word never has x then -x.  The breadth-first
+    relabelling makes the result independent of order.
     """
     if not generators:
         raise ValueError("need at least one generator word")
@@ -197,33 +199,36 @@ def fold(generators):
             v = parent[v]
         return v
 
+    root = 0  # the basepoint's root, recomputed after each merge
     merged = False  # no merge, no edge to repoint
     for w in generators:
         letters = w.letters
-        root = find(0)
         head, i = root, 0
         for x in letters:
             nxt = adj[head].get(x)
             if nxt is None:
                 break
-            head, i = find(nxt), i + 1
+            head = nxt if parent[nxt] == nxt else find(nxt)
+            i += 1
         tail, j = root, len(letters)
         while j > i:
             nxt = adj[tail].get(-letters[j - 1])
             if nxt is None:
                 break
-            tail, j = find(nxt), j - 1
+            tail = nxt if parent[nxt] == nxt else find(nxt)
+            j -= 1
         if i == j:
             if head != tail:
                 _flush_folds(parent, adj, find, head, tail)
-                merged = True
+                root, merged = find(0), True
             continue
-        for x in letters[i:j - 1]:
+        while i < j - 1:  # the unread middle, without a slice of it
+            x = letters[i]
             nxt = len(adj)
             parent.append(nxt)
             adj.append({-x: head})
             adj[head][x] = nxt
-            head = nxt
+            head, i = nxt, i + 1
         # the new path needs folding only if its first edge took the slot of
         # its last one (a middle x ... x^-1 at one vertex)
         x = letters[j - 1]
@@ -233,12 +238,13 @@ def fold(generators):
             adj[tail][-x] = head
         else:
             _flush_folds(parent, adj, find, taken, head)
-            merged = True
+            root, merged = find(0), True
     if merged:  # point every edge at its target's root
         for edges in adj:
             for x, w in edges.items():
                 edges[x] = find(w)
-    return _canonical_relabel(rank, adj, find(0))
+    live = sum(v == u for v, u in enumerate(parent))
+    return _canonical_relabel(rank, adj, root, live)
 
 
 def _flush_folds(parent, adj, find, u, v):
@@ -269,20 +275,21 @@ def _flush_folds(parent, adj, find, u, v):
                 pending.append((find(old), w))
 
 
-def _canonical_relabel(rank, adj, root):
-    # breadth-first from the basepoint's root; every edge targets a root, so
-    # vertices merged away by folding are never labelled
+def _canonical_relabel(rank, adj, root, size):
+    # breadth-first from the basepoint's root, one map over each edge dict,
+    # until all ``size`` live vertices are labelled; every edge targets a
+    # root, so vertices merged away by folding are never labelled
     order = _letter_order(rank)
     label = {root: 0}
-    queue = deque([root])
-    while queue:
-        edges = adj[queue.popleft()]
-        for x in order:
-            w = edges.get(x)
+    queue = [root]
+    for v in queue:
+        if len(queue) == size:
+            break
+        for w in map(adj[v].get, order):
             if w is not None and w not in label:
                 label[w] = len(label)
                 queue.append(w)
-    new = [{x: label[w] for x, w in adj[v].items()} for v in label]
+    new = [{x: label[w] for x, w in adj[v].items()} for v in queue]
     return StallingsGraph(rank, new)
 
 
@@ -316,14 +323,17 @@ def _coset_steps(phi):
     """step[x][c] = the coset c.x, for every signed letter x.
 
     Cosets are numbered in mixed radix over the moduli, the first modulus
-    most significant, so coset 0 is the zero of the codomain.
+    most significant, so coset 0 is the zero of the codomain.  Adding v
+    rotates each block of m cosets by v: two ranges, copied in C.
     """
     steps = {}
     for x in _letter_order(phi.rank):
         table = [0]
         for m, v in zip(phi.moduli, phi.images[abs(x) - 1]):
-            v = v if x > 0 else -v
-            table = [i * m + (b + v) % m for i in table for b in range(m)]
+            v = (v if x > 0 else -v) % m
+            table = list(chain.from_iterable(
+                chain(range(i * m + v, i * m + m), range(i * m, i * m + v))
+                for i in table))
         steps[x] = table
     return steps
 
@@ -333,46 +343,42 @@ def schreier_kernel(phi):
 
     Cosets are the codomain elements; representatives form the
     shortlex-least transversal (generator order a < b < ..., positive
-    letters before negative).  For each representative u and positive
-    generator x the word u x (rep of u.x)^-1 is emitted unless it reduces
-    to the identity, giving 1 + n(k-1) words for index n and rank k.  The
-    transversal is prefix-closed, so a word is trivial exactly when one of
-    its joins cancels, and reduced otherwise (Lyndon-Schupp I.3).
+    letters before negative), found breadth-first until every coset has
+    one.  For each representative u and positive generator x the word
+    u x (rep of u.x)^-1 is emitted unless it reduces to the identity,
+    giving 1 + n(k-1) words for index n and rank k.  The transversal is
+    prefix-closed, so a word is trivial exactly when one of its joins
+    cancels (x against the last letter of u or of the rep of u.x, read
+    from a table), and reduced otherwise (Lyndon-Schupp I.3).
     """
     k = phi.rank
-    letters = _letter_order(k)
+    n = math.prod(phi.moduli)
     steps = _coset_steps(phi)
-    rows = [(x, steps[x]) for x in letters]
     reps = {0: ()}
-    order = []  # (coset, targets under a, b, ...) in shortlex discovery order
-    queue = deque([(0, None)])
-    while queue:
-        c, back = queue.popleft()
+    last = {0: 0}  # the last letter of each representative, 0 for the empty one
+    queue = [0]  # cosets in shortlex discovery order
+    for c in queue:
+        if len(queue) == n:
+            break
         u = reps[c]
-        last = -u[-1] if u else 0
-        targets = []
-        for x, step in rows:
-            if x == last:
-                d = back  # cancels u's last letter; never shortlex-least
-            else:
-                d = step[c]
-                if d not in reps:
-                    reps[d] = u + (x,)
-                    queue.append((d, c))
-            if x > 0:
-                targets.append(d)
-        order.append((c, targets))
-    if len(reps) != math.prod(phi.moduli):
+        for x, step in steps.items():  # letters a, A, b, B, ...
+            d = step[c]
+            if d not in reps:
+                reps[d] = u + (x,)
+                last[d] = x
+                queue.append(d)
+    if len(queue) != n:
         raise ValueError("homomorphism is not surjective onto its codomain")
 
     inverse_reps = {c: tuple(-y for y in reversed(u)) for c, u in reps.items()}
+    word = FreeWord._reduced
     out = []
-    for c, targets in order:
-        u = reps[c]
-        for x, d in enumerate(targets, 1):
-            v = inverse_reps[d]
-            if -x not in u[-1:] + v[:1]:  # no join cancels
-                out.append(FreeWord._reduced(k, u + (x,) + v))
+    for c in queue:
+        u, cancel = reps[c], -last[c]
+        for x in range(1, k + 1):
+            d = steps[x][c]
+            if x != cancel and last[d] != x:  # no join cancels
+                out.append(word(k, u + (x,) + inverse_reps[d]))
     return out
 
 

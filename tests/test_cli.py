@@ -61,6 +61,12 @@ _KERNEL_PAST_THE_ROW_BUDGET = [
     "kernel", "--g", "1000000006", "--p", "1000000007", "--t", "0", "--r", "2",
     "--s", "0"]
 
+# a misspelt --phi key (t for tau) names itself, for both commands that
+# take --phi
+_PHI_UNKNOWN_KEY = [
+    [command, "--g", "6", "--p", "5", "--t", "1", "--r", "0", "--s", "1",
+     "--phi", '{"t":[2],"f":[1]}'] for command in ("kernel", "loxcheck")]
+
 
 # one free and one elliptic generator at p = 10^9 + 7: an alphabet of
 # 10^9 + 8 syllables, refused by its size before the default hom, the
@@ -182,6 +188,7 @@ class TestExitCodes:
             *_ROW_COUNT_PAST_THE_TEXT_LIMIT,
             _BUDGET_BEFORE_OVERFLOW,
             _KERNEL_PAST_THE_ROW_BUDGET,
+            *_PHI_UNKNOWN_KEY,
         ],
     )
     def test_bad_input_is_usage_error(self, argv, capsys):
@@ -197,6 +204,9 @@ class TestExitCodes:
             # kernel takes no --budget flag, so no hint names one
             assert err == ("error: enumeration requires 1000000006 basis "
                            "words, exceeding budget 1000000\n")
+        if argv in _PHI_UNKNOWN_KEY:
+            assert err == ("error: --phi: unknown key 't'; the keys are a, e, "
+                           "tau, f\n")
 
     @pytest.mark.parametrize("flag,value", [("--curve", '{"p":5}'),
                                             ("--tolerance", "1e-9")])

@@ -166,6 +166,8 @@ class TestFold:
     @given(_generator_lists())
     # a word that is not cyclically reduced, read from an empty graph
     @example((3, [FreeWord(3, ()), FreeWord(3, (3, 1, -3))]))
+    # ABB is read through a vertex that closing ABa merged away
+    @example((2, [FreeWord(2, (-1, -2, 1)), FreeWord(2, (-1, -2, -2))]))
     def test_matches_naive_bouquet_fold(self, case):
         rank, words = case
         assert fold(words).key() == naive_fold_key(rank, words)
@@ -386,7 +388,24 @@ def reference_schreier_letters(phi):
     return out
 
 
+# the (p, k) shapes of the kernels benchmark's Schreier slots: a rank-k free
+# group onto Z_p, about 560 words and 2,100 to 3,100 letters in all
+_BENCH_SHAPES = [(47, 12), (53, 11), (61, 10), (71, 9), (83, 8), (97, 7)]
+
+
 class TestTrustedSchreierWords:
+    @pytest.mark.parametrize("p,k", _BENCH_SHAPES)
+    def test_benchmark_shapes(self, p, k):
+        rng = random.Random(f"schreier-bench:{p}:{k}")
+        images = [rng.randrange(p) for _ in range(k)]
+        images[rng.randrange(k)] = rng.randrange(1, p)  # onto Z_p
+        phi = AbelianHom(k, (p,), tuple((v,) for v in images))
+        words = schreier_kernel(phi)
+        assert [w.letters for w in words] == reference_schreier_letters(phi)
+        graph = fold(words)
+        assert index_and_rank(graph) == (p, 1 + p * (k - 1))
+        assert graph.key() == naive_fold_key(k, words)
+
     @pytest.mark.parametrize("moduli", [(2,), (7,), (2, 3), (5, 5)])
     def test_reduced_by_construction(self, moduli):
         rng = random.Random(f"schreier:{moduli}")
