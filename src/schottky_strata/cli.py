@@ -9,7 +9,8 @@ outside the payload.  Exit codes: 0 all checks pass, 1 a check failed,
 
 Check records and refusals come from ``strata``.  Each handler imports the
 other layers it uses when it is dispatched, so ``count``, ``tuples``,
-``bounds`` and ``report`` load no other module of the package.
+``bounds`` and ``report`` load no other module of the package, and
+``verify example2`` loads only ``surfaces``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import strata
@@ -82,6 +84,15 @@ def _writable_row(row):
 
 def _stratum_row(tup):
     g, p, t, r, s = tup
+    # M = C(r+h-1, r) C(s+h-1, s) can take seconds to form.  Each block w has
+    # C(n, k) >= (n/k)^k, n = w+h-1 >= 2k, k = min(w, h-1) < 2^82, so float
+    # logs bound M's digits to 1e-13; past the text limit, refuse M unformed
+    h = (p - 1) // 2
+    digits = sum(k * (math.log10(w + h - 1) - math.log10(k))
+                 for w in (r, s) if (k := min(w, h - 1)) > 0)
+    limit = sys.get_int_max_str_digits()
+    if limit and digits * (1 - 1e-12) > limit:
+        _writable(10**limit, f"M of {tup}")  # refused as M would be
     m, exact, basis = strata.component_bounds(g, p, t, r, s)
     dim = strata.dimension(g, p, t, r, s)
     return _writable_row((g, p, t, r, s, m, dim, exact, m, basis))
@@ -207,7 +218,9 @@ def _cmd_verify(args):
               f"genus {quotient}, t+s={tup.t + tup.s}"),
     ]
     if m >= 4:
-        _m, exact, basis = strata.component_bounds(*tup)
+        # component_bounds' rule without its M, which can be too long to
+        # form: only theorem_case_3 reads M, and r = mp, s = 0 never meet it
+        exact, basis = strata._settled(p, tup.t, tup.r, tup.s, None)
         checks.append(check(
             "family_is_connected_case",
             exact == 1 and basis == "example2_family",
@@ -222,10 +235,11 @@ def _cmd_verify(args):
         ))
     else:
         x, y = witness
-        results["witness"] = [list(x.entries), list(y.entries)]
+        results["witness"] = [list(x), list(y)]
+        # a rescale or a permutation of x keeps all its entries equal
         checks.append(check("witness_pair_distinct_orbits",
-                            not surfaces.same_orbit(x, y),
-                            f"{list(x.entries)} vs {list(y.entries)}"))
+                            len(set(x)) == 1 < len(set(y)),
+                            f"{list(x)} vs {list(y)}"))
     return results, checks
 
 

@@ -43,11 +43,9 @@ from .strata import (_multisets, check_prime, within_budget,
 
 __all__ = [
     "ActionSpec",
-    "ImageTuple",
     "HomImage",
     "PERM_INV",
     "PERM_INV_SCALE",
-    "canonical_form",
     "canonical_codes",
     "orbit_count_tuples",
     "closed_form_orbit_count",
@@ -66,22 +64,6 @@ class ActionSpec:
 
 PERM_INV = ActionSpec(invert=True, global_scale=False)
 PERM_INV_SCALE = ActionSpec(invert=True, global_scale=True)
-
-
-@dataclass(frozen=True)
-class ImageTuple:
-    """Unit vectors u (length r) and v (length s) of images in Z_p^*."""
-
-    p: int
-    u: Tuple[int, ...]
-    v: Tuple[int, ...]
-
-    def __post_init__(self):
-        check_prime(self.p)
-        for block in (self.u, self.v):
-            for c in block:
-                if not 1 <= c <= self.p - 1:
-                    raise ValueError(f"entry {c} not a unit mod {self.p}")
 
 
 @dataclass(frozen=True)
@@ -117,28 +99,6 @@ class HomImage:
 
     def flat(self):
         return self.a + self.e + self.tau + self.f
-
-
-def canonical_form(x, action=PERM_INV):
-    """Canonical representative of the orbit of ``x`` under ``action``.
-
-    Each block is sorted, after replacing each entry by min(c, p-c) under
-    invert; with global_scale the lexicographically least result
-    over all unit multiples (applied to both blocks simultaneously) is
-    taken.  Idempotent and constant on orbits.
-    """
-    p = x.p
-    best = None
-    for lam in range(1, p) if action.global_scale else (1,):
-        cand = []
-        for block in (x.u, x.v):
-            mapped = [lam * c % p for c in block]
-            if action.invert:
-                mapped = [min(c, p - c) for c in mapped]
-            cand.append(tuple(sorted(mapped)))
-        if best is None or cand < best:
-            best = cand
-    return ImageTuple(p, best[0], best[1])
 
 
 def _sorting_network(n):

@@ -2,8 +2,9 @@
 
 An order-p automorphism with 2m fixed points on each of two commuting
 p-gonal projections is encoded by a tuple in (Z_p^*)^m considered up to
-coordinate rescaling and permutation.  Tuples in distinct orbits witness
-non-conjugate cyclic actions; the curve
+coordinate rescaling and permutation, a plain tuple of ints here.  Tuples
+in distinct orbits witness non-conjugate cyclic actions (``witness_pair``;
+``count_orbits`` serves the tests and the benchmark); the curve
 
     y1^p = prod (x - a_{j,1})^{alpha_j} (x - a_{j,2})^{p - alpha_j}
     y2^p = prod (x - b_{j,1})^{beta_j}  (x - b_{j,2})^{p - beta_j}
@@ -16,60 +17,14 @@ tuple, which they check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
-from .homorbits import ActionSpec, ImageTuple, canonical_codes, canonical_form
-from .strata import AdmissibleTuple, check_int, check_prime, within_budget
+from .strata import AdmissibleTuple, check_prime, within_budget
 
 __all__ = [
-    "RotationTuple",
-    "canonical_rotation",
-    "same_orbit",
     "count_orbits",
     "witness_pair",
     "example2_type",
     "riemann_hurwitz",
 ]
-
-
-# rotation tuples are the u-block of ImageTuple up to rescale and permutation
-_ROTATION = ActionSpec(invert=False, global_scale=True)
-
-
-@dataclass(frozen=True)
-class RotationTuple:
-    """Element of (Z_p^*)^m up to rescaling and permutation."""
-
-    p: int
-    entries: Tuple[int, ...]
-
-    def __post_init__(self):
-        check_prime(self.p, minimum=5)
-        if not self.entries:
-            raise ValueError("rotation tuple must have length >= 1")
-        for c in self.entries:
-            check_int("rotation entry", c)
-            if not 1 <= c <= self.p - 1:
-                raise ValueError(f"entry {c} is not a unit mod {self.p}")
-
-    @property
-    def m(self):
-        return len(self.entries)
-
-
-def canonical_rotation(x):
-    """Lexicographically least sorted rescale: min over units of sorted(lam*x)."""
-    return canonical_form(ImageTuple(x.p, x.entries, ()), _ROTATION).u
-
-
-def same_orbit(x, y):
-    """True iff y = lam * (x permuted) for some unit lam and permutation."""
-    if x.p != y.p:
-        raise ValueError(f"modulus mismatch: {x.p} vs {y.p}")
-    if x.m != y.m:
-        raise ValueError(f"length mismatch: {x.m} vs {y.m}")
-    return canonical_rotation(x) == canonical_rotation(y)
 
 
 def _check_family(p, m):
@@ -78,19 +33,15 @@ def _check_family(p, m):
         raise ValueError("m must be >= 1")
 
 
-def _rotation_codes(p, m):
-    """Sorted canonical codes of the orbits in (Z_p^*)^m, one per orbit."""
-    _check_family(p, m)
-    return canonical_codes(p, m, 0, _ROTATION)
-
-
 def count_orbits(p, m):
     """Number of orbits in (Z_p^*)^m, by exhaustive canonicalisation."""
-    return int(_rotation_codes(p, m).size)
+    # deferred, so verify example2 loads neither homorbits nor dataclasses
+    from .homorbits import ActionSpec, canonical_codes
+    _check_family(p, m)
+    rotation = ActionSpec(invert=False, global_scale=True)
+    return int(canonical_codes(p, m, 0, rotation).size)
 
 
-# checking the pair with same_orbit sorts p - 1 rescales of each tuple;
-# every family with at most 10^7 rotation tuples stays within this
 _WITNESS_BUDGET = 10**6
 
 
@@ -100,19 +51,20 @@ def witness_pair(p, m):
 
     A canonical form is sorted and starts with 1 (rescale by the inverse of
     any entry), so the least is (1, ..., 1), alone in its orbit since
-    rescaling keeps all entries equal.  For m >= 2 every other sorted
-    tuple has some entry above 1 and sorts at or above (1, ..., 1, 2);
-    that tuple is its own orbit's least sorted rescale, the second form.
+    rescaling and permutation keep all entries equal.  For m >= 2 every
+    other sorted tuple has some entry above 1 and sorts at or above
+    (1, ..., 1, 2); that tuple is its own orbit's least sorted rescale, the
+    second form.
 
-    Raises ``strata.BudgetExceeded`` when (p - 1) * m, the rescaled
-    entries of one tuple, exceeds 10^6.
+    Raises ``strata.BudgetExceeded`` when 2m, the entries of the pair,
+    exceeds 10^6.
     """
     _check_family(p, m)
     if m == 1:
         return None
-    within_budget((p - 1) * m, _WITNESS_BUDGET, "rescaled entries")
+    within_budget(2 * m, _WITNESS_BUDGET, "witness entries")
     ones = (1,) * (m - 1)
-    return RotationTuple(p, ones + (1,)), RotationTuple(p, ones + (2,))
+    return ones + (1,), ones + (2,)
 
 
 def example2_type(p, m):

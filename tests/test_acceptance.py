@@ -3,6 +3,7 @@ and enforcing its stated runtime budget.  Run with ``pytest -s`` to see the
 per-criterion lines.
 """
 
+import itertools
 import math
 import random
 import time
@@ -177,8 +178,13 @@ def test_criterion_7_example2_suite():
                 # the branch data, against the type
                 assert sf.riemann_hurwitz(p, m) == (g, 2 * tup.r,
                                                     tup.t + tup.s)
-        x, y = sf.witness_pair(5, 4)
-        assert not sf.same_orbit(x, y)
+        # the witness pair lies in distinct orbits: y is no rescale of a
+        # permutation of x, by brute force over the group
+        for p, m in [(5, 4), (7, 4), (5, 6)]:
+            x, y = sf.witness_pair(p, m)
+            assert y not in {tuple(lam * c % p for c in perm)
+                             for lam in range(1, p)
+                             for perm in itertools.permutations(x)}
 
 
 def _all_admissible_up_to(g_max):

@@ -181,9 +181,8 @@ class TestExitCodes:
             ["verify", "example2", "--p", "4"],
             ["verify", "example2", "--p", "3"],
             ["verify", "example2", "--m", "0"],
-            # a witness pair too long to check
+            # a witness pair too long to write
             ["verify", "example2", "--m", "1000000000"],
-            ["verify", "example2", "--p", "1000003", "--m", "2"],
             *(argv for argv, _what in _TEXT_LIMIT_CASES),
             *_ROW_COUNT_PAST_THE_TEXT_LIMIT,
             _BUDGET_BEFORE_OVERFLOW,
@@ -246,6 +245,57 @@ class TestExitCodes:
             f"error: {what} has more than {sys.get_int_max_str_digits()} "
             "digits, the limit of sys.get_int_max_str_digits() for writing "
             "an int as text\n")
+
+    _LARGE_BOUNDS = ["bounds", "--g", "7000034000040", "--p", "1000003",
+                     "--t", "3000006", "--r", "4000012", "--s", "0"]
+
+    def test_unwritable_m_is_refused_before_it_is_formed(self, monkeypatch,
+                                                         capsys):
+        # forming this M, C(4500012, 500000), takes seconds; its lower bound
+        # (n/k)^k alone is past the text limit
+        called = []
+        monkeypatch.setattr(strata, "component_bounds",
+                            lambda *tup: called.append(tup))
+        assert run_json(self._LARGE_BOUNDS) == (2, None, "")
+        assert called == []
+        assert capsys.readouterr().err == (
+            "error: M of (7000034000040,1000003;3000006,4000012,0) has more "
+            f"than {sys.get_int_max_str_digits()} digits, the limit of "
+            "sys.get_int_max_str_digits() for writing an int as text\n")
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    # p = 5 is left out: M = r + 1 reaches 10^limit only with a g too long
+    # to read
+    @pytest.mark.parametrize("p", [7, 101, 10007])
+    @pytest.mark.parametrize("block", ["r", "s"])
+    def test_lower_bound_refuses_only_what_m_refuses(self, limit, p, block,
+                                                     capsys):
+        # the least block size whose M reaches 10^limit, found by bisection,
+        # and its neighbours: refused exactly when M has too many digits
+        h, least_refused = (p - 1) // 2, 10**limit
+        low, high = 0, 1
+        while math.comb(high + h - 1, high) < least_refused:
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            if math.comb(mid + h - 1, mid) < least_refused:
+                low = mid
+            else:
+                high = mid
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for w in (high - 1, high, high + 1, 2 * high):
+                r, s = (w, 0) if block == "r" else (0, w)
+                g = strata.genus(p, 1, r, s)
+                argv = ["bounds", "--g", str(g), "--p", str(p), "--t", "1",
+                        "--r", str(r), "--s", str(s)]
+                code = run_json(argv)[0]
+                err = capsys.readouterr().err
+                assert code == (2 if w >= high else 0), w
+                assert err.startswith("error: M of ") == (w >= high), w
+        finally:
+            sys.set_int_max_str_digits(old_limit)
 
     @pytest.mark.parametrize("argv", _ROW_COUNT_PAST_THE_TEXT_LIMIT,
                              ids=["tuples", "report"])
@@ -508,6 +558,14 @@ class TestChecksCanFail:
             lambda phi: real(phi) + [FPWord(((("a", 1), 1),))],
         )
         _failed_check(self._KERNEL, "all_in_kernel", capsys)
+
+    def test_witness_pair_distinct_orbits(self, monkeypatch, capsys):
+        # a second tuple with equal entries lies in the first one's orbit
+        monkeypatch.setattr(surfaces, "witness_pair",
+                            lambda p, m: ((1,) * m, (1,) * m))
+        failed = _failed_check(["verify", "example2"],
+                               "witness_pair_distinct_orbits", capsys)
+        assert failed["detail"] == "[1, 1, 1, 1] vs [1, 1, 1, 1]"
 
     def test_family_is_connected_case(self, monkeypatch, capsys):
         monkeypatch.setattr(strata, "_example2_family_member",
@@ -835,6 +893,37 @@ class TestCommands:
         assert env["results"]["type"] == surfaces.example2_type(p, m)._asdict()
         for check in env["checks"][:3]:
             assert check["detail"].startswith(f"p={p} m={m}: ")
+
+    @pytest.mark.parametrize("p,m", [(1000003, 2), (5, 250_001)])
+    def test_witness_costs_its_entries_not_p(self, p, m):
+        # 2m entries are written, whatever p; the (p - 1) m rescaled entries
+        # are never formed
+        code, env, _ = run_json(["verify", "example2", "--p", str(p),
+                                 "--m", str(m)])
+        assert code == 0
+        x, y = env["results"]["witness"]
+        assert x == [1] * m and y == [1] * (m - 1) + [2]
+
+    def test_witness_budget_counts_written_entries(self, capsys):
+        assert run_json(["verify", "example2", "--m", "500001"]) == (
+            2, None, "")
+        assert capsys.readouterr().err == (
+            "error: enumeration requires 1000002 witness entries, exceeding "
+            "budget 1000000\n")
+
+    def test_family_case_never_forms_m(self, monkeypatch):
+        # M of the family at p = 10^9 + 7, m = 4 has about 6.8 * 10^8 digits;
+        # the basis is settled without it
+        counted = []
+        real = strata._multisets
+        monkeypatch.setattr(strata, "_multisets",
+                            lambda *args: counted.append(args) or real(*args))
+        code, env, _ = run_json(["verify", "example2", "--p", "1000000007",
+                                 "--m", "4"])
+        assert code == 0 and counted == []
+        assert env["checks"][3] == cli.check(
+            "family_is_connected_case", True,
+            "lookup of component_bounds: basis=example2_family exact=1")
 
     def test_verify_deterministic(self):
         _, _, first = run_json(["verify", "example2"])
@@ -1196,6 +1285,23 @@ class TestRuntimeImports:
             "loaded = {m for m in sys.modules if m.startswith('schottky_strata')}\n"
             "assert loaded == {'schottky_strata', 'schottky_strata.cli',\n"
             "                  'schottky_strata.strata'}, loaded\n"
+            "assert 'dataclasses' not in sys.modules\n"
+            "assert 'numpy' not in sys.modules\n"
+        ))
+
+    def test_example2_loads_only_surfaces(self):
+        # the witness is written and checked in closed form: no orbit
+        # engine, no dataclass
+        _fresh_python("-c", (
+            "import sys\n"
+            "from schottky_strata.cli import run\n"
+            "for argv in [['verify', 'example2'],\n"
+            "             ['verify', 'example2', '--p', '13', '--m', '7']]:\n"
+            "    assert run(argv)[0] == 0, argv\n"
+            "loaded = {m for m in sys.modules if m.startswith('schottky_strata')}\n"
+            "assert loaded == {'schottky_strata', 'schottky_strata.cli',\n"
+            "                  'schottky_strata.strata',\n"
+            "                  'schottky_strata.surfaces'}, loaded\n"
             "assert 'dataclasses' not in sys.modules\n"
             "assert 'numpy' not in sys.modules\n"
         ))

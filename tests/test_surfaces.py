@@ -4,19 +4,27 @@ import random
 
 import pytest
 
-from schottky_strata import surfaces
+from schottky_strata.homorbits import ActionSpec, canonical_codes
 from schottky_strata.strata import (BudgetExceeded, component_bounds,
-                                    is_admissible, is_prime)
+                                    is_admissible)
 from schottky_strata.surfaces import (
-    RotationTuple,
-    _rotation_codes,
-    canonical_rotation,
     count_orbits,
     example2_type,
     riemann_hurwitz,
-    same_orbit,
     witness_pair,
 )
+
+
+def rotation_orbit(p, x):
+    """The orbit of the tuple x in (Z_p^*)^m under rescaling and
+    permutation, by brute force over every unit and every permutation."""
+    return {tuple(lam * c % p for c in perm)
+            for lam in range(1, p) for perm in itertools.permutations(x)}
+
+
+def rotation_canonical(p, x):
+    """The per-vector canonical form: the least sorted rescale of x."""
+    return min(tuple(sorted(lam * c % p for c in x)) for lam in range(1, p))
 
 
 def orbit_count_by_union_find(p, m):
@@ -63,22 +71,14 @@ def rotation_burnside(p, m):
 
 class TestOrbits:
     def test_constant_tuples_equivalent(self):
-        assert same_orbit(RotationTuple(5, (1, 1, 1, 1)), RotationTuple(5, (2, 2, 2, 2)))
+        assert (2, 2, 2, 2) in rotation_orbit(5, (1, 1, 1, 1))
 
     def test_scaling_preserves_all_equal(self):
-        assert not same_orbit(
-            RotationTuple(5, (1, 1, 1, 1)), RotationTuple(5, (1, 1, 1, 2))
-        )
+        assert rotation_orbit(5, (1, 1, 1, 1)) == {(c,) * 4 for c in range(1, 5)}
+        assert (1, 1, 1, 2) not in rotation_orbit(5, (1, 1, 1, 1))
 
     def test_reflexive(self):
-        x = RotationTuple(7, (3, 5, 1))
-        assert same_orbit(x, x)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            same_orbit(RotationTuple(5, (1,)), RotationTuple(7, (1,)))
-        with pytest.raises(ValueError):
-            same_orbit(RotationTuple(5, (1,)), RotationTuple(5, (1, 1)))
+        assert (3, 5, 1) in rotation_orbit(7, (3, 5, 1))
 
     def test_scaling_transitive_on_length_one(self):
         for p in (5, 7, 11, 13):
@@ -106,73 +106,71 @@ class TestOrbits:
         with pytest.raises(BudgetExceeded):
             count_orbits(11, 8)
 
-    def test_equivalence_relation_sampled(self):
+    def test_equal_entries_is_an_orbit_invariant(self):
+        # the invariant verify example2 checks the witness pair by
         rng = random.Random(99)
         for _ in range(10_000):
-            p = rng.choice([5, 7, 11])
+            p = rng.choice([5, 7, 11, 1_000_003])
             m = rng.randint(1, 5)
-            x = RotationTuple(p, tuple(rng.randint(1, p - 1) for _ in range(m)))
-            # build y in the same orbit, z possibly unrelated
+            x = tuple(rng.randint(1, p - 1) for _ in range(m))
+            if rng.random() < 0.5:
+                x = (x[0],) * m
             lam = rng.randint(1, p - 1)
             perm = list(range(m))
             rng.shuffle(perm)
-            y = RotationTuple(p, tuple(lam * x.entries[i] % p for i in perm))
-            assert same_orbit(x, y) and same_orbit(y, x)
-            z = RotationTuple(p, tuple(rng.randint(1, p - 1) for _ in range(m)))
-            if same_orbit(x, z):
-                assert same_orbit(y, z)  # transitivity through the canonical form
+            y = tuple(lam * x[i] % p for i in perm)
+            assert (len(set(x)) == 1) == (len(set(y)) == 1)
 
-    def test_canonical_invariant_under_single_moves(self):
-        rng = random.Random(5)
-        for _ in range(2000):
-            p = rng.choice([5, 7])
-            m = rng.randint(2, 5)
-            entries = [rng.randint(1, p - 1) for _ in range(m)]
-            x = RotationTuple(p, tuple(entries))
-            lam = rng.randint(1, p - 1)
-            scaled = RotationTuple(p, tuple(lam * c % p for c in entries))
-            i, j = rng.sample(range(m), 2)
-            swapped = list(entries)
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            swapped = RotationTuple(p, tuple(swapped))
-            assert canonical_rotation(x) == canonical_rotation(scaled)
-            assert canonical_rotation(x) == canonical_rotation(swapped)
+    @pytest.mark.parametrize("p,m", [(5, 3), (7, 3), (11, 2)])
+    def test_canonical_form_against_brute_force_orbits(self, p, m):
+        # the rotation engine's per-vector reference, checked here so that
+        # the witness tests can rest on it
+        for x in itertools.product(range(1, p), repeat=m):
+            orbit = rotation_orbit(p, x)
+            assert rotation_canonical(p, x) == min(orbit)
+            assert {rotation_canonical(p, y) for y in orbit} == {min(orbit)}
 
 
 class TestWitness:
     def test_lex_least_pair(self):
         x, y = witness_pair(5, 4)
-        assert (x.entries, y.entries) == ((1, 1, 1, 1), (1, 1, 1, 2))
-        assert not same_orbit(x, y)
+        assert (x, y) == ((1, 1, 1, 1), (1, 1, 1, 2))
+        assert y not in rotation_orbit(5, x)
 
     def test_transitive_case_has_none(self):
         assert witness_pair(5, 1) is None
 
-    def test_p7_m2(self):
-        pair = witness_pair(7, 2)
-        assert pair is not None
-        assert not same_orbit(*pair)
+    @pytest.mark.parametrize("p,m", [(5, 2), (5, 5), (7, 2), (7, 4),
+                                     (11, 3), (13, 2)])
+    def test_distinct_orbits_by_brute_force(self, p, m):
+        # every rescale and permutation of x keeps its entries equal, and
+        # y's are not: the check verify example2 makes
+        x, y = witness_pair(p, m)
+        orbit = rotation_orbit(p, x)
+        assert y not in orbit
+        assert all(len(set(z)) == 1 for z in orbit)
+        assert len(set(x)) == 1 < len(set(y))
 
     @pytest.mark.parametrize("p,m", [(5, 2), (5, 5), (7, 3), (11, 3), (13, 2)])
     def test_two_least_canonical_forms(self, p, m):
         forms = sorted({
-            canonical_rotation(RotationTuple(p, x))
+            rotation_canonical(p, x)
             for x in itertools.product(range(1, p), repeat=m)
         })
-        x, y = witness_pair(p, m)
-        assert (x.entries, y.entries) == (forms[0], forms[1])
+        assert witness_pair(p, m) == (forms[0], forms[1])
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_closed_form_is_the_two_least_codes(self, p):
         # against the orbit engine on every m with at most 10^6 tuples
+        rotation = ActionSpec(invert=False, global_scale=True)
         m = 1
         while (p - 1) ** m <= 10**6:
-            codes = _rotation_codes(p, m)
+            codes = canonical_codes(p, m, 0, rotation)
             pair = witness_pair(p, m)
             if codes.size < 2:
                 assert pair is None and m == 1
             else:
-                assert [x.entries for x in pair] == [
+                assert list(pair) == [
                     tuple(int(code) // p**j % p for j in reversed(range(m)))
                     for code in codes[:2]]
             m += 1
@@ -180,31 +178,24 @@ class TestWitness:
     def test_large_family_needs_no_enumeration(self):
         # 12^7 tuples, past the orbit engine's default budget
         x, y = witness_pair(13, 7)
-        assert (x.entries, y.entries) == ((1,) * 7, (1,) * 6 + (2,))
-        assert not same_orbit(x, y)
+        assert (x, y) == ((1,) * 7, (1,) * 6 + (2,))
 
     @pytest.mark.parametrize("p,m", [(4, 2), (3, 2), (5, 0)])
     def test_rejects_outside_the_family(self, p, m):
         with pytest.raises(ValueError):
             witness_pair(p, m)
 
-    def test_budget_bounds_the_check(self, monkeypatch):
-        # same_orbit sorts p - 1 rescales of m entries per tuple
-        x, y = witness_pair(5, 250_000)
-        assert y.entries[-2:] == (1, 2)
-        made = []
-        monkeypatch.setattr(surfaces, "RotationTuple", lambda p, entries:
-                            made.append(p) or RotationTuple(p, entries))
-        for p, m in [(5, 250_001), (5, 10**9), (1_000_003, 2)]:
+    def test_budget_bounds_the_written_entries(self):
+        # the pair writes 2m entries, whatever p
+        x, y = witness_pair(5, 500_000)
+        assert y[-2:] == (1, 2)
+        assert witness_pair(1_000_000_007, 2) == ((1, 1), (1, 2))
+        for p, m in [(5, 500_001), (5, 10**9), (1_000_003, 500_001)]:
             with pytest.raises(BudgetExceeded) as exc:
                 witness_pair(p, m)
-            assert exc.value.required == (p - 1) * m
-        assert made == []  # refused before either tuple is made
-        # every family with at most 10^7 rotation tuples is still paired
-        worst = max((p - 1) * m for p in range(5, 3170) if is_prime(p)
-                    for m in range(2, 13) if (p - 1) ** m <= 10**7)
-        assert worst == 2 * 3162
-        assert witness_pair(3163, 2) is not None
+            assert exc.value.required == 2 * m
+            assert str(exc.value) == (f"enumeration requires {2 * m} witness "
+                                      "entries, exceeding budget 1000000")
 
 
 class TestExample2Type:
