@@ -47,12 +47,11 @@ def _phi_from_args(spec, phi_text):
         if not isinstance(value, list) or any(type(c) is not int for c in value):
             raise ValueError(
                 f"--phi: {key!r} must be a list of integers, got {value!r}")
-    tup = spec.tuple
     hom = HomImage(
-        tup.p,
-        a=tuple(data.get("a", [0] * tup.t)),
+        spec.p,
+        a=tuple(data.get("a", [0] * spec.t)),
         e=tuple(data.get("e", [])),
-        tau=tuple(data.get("tau", [0] * tup.s)),
+        tau=tuple(data.get("tau", [0] * spec.s)),
         f=tuple(data.get("f", [])),
     )
     return KHom(spec, hom)
@@ -95,17 +94,18 @@ def _stratum_row(tup):
         _writable(10**limit, f"M of {tup}")  # refused as M would be
     m, exact, basis = strata.component_bounds(g, p, t, r, s)
     dim = strata.dimension(g, p, t, r, s)
-    return _writable_row((g, p, t, r, s, m, dim, exact, m, basis))
+    return _writable_row((g, p, t, r, s, m, dim, exact, basis))
 
 
 def _stratum_dict(row):
-    # the bounds results, and the form that every report row prints
-    g, p, t, r, s, m, dim, exact, upper, basis = row
+    # the bounds results, and the form that every report row prints: M is
+    # both m_count and the upper bound on the components
+    g, p, t, r, s, m, dim, exact, basis = row
     return {
         "tuple": {"g": g, "p": p, "t": t, "r": r, "s": s},
         "m_count": m,
         "dimension": dim,
-        "components": {"upper": upper, "exact": exact, "basis": basis},
+        "components": {"upper": m, "exact": exact, "basis": basis},
     }
 
 
@@ -237,9 +237,11 @@ def _cmd_verify(args):
         x, y = witness
         results["witness"] = [list(x), list(y)]
         # a rescale or a permutation of x keeps all its entries equal
+        first, second = len(set(x)), len(set(y))
         checks.append(check("witness_pair_distinct_orbits",
-                            len(set(x)) == 1 < len(set(y)),
-                            f"{list(x)} vs {list(y)}"))
+                            first == 1 < second,
+                            f"distinct entries: {first} in the first tuple, "
+                            f"{second} in the second"))
     return results, checks
 
 
@@ -271,10 +273,11 @@ def _built_group(args):
 
 @_within_doubles
 def _cmd_build(args):
+    from .cyclic_schottky import symbols
     from .moebius import classify
     tup, mg, invariants = _built_group(args)
     matrices = []
-    for sym in mg.spec.symbols():
+    for sym in symbols(mg.spec):
         m = mg.matrices[sym]
         matrices.append(
             {
@@ -355,7 +358,7 @@ def _row_template(row):
 
 _TUPLE_JSON = _row_template(dict.fromkeys("gptrs", "%s"))
 # basis names are fixed identifiers, which need no escaping
-_REPORT_JSON = _row_template(_stratum_dict(["%s"] * 10)).replace(
+_REPORT_JSON = _row_template(_stratum_dict(["%s"] * 9)).replace(
     '"basis": %s', '"basis": "%s"')
 
 
@@ -367,8 +370,8 @@ def _csv_output(command, results):
                                             results["tuples"])])
     return "".join(["g,p,t,r,s,m_count,dimension,exact,upper,basis\n", *[
         "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
-        % (g, p, t, r, s, m, dim, "" if exact is None else exact, upper, basis)
-        for g, p, t, r, s, m, dim, exact, upper, basis in results["reports"]]])
+        % (g, p, t, r, s, m, dim, "" if exact is None else exact, m, basis)
+        for g, p, t, r, s, m, dim, exact, basis in results["reports"]]])
 
 
 def _json_output(envelope):
@@ -380,10 +383,9 @@ def _json_output(envelope):
     elif command == "report" and results:
         key = "reports"
         # in _stratum_dict's order: upper before exact, None as null
-        texts = [_REPORT_JSON % (g, p, t, r, s, m, dim, upper,
+        texts = [_REPORT_JSON % (g, p, t, r, s, m, dim, m,
                                  "null" if exact is None else exact, basis)
-                 for g, p, t, r, s, m, dim, exact, upper, basis
-                 in results[key]]
+                 for g, p, t, r, s, m, dim, exact, basis in results[key]]
     if texts:
         envelope = {**envelope, "results": {**results, key: []}}
     text = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
@@ -497,7 +499,9 @@ def _parser():
 def run(argv):
     """Parse and execute; returns (exit_code, envelope_or_None, text).
 
-    Table rows in the envelope are tuples in CSV column order."""
+    Table rows in the envelope are tuples: the AdmissibleTuples of
+    ``tuples`` and, for ``report``, (g, p, t, r, s, M, dimension, exact,
+    basis), which the text prints with M as both m_count and upper."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

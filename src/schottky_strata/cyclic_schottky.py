@@ -18,14 +18,12 @@ Words print as whitespace-separated syllables ``a1``, ``e2^3``, ``t1^-1``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
 
 from .homorbits import HomImage
 from .strata import AdmissibleTuple, within_budget
 
 __all__ = [
-    "GroupSpec",
     "FPWord",
     "KHom",
     "build_spec",
@@ -33,47 +31,33 @@ __all__ = [
     "kernel_membership",
     "kernel_presentation",
     "normalized_homs",
+    "symbols",
 ]
 
-# roster symbols are (kind, index) with kind in "aetf", index 1-based
-Symbol = Tuple[str, int]
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Generator roster for one admissible tuple."""
-
-    tuple: AdmissibleTuple
-
-    @property
-    def p(self):
-        return self.tuple.p
-
-    def symbols(self):
-        """Roster in canonical order: A_j, E_j, then T_k, F_k per pair."""
-        t, r, s = self.tuple.t, self.tuple.r, self.tuple.s
-        out = [("a", j) for j in range(1, t + 1)]
-        out += [("e", j) for j in range(1, r + 1)]
-        for k in range(1, s + 1):
-            out.append(("t", k))
-            out.append(("f", k))
-        return out
-
-    def is_elliptic(self, sym):
-        return sym[0] in ("e", "f")
+def symbols(tup):
+    """Roster of the admissible tuple in canonical order: A_j, E_j, then
+    T_k, F_k per pair.  A symbol is (kind, index) with kind in "aetf" and
+    index 1-based; the kinds "e" and "f" are elliptic."""
+    out = [("a", j) for j in range(1, tup.t + 1)]
+    out += [("e", j) for j in range(1, tup.r + 1)]
+    for k in range(1, tup.s + 1):
+        out += [("t", k), ("f", k)]
+    return out
 
 
 def build_spec(tup):
-    """GroupSpec for an admissible tuple (the tuple constructor validates)."""
+    """``tup``, the roster's tuple, once it is an AdmissibleTuple (the tuple
+    constructor validates)."""
     if not isinstance(tup, AdmissibleTuple):
         raise ValueError("build_spec expects an AdmissibleTuple")
-    return GroupSpec(tup)
+    return tup
 
 
-@dataclass(frozen=True)
-class FPWord:
+class FPWord(namedtuple("FPWord", "syllables")):
     """Word in syllable normal form: tuple of (symbol, exponent) pairs."""
 
-    syllables: Tuple[Tuple[Symbol, int], ...]
+    __slots__ = ()
 
     def __str__(self):
         return fpword_str(self)
@@ -88,31 +72,29 @@ def _syllable_str(syllable):
     return f"{kind}{idx}" if exp == 1 else f"{kind}{idx}^{exp}"
 
 
-@dataclass(frozen=True)
-class KHom:
-    """A HomImage bound to a GroupSpec (one image per roster symbol)."""
+class KHom(namedtuple("KHom", "spec hom images")):
+    """A HomImage bound to a roster's tuple ``spec``: ``images`` maps each
+    roster symbol to its image.  Construction validates and fills it."""
 
-    spec: GroupSpec
-    hom: HomImage
+    __slots__ = ()
 
-    def __post_init__(self):
-        tup = self.spec.tuple
-        h = self.hom
-        if h.p != tup.p:
+    def __new__(cls, spec, hom):
+        if hom.p != spec.p:
             raise ValueError("modulus mismatch between spec and images")
-        if (len(h.a), len(h.e), len(h.tau), len(h.f)) != (tup.t, tup.r, tup.s, tup.s):
+        if (len(hom.a), len(hom.e), len(hom.tau), len(hom.f)) != (
+                spec.t, spec.r, spec.s, spec.s):
             raise ValueError("image vector lengths do not match the roster")
-        blocks = {"a": h.a, "e": h.e, "t": h.tau, "f": h.f}
-        object.__setattr__(self, "_images", {
-            sym: blocks[sym[0]][sym[1] - 1] for sym in self.spec.symbols()})
+        blocks = {"a": hom.a, "e": hom.e, "t": hom.tau, "f": hom.f}
+        images = {sym: blocks[sym[0]][sym[1] - 1] for sym in symbols(spec)}
+        return tuple.__new__(cls, (spec, hom, images))
 
     def image(self, sym):
         """The image of the roster symbol ``sym``; ValueError for any other."""
         try:
-            return self._images[sym]
+            return self.images[sym]
         except KeyError:
             raise ValueError(f"{sym!r} is not a symbol of the roster of "
-                             f"{self.spec.tuple}") from None
+                             f"{self.spec}") from None
 
 
 def kernel_membership(phi, w):
@@ -133,8 +115,8 @@ def _syllable_alphabet(spec):
     """
     p = spec.p
     out = []
-    for sym in spec.symbols():
-        if spec.is_elliptic(sym):
+    for sym in symbols(spec):
+        if sym[0] in "ef":
             out.extend((sym, c) for c in range(1, p))
         else:
             out.extend((sym, c) for c in (-1, 1))
@@ -152,10 +134,10 @@ def _may_follow(prev_sym, sym):
     return True
 
 
-def _kernel_walk(phi, max_syllables, budget, labels):
+def _kernel_walk(phi, max_syllables, budget, label):
     """The normal-form syllable trie over ``_syllable_alphabet``, one level
     at a time: for each length k = 1 .. max_syllables, a pair (children,
-    words).  ``labels[j]`` is the caller's value for the j-th syllable of
+    words).  ``label(syllable)`` is the caller's value for each syllable of
     ``_syllable_alphabet(phi.spec)``; ``children[i]`` lists the labels of
     the syllables that extend node i of level k - 1 (the root is level
     0).  Level k is those extensions in order, parent by parent, and
@@ -166,36 +148,48 @@ def _kernel_walk(phi, max_syllables, budget, labels):
     lexicographically in the alphabet's order.
 
     Every candidate syllable counts toward ``budget``, the last level's
-    too, and the count is checked before the first level is handed out;
-    a refusal names the candidates through the level that crossed it.
-    The last level is not scanned: its nodes are the kernel words, looked
-    up as the syllables whose image closes the prefix sum to 0 mod p.
+    too, and every level is counted before the alphabet or any label is
+    made; a refusal names the candidates through the level that crossed
+    it.  The count reads only the width w(s) of each symbol, its number of
+    syllables: 2 when loxodromic, p - 1 when elliptic.  With N nodes at a
+    level, ends[s] of them ending in s, and A the sum of the widths, every
+    node may take any syllable but those of its last symbol, and F_k may
+    not take T_k; so the next level has N A - sum of ends[s] (w(s) + 2
+    [s is F_k]) nodes, w(s) (N - ends[s] - [s is T_k] ends[F_k]) of them
+    ending in s.  The last level is not scanned: its nodes are the kernel
+    words, looked up as the syllables whose image closes the prefix sum to
+    0 mod p.
     """
     if max_syllables < 1:
         raise ValueError("max_syllables must be >= 1")
     spec = phi.spec
     p = spec.p
-    alphabet = [(label, sym, exp * phi.image(sym) % p)
-                for label, (sym, exp) in zip(labels, _syllable_alphabet(spec))]
-    # the alphabet entries that may follow each last symbol, and those of
-    # them that close each image sum, keyed by the sums that occur
+    roster = symbols(spec)
+    width = {sym: p - 1 if sym[0] in "ef" else 2 for sym in roster}
+    size = sum(width.values())
+    seen, nodes, ends = 0, 1, {}  # the root ends in no symbol
+    for level in range(1, max_syllables + 1):
+        seen += nodes * size - sum(
+            n * (width[sym] + 2 * (sym[0] == "f")) for sym, n in ends.items())
+        within_budget(seen, budget, "sampled words")
+        if level < max_syllables:
+            ends = {sym: w * (nodes - ends.get(sym, 0)
+                              - (sym[0] == "t") * ends.get(("f", sym[1]), 0))
+                    for sym, w in width.items()}
+            nodes = sum(ends.values())
+    alphabet = [(label(syl), syl[0], syl[1] * phi.image(syl[0]) % p)
+                for syl in _syllable_alphabet(spec)]
+    # the alphabet entries that may follow each last symbol a level ends
+    # in, and those of them that close each image sum, keyed by the sums
+    # that occur: the root ends in None, and level 1 in every symbol
+    lasts = [None] if max_syllables == 1 else [None, *roster]
     follow = {prev: [e for e in alphabet if _may_follow(prev, e[1])]
-              for prev in [None, *spec.symbols()]}
+              for prev in lasts}
     closing = {prev: {} for prev in follow}
     for prev, entries in follow.items():
-        for label, _sym, step in entries:
-            closing[prev].setdefault(-step % p, []).append(label)
-    # each level's candidates, counted from how many nodes end in each symbol
-    seen, ends = 0, {None: 1}
-    for _ in range(max_syllables):
-        seen += sum(n * len(follow[prev]) for prev, n in ends.items())
-        within_budget(seen, budget, "sampled words")
-        nxt = dict.fromkeys(spec.symbols(), 0)
-        for prev, n in ends.items():
-            for _label, sym, _step in follow[prev]:
-                nxt[sym] += n
-        ends = nxt
-    extensions = {prev: [label for label, _sym, _step in entries]
+        for value, _sym, step in entries:
+            closing[prev].setdefault(-step % p, []).append(value)
+    extensions = {prev: [value for value, _sym, _step in entries]
                   for prev, entries in follow.items()}
     level = [(None, 0)]  # (last symbol, image sum) of each node
     for _ in range(max_syllables - 1):
@@ -216,15 +210,14 @@ def normalized_homs(spec):
     after rescaling.  The units are counted up one vector at a time, never
     held, so the first hom costs nothing that grows with p.
     """
-    tup = spec.tuple
     p = spec.p
-    if tup.r == 0 and tup.s == 0:
-        yield KHom(spec, HomImage(p, a=(1,) + (0,) * (tup.t - 1)))
+    if spec.r == 0 and spec.s == 0:
+        yield KHom(spec, HomImage(p, a=(1,) + (0,) * (spec.t - 1)))
         return
-    units = [1] * (tup.r + tup.s)
+    units = [1] * (spec.r + spec.s)
     while True:
-        yield KHom(spec, HomImage(p, a=(0,) * tup.t, e=tuple(units[:tup.r]),
-                                  tau=(0,) * tup.s, f=tuple(units[tup.r:])))
+        yield KHom(spec, HomImage(p, a=(0,) * spec.t, e=tuple(units[:spec.r]),
+                                  tau=(0,) * spec.s, f=tuple(units[spec.r:])))
         # the next vector: the trailing p - 1 entries wrap to 1
         j = len(units) - 1
         while j >= 0 and units[j] == p - 1:
@@ -246,12 +239,11 @@ def _transversal_pivot(phi):
     the kernel.
     """
     spec = phi.spec
-    tup = spec.tuple
-    if tup.r > 0:
+    if spec.r > 0:
         return ("e", 1)
-    if tup.s > 0:
+    if spec.s > 0:
         return ("f", 1)
-    for j in range(1, tup.t + 1):
+    for j in range(1, spec.t + 1):
         if phi.image(("a", j)) != 0:
             return ("a", j)
     raise ValueError("homomorphism is not surjective: no usable pivot")
@@ -284,12 +276,12 @@ def kernel_presentation(phi):
     p = spec.p
     xi = _transversal_pivot(phi)
     lam = pow(phi.image(xi), -1, p)
-    elliptic = spec.is_elliptic(xi)
+    elliptic = xi[0] in "ef"
     # xi^i and xi^-i for i = 0 .. p-1, as syllable tuples
     heads = [()] + [((xi, i),) for i in range(1, p)]
     tails = [()] + [((xi, p - i if elliptic else -i),) for i in range(1, p)]
     words = []
-    for sym in spec.symbols():
+    for sym in symbols(spec):
         if sym == xi:
             if not elliptic:
                 words.append(FPWord(((xi, p),)))

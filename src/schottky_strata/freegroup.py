@@ -14,10 +14,8 @@ membership, index and rank.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from itertools import chain
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
 from .strata import check, check_prime
 
@@ -50,38 +48,26 @@ def _reduce_letters(letters):
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class FreeWord:
-    """A freely reduced word in the free group of the given rank."""
+class FreeWord(namedtuple("FreeWord", "rank letters")):
+    """A freely reduced word in the free group of the given rank.
+    Construction validates the letters and reduces them."""
 
-    rank: int
-    letters: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __new__(cls, rank, letters):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        for x in self.letters:
-            if not 1 <= abs(x) <= self.rank:
-                raise ValueError(f"letter {x} outside rank {self.rank}")
-        reduced = _reduce_letters(self.letters)
-        if reduced != self.letters:
-            object.__setattr__(self, "letters", reduced)
+        for x in letters:
+            if not 1 <= abs(x) <= rank:
+                raise ValueError(f"letter {x} outside rank {rank}")
+        return tuple.__new__(cls, (rank, _reduce_letters(letters)))
 
-    @classmethod
-    def _reduced(cls, rank, letters):
-        """Build without re-validating: only for letters already freely
-        reduced and within ``rank``.  The slot setters are bound below."""
-        word = object.__new__(cls)
-        _set_rank(word, rank)
-        _set_letters(word, letters)
-        return word
+    # _reduced((rank, letters)) skips validation: only for letters already
+    # freely reduced and within rank
+    _reduced = classmethod(tuple.__new__)
 
     def __invert__(self):
         return FreeWord(self.rank, tuple(-x for x in reversed(self.letters)))
-
-
-# the slot descriptors set the fields without the frozen __setattr__
-_set_rank, _set_letters = FreeWord.rank.__set__, FreeWord.letters.__set__
 
 
 def parse_word(text, rank):
@@ -109,22 +95,21 @@ def map_letters(w, images):
     return FreeWord(rank, tuple(out))
 
 
-@dataclass(frozen=True)
-class AbelianHom:
-    """Homomorphism from a free group to Z_{m1} (x Z_{m2} ...) by exponent sums."""
+class AbelianHom(namedtuple("AbelianHom", "rank moduli images")):
+    """Homomorphism from a free group to Z_{m1} (x Z_{m2} ...) by exponent
+    sums.  Construction validates."""
 
-    rank: int
-    moduli: Tuple[int, ...]
-    images: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.images) != self.rank:
+    def __new__(cls, rank, moduli, images):
+        if len(images) != rank:
             raise ValueError("need one image vector per generator")
-        for m in self.moduli:
+        for m in moduli:
             check_prime(m)
-        for img in self.images:
-            if len(img) != len(self.moduli):
+        for img in images:
+            if len(img) != len(moduli):
                 raise ValueError("image dimension does not match moduli")
+        return tuple.__new__(cls, (rank, moduli, images))
 
 
 def hom_image(phi, w):
@@ -139,32 +124,13 @@ def hom_image(phi, w):
     return tuple(total % m for total, m in zip(sums, phi.moduli))
 
 
-class StallingsGraph:
-    """Folded core graph of a finitely generated subgroup of a free group.
-
-    Vertices are 0..n-1 with basepoint 0; ``adj[v]`` maps signed letters
-    to target vertices (an x-edge from v to w stores both (v, x) -> w and
-    (w, -x) -> v).  Instances are canonically labelled by breadth-first
-    discovery from the basepoint, so equality is graph isomorphism
-    respecting the basepoint and labels.
-    """
-
-    def __init__(self, rank, adj):
-        self.rank = rank
-        self.adj = adj  # list of dicts, vertex 0 is the basepoint
-
-    @property
-    def n_vertices(self):
-        return len(self.adj)
-
-    def key(self):
-        return (
-            self.rank,
-            tuple(tuple(sorted(d.items())) for d in self.adj),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, StallingsGraph) and self.key() == other.key()
+# Folded core graph of a finitely generated subgroup of a free group.
+# Vertices are 0..n-1 with basepoint 0; adj[v] maps signed letters to target
+# vertices (an x-edge from v to w stores both (v, x) -> w and (w, -x) -> v).
+# ``fold`` numbers the vertices by breadth-first discovery from the
+# basepoint, so equality is graph isomorphism respecting the basepoint and
+# labels.
+StallingsGraph = namedtuple("StallingsGraph", "rank adj")
 
 
 def _letter_order(rank):
@@ -191,7 +157,7 @@ def fold(generators):
         raise ValueError("all generators must share one ambient rank")
 
     parent = [0]
-    adj: List[Dict[int, int]] = [dict()]
+    adj = [dict()]  # one dict per vertex, vertex 0 is the basepoint
 
     def find(v):
         while parent[v] != v:
@@ -312,8 +278,9 @@ def index_and_rank(graph):
     """
     complete = all(len(d) == 2 * graph.rank for d in graph.adj)
     edges = sum(1 for d in graph.adj for x in d if x > 0)
-    rank = edges - graph.n_vertices + 1
-    index = graph.n_vertices if complete else INFINITE
+    n = len(graph.adj)
+    rank = edges - n + 1
+    index = n if complete else INFINITE
     if index is not INFINITE:
         assert rank == 1 + index * (graph.rank - 1)
     return (index, rank)
@@ -378,7 +345,7 @@ def schreier_kernel(phi):
         for x in range(1, k + 1):
             d = steps[x][c]
             if x != cancel and last[d] != x:  # no join cancels
-                out.append(word(k, u + (x,) + inverse_reps[d]))
+                out.append(word((k, u + (x,) + inverse_reps[d])))
     return out
 
 

@@ -35,8 +35,7 @@ counters refuse work past their budget with ``strata.within_budget`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
 
 from .strata import (_multisets, check_prime, within_budget,
                      within_budget_of_powers)
@@ -52,53 +51,42 @@ __all__ = [
     "bfs_orbit_count",
 ]
 
-
-@dataclass(frozen=True)
-class ActionSpec:
-    """Which identifications the canonical form quotients by, besides the
-    permutations within each block, which it always quotients by."""
-
-    invert: bool = True
-    global_scale: bool = False
-
+# which identifications the canonical form quotients by, besides the
+# permutations within each block, which it always quotients by
+ActionSpec = namedtuple("ActionSpec", "invert global_scale",
+                        defaults=(True, False))
 
 PERM_INV = ActionSpec(invert=True, global_scale=False)
 PERM_INV_SCALE = ActionSpec(invert=True, global_scale=True)
 
 
-@dataclass(frozen=True)
-class HomImage:
+class HomImage(namedtuple("HomImage", "p a e tau f")):
     """Full image vector of a homomorphism onto Z_p with torsion-free kernel.
 
     ``a`` and ``tau`` take any residues, ``e`` and ``f`` must be units
     (the torsion-free condition), and at least one coordinate has to be
     nonzero (surjectivity; when r = s = 0 this forces some a_j != 0).
+    Construction validates.
     """
 
-    p: int
-    a: Tuple[int, ...] = ()
-    e: Tuple[int, ...] = ()
-    tau: Tuple[int, ...] = ()
-    f: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if len(self.tau) != len(self.f):
+    def __new__(cls, p, a=(), e=(), tau=(), f=()):
+        check_prime(p)
+        if len(tau) != len(f):
             raise ValueError("tau and f must have equal length (one per pair)")
-        for c in self.a + self.tau:
-            if not 0 <= c <= self.p - 1:
-                raise ValueError(f"residue {c} out of range mod {self.p}")
-        for c in self.e + self.f:
-            if not 1 <= c <= self.p - 1:
+        for c in a + tau:
+            if not 0 <= c <= p - 1:
+                raise ValueError(f"residue {c} out of range mod {p}")
+        for c in e + f:
+            if not 1 <= c <= p - 1:
                 raise ValueError(
-                    f"elliptic image {c} must be a unit mod {self.p} "
+                    f"elliptic image {c} must be a unit mod {p} "
                     "(torsion-free kernel)"
                 )
-        if not any(self.flat()):
+        if not any(a + e + tau + f):
             raise ValueError("homomorphism is not surjective: all images are zero")
-
-    def flat(self):
-        return self.a + self.e + self.tau + self.f
+        return tuple.__new__(cls, (p, a, e, tau, f))
 
 
 def _sorting_network(n):

@@ -14,12 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from collections import namedtuple
 
-from .cyclic_schottky import (GroupSpec, _kernel_walk, _syllable_alphabet,
-                              _syllable_str, build_spec)
-from .strata import within_budget
+from .cyclic_schottky import _kernel_walk, _syllable_str, build_spec
 
 __all__ = [
     "MatrixGroupSpec",
@@ -189,13 +186,9 @@ def _factor(center, half, ch, sh):
         sh / half, ch - sh * k)))
 
 
-@dataclass(frozen=True)
-class MatrixGroupSpec:
-    """Concrete matrices for a GroupSpec, one per roster symbol."""
-
-    spec: GroupSpec
-    matrices: Dict[Tuple[str, int], Tuple[complex, ...]]  # (a, b, c, d)
-    centers: Dict[Tuple[str, int], complex]
+# concrete matrices for a roster's tuple ``spec``: ``matrices`` and
+# ``centers`` map each roster symbol to its map (a, b, c, d) and its center
+MatrixGroupSpec = namedtuple("MatrixGroupSpec", "spec matrices centers")
 
 
 def build_matrix_group(tup, separation=10.0):
@@ -264,7 +257,7 @@ def matrix_group_defects(mg):
             defects.append(f"{sym[0]}{sym[1]} does not have order {p}")
         if cls != "elliptic":
             defects.append(f"{sym[0]}{sym[1]} is {cls}, not elliptic")
-    for k in range(1, mg.spec.tuple.s + 1):
+    for k in range(1, mg.spec.s + 1):
         if not commute(mg.matrices[("t", k)], mg.matrices[("f", k)]):
             defects.append(f"pair {k} fails to commute")
     return defects
@@ -284,21 +277,17 @@ def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
     from the identity, and its text joins the syllable texts: each level
     of ``_kernel_walk`` extends the entries and text of its parents'
     nodes, one product per node, and every word is classified only after
-    the walk has passed the budget.  The walk's first level is the
-    alphabet, 2(t + s) loxodromic syllables and p - 1 per elliptic
-    symbol, so its size is refused before any syllable is made.
+    the walk has passed the budget.  The walk counts every level before it
+    asks for the first syllable's power, so a refused run makes none.
     """
-    tup = phi.spec.tuple
-    within_budget(2 * (tup.t + tup.s) + (tup.r + tup.s) * (tup.p - 1),
-                  budget, "sampled words")
-    factors = []
-    for syl in _syllable_alphabet(phi.spec):
+
+    def factor(syl):
         word = _syllable_str(syl)
-        power = _power(mg.matrices[syl[0]], syl[1])
-        factors.append((*power, word, " " + word))
+        return (*_power(mg.matrices[syl[0]], syl[1]), word, " " + word)
+
     nodes = [(1 + 0j, 0j, 0j, 1 + 0j, "")]
     words = []
-    for children, kernel in _kernel_walk(phi, max_syllables, budget, factors):
+    for children, kernel in _kernel_walk(phi, max_syllables, budget, factor):
         # _mul's products; str(w) from syllable texts written once (a test
         # pins both)
         nodes = [(a * fa + b * fc, a * fb + b * fd, c * fa + d * fc,

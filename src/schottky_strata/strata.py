@@ -325,7 +325,7 @@ def _settled(p, t, r, s, m):
 
 
 def stratum_rows(g, p):
-    """Yield (g, p, t, r, s, M, dimension, exact, M, basis), the values of
+    """Yield (g, p, t, r, s, M, dimension, exact, basis), the values of
     ``component_bounds`` and ``dimension``, for each admissible tuple in
     ``enumerate_tuples`` order.  A total n = t + s fixes r and the
     dimension, and M = C(r+h-1, r) * C(s+h-1, s): the r factor is made once
@@ -345,7 +345,7 @@ def stratum_rows(g, p):
             s = n - t
             m *= by_s.get(s) or by_s.setdefault(s, _multisets(h, 0, s))
             exact, basis = _settled(p, t, r, s, m)
-            yield g, p, t, r, s, m, dim, exact, m, basis
+            yield g, p, t, r, s, m, dim, exact, basis
 
 
 def dimension(g, p, t, r, s):

@@ -35,7 +35,7 @@ def _check_family(p, m):
 
 def count_orbits(p, m):
     """Number of orbits in (Z_p^*)^m, by exhaustive canonicalisation."""
-    # deferred, so verify example2 loads neither homorbits nor dataclasses
+    # deferred, so verify example2 does not load homorbits
     from .homorbits import ActionSpec, canonical_codes
     _check_family(p, m)
     rotation = ActionSpec(invert=False, global_scale=True)

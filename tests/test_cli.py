@@ -77,6 +77,13 @@ _LOXCHECK_PAST_THE_ALPHABET = [
 _ALPHABET_REFUSAL = ("error: enumeration requires 1000000008 sampled words, "
                      "exceeding budget 1000000; raise it with --budget\n")
 
+# ten thousand free generators at p = 2: 20,000 one-syllable candidates, and
+# 20,000 + 20,000 * 19,998 through two syllables, counted from the symbol
+# widths before the alphabet or any table is made
+_LOXCHECK_WIDE_ROSTER = [
+    "loxcheck", "--g", "19999", "--p", "2", "--t", "10000", "--r", "0",
+    "--s", "0", "--max-syllables", "1"]
+
 
 def run_json(argv):
     code, envelope, text = run(argv)
@@ -85,7 +92,7 @@ def run_json(argv):
 
 def _dict_rows(env):
     """``env`` with its table rows in the dict form that its text prints;
-    in-process they are tuples in CSV column order."""
+    in-process they are tuples, a report row carrying M once."""
     results = dict(env["results"])
     if env["command"] == "tuples" and results:
         results["tuples"] = [dict(zip("gptrs", row))
@@ -94,8 +101,8 @@ def _dict_rows(env):
         results["reports"] = [
             {"tuple": dict(zip("gptrs", row[:5])), "m_count": row[5],
              "dimension": row[6],
-             "components": {"upper": row[8], "exact": row[7],
-                            "basis": row[9]}}
+             "components": {"upper": row[5], "exact": row[7],
+                            "basis": row[8]}}
             for row in results["reports"]]
     return {**env, "results": results}
 
@@ -388,15 +395,48 @@ class TestExitCodes:
             assert spec.p < 10**6, "the alphabet of a refused run was built"
             return real(spec)
 
-        for module in (cyclic_schottky, moebius):
-            monkeypatch.setattr(module, "_syllable_alphabet", counting)
+        monkeypatch.setattr(cyclic_schottky, "_syllable_alphabet", counting)
         argv = [*_LOXCHECK_PAST_THE_ALPHABET, "--phi", '{"a":[0],"e":[1]}']
         assert run_json(argv) == (2, None, "")
         assert capsys.readouterr().err == _ALPHABET_REFUSAL
         assert built == []
-        # the wrapper sees the alphabet of a run that is not refused
+        # the wrapper sees the alphabet of a run that is not refused, made
+        # once by the walk
         assert run_json(["loxcheck", *_G5_TUPLE, "--max-syllables", "1"])[0] == 0
-        assert built == [5, 5]
+        assert built == [5]
+
+    def test_wide_roster_counted_from_widths(self):
+        # a fresh process held to 1 GB, as a walk that made a follow table
+        # per symbol would need several GB for either run; a wrapper counts
+        # the calls that make the alphabet and each follow-table entry
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        script = (
+            "from schottky_strata import cli, cyclic_schottky as cs\n"
+            "calls = []\n"
+            "for name in ('_syllable_alphabet', '_may_follow'):\n"
+            "    setattr(cs, name, lambda *args, name=name, real=getattr(\n"
+            "        cs, name): calls.append(name) or real(*args))\n"
+            f"argv = {_LOXCHECK_WIDE_ROSTER!r}\n"
+            "code, env, _ = cli.run(argv)\n"
+            # a1 maps to 1 and every other a_j^+-1 is a kernel word
+            "assert code == 0, code\n"
+            "assert env['results']['report']['n_words'] == 2 * 9999\n"
+            # one syllable needs the root's follow table alone
+            "assert calls.count('_syllable_alphabet') == 1, calls[:3]\n"
+            "assert calls.count('_may_follow') == 20000, len(calls)\n"
+            "calls.clear()\n"
+            "assert cli.run(argv[:-1] + ['2'])[0] == 2\n"
+            "assert calls == [], len(calls)\n"
+        )
+        src = str(Path(schottky_strata.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=20, preexec_fn=limit, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, (
+            "error: enumeration requires 399980000 sampled words, exceeding "
+            "budget 1000000; raise it with --budget\n"))
 
     @pytest.mark.parametrize("phi", [[], ["--phi", '{"a":[0],"e":[1]}']])
     def test_large_prime_alphabet_refused_within_a_gigabyte(self, phi):
@@ -565,7 +605,8 @@ class TestChecksCanFail:
                             lambda p, m: ((1,) * m, (1,) * m))
         failed = _failed_check(["verify", "example2"],
                                "witness_pair_distinct_orbits", capsys)
-        assert failed["detail"] == "[1, 1, 1, 1] vs [1, 1, 1, 1]"
+        assert failed["detail"] == (
+            "distinct entries: 1 in the first tuple, 1 in the second")
 
     def test_family_is_connected_case(self, monkeypatch, capsys):
         monkeypatch.setattr(strata, "_example2_family_member",
@@ -903,6 +944,9 @@ class TestCommands:
         assert code == 0
         x, y = env["results"]["witness"]
         assert x == [1] * m and y == [1] * (m - 1) + [2]
+        # the check states its invariant, not the tuples again
+        assert env["checks"][-1]["detail"] == (
+            "distinct entries: 1 in the first tuple, 2 in the second")
 
     def test_witness_budget_counts_written_entries(self, capsys):
         assert run_json(["verify", "example2", "--m", "500001"]) == (
@@ -1073,7 +1117,7 @@ class TestStratumRows:
             assert [row[:5] for row in rows] == strata.enumerate_tuples(g, p)
             for row in rows:
                 m, exact, basis = strata.component_bounds(*row[:5])
-                assert row[5:] == (m, strata.dimension(*row[:5]), exact, m,
+                assert row[5:] == (m, strata.dimension(*row[:5]), exact,
                                    basis)
 
     def test_refusal_computes_no_later_m(self, monkeypatch):
@@ -1339,6 +1383,16 @@ class TestRuntimeImports:
             f"for argv in {examples!r}:\n"
             "    assert run(argv)[0] == 0, argv\n"
             "    assert 'numpy.ma' not in sys.modules, argv\n"
+        ))
+
+    def test_cli_examples_never_load_dataclasses(self):
+        # every record is a namedtuple, so no command imports dataclasses
+        _fresh_python("-c", (
+            "import sys\n"
+            "from schottky_strata.cli import run\n"
+            f"for argv in {_readme_examples()!r}:\n"
+            "    assert run(argv)[0] == 0, argv\n"
+            "    assert 'dataclasses' not in sys.modules, argv\n"
         ))
 
     def test_cli_examples_never_load_mpmath(self):

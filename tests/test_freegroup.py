@@ -25,8 +25,13 @@ def W(text, rank=2):
     return parse_word(text, rank)
 
 
+def graph_key(graph):
+    """A hashable form of a folded graph, equal exactly when the graphs are."""
+    return graph.rank, tuple(tuple(sorted(d.items())) for d in graph.adj)
+
+
 def naive_fold_key(rank, words):
-    """``StallingsGraph.key()`` of the subgroup, folded the plain way: the
+    """``graph_key`` of the subgroup, folded the plain way: the
     whole bouquet of loops at vertex 0 is built first, then the targets of
     two equal-labelled edges at one vertex are merged until no two are
     left, then the vertices are numbered breadth-first from the basepoint
@@ -170,7 +175,7 @@ class TestFold:
     @example((2, [FreeWord(2, (-1, -2, 1)), FreeWord(2, (-1, -2, -2))]))
     def test_matches_naive_bouquet_fold(self, case):
         rank, words = case
-        assert fold(words).key() == naive_fold_key(rank, words)
+        assert graph_key(fold(words)) == naive_fold_key(rank, words)
 
     def test_reads_after_the_first_merge(self, monkeypatch):
         # the first merge comes with the fourth word, so it and the fifth
@@ -184,15 +189,15 @@ class TestFold:
         fold(words[:3])
         assert not merges
         graph = fold(words[:4])
-        assert merges and graph.n_vertices == 4
+        assert merges and len(graph.adj) == 4
         graph = fold(words)
-        assert graph.key() == naive_fold_key(2, words)
+        assert graph_key(graph) == naive_fold_key(2, words)
         assert index_and_rank(graph) == (3, 4)
         assert graph == fold(schreier_kernel(AbelianHom(2, (3,), ((1,), (1,)))))
 
     def test_whole_group(self):
         g = fold([W("a"), W("b")])
-        assert g.n_vertices == 1
+        assert len(g.adj) == 1
         assert index_and_rank(g) == (1, 2)
 
     def test_square_and_b(self):
@@ -200,17 +205,17 @@ class TestFold:
         # midpoint of the A^2 loop has no B-edges, so the graph is incomplete
         # (an index-2 subgroup of F_2 would have rank 3)
         g = fold([W("aa"), W("b")])
-        assert g.n_vertices == 2
+        assert len(g.adj) == 2
         assert index_and_rank(g) == (INFINITE, 2)
 
     def test_index_two_subgroup(self):
         g = fold([W("aa"), W("b"), W("abA")])
-        assert g.n_vertices == 2
+        assert len(g.adj) == 2
         assert index_and_rank(g) == (2, 3)
 
     def test_example1_c_words(self):
         g = fold(example1_data()["c_words"])
-        assert g.n_vertices == 5
+        assert len(g.adj) == 5
         assert index_and_rank(g) == (5, 6)
         assert all(len(adj) == 4 for adj in g.adj)  # complete at every vertex
 
@@ -277,7 +282,7 @@ class TestFold:
             rng.shuffle(words)
             g = fold(words)
             assert g == base
-            seen.add(g.key())
+            seen.add(graph_key(g))
         assert len(seen) == 1
 
 
@@ -404,7 +409,7 @@ class TestTrustedSchreierWords:
         assert [w.letters for w in words] == reference_schreier_letters(phi)
         graph = fold(words)
         assert index_and_rank(graph) == (p, 1 + p * (k - 1))
-        assert graph.key() == naive_fold_key(k, words)
+        assert graph_key(graph) == naive_fold_key(k, words)
 
     @pytest.mark.parametrize("moduli", [(2,), (7,), (2, 3), (5, 5)])
     def test_reduced_by_construction(self, moduli):
