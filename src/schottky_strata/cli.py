@@ -72,12 +72,12 @@ def _writable(n, what):
 
 
 def _writable_row(row):
-    """A stratum row, refused as bad input if M or dimension is unwritable."""
-    if row[5] + row[0] > 1e300:  # M + g; else both pass, as dim < 2g
-        g, p, t, r, s, m, dim = row[:7]
-        tup = f"({g},{p};{t},{r},{s})"
-        _writable(m, f"M of {tup}")
-        _writable(dim, f"the dimension of {tup}")
+    """A stratum row, refused as bad input if M or dimension is unwritable;
+    a row with M + g <= 1e300 always passes, as dim < 2g."""
+    g, p, t, r, s, m, dim = row[:7]
+    tup = f"({g},{p};{t},{r},{s})"
+    _writable(m, f"M of {tup}")
+    _writable(dim, f"the dimension of {tup}")
     return row
 
 
@@ -114,20 +114,15 @@ def _stratum_dict(row):
 
 def _cmd_tuples(args):
     within_budget(strata.count_strata(args.p, args.g), args.budget, "rows")
-    tuples = strata.enumerate_tuples(args.g, args.p)
-    results = {"count": len(tuples), "tuples": tuples}
+    tuples = strata.tuple_rows(args.g, args.p)
     # by column: the g and p asked for, no negative entry, and the genus
     gs, ps, ts, rs, ss = list(zip(*tuples)) or [()] * 5
-    checks = [
-        check(
-            "all_admissible",
-            set(gs) <= {args.g} and set(ps) <= {args.p}
-            and min(ts + rs + ss, default=0) >= 0
-            and set(map(strata.genus, ps, ts, rs, ss)) <= {args.g},
-            f"{len(tuples)} tuples verified against the defining relation",
-        )
-    ]
-    return results, checks
+    admissible = (set(gs) <= {args.g} and set(ps) <= {args.p}
+                  and min(ts + rs + ss, default=0) >= 0
+                  and set(map(strata.genus, ps, ts, rs, ss)) <= {args.g})
+    return {"count": len(tuples), "tuples": tuples}, [check(
+        "all_admissible", admissible,
+        f"{len(tuples)} tuples verified against the defining relation")]
 
 
 def _cmd_count(args):
@@ -257,10 +252,10 @@ def _within_doubles(handler):
     return refusing
 
 
-def _built_group(args):
-    """The command's matrix group and its invariant check."""
+def _built_group(tup, args):
+    """The matrix group of ``tup`` and its invariant check."""
     from . import moebius
-    tup = _tuple_from_args(args)
+    within_budget(tup.t + tup.r + 2 * tup.s, _MATRIX_BUDGET, "matrices")
     mg = moebius.build_matrix_group(tup, separation=args.separation)
     defects = moebius.matrix_group_defects(mg)
     invariants = check(
@@ -268,14 +263,14 @@ def _built_group(args):
         "; ".join(defects)
         or "order, classification and commutation checks hold",
     )
-    return tup, mg, invariants
+    return mg, invariants
 
 
 @_within_doubles
 def _cmd_build(args):
     from .cyclic_schottky import symbols
     from .moebius import classify
-    tup, mg, invariants = _built_group(args)
+    mg, invariants = _built_group(_tuple_from_args(args), args)
     matrices = []
     for sym in symbols(mg.spec):
         m = mg.matrices[sym]
@@ -287,15 +282,18 @@ def _cmd_build(args):
                 "class": classify(m),
             }
         )
-    results = {"tuple": tup._asdict(), "separation": args.separation,
+    results = {"tuple": mg.spec._asdict(), "separation": args.separation,
                "matrices": matrices}
     return results, [invariants]
 
 
 @_within_doubles
 def _cmd_loxcheck(args):
+    from .cyclic_schottky import _walk_budget
     from .moebius import purely_loxodromic_sample
-    tup, mg, invariants = _built_group(args)
+    tup = _tuple_from_args(args)
+    _walk_budget(tup, args.max_syllables, args.budget)  # before any factor
+    mg, invariants = _built_group(tup, args)
     phi = _phi_from_args(mg.spec, args.phi)
     report = purely_loxodromic_sample(
         mg, phi, max_syllables=args.max_syllables, budget=args.budget)
@@ -330,8 +328,8 @@ def _cmd_report(args):
         if visited >= args.budget and g < args.g_max:
             within_budget(args.g_max - args.g_min + 1, args.budget, "genera")
     # row by row, so a refused row stops the walk before any later M
-    rows = [_writable_row(row) for g in window
-            for row in strata.stratum_rows(g, args.p)]
+    rows = [row for g in window for row in strata.stratum_rows(g, args.p)
+            if row[5] + g <= 1e300 or _writable_row(row)]
     results = {"p": args.p, "g_min": args.g_min, "g_max": args.g_max,
                "reports": rows}
     checks = [
@@ -379,7 +377,12 @@ def _json_output(envelope):
     texts = []
     if command == "tuples" and results:
         key = "tuples"
-        texts = list(map(_TUPLE_JSON.__mod__, results[key]))
+        rows, inputs = results[key], envelope["inputs"]
+        if envelope["checks"][0]["pass"]:  # each row has the g, p asked
+            fill = _TUPLE_JSON % (inputs["g"], inputs["p"], "%s", "%s", "%s")
+            texts = [fill % (t, r, s) for _g, _p, t, r, s in rows]
+        else:
+            texts = list(map(_TUPLE_JSON.__mod__, rows))
     elif command == "report" and results:
         key = "reports"
         # in _stratum_dict's order: upper before exact, None as null
@@ -422,6 +425,7 @@ def _add_tuple_flags(sub):
 # rows that tuples and report build by default: a report row peaks at
 # about 0.95 KB of memory as JSON, so a default run stays near 1 GB
 _ROW_BUDGET = 10**6
+_MATRIX_BUDGET = 2 * 10**5  # build or loxcheck: about 3.7 KB a matrix
 
 
 def build_parser():
@@ -515,7 +519,8 @@ def run(argv):
     try:
         results, checks = _HANDLERS[args.command](args)
     except (ValueError, BudgetExceeded) as exc:
-        flag = isinstance(exc, BudgetExceeded) and "budget" in inputs
+        flag = (isinstance(exc, BudgetExceeded)  # --budget, no fixed limit
+                and exc.budget == inputs.get("budget"))
         print(f"error: {exc}{'; raise it with --budget' if flag else ''}",
               file=sys.stderr)
         return 2, None, ""

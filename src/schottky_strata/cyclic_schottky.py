@@ -134,6 +134,33 @@ def _may_follow(prev_sym, sym):
     return True
 
 
+def _walk_budget(spec, max_syllables, budget):
+    """Refuse the walk of ``_kernel_walk`` on ``spec`` if its candidate
+    syllables, the last level's too, pass ``budget``, naming those through
+    the level that crossed it.  The count reads only the width w(s) of each
+    symbol, its number of syllables: 2 when loxodromic, p - 1 when
+    elliptic.  With N nodes at a level, ends[s] of them ending in s, and A
+    the sum of the widths, every node may take any syllable but those of
+    its last symbol, and F_k may not take T_k; so the next level has
+    N A - sum of ends[s] (w(s) + 2 [s is F_k]) nodes,
+    w(s) (N - ends[s] - [s is T_k] ends[F_k]) of them ending in s."""
+    if max_syllables < 1:
+        raise ValueError("max_syllables must be >= 1")
+    width = {sym: spec.p - 1 if sym[0] in "ef" else 2
+             for sym in symbols(spec)}
+    size = sum(width.values())
+    seen, nodes, ends = 0, 1, {}  # the root ends in no symbol
+    for level in range(1, max_syllables + 1):
+        seen += nodes * size - sum(
+            n * (width[sym] + 2 * (sym[0] == "f")) for sym, n in ends.items())
+        within_budget(seen, budget, "sampled words")
+        if level < max_syllables:
+            ends = {sym: w * (nodes - ends.get(sym, 0)
+                              - (sym[0] == "t") * ends.get(("f", sym[1]), 0))
+                    for sym, w in width.items()}
+            nodes = sum(ends.values())
+
+
 def _kernel_walk(phi, max_syllables, budget, label):
     """The normal-form syllable trie over ``_syllable_alphabet``, one level
     at a time: for each length k = 1 .. max_syllables, a pair (children,
@@ -147,42 +174,19 @@ def _kernel_walk(phi, max_syllables, budget, label):
     ``max_syllables`` syllables, by syllable count and then
     lexicographically in the alphabet's order.
 
-    Every candidate syllable counts toward ``budget``, the last level's
-    too, and every level is counted before the alphabet or any label is
-    made; a refusal names the candidates through the level that crossed
-    it.  The count reads only the width w(s) of each symbol, its number of
-    syllables: 2 when loxodromic, p - 1 when elliptic.  With N nodes at a
-    level, ends[s] of them ending in s, and A the sum of the widths, every
-    node may take any syllable but those of its last symbol, and F_k may
-    not take T_k; so the next level has N A - sum of ends[s] (w(s) + 2
-    [s is F_k]) nodes, w(s) (N - ends[s] - [s is T_k] ends[F_k]) of them
-    ending in s.  The last level is not scanned: its nodes are the kernel
-    words, looked up as the syllables whose image closes the prefix sum to
-    0 mod p.
+    ``_walk_budget`` counts every level before any label is made.  The last
+    level is not scanned: its nodes are the kernel words, looked up as the
+    syllables whose image closes the prefix sum to 0 mod p.
     """
-    if max_syllables < 1:
-        raise ValueError("max_syllables must be >= 1")
     spec = phi.spec
     p = spec.p
-    roster = symbols(spec)
-    width = {sym: p - 1 if sym[0] in "ef" else 2 for sym in roster}
-    size = sum(width.values())
-    seen, nodes, ends = 0, 1, {}  # the root ends in no symbol
-    for level in range(1, max_syllables + 1):
-        seen += nodes * size - sum(
-            n * (width[sym] + 2 * (sym[0] == "f")) for sym, n in ends.items())
-        within_budget(seen, budget, "sampled words")
-        if level < max_syllables:
-            ends = {sym: w * (nodes - ends.get(sym, 0)
-                              - (sym[0] == "t") * ends.get(("f", sym[1]), 0))
-                    for sym, w in width.items()}
-            nodes = sum(ends.values())
+    _walk_budget(spec, max_syllables, budget)
     alphabet = [(label(syl), syl[0], syl[1] * phi.image(syl[0]) % p)
                 for syl in _syllable_alphabet(spec)]
     # the alphabet entries that may follow each last symbol a level ends
     # in, and those of them that close each image sum, keyed by the sums
     # that occur: the root ends in None, and level 1 in every symbol
-    lasts = [None] if max_syllables == 1 else [None, *roster]
+    lasts = [None] if max_syllables == 1 else [None, *symbols(spec)]
     follow = {prev: [e for e in alphabet if _may_follow(prev, e[1])]
               for prev in lasts}
     closing = {prev: {} for prev in follow}

@@ -24,6 +24,7 @@ __all__ = [
     "is_prime",
     "is_admissible",
     "enumerate_tuples",
+    "tuple_rows",
     "count_strata",
     "closed_form_count",
     "dimension",
@@ -210,10 +211,6 @@ class AdmissibleTuple(namedtuple("AdmissibleTuple", "g p t r s")):
         # namedtuple's own _make, which _replace calls, skips __new__
         return cls(*iterable)
 
-    # _from_relation((g, p, t, r, s)) skips validation: only for (t, r, s)
-    # solved from the relation for a (g, p) that passed _validate_gp
-    _from_relation = classmethod(tuple.__new__)
-
     def __str__(self):
         return f"({self.g},{self.p};{self.t},{self.r},{self.s})"
 
@@ -228,26 +225,25 @@ def _admissible_totals(g, p):
     return range(g % (p - 1), bound + 1, p - 1)
 
 
-def enumerate_tuples(g, p):
-    """All admissible (t, r, s) for the given genus and prime, as tuples.
-
-    Each admissible total n = t + s fixes r = (g - 1 - p(n-1)) / (p - 1),
-    and r falls as n grows; so running t upwards and, for each t, n
-    downwards over the admissible totals yields exactly the solutions,
-    already sorted lexicographically by (t, r, s).
+def tuple_rows(g, p):
+    """All admissible (g, p, t, r, s) for the given genus and prime, as
+    plain tuples sorted by (t, r, s).  Each admissible total n = t + s fixes
+    r = (g - 1 - p(n-1)) / (p - 1), and r falls as n grows; so t runs
+    upwards and, for each t, n downwards over the admissible totals n >= t.
     """
     _validate_gp(g, p)
     # (n, r) pairs with n descending, hence r ascending
     totals = [(n, (g - 1 - p * (n - 1)) // (p - 1))
               for n in reversed(_admissible_totals(g, p))]
-    make = AdmissibleTuple._from_relation
-    found = []
-    for t in range(totals[0][0] + 1 if totals else 0):
-        for n, r in totals:
-            if n < t:
-                break
-            found.append(make((g, p, t, r, n - t)))
-    return found
+    top = totals[0][0] if totals else -1
+    # the totals n >= t are the first (top - t) // (p - 1) + 1
+    return [(g, p, t, r, n - t) for t in range(top + 1)
+            for n, r in totals[:(top - t) // (p - 1) + 1]]
+
+
+def enumerate_tuples(g, p):
+    """``tuple_rows(g, p)`` as AdmissibleTuples, which need no validation."""
+    return [tuple.__new__(AdmissibleTuple, row) for row in tuple_rows(g, p)]
 
 
 def count_strata(p, g):
@@ -314,11 +310,15 @@ def component_bounds(g, p, t, r, s):
 
 
 def _settled(p, t, r, s, m):
-    """(exact, basis) of component_bounds, for the tuple's M ``m``."""
+    """(exact, basis) of component_bounds, for the tuple's M ``m``.  For t
+    and s None, the pair of every tuple of that p and r where they settle
+    it, with exact M (1 for p < 5), and None where they do not."""
     if p < 5 or r == s == 0:
         return 1, "theorem_case_1"
-    if r % p or s % p:
+    if r % p or s is not None and s % p:
         return m, "theorem_case_3"
+    if s is None:
+        return None
     if _example2_family_member(p, t, r, s):
         return 1, "example2_family"
     return None, "upper_only"
@@ -327,25 +327,26 @@ def _settled(p, t, r, s, m):
 def stratum_rows(g, p):
     """Yield (g, p, t, r, s, M, dimension, exact, basis), the values of
     ``component_bounds`` and ``dimension``, for each admissible tuple in
-    ``enumerate_tuples`` order.  A total n = t + s fixes r and the
-    dimension, and M = C(r+h-1, r) * C(s+h-1, s): the r factor is made once
-    per n before the first row, the s factor once per s when s first occurs.
+    ``tuple_rows`` order.  A total n = t + s fixes r, the dimension, M's r
+    factor (M = C(r+h-1, r) * C(s+h-1, s)) and the case where r settles it,
+    made once per n before the first row; the s factor is made once per s.
     """
     _validate_gp(g, p)
     h = max(1, (p - 1) // 2)  # p = 2 draws from one class: M = 1
-    blocks = []  # (n, r, dimension, r factor of M), n descending
+    blocks = []  # (n, r, dimension, r factor of M, r's case), n descending
     for n in reversed(_admissible_totals(g, p)):
         r = (g - 1 - p * (n - 1)) // (p - 1)
-        blocks.append((n, r, dimension(g, p, n, r, 0), _multisets(h, r, 0)))
+        blocks.append((n, r, dimension(g, p, n, r, 0), _multisets(h, r, 0),
+                       _settled(p, None, r, None, None)))
     by_s = {}  # the s factor of M, by s
     for t in range(blocks[0][0] + 1 if blocks else 0):
-        for n, r, dim, m in blocks:
+        for n, r, dim, m, decided in blocks:
             if n < t:
                 break
             s = n - t
             m *= by_s.get(s) or by_s.setdefault(s, _multisets(h, 0, s))
-            exact, basis = _settled(p, t, r, s, m)
-            yield g, p, t, r, s, m, dim, exact, basis
+            yield (g, p, t, r, s, m, dim, m, decided[1]) if decided else (
+                g, p, t, r, s, m, dim, *_settled(p, t, r, s, m))
 
 
 def dimension(g, p, t, r, s):

@@ -114,6 +114,8 @@ class TestEnvelope:
         assert env["command"] == "tuples"
         assert env["results"]["count"] == 2
         assert env["results"]["tuples"] == strata.enumerate_tuples(5, 5)
+        # plain tuples, not AdmissibleTuples
+        assert {type(row) for row in env["results"]["tuples"]} == {tuple}
         rows = json.loads(text)["results"]["tuples"]
         assert rows[0] == {"g": 5, "p": 5, "t": 0, "r": 1, "s": 1}
         assert json.loads(text) == _dict_rows(env)
@@ -438,6 +440,52 @@ class TestExitCodes:
             "error: enumeration requires 399980000 sampled words, exceeding "
             "budget 1000000; raise it with --budget\n"))
 
+    def test_million_symbols_refused_before_any_factor(self):
+        # a fresh process held to 1 GB: placing 10^6 factors runs out of
+        # memory, so build refuses them by their count and loxcheck counts
+        # its words first; a wrapper counts the groups built
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        tup = ["--g", "1999999", "--p", "2", "--t", "1000000", "--r", "0",
+               "--s", "0"]
+        script = (
+            "from schottky_strata import cli, moebius\n"
+            "calls = []\n"
+            "real = moebius.build_matrix_group\n"
+            "moebius.build_matrix_group = lambda *args, **kw: (\n"
+            "    calls.append(args) or real(*args, **kw))\n"
+            f"assert cli.run({['build', *tup]!r})[0] == 2\n"
+            f"argv = {['loxcheck', *tup, '--max-syllables', '1']!r}\n"
+            "assert cli.run(argv)[0] == 2\n"
+            "assert calls == [], len(calls)\n"
+        )
+        src = str(Path(schottky_strata.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=20, preexec_fn=limit, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, (
+            "error: enumeration requires 1000000 matrices, exceeding budget "
+            "200000\n"
+            "error: enumeration requires 2000000 sampled words, exceeding "
+            "budget 1000000; raise it with --budget\n"))
+
+    def test_matrix_limit_counts_every_factor(self, monkeypatch, capsys):
+        # t + r + 2s factors: one per A_j and E_j, two per pair
+        argv = ["build", "--g", "6", "--p", "3", "--t", "1", "--r", "1",
+                "--s", "1"]
+        monkeypatch.setattr(cli, "_MATRIX_BUDGET", 3)
+        assert run_json(argv) == (2, None, "")
+        assert capsys.readouterr().err == (
+            "error: enumeration requires 4 matrices, exceeding budget 3\n")
+        # loxcheck's --budget counts words, so raising it does not help
+        loxcheck = ["loxcheck", *argv[1:], "--max-syllables", "1"]
+        assert run_json(loxcheck) == (2, None, "")
+        assert capsys.readouterr().err == (
+            "error: enumeration requires 4 matrices, exceeding budget 3\n")
+        monkeypatch.setattr(cli, "_MATRIX_BUDGET", 4)
+        assert run_json(argv)[0] == 0 and run_json(loxcheck)[0] == 0
+
     @pytest.mark.parametrize("phi", [[], ["--phi", '{"a":[0],"e":[1]}']])
     def test_large_prime_alphabet_refused_within_a_gigabyte(self, phi):
         # the default hom and the alphabet each take several GB if made, so
@@ -482,7 +530,7 @@ class TestExitCodes:
     def test_row_budget(self, argv, rows, monkeypatch, capsys):
         # refused from the count, before any row is made
         made = []
-        for name in ("enumerate_tuples", "stratum_rows"):
+        for name in ("tuple_rows", "stratum_rows"):
             real = getattr(strata, name)
             monkeypatch.setattr(strata, name, lambda g, p, real=real:
                                 made.append(g) or real(g, p))
@@ -663,17 +711,19 @@ class TestChecksCanFail:
         lambda g, p, t, r, s: (g, p, t - 1, r, s + 1),
     ], ids=["r_plus_1", "other_g", "other_p", "negative_t"])
     def test_all_admissible(self, off, monkeypatch, capsys):
-        real = strata.enumerate_tuples
+        real = strata.tuple_rows
 
         def one_row_off(g, p):
             tuples = real(g, p)
-            return [strata.AdmissibleTuple._from_relation(off(*tuples[0])),
-                    *tuples[1:]]
+            return [off(*tuples[0]), *tuples[1:]]
 
-        monkeypatch.setattr(strata, "enumerate_tuples", one_row_off)
+        monkeypatch.setattr(strata, "tuple_rows", one_row_off)
         failed = _failed_check(["tuples", "--g", "10", "--p", "5"],
                                "all_admissible", capsys)
         assert failed["detail"] == "3 tuples verified against the defining relation"
+        # the text prints each row's own g and p, not the ones asked for
+        _code, env, text = run_json(["tuples", "--g", "10", "--p", "5"])
+        assert json.loads(text) == _dict_rows(env)
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--g", "136", "--p", "5", "--t", "12", "--r", "20",

@@ -127,7 +127,7 @@ class TestAdmissibility:
             AdmissibleTuple._make((5, 5, 1, 0, 1))
 
     def test_trusted_rows_equal_validated_rows(self):
-        # enumerate_tuples builds through _from_relation, skipping validation
+        # enumerate_tuples makes each row of tuple_rows without validating
         for p in PRIMES_TO_60[:8]:
             for g in range(2, 80):
                 for tup in enumerate_tuples(g, p):
