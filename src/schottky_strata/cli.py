@@ -113,13 +113,13 @@ def _stratum_dict(row):
 # command handlers: each returns (results, checks)
 
 def _cmd_tuples(args):
-    within_budget(strata.count_strata(args.p, args.g), args.budget, "rows")
-    tuples = strata.tuple_rows(args.g, args.p)
-    # by column: the g and p asked for, no negative entry, and the genus
-    gs, ps, ts, rs, ss = list(zip(*tuples)) or [()] * 5
-    admissible = (set(gs) <= {args.g} and set(ps) <= {args.p}
-                  and min(ts + rs + ss, default=0) >= 0
-                  and set(map(strata.genus, ps, ts, rs, ss)) <= {args.g})
+    g, p = args.g, args.p
+    within_budget(strata.count_strata(p, g), args.budget, "rows")
+    tuples = strata.tuple_rows(g, p)
+    # one pass: the g and p asked for, no negative entry, the genus inline
+    admissible = all(rg == g and rp == p and t >= 0 and r >= 0 and s >= 0
+                     and p * (t + r + s - 1) + 1 - r == g
+                     for rg, rp, t, r, s in tuples)
     return {"count": len(tuples), "tuples": tuples}, [check(
         "all_admissible", admissible,
         f"{len(tuples)} tuples verified against the defining relation")]
@@ -503,7 +503,7 @@ def _parser():
 def run(argv):
     """Parse and execute; returns (exit_code, envelope_or_None, text).
 
-    Table rows in the envelope are tuples: the AdmissibleTuples of
+    Table rows in the envelope are plain tuples: (g, p, t, r, s) for
     ``tuples`` and, for ``report``, (g, p, t, r, s, M, dimension, exact,
     basis), which the text prints with M as both m_count and upper."""
     try:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import resource
 import shlex
 import subprocess
@@ -702,14 +703,18 @@ class TestChecksCanFail:
         assert failed["detail"] == "3 rows, count_strata sums to 7"
 
     # (10, 5; 0, 1, 2), the first row, changed so that it fails the genus
-    # alone, the g column alone, the p column and the genus, or the sign
-    # test alone
+    # alone, the g alone, the p and the genus, or one sign test alone:
+    # (10, 5; -1, 1, 3), (10, 5; 4, -4, 2) and (10, 5; 3, 1, -1) keep g, p
+    # and the relation
     @pytest.mark.parametrize("off", [
         lambda g, p, t, r, s: (g, p, t, r + 1, s),
         lambda g, p, t, r, s: (g + 1, p, t, r, s),
         lambda g, p, t, r, s: (g, 7, t, r, s),
         lambda g, p, t, r, s: (g, p, t - 1, r, s + 1),
-    ], ids=["r_plus_1", "other_g", "other_p", "negative_t"])
+        lambda g, p, t, r, s: (g, p, t + 4, r - 5, s),
+        lambda g, p, t, r, s: (g, p, t + 3, r, s - 3),
+    ], ids=["r_plus_1", "other_g", "other_p", "negative_t", "negative_r",
+            "negative_s"])
     def test_all_admissible(self, off, monkeypatch, capsys):
         real = strata.tuple_rows
 
@@ -724,6 +729,38 @@ class TestChecksCanFail:
         # the text prints each row's own g and p, not the ones asked for
         _code, env, text = run_json(["tuples", "--g", "10", "--p", "5"])
         assert json.loads(text) == _dict_rows(env)
+
+    @staticmethod
+    def _admissible_by_column(g, p, tuples):
+        # the reference: whole columns, sets and a min, and strata.genus
+        gs, ps, ts, rs, ss = list(zip(*tuples)) or [()] * 5
+        return (set(gs) <= {g} and set(ps) <= {p}
+                and min(ts + rs + ss, default=0) >= 0
+                and set(map(strata.genus, ps, ts, rs, ss)) <= {g})
+
+    def test_all_admissible_matches_column_form(self, monkeypatch):
+        # one field of one row moved by 0, +-1 or +-p: the verdict of
+        # cli.run is the column form's on every list
+        rng = random.Random(7)
+        real = strata.tuple_rows
+        rows = {}
+        monkeypatch.setattr(strata, "tuple_rows", lambda g, p: rows[g, p])
+        verdicts = set()
+        for p in (2, 3, 5, 7, 11, 13):
+            for _ in range(20):
+                g = rng.randrange(2, 80)
+                tuples = real(g, p)
+                if tuples:
+                    i, field = rng.randrange(len(tuples)), rng.randrange(5)
+                    row = list(tuples[i])
+                    row[field] += rng.choice((0, 1, -1, p, -p))
+                    tuples[i] = tuple(row)
+                rows[g, p] = tuples
+                _code, env, _text = run(["tuples", "--g", str(g), "--p", str(p)])
+                (verdict,) = [c["pass"] for c in env["checks"]]
+                assert verdict == self._admissible_by_column(g, p, tuples)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--g", "136", "--p", "5", "--t", "12", "--r", "20",
