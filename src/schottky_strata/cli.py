@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import strata
-from .strata import AdmissibleTuple, BudgetExceeded, check, within_budget
+from .strata import (AdmissibleTuple, BudgetExceeded, check, within_budget,
+                     writable)
 
 
 def _tuple_from_args(args):
@@ -57,44 +57,20 @@ def _phi_from_args(spec, phi_text):
     return KHom(spec, hom)
 
 
-def _writable(n, what):
-    """``n``, refused as bad input when it has more digits than Python
-    writes an int as text: sys.get_int_max_str_digits(), which is 0 for no
-    limit and otherwise at least 640, so no n below 1e300 is refused.
-    ``what`` names n."""
-    if n > 1e300:
-        limit = sys.get_int_max_str_digits()
-        if limit and n >= 10**limit:
-            raise ValueError(f"{what} has more than {limit} digits, the "
-                             "limit of sys.get_int_max_str_digits() for "
-                             "writing an int as text")
-    return n
-
-
 def _writable_row(row):
     """A stratum row, refused as bad input if M or dimension is unwritable;
     a row with M + g <= 1e300 always passes, as dim < 2g."""
     g, p, t, r, s, m, dim = row[:7]
     tup = f"({g},{p};{t},{r},{s})"
-    _writable(m, f"M of {tup}")
-    _writable(dim, f"the dimension of {tup}")
+    writable(m, f"M of {tup}")
+    writable(dim, f"the dimension of {tup}")
     return row
 
 
 def _stratum_row(tup):
-    g, p, t, r, s = tup
-    # M = C(r+h-1, r) C(s+h-1, s) can take seconds to form.  Each block w has
-    # C(n, k) >= (n/k)^k, n = w+h-1 >= 2k, k = min(w, h-1) < 2^82, so float
-    # logs bound M's digits to 1e-13; past the text limit, refuse M unformed
-    h = (p - 1) // 2
-    digits = sum(k * (math.log10(w + h - 1) - math.log10(k))
-                 for w in (r, s) if (k := min(w, h - 1)) > 0)
-    limit = sys.get_int_max_str_digits()
-    if limit and digits * (1 - 1e-12) > limit:
-        _writable(10**limit, f"M of {tup}")  # refused as M would be
-    m, exact, basis = strata.component_bounds(g, p, t, r, s)
-    dim = strata.dimension(g, p, t, r, s)
-    return _writable_row((g, p, t, r, s, m, dim, exact, basis))
+    strata.refuse_unwritable_m(*tup)  # before M, which can take seconds
+    m, exact, basis = strata.component_bounds(*tup)
+    return _writable_row((*tup, m, strata.dimension(*tup), exact, basis))
 
 
 def _stratum_dict(row):
@@ -126,7 +102,7 @@ def _cmd_tuples(args):
 
 
 def _cmd_count(args):
-    n = _writable(strata.count_strata(args.p, args.g), "the count")
+    n = writable(strata.count_strata(args.p, args.g), "the count")
     checks = []
     if args.p in (2, 3):
         closed = strata.closed_form_count(args.p, args.g)
@@ -289,8 +265,7 @@ def _cmd_build(args):
 
 @_within_doubles
 def _cmd_loxcheck(args):
-    from .cyclic_schottky import _walk_budget
-    from .moebius import purely_loxodromic_sample
+    from .moebius import _walk_budget, purely_loxodromic_sample
     tup = _tuple_from_args(args)
     _walk_budget(tup, args.max_syllables, args.budget)  # before any factor
     mg, invariants = _built_group(tup, args)

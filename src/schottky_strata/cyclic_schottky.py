@@ -6,11 +6,10 @@ groups <T_k, F_k | F_k^p, [T_k, F_k]>.  Every word is written in syllable
 normal form as it is made: freely reduced, elliptic exponents in 1..p-1,
 and within a commuting pair the T-syllable written before the F-syllable.
 
-Kernels of homomorphisms onto Z_p are handled three ways: a membership
-test (image sum), a bounded walk over the short kernel words, and a free
-basis of size g: the Schreier generators over the transversal
-xi^0..xi^{p-1} that the rewritten relators leave, written down in closed
-form and in normal form.
+Kernels of homomorphisms onto Z_p are handled two ways: a membership
+test (image sum) and a free basis of size g: the Schreier generators over
+the transversal xi^0..xi^{p-1} that the rewritten relators leave, written
+down in closed form and in normal form.
 
 Words print as whitespace-separated syllables ``a1``, ``e2^3``, ``t1^-1``
 (kind letter + index, optional ^exponent).
@@ -21,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .homorbits import HomImage
-from .strata import AdmissibleTuple, within_budget
+from .strata import AdmissibleTuple
 
 __all__ = [
     "FPWord",
@@ -104,105 +103,6 @@ def kernel_membership(phi, w):
     for sym, exp in w.syllables:
         total += exp * phi.image(sym)
     return total % p == 0
-
-
-def _syllable_alphabet(spec):
-    """Finite syllable choices of ``_kernel_walk``, in roster order.
-
-    Loxodromic syllables carry exponent +-1 only; elliptic syllables sweep
-    the full exponent range 1..p-1, so the enumeration is complete up to
-    that loxodromic exponent bound.
-    """
-    p = spec.p
-    out = []
-    for sym in symbols(spec):
-        if sym[0] in "ef":
-            out.extend((sym, c) for c in range(1, p))
-        else:
-            out.extend((sym, c) for c in (-1, 1))
-    return out
-
-
-def _may_follow(prev_sym, sym):
-    if prev_sym is None:
-        return True
-    if prev_sym == sym:
-        return False  # same symbol would merge into one syllable
-    # normal form writes T_k before F_k, so F_k cannot precede T_k
-    if sym[0] == "t" and prev_sym == ("f", sym[1]):
-        return False
-    return True
-
-
-def _walk_budget(spec, max_syllables, budget):
-    """Refuse the walk of ``_kernel_walk`` on ``spec`` if its candidate
-    syllables, the last level's too, pass ``budget``, naming those through
-    the level that crossed it.  The count reads only the width w(s) of each
-    symbol, its number of syllables: 2 when loxodromic, p - 1 when
-    elliptic.  With N nodes at a level, ends[s] of them ending in s, and A
-    the sum of the widths, every node may take any syllable but those of
-    its last symbol, and F_k may not take T_k; so the next level has
-    N A - sum of ends[s] (w(s) + 2 [s is F_k]) nodes,
-    w(s) (N - ends[s] - [s is T_k] ends[F_k]) of them ending in s."""
-    if max_syllables < 1:
-        raise ValueError("max_syllables must be >= 1")
-    width = {sym: spec.p - 1 if sym[0] in "ef" else 2
-             for sym in symbols(spec)}
-    size = sum(width.values())
-    seen, nodes, ends = 0, 1, {}  # the root ends in no symbol
-    for level in range(1, max_syllables + 1):
-        seen += nodes * size - sum(
-            n * (width[sym] + 2 * (sym[0] == "f")) for sym, n in ends.items())
-        within_budget(seen, budget, "sampled words")
-        if level < max_syllables:
-            ends = {sym: w * (nodes - ends.get(sym, 0)
-                              - (sym[0] == "t") * ends.get(("f", sym[1]), 0))
-                    for sym, w in width.items()}
-            nodes = sum(ends.values())
-
-
-def _kernel_walk(phi, max_syllables, budget, label):
-    """The normal-form syllable trie over ``_syllable_alphabet``, one level
-    at a time: for each length k = 1 .. max_syllables, a pair (children,
-    words).  ``label(syllable)`` is the caller's value for each syllable of
-    ``_syllable_alphabet(phi.spec)``; ``children[i]`` lists the labels of
-    the syllables that extend node i of level k - 1 (the root is level
-    0).  Level k is those extensions in order, parent by parent, and
-    ``words`` holds the positions in it of the kernel words.  So the words
-    of level 1, then of level 2 and so on are every nonidentity kernel
-    word over the alphabet (loxodromic exponents +-1) of at most
-    ``max_syllables`` syllables, by syllable count and then
-    lexicographically in the alphabet's order.
-
-    ``_walk_budget`` counts every level before any label is made.  The last
-    level is not scanned: its nodes are the kernel words, looked up as the
-    syllables whose image closes the prefix sum to 0 mod p.
-    """
-    spec = phi.spec
-    p = spec.p
-    _walk_budget(spec, max_syllables, budget)
-    alphabet = [(label(syl), syl[0], syl[1] * phi.image(syl[0]) % p)
-                for syl in _syllable_alphabet(spec)]
-    # the alphabet entries that may follow each last symbol a level ends
-    # in, and those of them that close each image sum, keyed by the sums
-    # that occur: the root ends in None, and level 1 in every symbol
-    lasts = [None] if max_syllables == 1 else [None, *symbols(spec)]
-    follow = {prev: [e for e in alphabet if _may_follow(prev, e[1])]
-              for prev in lasts}
-    closing = {prev: {} for prev in follow}
-    for prev, entries in follow.items():
-        for value, _sym, step in entries:
-            closing[prev].setdefault(-step % p, []).append(value)
-    extensions = {prev: [value for value, _sym, _step in entries]
-                  for prev, entries in follow.items()}
-    level = [(None, 0)]  # (last symbol, image sum) of each node
-    for _ in range(max_syllables - 1):
-        children = [extensions[prev] for prev, _total in level]
-        level = [(sym, (total + step) % p) for prev, total in level
-                 for _label, sym, step in follow[prev]]
-        yield children, [i for i, (_sym, img) in enumerate(level) if not img]
-    children = [closing[prev].get(total, ()) for prev, total in level]
-    yield children, range(sum(map(len, children)))
 
 
 def normalized_homs(spec):

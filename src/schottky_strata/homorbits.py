@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .strata import (_multisets, check_prime, within_budget,
+from .strata import (_multisets, _validate_trs, check_prime, within_budget,
                      within_budget_of_powers)
 
 __all__ = [
@@ -361,13 +361,12 @@ def bfs_orbit_count(p, t, r, s, action=PERM_INV, *, budget=10**7):
     are those with unit e/f entries and at least one nonzero coordinate.
     """
     check_prime(p)
+    _validate_trs(t, r, s)  # before any power is formed from them
     if not action.invert:
         raise ValueError("bfs_orbit_count always quotients by inversion; "
                          "an action without it is not supported")
     total = within_budget_of_powers([[(p, t), (p - 1, r), (p, s), (p - 1, s)]],
                                     budget, "image vectors")
-    if min(t, r, s) < 0:
-        raise ValueError("repeat argument cannot be negative")
     count = _orbit_count(total, lambda index: _move_targets(
         index, p, t, r, s, action.global_scale))
     # when r = s = 0 the all-zero a-block is not surjective; every move

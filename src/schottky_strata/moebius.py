@@ -16,7 +16,8 @@ import cmath
 import math
 from collections import namedtuple
 
-from .cyclic_schottky import _kernel_walk, _syllable_str, build_spec
+from .cyclic_schottky import FPWord, build_spec, fpword_str, symbols
+from .strata import within_budget
 
 __all__ = [
     "MatrixGroupSpec",
@@ -263,42 +264,105 @@ def matrix_group_defects(mg):
     return defects
 
 
+# ---------------------------------------------------------------------------
+# the sample: short kernel words, their products and their classes
+
+def _syllable_alphabet(spec):
+    """The syllables of the sample, in roster order: loxodromic symbols
+    carry exponent +-1 only and elliptic ones the full range 1..p-1, so
+    the sample is complete up to that loxodromic exponent bound."""
+    return [(sym, c) for sym in symbols(spec)
+            for c in (range(1, spec.p) if sym[0] in "ef" else (-1, 1))]
+
+
+def _may_follow(prev_sym, sym):
+    """Whether sym may follow prev_sym (None at the start of a word): not
+    the same symbol, which would merge into one syllable, nor T_k after
+    F_k, as normal form writes T_k first."""
+    return prev_sym != sym and not (sym[0] == "t"
+                                    and prev_sym == ("f", sym[1]))
+
+
+def _walk_budget(spec, max_syllables, budget):
+    """Refuse the sample of ``spec`` if its candidate words, the last
+    level's too, pass ``budget``, naming those through the level that
+    crossed it.  The count reads only the width w(s) of each symbol, its
+    number of syllables: 2 when loxodromic, p - 1 when elliptic.  With N
+    nodes at a level, ends[s] of them ending in s, and A the sum of the
+    widths, every node may take any syllable but those of its last symbol,
+    and F_k may not take T_k; so the next level has
+    N A - sum of ends[s] (w(s) + 2 [s is F_k]) nodes,
+    w(s) (N - ends[s] - [s is T_k] ends[F_k]) of them ending in s."""
+    if max_syllables < 1:
+        raise ValueError("max_syllables must be >= 1")
+    width = {sym: spec.p - 1 if sym[0] in "ef" else 2
+             for sym in symbols(spec)}
+    size = sum(width.values())
+    seen, nodes, ends = 0, 1, {}  # the root ends in no symbol
+    for level in range(1, max_syllables + 1):
+        seen += nodes * size - sum(
+            n * (width[sym] + 2 * (sym[0] == "f")) for sym, n in ends.items())
+        within_budget(seen, budget, "sampled words")
+        if level < max_syllables:
+            ends = {sym: w * (nodes - ends.get(sym, 0)
+                              - (sym[0] == "t") * ends.get(("f", sym[1]), 0))
+                    for sym, w in width.items()}
+            nodes = sum(ends.values())
+
+
 def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
     """Classify every short kernel word; pass iff every product is
     loxodromic.
 
-    Violations (identity, elliptic or parabolic evaluations) are reported
-    with the offending word and its trace: no nontrivial word of a Schottky
-    group is +-I, so an identity word fails as an elliptic one does.  They
-    indicate insufficient separation rather than a hard error.  An
-    overflowing product raises OverflowError.
+    The words are the nonidentity kernel words over ``_syllable_alphabet``
+    of at most ``max_syllables`` syllables, by syllable count and then
+    lexicographically in the alphabet's order.  Violations (identity,
+    elliptic or parabolic evaluations) are reported with the offending
+    word and its trace: no nontrivial word of a Schottky group is +-I, so
+    an identity word fails as an elliptic one does.  They indicate
+    insufficient separation rather than a hard error.  An overflowing
+    product raises OverflowError.
 
-    A word's matrix is the left-to-right product of its syllable powers
-    from the identity, and its text joins the syllable texts: each level
-    of ``_kernel_walk`` extends the entries and text of its parents'
-    nodes, one product per node, and every word is classified only after
-    the walk has passed the budget.  The walk counts every level before it
-    asks for the first syllable's power, so a refused run makes none.
+    The words grow as a trie of nodes (last symbol, image sum mod p, a, b,
+    c, d, text): each level extends its parents' map, the left-to-right
+    product of the syllable powers, and text, one product per node, and
+    keeps the nodes of sum 0.  The last level is not scanned but looked up,
+    as the syllables that close each sum.  ``_walk_budget`` counts every
+    level first, so a refused run takes no power and classifies no word.
     """
-
-    def factor(syl):
-        word = _syllable_str(syl)
-        return (*_power(mg.matrices[syl[0]], syl[1]), word, " " + word)
-
-    nodes = [(1 + 0j, 0j, 0j, 1 + 0j, "")]
+    spec = phi.spec
+    p = spec.p
+    _walk_budget(spec, max_syllables, budget)
+    alphabet = [(sym, exp * phi.image(sym) % p, *_power(mg.matrices[sym], exp),
+                 text, " " + text)
+                for sym, exp in _syllable_alphabet(spec)
+                for text in [fpword_str(FPWord(((sym, exp),)))]]
+    # the alphabet entries that may follow each last symbol a level ends
+    # in, and those of them that close each image sum, keyed by the sums
+    # that occur: the root ends in None, and level 1 in every symbol
+    lasts = [None] if max_syllables == 1 else [None, *symbols(spec)]
+    follow = {prev: [e for e in alphabet if _may_follow(prev, e[0])]
+              for prev in lasts}
+    closing = {prev: {} for prev in follow}
+    for prev, entries in follow.items():
+        for entry in entries:
+            closing[prev].setdefault(-entry[1] % p, []).append(entry)
+    nodes = [(None, 0, 1 + 0j, 0j, 0j, 1 + 0j, "")]
     words = []
-    for children, kernel in _kernel_walk(phi, max_syllables, budget, factor):
+    for after in reversed(range(max_syllables)):  # the levels after this one
         # _mul's products; str(w) from syllable texts written once (a test
         # pins both)
-        nodes = [(a * fa + b * fc, a * fb + b * fd, c * fa + d * fc,
-                  c * fb + d * fd, text + spaced if text else word)
-                 for (a, b, c, d, text), nxt in zip(nodes, children)
-                 for fa, fb, fc, fd, word, spaced in nxt]
-        words += [nodes[i] for i in kernel]
+        nodes = [(sym, (total + step) % p, a * fa + b * fc, a * fb + b * fd,
+                  c * fa + d * fc, c * fb + d * fd,
+                  text + spaced if text else word)
+                 for prev, total, a, b, c, d, text in nodes
+                 for sym, step, fa, fb, fc, fd, word, spaced in (
+                     follow[prev] if after else closing[prev].get(total, ()))]
+        words += [node for node in nodes if not node[1]] if after else nodes
     entries = []
     violations = []
     isfinite = cmath.isfinite
-    for a, b, c, d, text in words:
+    for _sym, _total, a, b, c, d, text in words:
         tr = a + d
         if not isfinite(tr):  # _classify raises for finite overflows
             raise OverflowError(f"{text} has trace {tr}")

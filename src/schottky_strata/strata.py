@@ -5,11 +5,13 @@ Everything is indexed by tuples (g, p; t, r, s) with p prime, g >= 2 and
     g = p(t + r + s - 1) + 1 - r,
 
 equivalently g - 1 = p(t + s - 1) + r(p - 1).  All counting here is exact
-integer arithmetic; no floats anywhere.
+integer arithmetic; the only floats bound the digits of an M too long to
+write, in ``refuse_unwritable_m``.
 
 Every layer imports it, so outside ``__all__`` it also holds the input
 checks, the check record ``check`` and the refusal rule ``within_budget``,
-with ``within_budget_of_powers`` for counts too large to form.
+with ``within_budget_of_powers`` for counts too large to form, and
+``writable`` for numbers too long to write.
 """
 
 from __future__ import annotations
@@ -130,6 +132,34 @@ def within_budget_of_powers(terms, budget, what):
         required += product
     within_budget(required, budget, what)
     return required
+
+
+def writable(n, what):
+    """``n``, refused as bad input when it has more digits than Python
+    writes an int as text: sys.get_int_max_str_digits(), which is 0 for no
+    limit and otherwise at least 640, so no n below 1e300 is refused.
+    ``what`` names n."""
+    if n > 1e300:
+        limit = sys.get_int_max_str_digits()
+        if limit and n >= 10**limit:
+            raise ValueError(f"{what} has more than {limit} digits, the "
+                             "limit of sys.get_int_max_str_digits() for "
+                             "writing an int as text")
+    return n
+
+
+def refuse_unwritable_m(g, p, t, r, s):
+    """Refuse the tuple's M = C(r+h-1, r) C(s+h-1, s), h = (p-1)/2, as
+    ``writable`` would, before it is formed (which can take seconds) when
+    a lower bound on its digits is past the text limit.  Each block w has
+    C(n, k) >= (n/k)^k, n = w+h-1 >= 2k, k = min(w, h-1) < 2^82, so float
+    logs bound M's digits to 1e-13."""
+    h = (p - 1) // 2
+    digits = sum(k * (math.log10(w + h - 1) - math.log10(k))
+                 for w in (r, s) if (k := min(w, h - 1)) > 0)
+    limit = sys.get_int_max_str_digits()
+    if limit and digits * (1 - 1e-12) > limit:
+        writable(10**limit, f"M of ({g},{p};{t},{r},{s})")
 
 
 def _digits(n):
@@ -329,24 +359,40 @@ def stratum_rows(g, p):
     ``component_bounds`` and ``dimension``, for each admissible tuple in
     ``tuple_rows`` order.  A total n = t + s fixes r, the dimension, M's r
     factor (M = C(r+h-1, r) * C(s+h-1, s)) and the case where r settles it,
-    made once per n before the first row; the s factor is made once per s.
+    made once per n by ``_first_rows``; the s factor is made once per s.
     """
     _validate_gp(g, p)
     h = max(1, (p - 1) // 2)  # p = 2 draws from one class: M = 1
+    totals = _admissible_totals(g, p)
     blocks = []  # (n, r, dimension, r factor of M, r's case), n descending
-    for n in reversed(_admissible_totals(g, p)):
-        r = (g - 1 - p * (n - 1)) // (p - 1)
-        blocks.append((n, r, dimension(g, p, n, r, 0), _multisets(h, r, 0),
-                       _settled(p, None, r, None, None)))
     by_s = {}  # the s factor of M, by s
-    for t in range(blocks[0][0] + 1 if blocks else 0):
-        for n, r, dim, m, decided in blocks:
+    for t in range(totals[-1] + 1 if totals else 0):
+        for n, r, dim, m, decided in (
+                blocks if t else _first_rows(g, p, h, totals, blocks)):
             if n < t:
                 break
             s = n - t
             m *= by_s.get(s) or by_s.setdefault(s, _multisets(h, 0, s))
             yield (g, p, t, r, s, m, dim, m, decided[1]) if decided else (
                 g, p, t, r, s, m, dim, *_settled(p, t, r, s, m))
+
+
+def _first_rows(g, p, h, totals, blocks):
+    """Append to ``blocks`` and yield the block of each total n, n
+    descending, at its first row (t = 0, s = n), once
+    ``refuse_unwritable_m`` has passed that row: every later row of the
+    block has a smaller s, so an M no larger.  Every row has r + s <=
+    (g + p - 1) / (p - 1) <= g + 1, so M < 2^(r+s+p) <= 2^(g+p+1), which
+    no text limit of at least (g + p + 1) / 3 digits refuses."""
+    limit = sys.get_int_max_str_digits()
+    tall = limit and 3 * limit < g + p + 1
+    for n in reversed(totals):
+        r = (g - 1 - p * (n - 1)) // (p - 1)
+        if tall:
+            refuse_unwritable_m(g, p, 0, r, n)
+        blocks.append((n, r, dimension(g, p, n, r, 0), _multisets(h, r, 0),
+                       _settled(p, None, r, None, None)))
+        yield blocks[-1]
 
 
 def dimension(g, p, t, r, s):

@@ -391,14 +391,14 @@ class TestExitCodes:
             self, monkeypatch, capsys):
         # the hom is given, so only the alphabet could grow with p; the
         # wrapper refuses to build one that large rather than exhaust memory
-        real, built = cyclic_schottky._syllable_alphabet, []
+        real, built = moebius._syllable_alphabet, []
 
         def counting(spec):
             built.append(spec.p)
             assert spec.p < 10**6, "the alphabet of a refused run was built"
             return real(spec)
 
-        monkeypatch.setattr(cyclic_schottky, "_syllable_alphabet", counting)
+        monkeypatch.setattr(moebius, "_syllable_alphabet", counting)
         argv = [*_LOXCHECK_PAST_THE_ALPHABET, "--phi", '{"a":[0],"e":[1]}']
         assert run_json(argv) == (2, None, "")
         assert capsys.readouterr().err == _ALPHABET_REFUSAL
@@ -416,11 +416,11 @@ class TestExitCodes:
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
         script = (
-            "from schottky_strata import cli, cyclic_schottky as cs\n"
+            "from schottky_strata import cli, moebius as mo\n"
             "calls = []\n"
             "for name in ('_syllable_alphabet', '_may_follow'):\n"
-            "    setattr(cs, name, lambda *args, name=name, real=getattr(\n"
-            "        cs, name): calls.append(name) or real(*args))\n"
+            "    setattr(mo, name, lambda *args, name=name, real=getattr(\n"
+            "        mo, name): calls.append(name) or real(*args))\n"
             f"argv = {_LOXCHECK_WIDE_ROSTER!r}\n"
             "code, env, _ = cli.run(argv)\n"
             # a1 maps to 1 and every other a_j^+-1 is a kernel word
@@ -1207,17 +1207,52 @@ class TestStratumRows:
                 assert row[5:] == (m, strata.dimension(*row[:5]), exact,
                                    basis)
 
-    def test_refusal_computes_no_later_m(self, monkeypatch):
-        # the first row's M cannot be written: one r factor per admissible
-        # total, then that row's s factor, and no later row's
+    def test_factors_are_made_once_at_their_first_row(self, monkeypatch):
+        # one r factor per admissible total, one s factor per s (no row of
+        # this genus has r = 0, so the two kinds of call differ)
         calls = []
         real = strata._multisets
         monkeypatch.setattr(strata, "_multisets",
                             lambda *args: calls.append(args) or real(*args))
-        assert run_json(["report", "--p", "10007", "--g-min", "200109994",
-                         "--g-max", "200109994"]) == (2, None, "")
-        totals = strata._admissible_totals(200109994, 10007)
-        assert 0 < len(calls) <= len(totals) + 1
+        rows = list(strata.stratum_rows(300, 7))
+        assert all(row[3] for row in rows)
+        assert sorted(r for _h, r, s in calls if r) == sorted(
+            {row[3] for row in rows})
+        assert sorted(s for _h, r, s in calls if not r) == sorted(
+            {row[4] for row in rows})
+
+    # (argv, the first refused row): each M is too long to write, and its
+    # lower bound says so before any factor of M is formed.  The last two
+    # took 7 s and 58 s to refuse when every r factor was made up front
+    _UNWRITTEN_M = [
+        (["report", "--p", "10007", "--g-min", "200109994", "--g-max",
+          "200109994"], "(200109994,10007;0,9993,10006)"),
+        (["report", "--p", "1000003", "--g-min", "399999799998",
+          "--g-max", "399999799998"], "(399999799998,1000003;0,400000,0)"),
+        (["report", "--p", "1000003", "--g-min", "399999799998",
+          "--g-max", "399999799998", "--csv"],
+         "(399999799998,1000003;0,400000,0)"),
+        (["report", "--p", "1000003", "--g-min", "4000006999998",
+          "--g-max", "4000006999998", "--budget", "10000000"],
+         "(4000006999998,1000003;0,999991,3000006)"),
+    ]
+
+    @pytest.mark.parametrize("argv,row", _UNWRITTEN_M,
+                             ids=["two blocks", "one block", "one block csv",
+                                  "four blocks"])
+    def test_refusal_computes_no_m(self, argv, row, monkeypatch, capsys):
+        calls = []
+        real = strata._multisets
+        monkeypatch.setattr(strata, "_multisets",
+                            lambda *args: calls.append(args) or real(*args))
+        start = time.perf_counter()
+        assert run_json(argv) == (2, None, "")
+        assert time.perf_counter() - start < 1
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"error: M of {row} has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit of sys.get_int_max_str_digits() for writing "
+            "an int as text\n")
 
 
 def _dumps(value):

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -6,14 +5,10 @@ import pytest
 from perfbench.checkers import is_normal_form, parse_syllables
 from schottky_strata.freegroup import AbelianHom, schreier_kernel
 from schottky_strata.homorbits import HomImage
-from schottky_strata.strata import (AdmissibleTuple, BudgetExceeded,
-                                    enumerate_tuples)
+from schottky_strata.strata import AdmissibleTuple, enumerate_tuples
 from schottky_strata.cyclic_schottky import (
     FPWord,
     KHom,
-    _kernel_walk,
-    _may_follow,
-    _syllable_alphabet,
     build_spec,
     fpword_str,
     kernel_membership,
@@ -61,33 +56,6 @@ def certificate_homs():
     return out
 
 
-def kernel_words(phi, max_syllables, budget=10**6, built=None):
-    """The kernel words of ``_kernel_walk``, each level's nodes extended by
-    syllable tuples; every node is also appended to ``built``."""
-    nodes, words = [()], []
-    for children, kernel in _kernel_walk(phi, max_syllables, budget,
-                                         lambda syllable: syllable):
-        nodes = [syls + (syl,) for syls, nxt in zip(nodes, children)
-                 for syl in nxt]
-        if built is not None:
-            built.extend(nodes)
-        words += [FPWord(nodes[i]) for i in kernel]
-    return words
-
-
-def inverse(spec, w):
-    """The inverse of a normal-form word, in normal form: the syllables
-    reversed, negated and reduced mod p when elliptic, and each F_k^a T_k^b
-    that the reversal makes swapped to T_k^b F_k^a."""
-    out = [(sym, -exp % spec.p if sym[0] in "ef" else -exp)
-           for sym, exp in reversed(w.syllables)]
-    for i in range(len(out) - 1):
-        (prev, _), (sym, _) = out[i], out[i + 1]
-        if sym[0] == "t" and prev == ("f", sym[1]):
-            out[i], out[i + 1] = out[i + 1], out[i]
-    return FPWord(tuple(out))
-
-
 SPEC_FREE = spec_of(26, 5, 6, 0, 0)
 SPEC_INV = spec_of(2, 2, 0, 3, 0)
 SPEC_MIXED = spec_of(5, 5, 1, 1, 0)
@@ -113,43 +81,6 @@ class TestGroupSpec:
 
 
 class TestNormalForm:
-    def test_alphabet_exponents(self):
-        # loxodromic syllables carry +-1, elliptic ones 1..p-1, in roster order
-        assert _syllable_alphabet(SPEC_PAIR) == (
-            [(("a", 1), -1), (("a", 1), 1), (("t", 1), -1), (("t", 1), 1)]
-            + [(("f", 1), c) for c in range(1, 5)])
-        assert _syllable_alphabet(SPEC_INV) == [(("e", j), 1) for j in (1, 2, 3)]
-
-    def test_may_follow(self):
-        assert _may_follow(None, ("f", 1))
-        assert not _may_follow(("a", 1), ("a", 1))
-        assert not _may_follow(("f", 1), ("t", 1))  # T_k is written first
-        assert _may_follow(("t", 1), ("f", 1))
-        assert _may_follow(("f", 1), ("t", 2))
-        assert _may_follow(("e", 1), ("e", 2))
-
-    def test_rule_agrees_with_the_independent_check(self):
-        # seeded raw syllable strings: the walk's rule (alphabet plus
-        # _may_follow) accepts exactly those that the benchmark's check
-        # accepts with loxodromic exponents +-1
-        spec = spec_of(14, 5, 1, 2, 1)
-        roster, alphabet = symbols(spec), set(_syllable_alphabet(spec))
-        rng = random.Random(77)
-        seen = set()
-        for _ in range(1500):
-            raw = [(rng.choice(roster), rng.randint(-2, 5))
-                   for _ in range(rng.randint(0, 6))]
-            ours = (all(syl in alphabet for syl in raw)
-                    and all(_may_follow(x, y)
-                            for (x, _), (y, _) in zip(raw, raw[1:])))
-            flat = [(kind, idx, exp) for (kind, idx), exp in raw]
-            theirs = (is_normal_form(flat, spec.p)
-                      and all(abs(exp) == 1 for kind, _, exp in flat
-                              if kind in "at"))
-            assert ours == theirs, raw
-            seen.add(ours)
-        assert seen == {True, False}
-
     def test_round_trip(self):
         for syllables, text in [
             ([(("a", 1), 1)], "a1"),
@@ -190,116 +121,6 @@ class TestKernelMembership:
             kernel_membership(phi, FPWord(((sym, 5),)))
         assert repr(sym) in str(exc.value)
         assert phi.image(("e", 1)) == 1
-
-
-class TestKernelSample:
-    def test_involution_pairs(self):
-        phi = KHom(SPEC_INV, HomImage(2, e=(1, 1, 1)))
-        words = kernel_words(phi, 2)
-        expected = {
-            f"e{i} e{j}" for i in (1, 2, 3) for j in (1, 2, 3) if i != j
-        }
-        assert {fpword_str(w) for w in words} == expected
-
-    def test_single_syllables_only_zero_image_loxodromics(self):
-        phi = KHom(SPEC_MIXED, HomImage(5, a=(0,), e=(1,)))
-        assert {fpword_str(w) for w in kernel_words(phi, 1)} == {"a1", "a1^-1"}
-        phi_nz = KHom(SPEC_MIXED, HomImage(5, a=(1,), e=(1,)))
-        assert kernel_words(phi_nz, 1) == []
-
-    def test_closed_under_inversion(self):
-        phi = KHom(SPEC_PAIR, HomImage(5, a=(0,), tau=(0,), f=(1,)))
-        # four syllables, so that words such as t1 f1 a1 f1^4 reach the
-        # swap of the inverse (no kernel word of three has T_1 F_1)
-        words = kernel_words(phi, 4)
-        wordset = set(words)
-        assert words and all(inverse(SPEC_PAIR, w) in wordset for w in words)
-        assert FPWord(((("t", 1), 1), (("f", 1), 1), (("a", 1), 1),
-                       (("f", 1), 4))) in wordset
-
-    def test_deterministic_order(self):
-        phi = KHom(SPEC_INV, HomImage(2, e=(1, 1, 1)))
-        assert kernel_words(phi, 3) == kernel_words(phi, 3)
-
-    def test_budget_guard(self):
-        phi = KHom(SPEC_FREE, HomImage(5, a=(1, 0, 0, 0, 0, 0)))
-        with pytest.raises(BudgetExceeded):
-            kernel_words(phi, 4, budget=100)
-
-    def test_budget_counts_every_candidate(self):
-        # six free generators: 12 first syllables, then 10 after each one
-        # (not the same symbol again), 12 + 120 + 1200 candidates up to 3
-        phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))
-        assert kernel_words(phi, 3, budget=1332)
-        with pytest.raises(BudgetExceeded) as exc:
-            kernel_words(phi, 3, budget=1331)
-        assert (exc.value.required, exc.value.budget) == (1332, 1331)
-        assert str(exc.value) == ("enumeration requires 1332 sampled words, "
-                                  "exceeding budget 1331")
-        # a refusal names the candidates through the level that crossed it
-        with pytest.raises(BudgetExceeded) as exc:
-            kernel_words(phi, 3, budget=100)
-        assert exc.value.required == 132
-
-    def test_refuses_before_building_any_payload(self):
-        # one product per edge of each level, as the walk's callers make
-        phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))
-        built = []
-        with pytest.raises(BudgetExceeded):
-            kernel_words(phi, 3, 1331, built)
-        assert built == []
-        # one payload per trie node above the last level, one per word on it
-        words = kernel_words(phi, 3, 1332, built)
-        assert len(built) == 12 + 120 + sum(len(w.syllables) == 3 for w in words)
-
-    def test_walk_setup_does_not_grow_with_p(self):
-        # a table with an entry per residue would need 10^9 of them here
-        phi = KHom(spec_of(1000000008, 1000000007, 2, 0, 0),
-                   HomImage(1000000007, a=(1, 0)))
-        assert [fpword_str(w) for w in kernel_words(phi, 3)] == [
-            "a2^-1", "a2", "a1^-1 a2^-1 a1", "a1^-1 a2 a1", "a1 a2^-1 a1^-1",
-            "a1 a2 a1^-1"]
-
-    @pytest.mark.parametrize("shape,hom,length", [
-        ((2, 2, 0, 3, 0), HomImage(2, e=(1, 1, 1)), 4),
-        ((3, 2, 0, 0, 2), HomImage(2, tau=(1, 0), f=(1, 1)), 4),
-        ((9, 3, 1, 1, 2),
-         HomImage(3, a=(2,), e=(1,), tau=(1, 0), f=(2, 1)), 3),
-        ((26, 5, 6, 0, 0), HomImage(5, a=(1, 2, 0, 3, 0, 4)), 3),
-        ((5, 5, 1, 1, 0), HomImage(5, a=(2,), e=(3,)), 4),
-        ((6, 5, 1, 0, 1), HomImage(5, a=(0,), tau=(0,), f=(1,)), 4),
-        ((6, 5, 1, 0, 1), HomImage(5, a=(3,), tau=(2,), f=(1,)), 4),
-        ((8, 7, 1, 0, 1), HomImage(7, a=(3,), tau=(5,), f=(2,)), 3),
-        ((12, 7, 0, 3, 0), HomImage(7, e=(1, 2, 6)), 3),
-    ])
-    def test_matches_brute_force(self, shape, hom, length):
-        # every word over the alphabet whose neighbours may follow each
-        # other, by length and then lexicographically, kept when in the
-        # kernel: an enumeration that shares no code with the walk.  Those
-        # words are the candidates that the walk counts from the symbol
-        # widths, so a budget one short of them is refused with their number
-        phi = KHom(spec_of(*shape), hom)
-        alphabet = _syllable_alphabet(phi.spec)
-        want, candidates = [], 0
-        for k in range(1, length + 1):
-            for syls in itertools.product(alphabet, repeat=k):
-                w = FPWord(syls)
-                if all(_may_follow(x, y) for (x, _), (y, _) in
-                       zip(syls, syls[1:])):
-                    candidates += 1
-                    if kernel_membership(phi, w):
-                        want.append(w)
-        assert want and kernel_words(phi, length, candidates) == want
-        with pytest.raises(BudgetExceeded, match=f"requires {candidates} "):
-            kernel_words(phi, length, candidates - 1)
-
-    def test_all_members_nonidentity(self):
-        phi = KHom(SPEC_MIXED, HomImage(5, a=(2,), e=(3,)))
-        words = kernel_words(phi, 3)
-        assert words
-        for w in words:
-            assert w.syllables
-            assert kernel_membership(phi, w)
 
 
 class TestKernelPresentation:
@@ -445,27 +266,6 @@ class TestKernelPresentation:
                 syllables = [(k, i, e) for (k, i), e in w.syllables]
                 assert is_normal_form(syllables, phi.spec.p), (phi, w)
                 assert parse_syllables(fpword_str(w)) == syllables
-
-    def test_distinct_kernels_match_signatures(self):
-        # over ALL valid images on a tiny spec, kernels (as sets of short
-        # members) biject with scale-normalised signatures
-        spec = spec_of(3, 3, 1, 1, 0)
-        homs = [
-            KHom(spec, HomImage(3, a=(a,), e=(e,)))
-            for a in range(3)
-            for e in (1, 2)
-        ]
-        kernels = {
-            frozenset(kernel_words(phi, 3)) for phi in homs
-        }
-        # a hom onto Z_p is fixed by its kernel up to a unit, so the image
-        # vector scaled to make its first nonzero entry 1 names the kernel
-        signatures = set()
-        for phi in homs:
-            flat = sum(phi.hom[1:], ())  # a, e, tau, f
-            lam = pow(next(c for c in flat if c), -1, 3)
-            signatures.add(tuple(lam * c % 3 for c in flat))
-        assert len(kernels) == len(signatures)
 
 
 class TestNormalizedHoms:

@@ -397,10 +397,22 @@ class TestBfsOrbitCount:
         assert (exc.value.required, labelled) == (400, [])
         assert bfs_orbit_count(5, 1, 1, 1, budget=400) and labelled == [400]
 
-    @pytest.mark.parametrize("t,r,s", [(-1, 0, 0), (0, -1, 1), (1, 1, -1)])
-    def test_negative_shape_rejected(self, t, r, s):
-        with pytest.raises(ValueError, match="cannot be negative"):
+    @pytest.mark.parametrize("t,r,s,message", [
+        (-1, 0, 0, "t must be >= 0, got -1"),
+        (0, -1, 1, "r must be >= 0, got -1"),
+        (1, 1, -1, "s must be >= 0, got -1"),
+        (1.5, 0, 0, "t must be an integer, got 1.5"),
+    ])
+    def test_shape_checked_before_the_budget(self, t, r, s, message,
+                                             monkeypatch):
+        # the shape is checked before any power is formed from it: a
+        # negative exponent once made float powers, then itertools' message
+        formed = []
+        monkeypatch.setattr(homorbits, "within_budget_of_powers",
+                            lambda *args: formed.append(args))
+        with pytest.raises(ValueError) as exc:
             bfs_orbit_count(5, t, r, s)
+        assert (str(exc.value), formed) == (message, [])
 
     @pytest.mark.parametrize("scale", [False, True])
     def test_action_without_inversion_refused(self, scale):

@@ -5,16 +5,22 @@ import random
 
 import pytest
 
+from perfbench.checkers import is_normal_form, parse_syllables
 from schottky_strata import moebius
 from schottky_strata.homorbits import HomImage
-from schottky_strata.strata import AdmissibleTuple, enumerate_tuples
-from schottky_strata.cyclic_schottky import KHom, normalized_homs
+from schottky_strata.strata import (AdmissibleTuple, BudgetExceeded,
+                                    enumerate_tuples)
+from schottky_strata.cyclic_schottky import (FPWord, KHom, fpword_str,
+                                             kernel_membership,
+                                             normalized_homs, symbols)
 from schottky_strata.moebius import (
     MatrixGroupSpec,
     _dist_to_unit,
     _factor,
+    _may_follow,
     _mul,
     _power,
+    _syllable_alphabet,
     build_matrix_group,
     classify,
     commute,
@@ -22,7 +28,8 @@ from schottky_strata.moebius import (
     order_check,
     purely_loxodromic_sample,
 )
-from test_cyclic_schottky import kernel_words
+from test_cyclic_schottky import (SPEC_FREE, SPEC_INV, SPEC_MIXED,
+                                  SPEC_PAIR, spec_of)
 
 
 CLASSES = {"identity", "parabolic", "elliptic", "loxodromic"}
@@ -59,6 +66,60 @@ def fixed_point_residual(m, z):
 def rot(p):
     ph = cmath.exp(1j * math.pi / p)
     return mobius(ph, 0, 0, 1 / ph)
+
+
+def parsed(text):
+    """The FPWord of a word's text, read by the benchmark's parser."""
+    return FPWord(tuple(((kind, idx), exp)
+                        for kind, idx, exp in parse_syllables(text)))
+
+
+def left_to_right(mg, w):
+    """The product of the syllable powers of ``w``, left to right from the
+    identity."""
+    m = mobius(1, 0, 0, 1)
+    for sym, exp in w.syllables:
+        m = _mul(m, _power(mg.matrices[sym], exp))
+    return m
+
+
+def kernel_words(phi, max_syllables, budget=10**6):
+    """The words of ``purely_loxodromic_sample`` at the default
+    separation, read back from the report's text."""
+    rep = purely_loxodromic_sample(build_matrix_group(phi.spec), phi,
+                                   max_syllables, budget)
+    return [parsed(entry["word"]) for entry in rep["words"]]
+
+
+def brute_kernel_words(phi, length):
+    """Every word over the alphabet whose neighbours may follow each other,
+    by length and then lexicographically, kept when in the kernel: an
+    enumeration that shares no code with the sample's walk; and the
+    number of those candidate words."""
+    alphabet = _syllable_alphabet(phi.spec)
+    want, candidates = [], 0
+    for k in range(1, length + 1):
+        for syls in itertools.product(alphabet, repeat=k):
+            w = FPWord(syls)
+            if all(_may_follow(x, y) for (x, _), (y, _) in
+                   zip(syls, syls[1:])):
+                candidates += 1
+                if kernel_membership(phi, w):
+                    want.append(w)
+    return want, candidates
+
+
+def inverse(spec, w):
+    """The inverse of a normal-form word, in normal form: the syllables
+    reversed, negated and reduced mod p when elliptic, and each F_k^a T_k^b
+    that the reversal makes swapped to T_k^b F_k^a."""
+    out = [(sym, -exp % spec.p if sym[0] in "ef" else -exp)
+           for sym, exp in reversed(w.syllables)]
+    for i in range(len(out) - 1):
+        (prev, _), (sym, _) = out[i], out[i + 1]
+        if sym[0] == "t" and prev == ("f", sym[1]):
+            out[i], out[i + 1] = out[i + 1], out[i]
+    return FPWord(tuple(out))
 
 
 def random_unimodular(rng):
@@ -499,9 +560,10 @@ class TestPurelyLoxodromic:
             purely_loxodromic_sample(mg, phi, max_syllables=0)
 
     def test_traces_match_left_to_right_powers(self):
-        # each trace is, float for float, the product of the syllable powers
-        # taken left to right from the identity, though the walk multiplies
-        # each shared prefix only once
+        # the words are the brute-force enumeration's, and each trace is,
+        # float for float, the product of the syllable powers taken left to
+        # right from the identity, though the walk multiplies each shared
+        # prefix only once
         rng = random.Random(11)
         for g, p, t, r, s in [(5, 5, 1, 1, 0), (5, 5, 0, 1, 1), (6, 5, 1, 0, 1),
                               (8, 7, 1, 0, 1), (6, 5, 2, 0, 0)]:
@@ -519,13 +581,11 @@ class TestPurelyLoxodromic:
                 for length in range(1, 5):
                     rep = purely_loxodromic_sample(mg, phi,
                                                    max_syllables=length)
-                    words = kernel_words(phi, length)
+                    words, _ = brute_kernel_words(phi, length)
                     assert ([e["word"] for e in rep["words"]]
                             == [str(w) for w in words])
                     for entry, w in zip(rep["words"], words):
-                        m = mobius(1, 0, 0, 1)
-                        for sym, exp in w.syllables:
-                            m = _mul(m, _power(mg.matrices[sym], exp))
+                        m = left_to_right(mg, w)
                         want = [trace(m).real.hex(), trace(m).imag.hex()]
                         assert [x.hex() for x in entry["trace"]] == want, entry
                         assert entry["class"] == classify(m)
@@ -542,15 +602,12 @@ class TestPurelyLoxodromic:
             mg = build_matrix_group(AdmissibleTuple(g, p, t, r, s),
                                     separation=separation)
             for phi in itertools.islice(normalized_homs(mg.spec), 4):
-                words = kernel_words(phi, 3)
                 for eps in (1e-9, 10):
                     monkeypatch.setattr(moebius, "_EPS", eps)
                     rep = purely_loxodromic_sample(mg, phi, max_syllables=3)
-                    assert len(rep["words"]) == len(words)
-                    for entry, w in zip(rep["words"], words):
-                        m = mobius(1, 0, 0, 1)
-                        for sym, exp in w.syllables:
-                            m = _mul(m, _power(mg.matrices[sym], exp))
+                    assert rep["words"]
+                    for entry in rep["words"]:
+                        m = left_to_right(mg, parsed(entry["word"]))
                         assert entry["class"] == classify(m), entry
                         classes.add(entry["class"])
                     assert rep["n_loxodromic"] == sum(
@@ -573,3 +630,184 @@ class TestPurelyLoxodromic:
                 inverse = _mul(_power(m, -exp), product)
                 assert all(abs(x - y) < 1e-9 * scale**2 for x, y in
                            zip(inverse, (1, 0, 0, 1)))
+
+
+class TestSampleAlphabet:
+    def test_alphabet_exponents(self):
+        # loxodromic syllables carry +-1, elliptic ones 1..p-1, in roster order
+        assert _syllable_alphabet(SPEC_PAIR) == (
+            [(("a", 1), -1), (("a", 1), 1), (("t", 1), -1), (("t", 1), 1)]
+            + [(("f", 1), c) for c in range(1, 5)])
+        assert _syllable_alphabet(SPEC_INV) == [(("e", j), 1) for j in (1, 2, 3)]
+
+    def test_may_follow(self):
+        assert _may_follow(None, ("f", 1))
+        assert not _may_follow(("a", 1), ("a", 1))
+        assert not _may_follow(("f", 1), ("t", 1))  # T_k is written first
+        assert _may_follow(("t", 1), ("f", 1))
+        assert _may_follow(("f", 1), ("t", 2))
+        assert _may_follow(("e", 1), ("e", 2))
+
+    def test_rule_agrees_with_the_independent_check(self):
+        # seeded raw syllable strings: the walk's rule (alphabet plus
+        # _may_follow) accepts exactly those that the benchmark's check
+        # accepts with loxodromic exponents +-1
+        spec = spec_of(14, 5, 1, 2, 1)
+        roster, alphabet = symbols(spec), set(_syllable_alphabet(spec))
+        rng = random.Random(77)
+        seen = set()
+        for _ in range(1500):
+            raw = [(rng.choice(roster), rng.randint(-2, 5))
+                   for _ in range(rng.randint(0, 6))]
+            ours = (all(syl in alphabet for syl in raw)
+                    and all(_may_follow(x, y)
+                            for (x, _), (y, _) in zip(raw, raw[1:])))
+            flat = [(kind, idx, exp) for (kind, idx), exp in raw]
+            theirs = (is_normal_form(flat, spec.p)
+                      and all(abs(exp) == 1 for kind, _, exp in flat
+                              if kind in "at"))
+            assert ours == theirs, raw
+            seen.add(ours)
+        assert seen == {True, False}
+
+
+
+class TestKernelSample:
+    def test_involution_pairs(self):
+        phi = KHom(SPEC_INV, HomImage(2, e=(1, 1, 1)))
+        words = kernel_words(phi, 2)
+        expected = {
+            f"e{i} e{j}" for i in (1, 2, 3) for j in (1, 2, 3) if i != j
+        }
+        assert {fpword_str(w) for w in words} == expected
+
+    def test_single_syllables_only_zero_image_loxodromics(self):
+        phi = KHom(SPEC_MIXED, HomImage(5, a=(0,), e=(1,)))
+        assert {fpword_str(w) for w in kernel_words(phi, 1)} == {"a1", "a1^-1"}
+        phi_nz = KHom(SPEC_MIXED, HomImage(5, a=(1,), e=(1,)))
+        assert kernel_words(phi_nz, 1) == []
+
+    def test_closed_under_inversion(self):
+        phi = KHom(SPEC_PAIR, HomImage(5, a=(0,), tau=(0,), f=(1,)))
+        # four syllables, so that words such as t1 f1 a1 f1^4 reach the
+        # swap of the inverse (no kernel word of three has T_1 F_1)
+        words = kernel_words(phi, 4)
+        wordset = set(words)
+        assert words and all(inverse(SPEC_PAIR, w) in wordset for w in words)
+        assert FPWord(((("t", 1), 1), (("f", 1), 1), (("a", 1), 1),
+                       (("f", 1), 4))) in wordset
+
+    def test_deterministic_order(self):
+        phi = KHom(SPEC_INV, HomImage(2, e=(1, 1, 1)))
+        assert kernel_words(phi, 3) == kernel_words(phi, 3)
+
+    def test_budget_guard(self):
+        phi = KHom(SPEC_FREE, HomImage(5, a=(1, 0, 0, 0, 0, 0)))
+        with pytest.raises(BudgetExceeded):
+            kernel_words(phi, 4, budget=100)
+
+    def test_budget_counts_every_candidate(self):
+        # six free generators: 12 first syllables, then 10 after each one
+        # (not the same symbol again), 12 + 120 + 1200 candidates up to 3
+        phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))
+        assert kernel_words(phi, 3, budget=1332)
+        with pytest.raises(BudgetExceeded) as exc:
+            kernel_words(phi, 3, budget=1331)
+        assert (exc.value.required, exc.value.budget) == (1332, 1331)
+        assert str(exc.value) == ("enumeration requires 1332 sampled words, "
+                                  "exceeding budget 1331")
+        # a refusal names the candidates through the level that crossed it
+        with pytest.raises(BudgetExceeded) as exc:
+            kernel_words(phi, 3, budget=100)
+        assert exc.value.required == 132
+
+    def test_last_level_is_looked_up_not_scanned(self, monkeypatch):
+        # each syllable power's entries count the products they enter: eight
+        # per trie node, 12 + 120 above the last level and one per word on
+        # it; a refused run takes no power and forms no product
+        products, powers = [], []
+
+        class Counting(complex):
+            def __mul__(self, other):
+                products.append(1)
+                return complex.__mul__(self, other)
+
+            def __rmul__(self, other):
+                products.append(1)
+                return complex.__rmul__(self, other)
+
+        def counting_power(m, k, real=moebius._power):
+            powers.append(k)
+            return tuple(map(Counting, real(m, k)))
+
+        monkeypatch.setattr(moebius, "_power", counting_power)
+        phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))
+        mg = build_matrix_group(SPEC_FREE)
+        with pytest.raises(BudgetExceeded):
+            purely_loxodromic_sample(mg, phi, 3, 1331)
+        assert (powers, products) == ([], [])
+        rep = purely_loxodromic_sample(mg, phi, 3, 1332)
+        threes = sum(entry["word"].count(" ") == 2 for entry in rep["words"])
+        assert len(products) == 8 * (12 + 120 + threes)
+        # the counted entries change no float
+        monkeypatch.undo()
+        assert purely_loxodromic_sample(mg, phi, 3, 1332) == rep
+
+    def test_walk_setup_does_not_grow_with_p(self):
+        # a table with an entry per residue would need 10^9 of them here
+        phi = KHom(spec_of(1000000008, 1000000007, 2, 0, 0),
+                   HomImage(1000000007, a=(1, 0)))
+        assert [fpword_str(w) for w in kernel_words(phi, 3)] == [
+            "a2^-1", "a2", "a1^-1 a2^-1 a1", "a1^-1 a2 a1", "a1 a2^-1 a1^-1",
+            "a1 a2 a1^-1"]
+
+    @pytest.mark.parametrize("shape,hom,length", [
+        ((2, 2, 0, 3, 0), HomImage(2, e=(1, 1, 1)), 4),
+        ((3, 2, 0, 0, 2), HomImage(2, tau=(1, 0), f=(1, 1)), 4),
+        ((9, 3, 1, 1, 2),
+         HomImage(3, a=(2,), e=(1,), tau=(1, 0), f=(2, 1)), 3),
+        ((26, 5, 6, 0, 0), HomImage(5, a=(1, 2, 0, 3, 0, 4)), 3),
+        ((5, 5, 1, 1, 0), HomImage(5, a=(2,), e=(3,)), 4),
+        ((6, 5, 1, 0, 1), HomImage(5, a=(0,), tau=(0,), f=(1,)), 4),
+        ((6, 5, 1, 0, 1), HomImage(5, a=(3,), tau=(2,), f=(1,)), 4),
+        ((8, 7, 1, 0, 1), HomImage(7, a=(3,), tau=(5,), f=(2,)), 3),
+        ((12, 7, 0, 3, 0), HomImage(7, e=(1, 2, 6)), 3),
+    ])
+    def test_matches_brute_force(self, shape, hom, length):
+        # the brute-force words are the candidates that the walk counts
+        # from the symbol widths, so a budget one short of them is refused
+        # with their number
+        phi = KHom(spec_of(*shape), hom)
+        want, candidates = brute_kernel_words(phi, length)
+        assert want and kernel_words(phi, length, candidates) == want
+        with pytest.raises(BudgetExceeded, match=f"requires {candidates} "):
+            kernel_words(phi, length, candidates - 1)
+
+    def test_all_members_nonidentity(self):
+        phi = KHom(SPEC_MIXED, HomImage(5, a=(2,), e=(3,)))
+        words = kernel_words(phi, 3)
+        assert words
+        for w in words:
+            assert w.syllables
+            assert kernel_membership(phi, w)
+
+    def test_distinct_kernels_match_signatures(self):
+        # over ALL valid images on a tiny spec, kernels (as sets of short
+        # members) biject with scale-normalised signatures
+        spec = spec_of(3, 3, 1, 1, 0)
+        homs = [
+            KHom(spec, HomImage(3, a=(a,), e=(e,)))
+            for a in range(3)
+            for e in (1, 2)
+        ]
+        kernels = {
+            frozenset(kernel_words(phi, 3)) for phi in homs
+        }
+        # a hom onto Z_p is fixed by its kernel up to a unit, so the image
+        # vector scaled to make its first nonzero entry 1 names the kernel
+        signatures = set()
+        for phi in homs:
+            flat = sum(phi.hom[1:], ())  # a, e, tau, f
+            lam = pow(next(c for c in flat if c), -1, 3)
+            signatures.add(tuple(lam * c % 3 for c in flat))
+        assert len(kernels) == len(signatures)
