@@ -92,10 +92,10 @@ def _cmd_tuples(args):
     g, p = args.g, args.p
     within_budget(strata.count_strata(p, g), args.budget, "rows")
     tuples = strata.tuple_rows(g, p)
-    # one pass: the g and p asked for, no negative entry, the genus inline
-    admissible = all(rg == g and rp == p and t >= 0 and r >= 0 and s >= 0
-                     and p * (t + r + s - 1) + 1 - r == g
-                     for rg, rp, t, r, s in tuples)
+    # the rows failing in one pass: g and p, a negative entry, the genus
+    admissible = not [(rg, rp, t, r, s) for rg, rp, t, r, s in tuples
+                      if not (rg == g and rp == p and t >= 0 and r >= 0
+                              and s >= 0 and p * (t + r + s - 1) + 1 - r == g)]
     return {"count": len(tuples), "tuples": tuples}, [check(
         "all_admissible", admissible,
         f"{len(tuples)} tuples verified against the defining relation")]

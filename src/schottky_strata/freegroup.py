@@ -148,16 +148,19 @@ def fold(generators):
     moved, so input that never merges (Schreier words) pays no union-find.
     Folding is confluent, so this is the folded bouquet of loops: a core
     graph, as a reduced word never has x then -x.  The breadth-first
-    relabelling makes the result independent of order.
+    relabelling makes the result independent of order.  While folding, a
+    vertex is a row of 2k+1 slots for rank k: letter x at slot x, a negative
+    one counted from the end, so a read is one list index.  Only the
+    relabelling builds the graph's dicts.
     """
     if not generators:
         raise ValueError("need at least one generator word")
     rank = generators[0].rank
-    if any(w.rank != rank for w in generators):
+    if {w.rank for w in generators} != {rank}:
         raise ValueError("all generators must share one ambient rank")
-
+    slots = 2 * rank + 1
     parent = [0]
-    adj = [dict()]  # one dict per vertex, vertex 0 is the basepoint
+    adj = [[None] * slots]  # one row per vertex, vertex 0 is the basepoint
 
     def find(v):
         while parent[v] != v:
@@ -171,14 +174,14 @@ def fold(generators):
         letters = w.letters
         head, i = root, 0
         for x in letters:
-            nxt = adj[head].get(x)
+            nxt = adj[head][x]
             if nxt is None:
                 break
             head = nxt if parent[nxt] == nxt else find(nxt)
             i += 1
         tail, j = root, len(letters)
         while j > i:
-            nxt = adj[tail].get(-letters[j - 1])
+            nxt = adj[tail][-letters[j - 1]]
             if nxt is None:
                 break
             tail = nxt if parent[nxt] == nxt else find(nxt)
@@ -192,13 +195,14 @@ def fold(generators):
             x = letters[i]
             nxt = len(adj)
             parent.append(nxt)
-            adj.append({-x: head})
+            adj.append([None] * slots)
+            adj[nxt][-x] = head
             adj[head][x] = nxt
             head, i = nxt, i + 1
         # the new path needs folding only if its first edge took the slot of
         # its last one (a middle x ... x^-1 at one vertex)
         x = letters[j - 1]
-        taken = adj[tail].get(-x)
+        taken = adj[tail][-x]
         if taken is None:
             adj[head][x] = tail
             adj[tail][-x] = head
@@ -206,33 +210,33 @@ def fold(generators):
             _flush_folds(parent, adj, find, taken, head)
             root, merged = find(0), True
     if merged:  # point every edge at its target's root
-        for edges in adj:
-            for x, w in edges.items():
-                edges[x] = find(w)
+        adj = [[w if w is None else find(w) for w in row] for row in adj]
     live = sum(v == u for v, u in enumerate(parent))
     return _canonical_relabel(rank, adj, root, live)
 
 
 def _flush_folds(parent, adj, find, u, v):
-    # merge u and v, then every pair of targets the merge makes equal-labelled
+    # merge u and v, then every pair of targets the merge makes equal-labelled;
+    # slot x's reverse is slot -x, for a letter and for a row index alike
     pending = deque([(u, v)])
     while pending:
         u, v = pending.popleft()
         u, v = find(u), find(v)
         if u == v:
             continue
-        if len(adj[u]) < len(adj[v]):
+        if adj[u].count(None) > adj[v].count(None):
             u, v = v, u
         parent[v] = u
-        edges = adj[v]
-        adj[v] = dict()
-        for x, w in edges.items():
+        row = adj[u]
+        for x, w in enumerate(adj[v]):
+            if w is None:
+                continue
             w = find(w)
-            old = adj[u].get(x)
+            old = row[x]
             if old is None:
-                adj[u][x] = w
+                row[x] = w
                 # a reverse entry at w that named v leads to u through find
-                back = adj[w].get(-x)
+                back = adj[w][-x]
                 if back is None:
                     adj[w][-x] = u
                 elif find(back) != u:
@@ -242,20 +246,22 @@ def _flush_folds(parent, adj, find, u, v):
 
 
 def _canonical_relabel(rank, adj, root, size):
-    # breadth-first from the basepoint's root, one map over each edge dict,
-    # until all ``size`` live vertices are labelled; every edge targets a
-    # root, so vertices merged away by folding are never labelled
+    # breadth-first from the basepoint's root, one map over each row, until
+    # all ``size`` live vertices are labelled; every edge targets a root, so
+    # vertices merged away by folding are never labelled
     order = _letter_order(rank)
     label = {root: 0}
     queue = [root]
     for v in queue:
         if len(queue) == size:
             break
-        for w in map(adj[v].get, order):
+        for w in map(adj[v].__getitem__, order):
             if w is not None and w not in label:
                 label[w] = len(label)
                 queue.append(w)
-    new = [{x: label[w] for x, w in adj[v].items()} for v in queue]
+    signed = [*range(1, rank + 1), *range(-rank, 0)]  # slots 1 .. 2k
+    new = [{x: label[w] for x, w in zip(signed, adj[v][1:]) if w is not None}
+           for v in queue]
     return StallingsGraph(rank, new)
 
 
@@ -273,14 +279,13 @@ def index_and_rank(graph):
     """(index, rank) of the subgroup carried by a folded graph.
 
     Index is the vertex count when every vertex has all 2*rank edge slots
-    filled, INFINITE otherwise.  Rank is E - V + 1 with E the number of
-    positive-labelled edges.
+    filled, INFINITE otherwise.  Rank is E - V + 1, with E half the filled
+    slots, as each edge fills one at both of its ends.
     """
-    complete = all(len(d) == 2 * graph.rank for d in graph.adj)
-    edges = sum(1 for d in graph.adj for x in d if x > 0)
     n = len(graph.adj)
-    rank = edges - n + 1
-    index = n if complete else INFINITE
+    filled = sum(map(len, graph.adj))
+    rank = filled // 2 - n + 1
+    index = n if filled == 2 * graph.rank * n else INFINITE
     if index is not INFINITE:
         assert rank == 1 + index * (graph.rank - 1)
     return (index, rank)
@@ -316,13 +321,15 @@ def schreier_kernel(phi):
     giving 1 + n(k-1) words for index n and rank k.  The transversal is
     prefix-closed, so a word is trivial exactly when one of its joins
     cancels (x against the last letter of u or of the rep of u.x, read
-    from a table), and reduced otherwise (Lyndon-Schupp I.3).
+    from a table), and reduced otherwise (Lyndon-Schupp I.3).  The
+    representatives, their inverses and last letters are lists by coset.
     """
     k = phi.rank
     n = math.prod(phi.moduli)
     steps = _coset_steps(phi)
-    reps = {0: ()}
-    last = {0: 0}  # the last letter of each representative, 0 for the empty one
+    reps, inverse_reps = [None] * n, [None] * n
+    last = [0] * n  # the last letter of each representative, 0 for the empty one
+    reps[0] = inverse_reps[0] = ()
     queue = [0]  # cosets in shortlex discovery order
     for c in queue:
         if len(queue) == n:
@@ -330,20 +337,21 @@ def schreier_kernel(phi):
         u = reps[c]
         for x, step in steps.items():  # letters a, A, b, B, ...
             d = step[c]
-            if d not in reps:
+            if reps[d] is None:
                 reps[d] = u + (x,)
+                inverse_reps[d] = (-x,) + inverse_reps[c]
                 last[d] = x
                 queue.append(d)
     if len(queue) != n:
         raise ValueError("homomorphism is not surjective onto its codomain")
 
-    inverse_reps = {c: tuple(-y for y in reversed(u)) for c, u in reps.items()}
     word = FreeWord._reduced
     out = []
+    letters = [(x, steps[x]) for x in range(1, k + 1)]
     for c in queue:
         u, cancel = reps[c], -last[c]
-        for x in range(1, k + 1):
-            d = steps[x][c]
+        for x, step in letters:
+            d = step[c]
             if x != cancel and last[d] != x:  # no join cancels
                 out.append(word((k, u + (x,) + inverse_reps[d])))
     return out

@@ -138,8 +138,7 @@ def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
     and refused past ``budget`` with BudgetExceeded, as a 64-bit code is.
     """
     check_prime(p, minimum=3)
-    if r < 0 or s < 0:
-        raise ValueError("r and s must be >= 0")
+    _validate_trs(0, r, s)
     k, n = r + s, p - 1
     # before any binomial
     vectors = within_budget_of_powers([[(n, w)] for w in (r, s) if w],
@@ -221,6 +220,7 @@ def closed_form_orbit_count(p, r, s, scaled=False):
     cyclic group of order h, and Burnside's lemma gives (phi Euler's totient)
     (1/h) sum_{d | gcd(h,r,s)} phi(d) C(r/d+h/d-1, r/d) C(s/d+h/d-1, s/d)."""
     check_prime(p, minimum=3)
+    _validate_trs(0, r, s)
     if scaled and r == s == 0:
         return 1  # the phi(d) over the divisors d of h sum to h
     h = (p - 1) // 2

@@ -15,8 +15,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from operator import itemgetter
 
-from .cyclic_schottky import FPWord, build_spec, fpword_str, symbols
+from .cyclic_schottky import build_spec, symbols
 from .strata import within_budget
 
 __all__ = [
@@ -37,27 +38,26 @@ def _mul(m, n):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _power(m, k):
-    """m^k: from the identity, m's repeated squares multiplied on the
-    right, one per set bit of k, lowest first; no square past the top
-    bit.  A negative k raises the adjugate, the inverse at determinant 1."""
-    if k < 0:
-        a, b, c, d = m
-        return _power((d, -b, -c, a), -k)
-    result = (1 + 0j, 0j, 0j, 1 + 0j)
-    while k:
-        if k & 1:
-            result = _mul(result, m)
-        k >>= 1
-        if k:
-            m = _mul(m, m)
-    return result
+def _powers(m, top, bottom=0):
+    """m^k for -bottom <= k <= top at index k, k < 0 from the end (the
+    adjugate's): m^k = m^(k - 2^j) m^(2^j), 2^j the top bit of k, one product
+    each, the very floats of square-and-multiply, lowest bit first."""
+    a, b, c, d = m
+    halves = []
+    for base, last in ((m, top), ((d, -b, -c, a), bottom)):
+        half, square, bit = [(1 + 0j, 0j, 0j, 1 + 0j)], base, 1
+        for k in range(1, last + 1):
+            if k == 2 * bit:
+                square, bit = _mul(square, square), k
+            half.append(_mul(half[k - bit], square))
+        halves.append(half)
+    return halves[0] + halves[1][:0:-1]
 
 
 def _dist_to_unit(a, b2, c2, d):
     """min(||M - I||, ||M + I||) in the Frobenius norm (PSL sign folded),
     from a, |b|^2, |c|^2 and d."""
-    # the squares are added left to right (_classify relies on the order)
+    # the squares are added left to right (_classes relies on the order)
     plus = math.sqrt(abs(a - 1) ** 2 + b2 + c2 + abs(d - 1) ** 2)
     minus = math.sqrt(abs(a + 1) ** 2 + b2 + c2 + abs(d + 1) ** 2)
     return min(plus, minus)
@@ -72,14 +72,16 @@ def classify(m):
 
     "identity" within eps = _EPS of +-I; "parabolic" when tr^2 is within
     eps of 4; "elliptic" when tr^2 is real within eps and lies in
-    [0, 4-eps]; "loxodromic" otherwise.  ``_classify`` applies the rule
-    to the entries.
+    [0, 4-eps]; "loxodromic" otherwise.  It is the one-map case of
+    ``_classes``, which holds the rule.
     """
-    return _classify(*m)
+    return _classes([m])[0]
 
 
-def _classify(a, b, c, d):
-    """The name of ``classify``'s class of [[a, b], [c, d]], trace first.
+def _classes(maps):
+    """The names of ``classify``'s classes of the maps [[a, b], [c, d]] of
+    ``maps``, in order, each by its trace first; the tolerance and the
+    margin are read once.
 
     With x + iy the computed tr^2 and the margin M = (8 eps + 4 eps^2)
     (1 + 2^-20) + 2^-40, "loxodromic" is returned at once when x - 4 > M,
@@ -106,27 +108,33 @@ def _classify(a, b, c, d):
     off +-I, tr^2 overflows: the shortcut takes none of those.
     """
     eps = _EPS
-    try:
-        tr2 = (a + d) ** 2
-    except OverflowError:  # the full rule raises it, after |b|^2 and |c|^2
-        tr2 = None
-    else:
-        margin = (8 + 2**-17 + (4 + 2**-18) * eps) * eps + 2**-40  # M, folded
-        x = tr2.real
-        if ((x - 4 > margin or abs(tr2.imag) > margin
-             or x < -eps and 4 - x > margin)
-                and abs(b) < 1e150 and abs(c) < 1e150):
-            return "loxodromic"
-    b2, c2 = abs(b) ** 2, abs(c) ** 2
-    if math.sqrt(b2 + c2) <= eps and _dist_to_unit(a, b2, c2, d) <= eps:
-        return "identity"
-    if tr2 is None:
-        tr2 = (a + d) ** 2
-    if abs(tr2 - 4) <= eps:
-        return "parabolic"
-    if abs(tr2.imag) <= eps and -eps <= tr2.real <= 4 - eps:
-        return "elliptic"
-    return "loxodromic"
+    margin = (8 + 2**-17 + (4 + 2**-18) * eps) * eps + 2**-40  # M, folded
+    names = []
+    for a, b, c, d in maps:
+        try:
+            tr2 = (a + d) ** 2
+        except OverflowError:  # the full rule raises it, after |b|^2, |c|^2
+            tr2 = None
+        else:
+            x = tr2.real
+            if ((x - 4 > margin or abs(tr2.imag) > margin
+                 or x < -eps and 4 - x > margin)
+                    and abs(b) < 1e150 and abs(c) < 1e150):
+                names.append("loxodromic")
+                continue
+        b2, c2 = abs(b) ** 2, abs(c) ** 2
+        if math.sqrt(b2 + c2) <= eps and _dist_to_unit(a, b2, c2, d) <= eps:
+            names.append("identity")
+            continue
+        if tr2 is None:
+            tr2 = (a + d) ** 2
+        if abs(tr2 - 4) <= eps:
+            names.append("parabolic")
+        elif abs(tr2.imag) <= eps and -eps <= tr2.real <= 4 - eps:
+            names.append("elliptic")
+        else:
+            names.append("loxodromic")
+    return names
 
 
 def order_check(m, p):
@@ -327,16 +335,21 @@ def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
     c, d, text): each level extends its parents' map, the left-to-right
     product of the syllable powers, and text, one product per node, and
     keeps the nodes of sum 0.  The last level is not scanned but looked up,
-    as the syllables that close each sum.  ``_walk_budget`` counts every
-    level first, so a refused run takes no power and classifies no word.
+    as the syllables that close each sum.  Each factor's powers are one
+    ``_powers`` table, each syllable's text is written once, and one
+    ``_classes`` call classifies the words.  ``_walk_budget`` counts first,
+    so a refused run takes no power and classifies no word.
     """
     spec = phi.spec
     p = spec.p
     _walk_budget(spec, max_syllables, budget)
-    alphabet = [(sym, exp * phi.image(sym) % p, *_power(mg.matrices[sym], exp),
-                 text, " " + text)
+    powers = {sym: _powers(mg.matrices[sym], p - 1) if sym[0] in "ef"
+              else _powers(mg.matrices[sym], 1, 1) for sym in symbols(spec)}
+    alphabet = [(sym, exp * phi.image(sym) % p, *powers[sym][exp], text,
+                 " " + text)
                 for sym, exp in _syllable_alphabet(spec)
-                for text in [fpword_str(FPWord(((sym, exp),)))]]
+                for text in [f"{sym[0]}{sym[1]}" + f"^{exp}" * (exp != 1)]]
+    del powers  # the tables' tuples are not held while the trie grows
     # the alphabet entries that may follow each last symbol a level ends
     # in, and those of them that close each image sum, keyed by the sums
     # that occur: the root ends in None, and level 1 in every symbol
@@ -350,8 +363,7 @@ def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
     nodes = [(None, 0, 1 + 0j, 0j, 0j, 1 + 0j, "")]
     words = []
     for after in reversed(range(max_syllables)):  # the levels after this one
-        # _mul's products; str(w) from syllable texts written once (a test
-        # pins both)
+        # _mul's products and str(w) of each word (a test pins both)
         nodes = [(sym, (total + step) % p, a * fa + b * fc, a * fb + b * fd,
                   c * fa + d * fc, c * fb + d * fd,
                   text + spaced if text else word)
@@ -359,18 +371,18 @@ def purely_loxodromic_sample(mg, phi, max_syllables=4, budget=10**6):
                  for sym, step, fa, fb, fc, fd, word, spaced in (
                      follow[prev] if after else closing[prev].get(total, ()))]
         words += [node for node in nodes if not node[1]] if after else nodes
-    entries = []
-    violations = []
-    isfinite = cmath.isfinite
-    for _sym, _total, a, b, c, d, text in words:
-        tr = a + d
-        if not isfinite(tr):  # _classify raises for finite overflows
-            raise OverflowError(f"{text} has trace {tr}")
-        cls = _classify(a, b, c, d)
-        entry = {"word": text, "class": cls, "trace": [tr.real, tr.imag]}
-        entries.append(entry)
-        if cls != "loxodromic":
-            violations.append(entry)
+    traces = [node[2] + node[5] for node in words]
+    maps = list(map(itemgetter(2, 3, 4, 5), words))
+    if not all(map(cmath.isfinite, traces)):
+        # _classes raises for a finite overflow, first in an earlier word
+        bad = next(i for i, tr in enumerate(traces) if not cmath.isfinite(tr))
+        _classes(maps[:bad])
+        raise OverflowError(f"{words[bad][6]} has trace {traces[bad]}")
+    classes = _classes(maps)
+    entries = [{"word": node[6], "class": cls, "trace": [tr.real, tr.imag]}
+               for node, cls, tr in zip(words, classes, traces)]
+    violations = [entry for entry, cls in zip(entries, classes)
+                  if cls != "loxodromic"]
     return {
         "passed": not violations,
         "n_words": len(words),

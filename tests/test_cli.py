@@ -51,6 +51,8 @@ _ROW_COUNT_PAST_THE_TEXT_LIMIT = [
      _G_4201_DIGITS],
 ]
 
+_ORACLE_NEGATIVE_R = ["oracle", "--p", "5", "--r", "-1", "--s", "0"]
+
 # overflows on a level-2 word, but its budget is exceeded only on level 3:
 # the budget wins, as no word is classified before the walk has finished
 _BUDGET_BEFORE_OVERFLOW = [
@@ -177,6 +179,7 @@ class TestExitCodes:
             ["report", "--p", "5", "--g-min", "10", "--g-max", "2"],
             ["oracle", "--p", "5", "--r", "0", "--s", "0", "--t", "0"],
             ["oracle", "--p", "5", "--r", "0", "--s", "0", "--t", "1"],
+            _ORACLE_NEGATIVE_R,
             *(
                 ["build", *_G5_TUPLE, "--separation", value]
                 for value in ["nan", "inf", "0", "-1"]
@@ -209,6 +212,9 @@ class TestExitCodes:
             # 8 syllables, then 4 after each on levels 2 and 3
             assert err == ("error: enumeration requires 168 sampled words, "
                            "exceeding budget 100; raise it with --budget\n")
+        if argv == _ORACLE_NEGATIVE_R:
+            # the shape message of every other layer
+            assert err == "error: r must be >= 0, got -1\n"
         if argv == _KERNEL_PAST_THE_ROW_BUDGET:
             # kernel takes no --budget flag, so no hint names one
             assert err == ("error: enumeration requires 1000000006 basis "

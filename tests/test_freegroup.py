@@ -195,6 +195,24 @@ class TestFold:
         assert index_and_rank(graph) == (3, 4)
         assert graph == fold(schreier_kernel(AbelianHom(2, (3,), ((1,), (1,)))))
 
+    def test_rank_26_where_the_row_halves_meet(self):
+        # while folding, letter z sits at slot 26 and Z at slot 27 of a
+        # vertex's row, where its two halves meet: words over a, y, z and
+        # their inverses, with and without merges, against the naive fold
+        rng = random.Random(26)
+        alphabet = (1, -1, 25, -25, 26, -26)
+        for _ in range(300):
+            words = [FreeWord(26, tuple(rng.choice(alphabet)
+                                        for _ in range(rng.randint(0, 8))))
+                     for _ in range(rng.randint(1, 5))]
+            assert graph_key(fold(words)) == naive_fold_key(26, words), words
+        words = [W(text, 26) for text in ("zzz", "yZ", "zYzy", "aZ")]
+        assert graph_key(fold(words)) == naive_fold_key(26, words)
+        # the kernel of z -> 1 onto Z_3: index 3, rank 1 + 3 * 25
+        images = ((0,),) * 25 + ((1,),)
+        graph = fold(schreier_kernel(AbelianHom(26, (3,), images)))
+        assert index_and_rank(graph) == (3, 76)
+
     def test_whole_group(self):
         g = fold([W("a"), W("b")])
         assert len(g.adj) == 1

@@ -302,6 +302,24 @@ class TestOrbitCountTuples:
         assert codes.dtype == np.int64
         assert codes.tolist() == [(3**20 - 1) // 2]
 
+    @pytest.mark.parametrize("r,s,message", [
+        (-1, 0, "r must be >= 0, got -1"),
+        (0, -2, "s must be >= 0, got -2"),
+        (1.5, 0, "r must be an integer, got 1.5"),
+        (1, 2.0, "s must be an integer, got 2.0"),
+        (True, 0, "r must be an integer, got True"),
+        (0, False, "s must be an integer, got False"),
+    ])
+    def test_shape_is_checked_as_strata_checks_it(self, r, s, message):
+        # one message for a bad r or s, whichever count is asked
+        for count in (lambda: orbit_count_tuples(5, r, s, PERM_INV),
+                      lambda: canonical_codes(5, r, s, PERM_INV_SCALE),
+                      lambda: closed_form_orbit_count(5, r, s, False),
+                      lambda: closed_form_orbit_count(5, r, s, True)):
+            with pytest.raises(ValueError) as exc:
+                count()
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("n", range(13))
     def test_sorting_network_sorts_every_zero_one_input(self, n):
         # the 0-1 principle: a comparator network sorts all inputs iff it

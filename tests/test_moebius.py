@@ -19,7 +19,7 @@ from schottky_strata.moebius import (
     _factor,
     _may_follow,
     _mul,
-    _power,
+    _powers,
     _syllable_alphabet,
     build_matrix_group,
     classify,
@@ -45,6 +45,29 @@ def conjugate(u, m):
     """u m u^-1, with u^-1 the adjugate of the unit-determinant u."""
     a, b, c, d = u
     return _mul(_mul(u, m), (d, -b, -c, a))
+
+
+def power(m, k):
+    """m^k by square-and-multiply: from the identity, m's repeated squares
+    multiplied on the right, one per set bit of k, lowest first, no square
+    past the top bit; a negative k raises the adjugate, the inverse at
+    determinant 1.  The reference for ``_powers``."""
+    if k < 0:
+        a, b, c, d = m
+        return power((d, -b, -c, a), -k)
+    result = mobius(1, 0, 0, 1)
+    while k:
+        if k & 1:
+            result = _mul(result, m)
+        k >>= 1
+        if k:
+            m = _mul(m, m)
+    return result
+
+
+def bits(m):
+    """The exact floats of a map, signed zeros told apart."""
+    return [x.hex() for z in m for x in (z.real, z.imag)]
 
 
 def dist_to_unit(m):
@@ -79,7 +102,7 @@ def left_to_right(mg, w):
     identity."""
     m = mobius(1, 0, 0, 1)
     for sym, exp in w.syllables:
-        m = _mul(m, _power(mg.matrices[sym], exp))
+        m = _mul(m, power(mg.matrices[sym], exp))
     return m
 
 
@@ -298,7 +321,7 @@ class TestOrderCheck:
         # -I by more than 1e-8, but its trace is 0 to rounding
         mg = build_matrix_group(AdmissibleTuple(2, 2, 0, 3, 0), separation=1e3)
         m = mg.matrices[("e", 3)]
-        assert dist_to_unit(_power(m, 2)) > 1e-8
+        assert dist_to_unit(power(m, 2)) > 1e-8
         assert order_check(m, 2)
 
 
@@ -390,7 +413,7 @@ class TestBuildMatrixGroup:
         for k in range(1, tup.s + 1):
             t_m, f_m = mg.matrices[("t", k)], mg.matrices[("f", k)]
             assert commute(t_m, f_m)
-            assert dist_to_unit(_power(f_m, tup.p)) <= 1e-8
+            assert dist_to_unit(power(f_m, tup.p)) <= 1e-8
             assert classify(t_m) == "loxodromic"
             # both fix the real pair center -+ 0.1
             center = mg.centers[("t", k)]
@@ -626,10 +649,26 @@ class TestPurelyLoxodromic:
                 product = _mul(product, m)
                 scale = max(map(abs, product))
                 assert all(abs(x - y) < 1e-9 * scale for x, y in
-                           zip(_power(m, exp), product))
-                inverse = _mul(_power(m, -exp), product)
+                           zip(power(m, exp), product))
+                inverse = _mul(power(m, -exp), product)
                 assert all(abs(x - y) < 1e-9 * scale**2 for x, y in
                            zip(inverse, (1, 0, 0, 1)))
+
+    @pytest.mark.parametrize("separation", [10, 1e6])
+    def test_power_table_is_square_and_multiply(self, separation):
+        # bit for bit, for every 0 < |k| <= p - 1: each prime p <= 31, an
+        # elliptic, a loxodromic and a pair's factors
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            mg = build_matrix_group(
+                AdmissibleTuple(2 * p, p, 1, 1, 1), separation)
+            for m in mg.matrices.values():
+                table = _powers(m, p - 1, p - 1)
+                assert len(table) == 2 * p - 1
+                assert len(_powers(m, p - 1)) == p
+                assert bits(table[0]) == bits(mobius(1, 0, 0, 1))
+                for k in range(1, p):
+                    assert bits(table[k]) == bits(power(m, k)), (p, k)
+                    assert bits(table[-k]) == bits(power(m, -k)), (p, -k)
 
 
 class TestSampleAlphabet:
@@ -736,11 +775,11 @@ class TestKernelSample:
                 products.append(1)
                 return complex.__rmul__(self, other)
 
-        def counting_power(m, k, real=moebius._power):
-            powers.append(k)
-            return tuple(map(Counting, real(m, k)))
+        def counting_powers(m, *tops, real=moebius._powers):
+            powers.append(tops)
+            return [tuple(map(Counting, x)) for x in real(m, *tops)]
 
-        monkeypatch.setattr(moebius, "_power", counting_power)
+        monkeypatch.setattr(moebius, "_powers", counting_powers)
         phi = KHom(SPEC_FREE, HomImage(5, a=(1, 2, 0, 3, 0, 4)))
         mg = build_matrix_group(SPEC_FREE)
         with pytest.raises(BudgetExceeded):
