@@ -326,6 +326,10 @@ def schreier_kernel(phi):
     """
     k = phi.rank
     n = math.prod(phi.moduli)
+    # every image vanishes mod a modulus: refused before n-entry tables
+    if any(all(img[i] % m == 0 for img in phi.images)
+           for i, m in enumerate(phi.moduli)):
+        raise ValueError("homomorphism is not surjective onto its codomain")
     steps = _coset_steps(phi)
     reps, inverse_reps = [None] * n, [None] * n
     last = [0] * n  # the last letter of each representative, 0 for the empty one

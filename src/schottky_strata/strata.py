@@ -6,7 +6,8 @@ Everything is indexed by tuples (g, p; t, r, s) with p prime, g >= 2 and
 
 equivalently g - 1 = p(t + s - 1) + r(p - 1).  All counting here is exact
 integer arithmetic; the only floats bound the digits of an M too long to
-write, in ``refuse_unwritable_m``.
+write, in ``refuse_unwritable_m``.  ``stratum_rows`` refuses such an M in
+its own rows, by that bound and then by ``writable``.
 
 Every layer imports it, so outside ``__all__`` it also holds the input
 checks, the check record ``check`` and the refusal rule ``within_budget``,
@@ -255,20 +256,29 @@ def _admissible_totals(g, p):
     return range(g % (p - 1), bound + 1, p - 1)
 
 
+def _totals(g, p):
+    """(n, r = (g - 1 - p(n-1)) / (p - 1)) for each admissible total n =
+    t + s, n descending, so r ascending."""
+    return [(n, (g - 1 - p * (n - 1)) // (p - 1))
+            for n in reversed(_admissible_totals(g, p))]
+
+
+def _walk(p, blocks):
+    """(t, the blocks of total n >= t) for t = 0..top, t upwards, of
+    ``blocks`` (n, ...) in ``_totals`` order: the first (top-t)//(p-1) + 1."""
+    top = blocks[0][0] if blocks else -1
+    return [(t, blocks[:(top - t) // (p - 1) + 1]) for t in range(top + 1)]
+
+
 def tuple_rows(g, p):
     """All admissible (g, p, t, r, s) for the given genus and prime, as
     plain tuples sorted by (t, r, s).  Each admissible total n = t + s fixes
-    r = (g - 1 - p(n-1)) / (p - 1), and r falls as n grows; so t runs
-    upwards and, for each t, n downwards over the admissible totals n >= t.
+    r, and r falls as n grows; so t runs upwards and, for each t, n
+    downwards over the admissible totals n >= t.
     """
     _validate_gp(g, p)
-    # (n, r) pairs with n descending, hence r ascending
-    totals = [(n, (g - 1 - p * (n - 1)) // (p - 1))
-              for n in reversed(_admissible_totals(g, p))]
-    top = totals[0][0] if totals else -1
-    # the totals n >= t are the first (top - t) // (p - 1) + 1
-    return [(g, p, t, r, n - t) for t in range(top + 1)
-            for n, r in totals[:(top - t) // (p - 1) + 1]]
+    return [(g, p, t, r, n - t)
+            for t, block in _walk(p, _totals(g, p)) for n, r in block]
 
 
 def enumerate_tuples(g, p):
@@ -355,44 +365,35 @@ def _settled(p, t, r, s, m):
 
 
 def stratum_rows(g, p):
-    """Yield (g, p, t, r, s, M, dimension, exact, basis), the values of
+    """(g, p, t, r, s, M, dimension, exact, basis), the values of
     ``component_bounds`` and ``dimension``, for each admissible tuple in
     ``tuple_rows`` order.  A total n = t + s fixes r, the dimension, M's r
     factor (M = C(r+h-1, r) * C(s+h-1, s)) and the case where r settles it,
-    made once per n by ``_first_rows``; the s factor is made once per s.
+    made once per n; the s factor is made once per s, after them all.
+
+    Every row has r + s <= (g + p - 1) / (p - 1) <= g + 1, so M < 2^(r+s+p)
+    <= 2^(g+p+1), which no text limit of at least (g + p + 1) / 3 digits
+    refuses.  Past that, each n is refused at its first row (t = 0, s = n),
+    whose M is its largest, by ``refuse_unwritable_m`` and then
+    ``writable``, before any factor of a smaller n is made.
     """
     _validate_gp(g, p)
     h = max(1, (p - 1) // 2)  # p = 2 draws from one class: M = 1
-    totals = _admissible_totals(g, p)
-    blocks = []  # (n, r, dimension, r factor of M, r's case), n descending
-    by_s = {}  # the s factor of M, by s
-    for t in range(totals[-1] + 1 if totals else 0):
-        for n, r, dim, m, decided in (
-                blocks if t else _first_rows(g, p, h, totals, blocks)):
-            if n < t:
-                break
-            s = n - t
-            m *= by_s.get(s) or by_s.setdefault(s, _multisets(h, 0, s))
-            yield (g, p, t, r, s, m, dim, m, decided[1]) if decided else (
-                g, p, t, r, s, m, dim, *_settled(p, t, r, s, m))
-
-
-def _first_rows(g, p, h, totals, blocks):
-    """Append to ``blocks`` and yield the block of each total n, n
-    descending, at its first row (t = 0, s = n), once
-    ``refuse_unwritable_m`` has passed that row: every later row of the
-    block has a smaller s, so an M no larger.  Every row has r + s <=
-    (g + p - 1) / (p - 1) <= g + 1, so M < 2^(r+s+p) <= 2^(g+p+1), which
-    no text limit of at least (g + p + 1) / 3 digits refuses."""
     limit = sys.get_int_max_str_digits()
     tall = limit and 3 * limit < g + p + 1
-    for n in reversed(totals):
-        r = (g - 1 - p * (n - 1)) // (p - 1)
+    blocks = []  # (n, r, dimension, r factor of M, r's case), n descending
+    for n, r in _totals(g, p):
         if tall:
             refuse_unwritable_m(g, p, 0, r, n)
+            writable(_multisets(h, r, n), f"M of ({g},{p};0,{r},{n})")
         blocks.append((n, r, dimension(g, p, n, r, 0), _multisets(h, r, 0),
                        _settled(p, None, r, None, None)))
-        yield blocks[-1]
+    walk = _walk(p, blocks)
+    by_s = [_multisets(h, 0, s) for s in range(len(walk))]  # s <= top
+    return [(g, p, t, r, s, m, dim, m, decided[1]) if decided
+            else (g, p, t, r, s, m, dim, *_settled(p, t, r, s, m))
+            for t, block in walk for n, r, dim, mr, decided in block
+            for s in (n - t,) for m in (mr * by_s[s],)]
 
 
 def dimension(g, p, t, r, s):

@@ -1260,6 +1260,34 @@ class TestStratumRows:
             "digits, the limit of sys.get_int_max_str_digits() for writing "
             "an int as text\n")
 
+    # (g, p, the refused row, the blocks before it): at a text limit of 640
+    # digits every block's M passes its lower bound, and the refused block
+    # is refused by the exact digits of its first row's M
+    @pytest.mark.parametrize("g,p,row,passed", [
+        (4192514, 10007, "(4192514,10007;0,420,0)", 0),
+        (1706397, 503, "(1706397,503;0,1792,1605)", 3),
+    ], ids=["one block", "fourth of seven blocks"])
+    def test_refuses_its_own_m(self, g, p, row, passed, monkeypatch):
+        calls = []
+        real = strata._multisets
+        monkeypatch.setattr(strata, "_multisets",
+                            lambda *args: calls.append(args) or real(*args))
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError) as raised:
+                strata.stratum_rows(g, p)
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert str(raised.value) == (
+            f"M of {row} has more than 640 digits, the limit of "
+            "sys.get_int_max_str_digits() for writing an int as text")
+        # no factor of M is made for a block after the refused one
+        blocks = strata._totals(g, p)[:passed + 1]
+        assert str(AdmissibleTuple(g, p, 0, *blocks[-1][::-1])) == row
+        assert calls and {(r, s) for _h, r, s in calls} <= {
+            pair for n, r in blocks for pair in ((r, n), (r, 0))}
+
 
 def _dumps(value):
     return json.dumps(value, indent=2, allow_nan=False)

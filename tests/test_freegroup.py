@@ -360,6 +360,20 @@ class TestSchreier:
         with pytest.raises(ValueError):
             schreier_kernel(AbelianHom(2, (5,), ((0,), (0,))))
 
+    def test_vanishing_modulus_is_refused_before_the_coset_tables(
+            self, monkeypatch):
+        # a 10^6-coset codomain that no image reaches: no table is built
+        calls = []
+        real = freegroup._coset_steps
+        monkeypatch.setattr(freegroup, "_coset_steps",
+                            lambda phi: calls.append(phi) or real(phi))
+        with pytest.raises(ValueError, match="^homomorphism is not "
+                           "surjective onto its codomain$"):
+            schreier_kernel(AbelianHom(3, (1000003,), ((0,), (0,), (0,))))
+        with pytest.raises(ValueError, match="not surjective"):
+            schreier_kernel(AbelianHom(2, (3, 5), ((1, 0), (2, 5))))
+        assert calls == []
+
     def test_nielsen_schreier_law_random(self):
         rng = random.Random(11)
         for _ in range(30):
