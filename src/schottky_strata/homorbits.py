@@ -19,9 +19,9 @@ Two independent counters live here:
   orbits of the elementary moves that geometric automorphisms induce
   (torsion shifts into the loxodromic images, block permutations and
   inversions, Nielsen moves on the free block when no torsion is present).
-  Each move's neighbour-index array is built once and merged into the
-  labels by hooking roots and pointer jumping; each orbit ends labelled
-  by its least state.
+  Each move's targets, the state grid plus delta tables over the axes it
+  reads, are merged into the labels by hooking roots and pointer jumping;
+  each orbit ends labelled by its least state.
 
 Neither counter consults a formula; the ``oracle`` command and the tests
 compare them with each other and with ``closed_form_orbit_count``.  Its
@@ -34,6 +34,7 @@ counters refuse work past their budget with ``strata.within_budget`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -238,84 +239,83 @@ def _move_targets(index, p, t, r, s, scale):
 
     The states a | e | tau | f are the big-endian mixed-radix numbers in
     ``index``: radix p and digit = value for the residues a and tau, radix
-    p - 1 and digit = value - 1 for the units e and f.
+    p - 1 and digit = value - 1 for the units e and f.  On the grid of
+    states, one axis per coordinate, a move that gives coordinate c new
+    values shifts each state by (new - old value) * stride_c: a delta table
+    over only the axes the move reads.  A target is a copy of the grid plus
+    its broadcast delta tables, one pass over the states per table.
     """
     import numpy as np
 
-    # unsigned, and wide enough for a sum of two residues (see mod)
-    dtype = np.min_scalar_type(2 * p)
     radices = [p] * t + [p - 1] * r + [p] * s + [p - 1] * s
     strides = [math.prod(radices[c + 1 :]) for c in range(len(radices))]
-    values = [
-        np.tile(np.repeat(np.arange(radix, dtype=dtype) + (radix < p), stride),
-                index.size // (radix * stride))
-        for radix, stride in zip(radices, strides)
-    ]
+    grid = index.reshape(radices)
+    # each along its own axis, in np.intp; only the deltas take index.dtype
+    values = [np.arange(radix, dtype=np.intp).reshape(
+        [-1 if d == c else 1 for d in range(len(radices))]) + (radix < p)
+        for c, radix in enumerate(radices)]
     a, e = range(t), range(t, t + r)
     tau, f = range(t + r, t + r + s), range(t + r + s, t + r + 2 * s)
 
-    def move(changes):
-        """Target index when each coordinate c takes the values changes[c]."""
-        out = index.copy()
-        for c, new in changes.items():
-            delta = np.subtract(new, values[c], dtype=index.dtype)
-            delta *= strides[c]
-            out += delta
-        return out
+    def move(*deltas):
+        out = grid.copy()  # a copy even when no coordinate changes
+        for delta in deltas:
+            out += delta.astype(index.dtype)
+        return out.reshape(-1)
 
-    def mod(x):
-        """x mod p for unsigned x in [0, 2p): x - p wraps above x when x < p."""
-        return np.minimum(x, x - p, out=x)
+    def becomes(c, new):  # coordinate c takes the values new
+        return (new - values[c]) * strides[c]
+
+    def swap(i, j):  # coordinates i and j, of one radix, trade values
+        return (values[j] - values[i]) * (strides[i] - strides[j])
 
     # torsion shifts tau_k -> tau_k + f_k
     for k in range(s):
-        yield move({tau[k]: mod(values[tau[k]] + values[f[k]])})
+        yield move(becomes(tau[k], (values[tau[k]] + values[f[k]]) % p))
     if r > 0 or s > 0:
         # shift a_j by the first available elliptic image
         shift = values[e[0] if r > 0 else f[0]]
         for j in a:
-            yield move({j: mod(values[j] + shift)})
+            yield move(becomes(j, (values[j] + shift) % p))
     else:
         # Nielsen moves within the free block
+        for j, i in itertools.permutations(a, 2):
+            yield move(becomes(j, (values[j] + values[i]) % p))
         for j in a:
-            for i in a:
-                if i != j:
-                    yield move({j: mod(values[j] + values[i])})
-        for j in a:
-            yield move({j: mod(p - values[j])})
+            yield move(becomes(j, -values[j] % p))
         for j in range(t - 1):
-            yield move({a[j]: values[a[j + 1]], a[j + 1]: values[a[j]]})
+            yield move(swap(a[j], a[j + 1]))
     # e-block permutations and entrywise inversion
     for j in range(r - 1):
-        yield move({e[j]: values[e[j + 1]], e[j + 1]: values[e[j]]})
+        yield move(swap(e[j], e[j + 1]))
     for j in e:
-        yield move({j: p - values[j]})
+        yield move(becomes(j, p - values[j]))
     # pair permutations and pair inversion
     for k in range(s - 1):
-        yield move({tau[k]: values[tau[k + 1]], tau[k + 1]: values[tau[k]],
-                    f[k]: values[f[k + 1]], f[k + 1]: values[f[k]]})
+        yield move(swap(tau[k], tau[k + 1]), swap(f[k], f[k + 1]))
     for k in range(s):
-        yield move({f[k]: p - values[f[k]], tau[k]: mod(p - values[tau[k]])})
+        yield move(becomes(f[k], p - values[f[k]]),
+                   becomes(tau[k], -values[tau[k]] % p))
     if scale:  # by the least generator of the units mod p (1 when p = 2)
-        table = (_primitive_root(p) * np.arange(p) % p).astype(dtype)
-        yield move({c: table[column] for c, column in enumerate(values)})
+        root = _primitive_root(p)
+        yield move(*(becomes(c, root * column % p)
+                     for c, column in enumerate(values)))
 
 
 def _hooked(label, target):
     """Hook the roots of the pairs (state, its target) whose labels differ;
-    False when no pair does.  Each of a pair's two roots takes the minimum
-    of its label and the other root, so only the greater one moves; a root
-    in several pairs takes its least partner, and a later round hooks the
-    rest."""
+    False when no pair does.  The greater root of each pair takes the
+    lesser by one scatter of the minimum, so a root in several pairs takes
+    its least partner, and a later round hooks the rest."""
     import numpy as np
 
-    other = label[target]
+    other = label.take(target)
     apart = other != label
     if not apart.any():
         return False
     mine, other = label[apart], other[apart]
-    np.minimum.at(label, mine, other)
-    np.minimum.at(label, other, mine)
+    greater = np.maximum(mine, other)
+    np.minimum.at(label, greater, np.minimum(mine, other, out=mine))
     return True
 
 
@@ -329,8 +329,8 @@ def _orbit_count(total, moves):
     Vishkin, J. Algorithms 3, 1982).  Every label is a root, a state
     labelled by itself, and never above its state.  A move is merged by
     rounds until each state shares its target's label: ``_hooked``, then
-    pointer jumping (label <- label[label]) to a fixed point.  The
-    partition only coarsens, so a merged move stays merged, and each
+    pointer jumping (label <- label[label], a gather) to a fixed point.
+    The partition only coarsens, so a merged move stays merged, and each
     orbit ends labelled by its least state.
     """
     import numpy as np
@@ -339,9 +339,9 @@ def _orbit_count(total, moves):
     label = index.copy()
     for target in moves(index):
         while _hooked(label, target):
-            jumped = label[label]
-            while not np.array_equal(jumped, label):
-                label, jumped = jumped, jumped[jumped]
+            jumped = label.take(label)
+            while not (jumped == label).all():
+                label, jumped = jumped, jumped.take(jumped)
     return int(np.count_nonzero(label == index))
 
 

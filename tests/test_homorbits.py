@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ def reference_neighbours(p, t, r, s, scaled):
                 for i in A:
                     if i != j:
                         yield moved(x, [(j, x[j] + x[i])])
+            for j in A:
                 yield moved(x, [(j, -x[j])])
             for j in A[:-1]:
                 yield moved(x, [(j, x[j + 1]), (j + 1, x[j])])
@@ -402,6 +405,49 @@ class TestBfsOrbitCount:
         moves = reference_neighbours(p, t, r, s, scaled)
         assert calls == [(p, t, r, s, scaled)]
         assert built == [total] * sum(1 for _ in moves((1,) * (t + r + 2 * s)))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_each_target_is_the_reference_image(self, p, scaled):
+        # state by state, in the order of the reference move set, on every
+        # shape with t + r + s <= 4 and at most 10^4 states: a wrong target
+        # that kept the orbits would pass the counting tests
+        for t, r, s in itertools.product(range(5), repeat=3):
+            total = p**t * (p - 1) ** r * (p * (p - 1)) ** s
+            if t + r + s > 4 or total > 10**4:
+                continue
+            ranges = ([range(p)] * t + [range(1, p)] * r + [range(p)] * s
+                      + [range(1, p)] * s)
+            strides = [math.prod(len(x) for x in ranges[c + 1:])
+                       for c in range(len(ranges))]
+            neighbours = reference_neighbours(p, t, r, s, scaled)
+            # images[i, m] is the image of state i under move m
+            images = [list(neighbours(x)) for x in itertools.product(*ranges)]
+            images = np.array(images, dtype=int).reshape(
+                total, len(images[0]), len(ranges))
+            digits = images - [x.start for x in ranges]
+            want = (digits @ np.array(strides, dtype=int)).T
+            index = np.arange(total, dtype=np.int32)
+            got = list(homorbits._move_targets(index, p, t, r, s, scaled))
+            assert len(got) == len(want), (t, r, s)
+            for move, (target, image) in enumerate(zip(got, want)):
+                assert target.dtype == index.dtype, (t, r, s, move)
+                assert np.array_equal(target, image), (t, r, s, move)
+
+    @pytest.mark.parametrize("p,t,r,s", [(3, 8, 4, 0), (5, 5, 1, 1)])
+    def test_memory_is_a_few_arrays_of_the_states(self, p, t, r, s):
+        # 104,976 and 250,000 states of four bytes: index, labels, one
+        # target and the temporaries of one hooking round
+        total = p**t * (p - 1) ** r * (p * (p - 1)) ** s
+        want = bfs_orbit_count(p, t, r, s)  # numpy's first-use allocations
+        tracemalloc.start()
+        try:
+            got = bfs_orbit_count(p, t, r, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 32 * total, peak / total
 
     def test_budget(self, monkeypatch):
         with pytest.raises(BudgetExceeded):
