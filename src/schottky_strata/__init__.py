@@ -5,7 +5,8 @@ Submodules:
 * :mod:`.strata` - admissible tuples, stratum counts, component bounds;
   also the check record ``check`` and ``within_budget``/``BudgetExceeded``
   (with ``within_budget_of_powers``)
-* :mod:`.homorbits` - brute-force orbit oracles over generator images
+* :mod:`.homorbits` - orbit oracles over generator images: a cycle-index
+  sum and a breadth-first search
 * :mod:`.freegroup` - reduced words, foldings, Schreier generators
 * :mod:`.cyclic_schottky` - structural group model and kernel machinery
 * :mod:`.surfaces` - rotation tuples and the fiber-product curve family

@@ -58,7 +58,8 @@ def _phi_from_args(spec, phi_text):
 
 
 def _stratum_row(tup):
-    strata.refuse_unwritable_m(*tup)  # before M, which can take seconds
+    # before M, which can take seconds
+    strata.refuse_unwritable_m(tup.p, tup.r, tup.s, f"M of {tup}")
     m, exact, basis = strata.component_bounds(*tup)
     return (*tup, writable(m, f"M of {tup}"),
             writable(strata.dimension(*tup), f"the dimension of {tup}"),
@@ -112,7 +113,7 @@ def _cmd_oracle(args):
     closed = homorbits.closed_form_orbit_count(args.p, args.r, args.s,
                                                args.scale)
     checks = [check("closed_form_agreement", closed == count,
-                    f"enumeration {count}, closed form {closed}")]
+                    f"cycle index {count}, closed form {closed}")]
     if args.t is not None:
         # the shape must realise a genus g >= 2, as for the tuple commands
         g = strata.genus(args.p, args.t, args.r, args.s)
@@ -122,7 +123,7 @@ def _cmd_oracle(args):
         )
         results["bfs_orbit_count"] = bfs
         checks.append(check("bfs_matches_canonical", bfs == count,
-                            f"bfs {bfs}, canonical {count}"))
+                            f"bfs {bfs}, cycle index {count}"))
     return results, checks
 
 

@@ -1,4 +1,4 @@
-"""Brute-force orbit oracles for generator-image data.
+"""Orbit oracles for generator-image data.
 
 A surjective homomorphism from a cyclic-Schottky group onto Z_p with
 torsion-free kernel is described by its images on the generator roster:
@@ -8,27 +8,26 @@ elliptic halves of the rank-two abelian factors; ``f`` units only).
 
 Two independent counters live here:
 
-* ``canonical_codes`` (behind ``orbit_count_tuples`` and the rotation
-  tuples of :mod:`.surfaces`) keeps one code per orbit of the unit-vector
-  pairs (u, v) under block permutation, entrywise inversion u -> p - u,
-  and optionally a global unit rescale.  Permutation and inversion act on
-  each block alone, so it enumerates every vector of each block on its
-  own and pairs their classes; a rescale acts on both blocks at once, so
-  it merges class pairs.
+* ``orbit_count_tuples`` (also behind the rotation tuples of
+  :mod:`.surfaces`) counts the orbits of the unit-vector pairs (u, v)
+  under block permutation, entrywise inversion u -> p - u, and optionally
+  a global unit rescale, by Burnside's lemma over cycle types: a sum of
+  cycle-index coefficients, each from the exponential formula's
+  recurrence.
 * ``bfs_orbit_count`` labels every state of the full image space by the
   orbits of the elementary moves that geometric automorphisms induce
   (torsion shifts into the loxodromic images, block permutations and
   inversions, Nielsen moves on the free block when no torsion is present).
   Each move's targets, the state grid plus delta tables over the axes it
   reads, are merged into the labels by hooking roots and pointer jumping;
-  each orbit ends labelled by its least state.
+  each orbit ends labelled by its least state.  It alone loads numpy.
 
-Neither counter consults a formula; the ``oracle`` command and the tests
+Neither counter counts multisets; the ``oracle`` command and the tests
 compare them with each other and with ``closed_form_orbit_count``.  Its
 plain count is the multiset count M of ``strata.component_bounds``, from
 the same product, and its scaled count is a Burnside average of such
-products; so ``oracle`` is also the enumeration check of M.  Both
-counters refuse work past their budget with ``strata.within_budget`` and
+products; so ``oracle`` is also a second derivation of M.  Both counters
+refuse work past their budget with ``strata.within_budget`` and
 ``strata.within_budget_of_powers``.
 """
 
@@ -38,22 +37,22 @@ import itertools
 import math
 from collections import namedtuple
 
-from .strata import (_multisets, _validate_trs, check_prime, within_budget,
-                     within_budget_of_powers)
+from .strata import (_multisets, _validate_trs, check_prime,
+                     refuse_unwritable_m, within_budget,
+                     within_budget_of_powers, writable)
 
 __all__ = [
     "ActionSpec",
     "HomImage",
     "PERM_INV",
     "PERM_INV_SCALE",
-    "canonical_codes",
     "orbit_count_tuples",
     "closed_form_orbit_count",
     "bfs_orbit_count",
 ]
 
-# which identifications the canonical form quotients by, besides the
-# permutations within each block, which it always quotients by
+# which identifications the orbit counts quotient by, besides the
+# permutations within each block, which they always quotient by
 ActionSpec = namedtuple("ActionSpec", "invert global_scale",
                         defaults=(True, False))
 
@@ -90,22 +89,6 @@ class HomImage(namedtuple("HomImage", "p a e tau f")):
         return tuple.__new__(cls, (p, a, e, tau, f))
 
 
-def _sorting_network(n):
-    """Comparators (i, j), i < j, that sort any n inputs: Batcher's merge
-    exchange (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M)."""
-    pairs = []
-    p = top = 1 << (n - 1).bit_length() - 1 if n > 1 else 0
-    while p:
-        q, r, d = top, 0, p
-        while True:
-            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
-            if q == p:
-                break
-            q, r, d = q >> 1, p, q - p
-        p >>= 1
-    return pairs
-
-
 def _primitive_root(p):
     """The least generator of the units mod the prime p (1 when p = 2)."""
     n, factors = p - 1, set()
@@ -118,101 +101,61 @@ def _primitive_root(p):
                 if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
-def canonical_codes(p, r, s, action=PERM_INV, budget=10**7):
-    """The distinct canonical codes over all of (Z_p^*)^r x (Z_p^*)^s, sorted.
-
-    Exhaustive enumeration (vectorised), no formula involved: one code per
-    orbit.  A code is the big-endian base-p number of the canonical form's
-    entries u then v, so code order is the lexicographic order of the
-    forms.
-
-    Permutation and inversion act on u and on v separately, so a plain
-    orbit is a pair (class of u, class of v), and its code is the u class's
-    code times p^s plus the v class's.  Each block of width w > 0 is
-    enumerated on its own: all (p-1)^w of its vectors, each folded under
-    invert and sorted, one code per distinct class.  A global rescale
-    commutes with both actions, so it permutes the class pairs; the
-    rescales form a cyclic group, and each orbit keeps the pair whose code
-    is least over the powers of a generator.  The work is those vectors
-    plus the grid of class pairs, C(w+h-1, w) classes a block (h = (p-1)/2
-    under invert, p - 1 without); it is counted before any array is made
-    and refused past ``budget`` with BudgetExceeded, as a 64-bit code is.
-    """
-    check_prime(p, minimum=3)
-    _validate_trs(0, r, s)
-    k, n = r + s, p - 1
-    # before any binomial
-    vectors = within_budget_of_powers([[(n, w)] for w in (r, s) if w],
-                                      budget, "block vectors")
-    within_budget(vectors + _multisets(n // 2 if action.invert else n, r, s),
-                  budget, "block vectors and class pairs")
-    within_budget(p**k, 2**63, "distinct codes")  # p^k is odd, never 2^63
-    import numpy as np  # deferred: commands that never call it start faster
-
-    code_type = np.int32 if p**k < 2**31 else np.int64
-    if k == 0:  # the empty vector; nothing below may grow with p
-        return np.zeros(1, code_type)
-    image = np.arange(p, dtype=np.min_scalar_type(p - 1))
-    if action.invert:
-        image = np.minimum(image, p - image)
-    if action.global_scale:  # image[root * c], the class entry of root * c
-        image_by_root = image.take(_primitive_root(p) * np.arange(p) % p)
-
-    def codes_of(columns):
-        """Base-p codes of the rows of ``columns`` once each row is sorted by
-        compare-exchange, rebinding columns, not copying."""
-        spare = np.empty_like(columns[0])
-        for i, j in _sorting_network(len(columns)):
-            low, high = columns[i], columns[j]
-            np.minimum(low, high, out=spare)
-            np.maximum(low, high, out=high)
-            columns[i], spare = spare, low
-        codes = np.zeros(columns[0].size, code_type)
-        for column in columns:
-            codes *= p
-            codes += column
-        return codes
-
-    # grid: the sorted codes of the class pairs of the blocks so far;
-    # moves: for each pair, the index in grid of its rescale by the generator
-    grid = moves = None
-    for w in (r, s):
-        if not w:
-            continue
-        # every vector of the block, in lexicographic order
-        columns = [np.empty(n**w, image.dtype) for _ in range(w)]
-        for i, column in enumerate(columns):
-            column.reshape(n**i, n, -1)[...] = image[1:, None]
-        classes = codes_of(columns)
-        classes.sort()
-        classes = classes[np.concatenate(([True], classes[1:] != classes[:-1]))]
-        grid = classes if grid is None else (
-            grid[:, None] * p**w + classes).ravel()
-        if action.global_scale:
-            codes = classes.astype(np.intp)  # digits that index without a cast
-            digits = [codes // p**i % p for i in reversed(range(w))]
-            move = np.searchsorted(
-                classes, codes_of([image_by_root.take(d) for d in digits]))
-            moves = move if moves is None else (
-                moves[:, None] * classes.size + move).ravel()
-    if action.global_scale:
-        # the rescales form a cyclic group, of order (p-1)/2 under invert,
-        # where lam and -lam act alike; take the least code over the first
-        # 2^j powers of the generator, by doubling, until they cover it.  A
-        # pair represents its orbit when its own code is the least one.
-        order = (p - 1) // 2 if action.invert else p - 1
-        least = grid
-        for _ in range((order - 1).bit_length()):
-            least = np.minimum(least, least.take(moves))
-            moves = moves.take(moves)
-        grid = grid[least == grid]
-    return grid
+def _coefficient(q, e, n):
+    """a_n = [x^n] exp(q sum_{e | k} x^k / k), the weight of the cycle types
+    of a block of size n, from n a_n = q sum_{j >= 1} a_{n - je} with the
+    sum kept running along n's residue class mod e, zero off it.  Every
+    e here divides q, so each a_n is an integer and each division exact."""
+    if n % e:
+        return 0
+    a = total = 1  # a_0, then the sum of the a_{je} so far
+    for m in range(e, n + 1, e):
+        a = q * total // m
+        total += a
+    return a
 
 
 def orbit_count_tuples(p, r, s, action=PERM_INV, budget=10**7):
-    """Count distinct canonical forms over all of (Z_p^*)^r x (Z_p^*)^s, by
-    the exhaustive enumeration of :func:`canonical_codes`; no formula."""
-    return int(canonical_codes(p, r, s, action, budget).size)
+    """Orbits of (u, v) in (Z_p^*)^r x (Z_p^*)^s under the permutations of
+    each block, entrywise multiplication by U = {+-1} under
+    ``action.invert`` ({1} otherwise) and, under ``action.global_scale``,
+    the p - 1 global rescales lam: Burnside's lemma over cycle types.
+
+    A k-cycle whose multipliers multiply to mu fixes p - 1 vectors iff
+    lam^k mu = 1; some mu in U does iff e | k, e = ord(lam) / gcd(ord(lam),
+    |U|).  By the exponential formula the fixed points of a block of size
+    n, averaged over its group, are ``_coefficient((p-1)/|U|, e, n)``.  The
+    plain count is the product at lam = 1, the scaled one its average over
+    lam, phi(d) rescales of each order d; only d | gcd(p-1, |U| gcd(r, s))
+    fix anything, so p - 1 is never factored.
+
+    Refused before the sum: M of the shape past the text limit, by
+    ``strata.refuse_unwritable_m`` (so a scaled count a few digits shorter
+    too), and sum((r + s) / e) recurrence steps past ``budget``, r + s
+    first, which bound the walk over the orders d.  Then ``writable``.
+    """
+    check_prime(p, minimum=3)
+    _validate_trs(0, r, s)
+    refuse_unwritable_m(p, r, s, f"M of p={p}, r={r}, s={s}")
+    within_budget(r + s, budget, "recurrence steps")
+    units = 2 if action.invert else 1
+    weights, rescales = {1: 1}, 1  # e -> the sum of phi(d) over its d
+    if action.global_scale and r + s:
+        top = math.gcd(p - 1, units * math.gcd(r, s))
+        orders = sorted({k for j in range(1, math.isqrt(top) + 1)
+                         if top % j == 0 for k in (j, top // j)})
+        totient, weights, rescales = {}, {}, p - 1
+        for d in orders:  # Gauss: the phi(c) of the divisors c of d sum to d
+            totient[d] = d - sum(t for c, t in totient.items() if d % c == 0)
+            e = d // math.gcd(d, units)
+            weights[e] = weights.get(e, 0) + totient[d]
+    within_budget(sum((r + s) // e for e in weights), budget,
+                  "recurrence steps")
+    q = (p - 1) // units
+    total = sum(w * _coefficient(q, e, r) * _coefficient(q, e, s)
+                for e, w in weights.items())
+    return writable(total // rescales, f"the orbit count of p={p}, r={r}, "
+                    f"s={s}")
 
 
 def closed_form_orbit_count(p, r, s, scaled=False):

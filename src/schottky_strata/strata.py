@@ -149,8 +149,8 @@ def writable(n, what):
     return n
 
 
-def refuse_unwritable_m(g, p, t, r, s):
-    """Refuse the tuple's M = C(r+h-1, r) C(s+h-1, s), h = (p-1)/2, as
+def refuse_unwritable_m(p, r, s, what):
+    """Refuse M = C(r+h-1, r) C(s+h-1, s), h = (p-1)/2, named ``what``, as
     ``writable`` would, before it is formed (which can take seconds) when
     a lower bound on its digits is past the text limit.  Each block w has
     C(n, k) >= (n/k)^k, n = w+h-1 >= 2k, k = min(w, h-1) < 2^82, so float
@@ -160,7 +160,7 @@ def refuse_unwritable_m(g, p, t, r, s):
                  for w in (r, s) if (k := min(w, h - 1)) > 0)
     limit = sys.get_int_max_str_digits()
     if limit and digits * (1 - 1e-12) > limit:
-        writable(10**limit, f"M of ({g},{p};{t},{r},{s})")
+        writable(10**limit, what)
 
 
 def _digits(n):
@@ -384,8 +384,9 @@ def stratum_rows(g, p):
     blocks = []  # (n, r, dimension, r factor of M, r's case), n descending
     for n, r in _totals(g, p):
         if tall:
-            refuse_unwritable_m(g, p, 0, r, n)
-            writable(_multisets(h, r, n), f"M of ({g},{p};0,{r},{n})")
+            what = f"M of ({g},{p};0,{r},{n})"
+            refuse_unwritable_m(p, r, n, what)
+            writable(_multisets(h, r, n), what)
         blocks.append((n, r, dimension(g, p, n, r, 0), _multisets(h, r, 0),
                        _settled(p, None, r, None, None)))
     walk = _walk(p, blocks)

@@ -34,12 +34,14 @@ def _check_family(p, m):
 
 
 def count_orbits(p, m):
-    """Number of orbits in (Z_p^*)^m, by exhaustive canonicalisation."""
+    """Number of orbits in (Z_p^*)^m under rescaling and permutation: the
+    cycle-index sum of ``homorbits.orbit_count_tuples`` without inversion,
+    refused as it refuses past 10^7 recurrence steps."""
     # deferred, so verify example2 does not load homorbits
-    from .homorbits import ActionSpec, canonical_codes
+    from .homorbits import ActionSpec, orbit_count_tuples
     _check_family(p, m)
-    rotation = ActionSpec(invert=False, global_scale=True)
-    return int(canonical_codes(p, m, 0, rotation).size)
+    return orbit_count_tuples(p, m, 0, ActionSpec(invert=False,
+                                                  global_scale=True))
 
 
 _WITNESS_BUDGET = 10**6

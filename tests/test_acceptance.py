@@ -108,7 +108,7 @@ def test_criterion_3_oracle_formula_equivalence():
 
 
 def test_criterion_4_bfs_move_set_consistency():
-    with budget("criterion 4: BFS orbit counts match the canonical counts", 60.0):
+    with budget("criterion 4: BFS orbit counts match M", 60.0):
         p = 5
         instances = []
         for t in range(2):

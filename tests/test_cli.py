@@ -42,6 +42,9 @@ _TEXT_LIMIT_CASES = [
       "200109994"], "M of (200109994,10007;0,9993,10006)"),
     (["bounds", "--g", _G_4300_NINES, "--p", "2", "--t", _HALF, "--r", "0",
       "--s", "0"], f"the dimension of ({_G_4300_NINES},2;{_HALF},0,0)"),
+    # refused by the lower bound on M's 2.7 million digits, before the sum
+    (["oracle", "--p", "1000000007", "--r", "300000", "--s", "0"],
+     "M of p=1000000007, r=300000, s=0"),
 ]
 # row counts too long to write: --budget is read by int, so it is shorter,
 # and the budget refuses the count by its digits
@@ -510,15 +513,13 @@ class TestExitCodes:
             2, "", _ALPHABET_REFUSAL)
 
     @pytest.mark.parametrize("argv,count", [
-        # 4^8000 block vectors and 5^8000 * 4 image vectors: formed, but
-        # longer than Python writes as text
-        (["oracle", "--p", "5", "--r", "8000", "--s", "0"],
-         "a 4817-digit number of block vectors"),
+        # 5^8000 * 4 image vectors: formed, but longer than Python writes
+        # as text
         (["oracle", "--p", "5", "--r", "1", "--s", "0", "--t", "8000"],
          "a 5593-digit number of image vectors"),
-        # (10^9 + 6)^300000, refused by its bit length before it is formed
-        (["oracle", "--p", "1000000007", "--r", "300000", "--s", "0"],
-         "a 2700001-digit number of block vectors"),
+        # 10^30 recurrence steps, refused before any is taken
+        (["oracle", "--p", "3", "--r", str(10**30), "--s", "0", "--scale"],
+         f"{10**30} recurrence steps"),
     ])
     def test_count_too_long_to_write_is_named_by_its_digits(
             self, argv, count, capsys):
@@ -691,11 +692,11 @@ class TestChecksCanFail:
         code, env, _ = run_json(argv)
         assert code == 0 and env["checks"] == [cli.check(
             "closed_form_agreement", True,
-            "enumeration 4, closed form 4" if scale
-            else "enumeration 10, closed form 10")]
-        real = homorbits.canonical_codes
-        monkeypatch.setattr(homorbits, "canonical_codes",
-                            lambda *a: real(*a)[1:])
+            "cycle index 4, closed form 4" if scale
+            else "cycle index 10, closed form 10")]
+        real = homorbits.orbit_count_tuples
+        monkeypatch.setattr(homorbits, "orbit_count_tuples",
+                            lambda *a, **k: real(*a, **k) - 1)
         _failed_check(argv, "closed_form_agreement", capsys)
 
     def test_row_count(self, monkeypatch, capsys):
@@ -879,8 +880,10 @@ class TestCommands:
         # divisors of h = (p - 1) / 2
         (["--p", "1000000007", "--r", "0", "--s", "0", "--scale"], 1),
         (["--p", "1000000000000000003", "--r", "0", "--s", "0", "--scale"], 1),
-        # 2 * 4^6 block vectors and 49 class pairs, within the default budget
+        # 12 recurrence steps; and 8000, where the 4^8000 block vectors
+        # were once enumerated and refused
         (["--p", "5", "--r", "6", "--s", "6"], 49),
+        (["--p", "5", "--r", "8000", "--s", "0"], 8001),
     ])
     def test_oracle_agrees_with_its_closed_form(self, argv, count):
         code, env, _ = run_json(["oracle", *argv])
@@ -1506,38 +1509,42 @@ class TestRuntimeImports:
             "assert 'numpy' not in sys.modules\n"
         ))
 
-    def test_only_the_orbit_engines_load_numpy(self):
-        # numpy is imported inside the homorbits functions that use it, so
-        # every command but oracle starts without it (verify example2 writes
-        # its witness pair in closed form)
-        examples = [argv for argv in _readme_examples() if argv[0] != "oracle"]
+    def test_only_the_bfs_oracle_loads_numpy(self):
+        # numpy is imported inside the homorbits functions of the BFS, so
+        # every command but oracle --t starts without it (verify example2
+        # writes its witness pair in closed form; the plain oracle and
+        # count_orbits sum a cycle index)
+        examples = [argv for argv in _readme_examples() if "--t" not in argv
+                    or argv[0] != "oracle"]
         assert ["verify", "example2"] in examples
-        assert {argv[0] for argv in examples} == set(cli._HANDLERS) - {"oracle"}
+        assert {argv[0] for argv in examples} == set(cli._HANDLERS)
         more = [["count", "--g", "100", "--p", "11"],
-                ["verify", "example2", "--p", "13", "--m", "7"]]
-        _fresh_python("-c", (
-            "import sys\n"
-            "from schottky_strata.cli import run\n"
-            "assert 'numpy' not in sys.modules\n"
-            f"for argv in {[*more, *examples]!r}:\n"
-            "    assert run(argv)[0] == 0, argv\n"
-            "    assert 'numpy' not in sys.modules, argv\n"
-        ))
-
-    def test_the_orbit_engines_never_load_numpy_ma(self):
-        # the engines need core numpy only; numpy.ma (which np.unique pulls
-        # in) would add its import time and memory to every oracle run
-        examples = [argv for argv in _readme_examples() if argv[0] == "oracle"]
-        assert any("--scale" in argv for argv in examples)
+                ["verify", "example2", "--p", "13", "--m", "7"],
+                ["oracle", "--p", "5", "--r", "1", "--s", "1"],
+                ["oracle", "--p", "7", "--r", "3", "--s", "0", "--scale"]]
         _fresh_python("-c", (
             "import sys\n"
             "from schottky_strata import surfaces\n"
             "from schottky_strata.cli import run\n"
             "assert surfaces.count_orbits(7, 4) == 22\n"
-            "assert 'numpy' in sys.modules\n"
-            "assert 'numpy.ma' not in sys.modules, 'count_orbits'\n"
+            "assert 'numpy' not in sys.modules, 'count_orbits'\n"
+            f"for argv in {[*more, *examples]!r}:\n"
+            "    assert run(argv)[0] == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+        ))
+
+    def test_the_bfs_oracle_never_loads_numpy_ma(self):
+        # the BFS needs core numpy only; numpy.ma (which np.unique pulls in)
+        # would add its import time and memory to every oracle --t run
+        examples = [argv for argv in _readme_examples()
+                    if argv[0] == "oracle" and "--t" in argv]
+        assert any("--scale" in argv for argv in examples)
+        _fresh_python("-c", (
+            "import sys\n"
+            "from schottky_strata.cli import run\n"
             f"for argv in {examples!r}:\n"
             "    assert run(argv)[0] == 0, argv\n"
+            "    assert 'numpy' in sys.modules, argv\n"
             "    assert 'numpy.ma' not in sys.modules, argv\n"
         ))
 

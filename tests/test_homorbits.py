@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,13 +14,14 @@ from schottky_strata.homorbits import (
     PERM_INV_SCALE,
     ActionSpec,
     HomImage,
-    _sorting_network,
     bfs_orbit_count,
-    canonical_codes,
     closed_form_orbit_count,
     orbit_count_tuples,
 )
 from schottky_strata.strata import BudgetExceeded
+
+# the odd primes to 41, and 101
+_GRID_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 101]
 
 
 def reference_neighbours(p, t, r, s, scaled):
@@ -215,13 +217,13 @@ class TestOrbitCountTuples:
                     assert scaled == base == 1
 
     def test_budget_error_names_required_count(self):
-        # 10^8 vectors in the one block: refused before its C(12, 8) classes
-        # are counted
+        # one recurrence step per entry of the one block: refused before any
         with pytest.raises(BudgetExceeded) as exc:
-            orbit_count_tuples(11, 8, 0, PERM_INV, budget=10**6)
-        assert exc.value.required == 10**8
-        assert str(exc.value) == ("enumeration requires 100000000 block "
-                                  "vectors, exceeding budget 1000000")
+            orbit_count_tuples(11, 8, 0, PERM_INV, budget=7)
+        assert exc.value.required == 8
+        assert str(exc.value) == ("enumeration requires 8 recurrence "
+                                  "steps, exceeding budget 7")
+        assert orbit_count_tuples(11, 8, 0, PERM_INV, budget=8) == 495
 
     # 257: residues past a byte
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 257])
@@ -236,26 +238,29 @@ class TestOrbitCountTuples:
                 assert got == want, (p, r, k - r)
             k += 1
 
-    def test_codes_past_two_bytes(self):
-        # every unit of 70001 is its own orbit when nothing identifies them
-        codes = canonical_codes(70001, 1, 0, ActionSpec(invert=False))
-        assert codes.size == 70000
-        assert codes[0] == 1 and codes[-1] == 70000
+    @pytest.mark.parametrize("p", _GRID_PRIMES)
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_matches_closed_form_on_the_grid(self, p, scaled):
+        # r, s <= 12: the cycle-index sum against the multiset count and
+        # its totient-weighted average, two derivations that share no code
+        action = PERM_INV_SCALE if scaled else PERM_INV
+        for r, s in itertools.product(range(13), repeat=2):
+            got = orbit_count_tuples(p, r, s, action)
+            assert got == closed_form_orbit_count(p, r, s, scaled), (r, s)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     @pytest.mark.parametrize("invert", [True, False])
     @pytest.mark.parametrize("scale", [False, True])
     def test_every_split_matches_per_vector_canonical_forms(self, p, invert, scale):
-        # the block-by-block engine against canonical_form over every vector,
-        # empty blocks included; every shape here has int32 codes
+        # the cycle-index sum against the distinct canonical_form codes over
+        # every vector, empty blocks included
         action = ActionSpec(invert, scale)
         k = 0
         while (p - 1) ** k <= 4000:
             for r in range(k + 1):
-                codes = canonical_codes(p, r, k - r, action)
-                assert codes.dtype == np.int32
-                want = reference_codes(p, r, k - r, action)
-                assert codes.tolist() == want, (r, k - r)
+                want = len(reference_codes(p, r, k - r, action))
+                assert orbit_count_tuples(p, r, k - r, action) == want, (
+                    r, k - r)
             k += 1
 
     @pytest.mark.parametrize("scaled", [False, True])
@@ -266,44 +271,56 @@ class TestOrbitCountTuples:
         got = orbit_count_tuples(5, 6, 6, action)
         assert got == closed_form_orbit_count(5, 6, 6, scaled)
 
-    @pytest.mark.parametrize("p,r,s", [(5, 6, 6), (7, 3, 0), (11, 2, 3),
-                                       (13, 0, 4), (3, 5, 5)])
-    @pytest.mark.parametrize("invert", [True, False])
-    @pytest.mark.parametrize("scale", [False, True])
-    def test_budget_counts_block_vectors_and_class_pairs(self, p, r, s,
-                                                         invert, scale):
-        # the grid has one cell per class pair, which is one plain code each
-        action = ActionSpec(invert, scale)
-        grid = canonical_codes(p, r, s, ActionSpec(invert)).size
-        work = sum((p - 1) ** w for w in (r, s) if w) + grid
-        assert canonical_codes(p, r, s, action, budget=work).size <= grid
-        with pytest.raises(BudgetExceeded) as exc:
-            canonical_codes(p, r, s, action, budget=work - 1)
-        assert (exc.value.required, exc.value.budget) == (work, work - 1)
-        assert str(exc.value) == (f"enumeration requires {work} block vectors "
-                                  f"and class pairs, exceeding budget {work - 1}")
+    @pytest.mark.parametrize("p,r,s,steps", [
+        (5, 6, 6, 12 + 6),        # e = 1 (lam = +-1) and e = 2 (order 4)
+        (7, 3, 0, 3 + 1),         # e = 1 and e = 3 (orders 3 and 6)
+        (11, 2, 3, 5),            # gcd(r, s) = 1: the identity's e alone
+        (13, 0, 4, 4 + 2),        # e = 3 would need 3 | 4
+        (3, 5, 5, 10)])           # one rescale class under invert
+    def test_budget_counts_recurrence_steps(self, p, r, s, steps):
+        # (r + s) / e steps for each e of the summed rescale orders; the
+        # plain count takes the identity's r + s alone
+        for action, need in ((PERM_INV, r + s), (PERM_INV_SCALE, steps)):
+            want = orbit_count_tuples(p, r, s, action, budget=need)
+            assert want == closed_form_orbit_count(p, r, s, action.global_scale)
+            with pytest.raises(BudgetExceeded) as exc:
+                orbit_count_tuples(p, r, s, action, budget=need - 1)
+            assert (exc.value.required, exc.value.budget) == (need, need - 1)
+            assert str(exc.value) == (f"enumeration requires {need} "
+                                      "recurrence steps, exceeding budget "
+                                      f"{need - 1}")
 
-    def test_refuses_before_any_array(self, monkeypatch):
-        made = []
-        for name in ("arange", "empty", "zeros"):
-            real = getattr(np, name)
-            monkeypatch.setattr(np, name, lambda *a, real=real, **k:
-                                made.append(a) or real(*a, **k))
-        # 2 * 4^6 vectors and 7^2 class pairs; then 3^40 codes past 2^63
-        with pytest.raises(BudgetExceeded):
-            canonical_codes(5, 6, 6, budget=8240)
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_refuses_before_the_sum(self, scaled, monkeypatch):
+        summed = []
+        real = homorbits._coefficient
+        monkeypatch.setattr(homorbits, "_coefficient",
+                            lambda *a: summed.append(a) or real(*a))
+        action = PERM_INV_SCALE if scaled else PERM_INV
+        # r + s past the budget, before the walk over 10^30 orders
         with pytest.raises(BudgetExceeded) as exc:
-            canonical_codes(3, 40, 0, budget=10**30)
-        assert (exc.value.required, exc.value.budget) == (3**40, 2**63)
-        assert made == []
-        assert canonical_codes(5, 6, 6, budget=8241).size == 49 and made
+            orbit_count_tuples(3, 10**30, 0, action)
+        assert exc.value.required == 10**30
+        # M of (10^9 + 7; 300000, 0) is a 2.7-million-digit number
+        with pytest.raises(ValueError, match="^M of p=1000000007, r=300000, "
+                           "s=0 has more than"):
+            orbit_count_tuples(1000000007, 300000, 0, action)
+        assert summed == []
+        assert orbit_count_tuples(5, 6, 6, action) and summed
 
-    def test_codes_widen_with_the_code_space(self):
-        # the one orbit's code (3^20 - 1) / 2 fits in 31 bits, but codes are
-        # int64 whenever p^(r+s) does not
-        codes = canonical_codes(3, 10, 10)
-        assert codes.dtype == np.int64
-        assert codes.tolist() == [(3**20 - 1) // 2]
+    def test_count_past_the_lower_bound_is_refused_by_its_digits(self):
+        # at a limit of 640 digits, M of (10007; 420, 0) has 641 and M of
+        # (10007; 419, 0) 640, both above refuse_unwritable_m's bound of 467
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError) as exc:
+                orbit_count_tuples(10007, 420, 0, PERM_INV)
+            assert str(exc.value).startswith(
+                "the orbit count of p=10007, r=420, s=0 has more than 640")
+            assert orbit_count_tuples(10007, 419, 0, PERM_INV) < 10**640
+        finally:
+            sys.set_int_max_str_digits(old_limit)
 
     @pytest.mark.parametrize("r,s,message", [
         (-1, 0, "r must be >= 0, got -1"),
@@ -316,21 +333,12 @@ class TestOrbitCountTuples:
     def test_shape_is_checked_as_strata_checks_it(self, r, s, message):
         # one message for a bad r or s, whichever count is asked
         for count in (lambda: orbit_count_tuples(5, r, s, PERM_INV),
-                      lambda: canonical_codes(5, r, s, PERM_INV_SCALE),
+                      lambda: orbit_count_tuples(5, r, s, PERM_INV_SCALE),
                       lambda: closed_form_orbit_count(5, r, s, False),
                       lambda: closed_form_orbit_count(5, r, s, True)):
             with pytest.raises(ValueError) as exc:
                 count()
             assert str(exc.value) == message
-
-    @pytest.mark.parametrize("n", range(13))
-    def test_sorting_network_sorts_every_zero_one_input(self, n):
-        # the 0-1 principle: a comparator network sorts all inputs iff it
-        # sorts every vector of zeros and ones
-        rows = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-        for i, j in _sorting_network(n):
-            rows[:, [i, j]] = np.sort(rows[:, [i, j]], axis=1)
-        assert (np.diff(rows, axis=1) >= 0).all()
 
 
 class TestBfsOrbitCount:

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from schottky_strata.homorbits import ActionSpec, canonical_codes
 from schottky_strata.strata import (BudgetExceeded, component_bounds,
                                     is_admissible)
 from schottky_strata.surfaces import (
@@ -103,8 +102,12 @@ class TestOrbits:
             m += 1
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            count_orbits(11, 8)
+        # 10^7 recurrence steps for e = 1, then 5 * 10^6 and 2.5 * 10^6 for
+        # the rescales of orders 2 and 4: past the default budget of 10^7
+        with pytest.raises(BudgetExceeded) as exc:
+            count_orbits(5, 10**7)
+        assert exc.value.required == 17_500_000
+        assert count_orbits(11, 8) == rotation_burnside(11, 8)
 
     def test_equal_entries_is_an_orbit_invariant(self):
         # the invariant verify example2 checks the witness pair by
@@ -161,18 +164,18 @@ class TestWitness:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_closed_form_is_the_two_least_codes(self, p):
-        # against the orbit engine on every m with at most 10^6 tuples
-        rotation = ActionSpec(invert=False, global_scale=True)
+        # against the canonical forms of every tuple, on every m with at
+        # most 10^4 tuples, whose number is the orbit count
         m = 1
-        while (p - 1) ** m <= 10**6:
-            codes = canonical_codes(p, m, 0, rotation)
+        while (p - 1) ** m <= 10**4:
+            forms = sorted({rotation_canonical(p, x) for x in
+                            itertools.product(range(1, p), repeat=m)})
+            assert count_orbits(p, m) == len(forms), m
             pair = witness_pair(p, m)
-            if codes.size < 2:
+            if len(forms) < 2:
                 assert pair is None and m == 1
             else:
-                assert list(pair) == [
-                    tuple(int(code) // p**j % p for j in reversed(range(m)))
-                    for code in codes[:2]]
+                assert list(pair) == forms[:2]
             m += 1
 
     def test_large_family_needs_no_enumeration(self):
