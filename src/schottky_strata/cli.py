@@ -58,10 +58,11 @@ def _phi_from_args(spec, phi_text):
 
 
 def _stratum_row(tup):
+    what, h = f"M of {tup}", (tup.p - 1) // 2
     # before M, which can take seconds
-    strata.refuse_unwritable_m(tup.p, tup.r, tup.s, f"M of {tup}")
+    strata.refuse_unwritable(strata.multiset_log10(h, tup.r, tup.s), what)
     m, exact, basis = strata.component_bounds(*tup)
-    return (*tup, writable(m, f"M of {tup}"),
+    return (*tup, writable(m, what),
             writable(strata.dimension(*tup), f"the dimension of {tup}"),
             exact, basis)
 

@@ -22,13 +22,10 @@ Two independent counters live here:
   reads, are merged into the labels by hooking roots and pointer jumping;
   each orbit ends labelled by its least state.  It alone loads numpy.
 
-Neither counter counts multisets; the ``oracle`` command and the tests
-compare them with each other and with ``closed_form_orbit_count``.  Its
-plain count is the multiset count M of ``strata.component_bounds``, from
-the same product, and its scaled count is a Burnside average of such
-products; so ``oracle`` is also a second derivation of M.  Both counters
-refuse work past their budget with ``strata.within_budget`` and
-``strata.within_budget_of_powers``.
+Neither counts multisets, as ``closed_form_orbit_count`` does: plainly
+the M of ``strata.component_bounds``, scaled a Burnside average of such
+products.  ``oracle`` and the tests compare all three, so ``oracle`` is a
+second derivation of M.  Both counters refuse work past their budget.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import math
 from collections import namedtuple
 
 from .strata import (_multisets, _validate_trs, check_prime,
-                     refuse_unwritable_m, within_budget,
+                     multiset_log10, refuse_unwritable, within_budget,
                      within_budget_of_powers, writable)
 
 __all__ = [
@@ -129,33 +126,36 @@ def orbit_count_tuples(p, r, s, action=PERM_INV, budget=10**7):
     lam, phi(d) rescales of each order d; only d | gcd(p-1, |U| gcd(r, s))
     fix anything, so p - 1 is never factored.
 
-    Refused before the sum: M of the shape past the text limit, by
-    ``strata.refuse_unwritable_m`` (so a scaled count a few digits shorter
-    too), and sum((r + s) / e) recurrence steps past ``budget``, r + s
-    first, which bound the walk over the orders d.  Then ``writable``.
+    Refused before the sum: past the text limit by ``strata.multiset_log10``
+    of the plain count, less log10(p - 1) when scaled; past ``budget`` in
+    recurrence steps, each charged that bound's digits (a step works on
+    integers up to the plain count), r + s first, then sum((r + s) / e).
     """
     check_prime(p, minimum=3)
     _validate_trs(0, r, s)
-    refuse_unwritable_m(p, r, s, f"M of p={p}, r={r}, s={s}")
-    within_budget(r + s, budget, "recurrence steps")
     units = 2 if action.invert else 1
-    weights, rescales = {1: 1}, 1  # e -> the sum of phi(d) over its d
-    if action.global_scale and r + s:
+    q = (p - 1) // units
+    rescales = p - 1 if action.global_scale and r + s else 1
+    what = f"the orbit count of p={p}, r={r}, s={s}"
+    log10 = multiset_log10(q, r, s)
+    refuse_unwritable(log10 - math.log10(rescales), what)
+    digits = 1 + int(log10)
+    within_budget((r + s) * digits, budget, "digit steps")
+    weights = {1: 1}  # e -> the sum of phi(d) over its d
+    if rescales > 1:
         top = math.gcd(p - 1, units * math.gcd(r, s))
         orders = sorted({k for j in range(1, math.isqrt(top) + 1)
                          if top % j == 0 for k in (j, top // j)})
-        totient, weights, rescales = {}, {}, p - 1
+        totient, weights = {}, {}
         for d in orders:  # Gauss: the phi(c) of the divisors c of d sum to d
             totient[d] = d - sum(t for c, t in totient.items() if d % c == 0)
             e = d // math.gcd(d, units)
             weights[e] = weights.get(e, 0) + totient[d]
-    within_budget(sum((r + s) // e for e in weights), budget,
-                  "recurrence steps")
-    q = (p - 1) // units
+    within_budget(sum((r + s) // e for e in weights) * digits, budget,
+                  "digit steps")
     total = sum(w * _coefficient(q, e, r) * _coefficient(q, e, s)
                 for e, w in weights.items())
-    return writable(total // rescales, f"the orbit count of p={p}, r={r}, "
-                    f"s={s}")
+    return writable(total // rescales, what)
 
 
 def closed_form_orbit_count(p, r, s, scaled=False):

@@ -6,8 +6,8 @@ Everything is indexed by tuples (g, p; t, r, s) with p prime, g >= 2 and
 
 equivalently g - 1 = p(t + s - 1) + r(p - 1).  All counting here is exact
 integer arithmetic; the only floats bound the digits of an M too long to
-write, in ``refuse_unwritable_m``.  ``stratum_rows`` refuses such an M in
-its own rows, by that bound and then by ``writable``.
+write, in ``multiset_log10`` for ``refuse_unwritable``.  ``stratum_rows``
+refuses such an M in its own rows, by that bound and then by ``writable``.
 
 Every layer imports it, so outside ``__all__`` it also holds the input
 checks, the check record ``check`` and the refusal rule ``within_budget``,
@@ -149,17 +149,19 @@ def writable(n, what):
     return n
 
 
-def refuse_unwritable_m(p, r, s, what):
-    """Refuse M = C(r+h-1, r) C(s+h-1, s), h = (p-1)/2, named ``what``, as
-    ``writable`` would, before it is formed (which can take seconds) when
-    a lower bound on its digits is past the text limit.  Each block w has
-    C(n, k) >= (n/k)^k, n = w+h-1 >= 2k, k = min(w, h-1) < 2^82, so float
-    logs bound M's digits to 1e-13."""
-    h = (p - 1) // 2
-    digits = sum(k * (math.log10(w + h - 1) - math.log10(k))
-                 for w in (r, s) if (k := min(w, h - 1)) > 0)
+def multiset_log10(h, r, s):
+    """A lower bound on log10 C(r+h-1, r) C(s+h-1, s) (M when h = (p-1)/2):
+    each block w has C(n, k) >= (n/k)^k, n = w+h-1 >= 2k, k = min(w, h-1)
+    < 2^82, so float logs bound it to 1e-13."""
+    return sum(k * (math.log10(w + h - 1) - math.log10(k))
+               for w in (r, s) if (k := min(w, h - 1)) > 0)
+
+
+def refuse_unwritable(log10, what):
+    """``writable``'s refusal of the number named ``what`` before it is formed
+    (which can take seconds), by ``log10``, a lower bound on its log10."""
     limit = sys.get_int_max_str_digits()
-    if limit and digits * (1 - 1e-12) > limit:
+    if limit and log10 * (1 - 1e-12) > limit:
         writable(10**limit, what)
 
 
@@ -374,7 +376,7 @@ def stratum_rows(g, p):
     Every row has r + s <= (g + p - 1) / (p - 1) <= g + 1, so M < 2^(r+s+p)
     <= 2^(g+p+1), which no text limit of at least (g + p + 1) / 3 digits
     refuses.  Past that, each n is refused at its first row (t = 0, s = n),
-    whose M is its largest, by ``refuse_unwritable_m`` and then
+    whose M is its largest, by ``refuse_unwritable`` and then
     ``writable``, before any factor of a smaller n is made.
     """
     _validate_gp(g, p)
@@ -385,7 +387,7 @@ def stratum_rows(g, p):
     for n, r in _totals(g, p):
         if tall:
             what = f"M of ({g},{p};0,{r},{n})"
-            refuse_unwritable_m(p, r, n, what)
+            refuse_unwritable(multiset_log10(h, r, n), what)
             writable(_multisets(h, r, n), what)
         blocks.append((n, r, dimension(g, p, n, r, 0), _multisets(h, r, 0),
                        _settled(p, None, r, None, None)))

@@ -36,12 +36,11 @@ def _check_family(p, m):
 def count_orbits(p, m):
     """Number of orbits in (Z_p^*)^m under rescaling and permutation: the
     cycle-index sum of ``homorbits.orbit_count_tuples`` without inversion,
-    refused as it refuses past 10^7 recurrence steps."""
+    refused as it refuses past 10^7 digit steps."""
     # deferred, so verify example2 does not load homorbits
     from .homorbits import ActionSpec, orbit_count_tuples
     _check_family(p, m)
-    return orbit_count_tuples(p, m, 0, ActionSpec(invert=False,
-                                                  global_scale=True))
+    return orbit_count_tuples(p, m, 0, ActionSpec(False, True))
 
 
 _WITNESS_BUDGET = 10**6

@@ -42,9 +42,9 @@ _TEXT_LIMIT_CASES = [
       "200109994"], "M of (200109994,10007;0,9993,10006)"),
     (["bounds", "--g", _G_4300_NINES, "--p", "2", "--t", _HALF, "--r", "0",
       "--s", "0"], f"the dimension of ({_G_4300_NINES},2;{_HALF},0,0)"),
-    # refused by the lower bound on M's 2.7 million digits, before the sum
+    # refused by the lower bound on its 2.7 million digits, before the sum
     (["oracle", "--p", "1000000007", "--r", "300000", "--s", "0"],
-     "M of p=1000000007, r=300000, s=0"),
+     "the orbit count of p=1000000007, r=300000, s=0"),
 ]
 # row counts too long to write: --budget is read by int, so it is shorter,
 # and the budget refuses the count by its digits
@@ -517,9 +517,9 @@ class TestExitCodes:
         # as text
         (["oracle", "--p", "5", "--r", "1", "--s", "0", "--t", "8000"],
          "a 5593-digit number of image vectors"),
-        # 10^30 recurrence steps, refused before any is taken
+        # 10^30 recurrence steps of one digit, refused before any is taken
         (["oracle", "--p", "3", "--r", str(10**30), "--s", "0", "--scale"],
-         f"{10**30} recurrence steps"),
+         f"{10**30} digit steps"),
     ])
     def test_count_too_long_to_write_is_named_by_its_digits(
             self, argv, count, capsys):

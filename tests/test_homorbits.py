@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -217,13 +218,23 @@ class TestOrbitCountTuples:
                     assert scaled == base == 1
 
     def test_budget_error_names_required_count(self):
-        # one recurrence step per entry of the one block: refused before any
+        # one recurrence step per entry of the one block, each charged the
+        # 2 digits of the count's lower bound: refused before any step
         with pytest.raises(BudgetExceeded) as exc:
-            orbit_count_tuples(11, 8, 0, PERM_INV, budget=7)
-        assert exc.value.required == 8
-        assert str(exc.value) == ("enumeration requires 8 recurrence "
-                                  "steps, exceeding budget 7")
-        assert orbit_count_tuples(11, 8, 0, PERM_INV, budget=8) == 495
+            orbit_count_tuples(11, 8, 0, PERM_INV, budget=15)
+        assert exc.value.required == 16
+        assert str(exc.value) == ("enumeration requires 16 digit steps, "
+                                  "exceeding budget 15")
+        assert orbit_count_tuples(11, 8, 0, PERM_INV, budget=16) == 495
+
+    def test_budget_weighs_each_step_by_the_count_digits(self):
+        # 10^7 steps toward a 2,379-digit count take seconds: at the default
+        # budget they are refused at once, 2,163 digits a step by the bound
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc:
+            orbit_count_tuples(1009, 10**7, 0, PERM_INV)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.required == 10**7 * 2163
 
     # 257: residues past a byte
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 257])
@@ -271,24 +282,25 @@ class TestOrbitCountTuples:
         got = orbit_count_tuples(5, 6, 6, action)
         assert got == closed_form_orbit_count(5, 6, 6, scaled)
 
-    @pytest.mark.parametrize("p,r,s,steps", [
-        (5, 6, 6, 12 + 6),        # e = 1 (lam = +-1) and e = 2 (order 4)
-        (7, 3, 0, 3 + 1),         # e = 1 and e = 3 (orders 3 and 6)
-        (11, 2, 3, 5),            # gcd(r, s) = 1: the identity's e alone
-        (13, 0, 4, 4 + 2),        # e = 3 would need 3 | 4
-        (3, 5, 5, 10)])           # one rescale class under invert
-    def test_budget_counts_recurrence_steps(self, p, r, s, steps):
-        # (r + s) / e steps for each e of the summed rescale orders; the
-        # plain count takes the identity's r + s alone
-        for action, need in ((PERM_INV, r + s), (PERM_INV_SCALE, steps)):
+    @pytest.mark.parametrize("p,r,s,steps,digits", [
+        (5, 6, 6, 12 + 6, 2),     # e = 1 (lam = +-1) and e = 2 (order 4)
+        (7, 3, 0, 3 + 1, 1),      # e = 1 and e = 3 (orders 3 and 6)
+        (11, 2, 3, 5, 3),         # gcd(r, s) = 1: the identity's e alone
+        (13, 0, 4, 4 + 2, 2),     # e = 3 would need 3 | 4
+        (3, 5, 5, 10, 1)])        # one rescale class under invert
+    def test_budget_counts_recurrence_steps(self, p, r, s, steps, digits):
+        # (r + s) / e steps for each e of the summed rescale orders, the
+        # plain count the identity's r + s alone; each step is charged the
+        # digits of the lower bound on the plain count, 1 + floor(log10)
+        for action, need in ((PERM_INV, (r + s) * digits),
+                             (PERM_INV_SCALE, steps * digits)):
             want = orbit_count_tuples(p, r, s, action, budget=need)
             assert want == closed_form_orbit_count(p, r, s, action.global_scale)
             with pytest.raises(BudgetExceeded) as exc:
                 orbit_count_tuples(p, r, s, action, budget=need - 1)
             assert (exc.value.required, exc.value.budget) == (need, need - 1)
-            assert str(exc.value) == (f"enumeration requires {need} "
-                                      "recurrence steps, exceeding budget "
-                                      f"{need - 1}")
+            assert str(exc.value) == (f"enumeration requires {need} digit "
+                                      f"steps, exceeding budget {need - 1}")
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_refuses_before_the_sum(self, scaled, monkeypatch):
@@ -301,16 +313,17 @@ class TestOrbitCountTuples:
         with pytest.raises(BudgetExceeded) as exc:
             orbit_count_tuples(3, 10**30, 0, action)
         assert exc.value.required == 10**30
-        # M of (10^9 + 7; 300000, 0) is a 2.7-million-digit number
-        with pytest.raises(ValueError, match="^M of p=1000000007, r=300000, "
-                           "s=0 has more than"):
+        # the count of (10^9 + 7; 300000, 0) has some 2.7 million digits
+        with pytest.raises(ValueError, match="^the orbit count of "
+                           "p=1000000007, r=300000, s=0 has more than"):
             orbit_count_tuples(1000000007, 300000, 0, action)
         assert summed == []
         assert orbit_count_tuples(5, 6, 6, action) and summed
 
     def test_count_past_the_lower_bound_is_refused_by_its_digits(self):
-        # at a limit of 640 digits, M of (10007; 420, 0) has 641 and M of
-        # (10007; 419, 0) 640, both above refuse_unwritable_m's bound of 467
+        # at a limit of 640 digits, the count (M) of (10007; 420, 0) has 641
+        # and that of (10007; 419, 0) 640, both above the bound of 467 that
+        # refuses before the sum
         old_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -319,6 +332,31 @@ class TestOrbitCountTuples:
             assert str(exc.value).startswith(
                 "the orbit count of p=10007, r=420, s=0 has more than 640")
             assert orbit_count_tuples(10007, 419, 0, PERM_INV) < 10**640
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+
+    def test_scaled_count_is_refused_by_its_own_bound(self, monkeypatch):
+        # at a limit of 640 digits and p = 10^24 + 7, the plain count of
+        # (p; 29, 0) is refused by its lower bound of 645 digits, but the
+        # scaled one, some p times smaller, has 633 and is answered; at
+        # r = 30 its own bound, 667 - log10(p - 1) = 643, refuses it
+        p = 10**24 + 7
+        summed = []
+        real = homorbits._coefficient
+        monkeypatch.setattr(homorbits, "_coefficient",
+                            lambda *a: summed.append(a) or real(*a))
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for r, action in ((29, PERM_INV), (30, PERM_INV_SCALE)):
+                with pytest.raises(ValueError) as exc:
+                    orbit_count_tuples(p, r, 0, action)
+                assert str(exc.value).startswith(
+                    f"the orbit count of p={p}, r={r}, s=0 has more than 640")
+            assert summed == []
+            got = orbit_count_tuples(p, 29, 0, PERM_INV_SCALE)
+            assert got == closed_form_orbit_count(p, 29, 0, True)
+            assert 10**632 <= got < 10**633
         finally:
             sys.set_int_max_str_digits(old_limit)
 

@@ -102,11 +102,12 @@ class TestOrbits:
             m += 1
 
     def test_budget(self):
-        # 10^7 recurrence steps for e = 1, then 5 * 10^6 and 2.5 * 10^6 for
-        # the rescales of orders 2 and 4: past the default budget of 10^7
+        # 400,000 recurrence steps for e = 1, then 200,000 and 100,000 for
+        # the rescales of orders 2 and 4, each charged the 16 digits of the
+        # bound on the plain count: past the default budget of 10^7
         with pytest.raises(BudgetExceeded) as exc:
-            count_orbits(5, 10**7)
-        assert exc.value.required == 17_500_000
+            count_orbits(5, 400_000)
+        assert exc.value.required == 11_200_000
         assert count_orbits(11, 8) == rotation_burnside(11, 8)
 
     def test_equal_entries_is_an_orbit_invariant(self):
@@ -165,11 +166,13 @@ class TestWitness:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_closed_form_is_the_two_least_codes(self, p):
         # against the canonical forms of every tuple, on every m with at
-        # most 10^4 tuples, whose number is the orbit count
+        # most 10^6 tuples, whose number is the orbit count; a form does not
+        # depend on the order of the entries, so the sorted tuples suffice
         m = 1
-        while (p - 1) ** m <= 10**4:
+        while (p - 1) ** m <= 10**6:
             forms = sorted({rotation_canonical(p, x) for x in
-                            itertools.product(range(1, p), repeat=m)})
+                            itertools.combinations_with_replacement(
+                                range(1, p), m)})
             assert count_orbits(p, m) == len(forms), m
             pair = witness_pair(p, m)
             if len(forms) < 2:
